@@ -336,7 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--kl-max-tokens", type=int, default=4096)
     q.add_argument("--emit-curve", default=None, help="write the (p, KL) search curve as CSV")
     q.add_argument("--seed", type=int, default=0, help="recorded in the report; the run itself is deterministic")
-    q.add_argument("--threads", type=int, default=_default_threads())
+    q.add_argument(
+        "--threads",
+        type=int,
+        default=_default_threads(),
+        help="recorded in the report; every stage runs on one Python thread",
+    )
     q.set_defaults(func=cmd_quantize)
 
     e = sub.add_parser("eval", help="score a packed model against the originals")

@@ -349,11 +349,18 @@ class SizeReport:
 def packed_size_report(pm: PackedModel) -> SizeReport:
     payload = int(sum(pm.n * pm.beta * int(w) for w in pm.widths))
     stream = int(pm.offsets[-1])
-    file_bits = 8 * len(pm.to_bytes())
+    metadata_bytes = (
+        _HEADER.size
+        + 8 * 5  # u64 length prefix of each section
+        + -(-pm.k // 4)  # bit codes, 2 bits per group
+        + 8 * (pm.k + 1)  # offsets
+        + 4 * pm.k * pm.n  # scales
+        + 4 * sum(_column_words(pm.n, int(w)) for w in pm.widths)  # zero-points
+    )
     weights = pm.n * pm.m
     return SizeReport(
         payload_bits=payload,
         padding_bits=stream - payload,
-        metadata_bits=file_bits - stream,
+        metadata_bits=8 * metadata_bytes,
         bits_per_weight=payload / weights if weights else 0.0,
     )

@@ -55,7 +55,7 @@ class PipelineConfig:
     compensation_enabled: bool = True
     binarize_1bit: bool = False  # 1-bit groups use sign/magnitude form
     inner_columnwise: bool = False  # compensate column-by-column inside groups
-    threads: int = 1
+    threads: int = 1  # recorded in the report; every stage runs on one Python thread
     kl_cfg: KlConfig = field(default_factory=KlConfig)
     sqc_cfg: SqcConfig = field(default_factory=SqcConfig)
 
@@ -85,8 +85,7 @@ def proxy_loss(w: np.ndarray, w_hat: np.ndarray, hs: HessianState) -> float:
     if w.shape[1] != hs.H.shape[0]:
         raise ShapeMismatch(f"weights have {w.shape[1]} channels, Gram has {hs.H.shape[0]}")
     d = w_hat - w
-    a = hs.H + hs.damping * np.eye(hs.H.shape[0])
-    return float(np.sum((d @ a) * d))
+    return float(np.sum((d @ hs.H) * d) + hs.damping * np.sum(d * d))
 
 
 def _quantize_column(col: np.ndarray, qb_params) -> np.ndarray:
@@ -126,7 +125,6 @@ def quantize_layer(
             cfg.bits,
             cfg.kl_cfg,
             binarize_low=cfg.binarize_1bit,
-            threads=cfg.threads,
         )
     else:
         plan = BitPlan(

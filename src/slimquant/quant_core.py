@@ -72,6 +72,17 @@ def params_from_range(
     lo: np.ndarray, hi: np.ndarray, bit_width: int, gamma: float = 1.0
 ) -> GroupQuantParams:
     """Affine params for per-row ranges [lo, hi], optionally shrunk/grown by gamma."""
+    scale, zero = affine_params(lo, hi, bit_width, gamma)
+    return GroupQuantParams(bit_width=bit_width, scale=scale, zero=zero)
+
+
+def affine_params(
+    lo: np.ndarray, hi: np.ndarray, bit_width: int, gamma: float | np.ndarray = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 scales and uint8 zero-points for ranges [lo, hi] scaled by
+    gamma. Elementwise, so a column of gammas against rows of lo/hi gives
+    one row of parameters per gamma, each exactly what params_from_range
+    returns for that gamma alone."""
     maxq = _max_code(bit_width)
     span = (hi - lo) * gamma
     degenerate = span == 0.0
@@ -82,7 +93,7 @@ def params_from_range(
     zero = -np.rint(gamma * lo / scale.astype(np.float64))
     zero = np.where(degenerate, 0.0, zero)
     zero = np.clip(zero, 0, maxq).astype(np.uint8)
-    return GroupQuantParams(bit_width=bit_width, scale=scale, zero=zero)
+    return scale, zero
 
 
 def derive_params(block: np.ndarray, bit_width: int) -> GroupQuantParams:

@@ -7,6 +7,10 @@ The importance of weight element (i, j) is estimated as
 where d is the diagonal of the inverse of the damped activation Gram
 matrix H = mean over tokens of x xT. Channels that the calibration data
 drives hard get small inverse diagonals and therefore large salience.
+
+The inverse itself is never formed: damp_and_invert computes its upper
+Cholesky factor (used by error compensation) from one Cholesky
+factorization and one triangular inversion, and reads d off that factor.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import (
     BadGroupSize,
@@ -58,28 +63,35 @@ def accumulate_hessian(calib: CalibrationSet) -> np.ndarray:
 
 
 def damp_and_invert(H: np.ndarray, percdamp: float = 0.01) -> HessianState:
-    """Add proportional diagonal damping and invert via Cholesky."""
+    """Add proportional diagonal damping and factor the inverse.
+
+    With P the reversal permutation and P A P = L L^T (one Cholesky), the
+    upper factor of the inverse is U = P L^-1 P, so A^-1 = U^T U without
+    ever forming A^-1; its diagonal is the column sums of U * U.
+    """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ShapeMismatch(f"Gram matrix must be square, got {H.shape}")
-    H = (H + H.T) * 0.5
+    H = H + H.T
+    H *= 0.5
     damping = max(float(percdamp) * float(np.mean(np.diag(H))), DAMPING_FLOOR)
-    A = H + damping * np.eye(H.shape[0])
+    # P A P with A = H + damping * I, built in place. H is exactly
+    # symmetric, so the transpose of the C-ordered reversal is P H P in
+    # Fortran order: LAPACK factors and inverts it without another copy.
+    reversed_a = np.ascontiguousarray(H[::-1, ::-1]).T
+    reversed_a[np.diag_indices_from(reversed_a)] += damping
     try:
-        lower = scipy.linalg.cholesky(A, lower=True)
+        lower = scipy.linalg.cholesky(reversed_a, lower=True, overwrite_a=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NotPositiveDefinite(f"damped Gram matrix is not PD: {exc}") from exc
-    inv = scipy.linalg.cho_solve((lower, True), np.eye(H.shape[0]))
-    inv = (inv + inv.T) * 0.5
-    try:
-        chol_inv = scipy.linalg.cholesky(inv, lower=False)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NotPositiveDefinite(f"inverse lost positive definiteness: {exc}") from exc
+    lower_inv, info = scipy.linalg.lapack.dtrtri(lower, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"Cholesky factor is singular (dtrtri info {info})")
     return HessianState(
         H=H,
         damping=damping,
-        H_inv_diag=np.diag(inv).copy(),
-        chol_inv=chol_inv,
+        H_inv_diag=np.einsum("ij,ij->j", lower_inv, lower_inv)[::-1].copy(),
+        chol_inv=np.asfortranarray(lower_inv[::-1, ::-1]),
     )
 
 

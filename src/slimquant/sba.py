@@ -5,12 +5,15 @@ evaluates every pairing count p in [0, k/2]: the p least salient groups
 drop to N-1 bits, the p most salient rise to N+1 bits, and the output
 divergence of the resulting fake-quantized layer is measured. Paired
 promotion/demotion keeps the average width at exactly N bits.
+
+The search is sequential: neighbouring candidates differ in a few groups,
+so each evaluation updates the previous candidate's layer output instead
+of recomputing it, and costs one softmax plus a few thin matmuls.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,18 +56,21 @@ def stride_subsample(x: np.ndarray, max_tokens: int) -> np.ndarray:
 
 
 def _row_distributions(y: np.ndarray, cfg: KlConfig) -> np.ndarray:
-    z = y / cfg.temperature
-    z = z - z.max(axis=1, keepdims=True)
-    p = np.exp(z)
+    p = y / cfg.temperature
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
-    p = np.maximum(p, cfg.epsilon)
+    np.maximum(p, cfg.epsilon, out=p)
     p /= p.sum(axis=1, keepdims=True)
     return p
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> float:
-    per_row = np.sum(p * (np.log(p) - np.log(q)), axis=1)
-    return float(per_row.mean())
+def _kl_rows(p: np.ndarray, log_p: np.ndarray, q: np.ndarray) -> float:
+    """Mean over rows of sum p * (log p - log q); overwrites q."""
+    terms = np.log(q, out=q)
+    np.subtract(log_p, terms, out=terms)
+    terms *= p
+    return float(terms.sum(axis=1).mean())
 
 
 def output_kl(x: np.ndarray, w: np.ndarray, w_hat: np.ndarray, cfg: KlConfig) -> float:
@@ -81,7 +87,7 @@ def output_kl(x: np.ndarray, w: np.ndarray, w_hat: np.ndarray, cfg: KlConfig) ->
         raise InsufficientCalibration("no token rows to compare outputs on")
     p = _row_distributions(x @ w.T, cfg)
     q = _row_distributions(x @ w_hat.T, cfg)
-    return _kl_rows(p, q)
+    return _kl_rows(p, np.log(p), q)
 
 
 def _ranked_sets(group_mean: np.ndarray, p: int) -> tuple[list[int], list[int]]:
@@ -107,13 +113,18 @@ def allocate_bits(
     target_bits: int,
     cfg: KlConfig,
     binarize_low: bool = False,
-    threads: int = 1,
 ) -> BitPlan:
     """Search all pairing counts p and return the divergence-minimizing plan.
 
     Fake quantization here is plain per-row min/max at each group's width;
     range calibration and error compensation happen later in the pipeline
     and deliberately do not influence the allocation.
+
+    The quantized output Y = xs @ W_hat^T is built once for p = 0 and then
+    updated in place: from one candidate to the next only the groups whose
+    width changed contribute xs[:, g] @ (new_g - old_g)^T. The curve thus
+    matches a full recompute per candidate up to float rounding (the
+    summation order differs), not bit for bit.
     """
     w = np.asarray(w, dtype=np.float32)
     x = np.asarray(x, dtype=np.float32)
@@ -127,7 +138,7 @@ def allocate_bits(
         raise ShapeMismatch(f"salience has {sal.group_mean.shape[0]} groups, expected {k}")
     if x.size == 0:
         raise InsufficientCalibration("bit allocation needs calibration activations")
-    xs = stride_subsample(x, cfg.max_tokens)
+    xs64 = stride_subsample(x, cfg.max_tokens).astype(np.float64)
 
     deq_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -139,39 +150,29 @@ def allocate_bits(
                 qb = binarize_block(block)
             else:
                 qb = quantize_uniform(block, bits)
-            deq_cache[key] = dequantize(qb)
+            deq_cache[key] = dequantize(qb).astype(np.float64)
         return deq_cache[key]
 
-    half = k // 2
     candidates = []
-    for p in range(half + 1):
+    for p in range(k // 2 + 1):
         low, high = _ranked_sets(sal.group_mean, p)
         bits = np.full(k, target_bits, dtype=np.int64)
         bits[low] = target_bits - 1
         bits[high] = target_bits + 1
         candidates.append(bits)
 
-    # prebuild every dequantized block the candidates need, so the
-    # evaluation phase is read-only and safe to run on worker threads
-    for bits in candidates:
-        for g in range(k):
-            fake_block(g, int(bits[g]))
-
-    xs64 = xs.astype(np.float64)
     p_ref = _row_distributions(xs64 @ w.astype(np.float64).T, cfg)
+    log_p_ref = np.log(p_ref)
 
-    def evaluate(bits: np.ndarray) -> float:
-        w_hat = np.empty_like(w)
-        for g in range(k):
-            w_hat[:, g * beta : (g + 1) * beta] = deq_cache[(g, int(bits[g]))]
-        q = _row_distributions(xs64 @ w_hat.astype(np.float64).T, cfg)
-        return _kl_rows(p_ref, q)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            kl_curve = np.array(list(pool.map(evaluate, candidates)))
-    else:
-        kl_curve = np.array([evaluate(bits) for bits in candidates])
+    prev = candidates[0]
+    y = xs64 @ np.concatenate([fake_block(g, int(prev[g])) for g in range(k)], axis=1).T
+    kl_curve = np.empty(len(candidates))
+    for p, bits in enumerate(candidates):
+        for g in map(int, np.flatnonzero(bits != prev)):
+            delta = fake_block(g, int(bits[g])) - fake_block(g, int(prev[g]))
+            y += xs64[:, g * beta : (g + 1) * beta] @ delta.T
+        kl_curve[p] = _kl_rows(p_ref, log_p_ref, _row_distributions(y, cfg))
+        prev = bits
 
     p_star = int(np.argmin(kl_curve))  # first minimum: ties favor smaller p
     return BitPlan(

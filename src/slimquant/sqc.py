@@ -19,10 +19,16 @@ from .quant_core import (
     GroupQuantParams,
     QuantizedBlock,
     _row_range,
-    dequantize,
+    affine_params,
+    dequantize,  # noqa: F401  (kept importable from this module)
     params_from_range,
     quantize_uniform,
 )
+
+# Elements per slice of rows in the grid search. The slice's work buffers
+# (128 KiB float64 plus 64 KiB float32) stay in cache across all
+# candidates; much smaller slices pay numpy's per-call overhead instead.
+_SLICE_ELEMENTS = 16384
 
 
 @dataclass(frozen=True)
@@ -79,23 +85,21 @@ def calibrate_group(
         raise ShapeMismatch(f"mask shape {mask.shape} != block shape {block.shape}")
     grid = gamma_grid(cfg)
     lo, hi = _row_range(block)
-
-    row_losses = np.empty((len(grid), block.shape[0]), dtype=np.float64)
-    for i, gamma in enumerate(grid):
-        params = params_from_range(lo, hi, bit_width, gamma=float(gamma))
-        deq = dequantize(quantize_uniform(block, bit_width, params)).astype(np.float64)
-        err = (block - deq) ** 2
-        row_losses[i] = err.sum(axis=1)
+    scales, zeros = affine_params(lo[None, :], hi[None, :], bit_width, grid[:, None])
+    row_losses = grid_row_losses(block, bit_width, scales, zeros)
 
     # lexsort keys, last listed is primary: loss, then closeness to 1, then value
     tie_dist = np.abs(grid - 1.0)
     if cfg.per_row:
-        winners = np.empty(block.shape[0], dtype=np.int64)
-        for r in range(block.shape[0]):
+        n = block.shape[0]
+        winners = np.empty(n, dtype=np.int64)
+        for r in range(n):
             winners[r] = np.lexsort((grid, tie_dist, row_losses[:, r]))[0]
-        gammas = grid[winners]
-        params = _per_row_params(lo, hi, bit_width, gammas)
-        return quantize_uniform(block, bit_width, params), gammas
+        rows = np.arange(n)
+        params = GroupQuantParams(
+            bit_width=bit_width, scale=scales[winners, rows], zero=zeros[winners, rows]
+        )
+        return quantize_uniform(block, bit_width, params), grid[winners]
 
     totals = row_losses.sum(axis=1)
     best = int(np.lexsort((grid, tie_dist, totals))[0])
@@ -104,15 +108,42 @@ def calibrate_group(
     return quantize_uniform(block, bit_width, params), gamma_star
 
 
-def _per_row_params(
-    lo: np.ndarray, hi: np.ndarray, bit_width: int, gammas: np.ndarray
-) -> GroupQuantParams:
-    rows = [
-        params_from_range(lo[r : r + 1], hi[r : r + 1], bit_width, gamma=float(gammas[r]))
-        for r in range(len(gammas))
-    ]
-    return GroupQuantParams(
-        bit_width=bit_width,
-        scale=np.concatenate([p.scale for p in rows]),
-        zero=np.concatenate([p.zero for p in rows]),
-    )
+def grid_row_losses(
+    block: np.ndarray, bit_width: int, scales: np.ndarray, zeros: np.ndarray
+) -> np.ndarray:
+    """Per-row squared reconstruction error of a float64 block under each
+    candidate's parameters: scales/zeros are (G, n), the result (G, n).
+
+    Bit-identical to quantizing with quantize_uniform, decoding with
+    dequantize and summing each row of the squared float64 error, but run
+    over slices of rows that stay in cache for the whole grid, with no
+    per-candidate allocation. Two identities keep it exact: code - zero is
+    clip(rint(w / scale), -zero, maxq - zero), so the zero-point only moves
+    the clip bounds; and |code - zero| <= 15 times a float32 scale is exact
+    in float64, so rounding that product to float32 equals the float32
+    decode.
+    """
+    n, beta = block.shape
+    scales64 = scales.astype(np.float64)
+    floor = -zeros.astype(np.float64)
+    ceil = floor + float((1 << bit_width) - 1)
+    losses = np.empty(scales.shape, dtype=np.float64)
+    rows = max(1, _SLICE_ELEMENTS // beta)
+    q = np.empty((rows, beta), dtype=np.float64)
+    deq = np.empty((rows, beta), dtype=np.float32)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        b = block[r0:r1]
+        qv, dv = q[: r1 - r0], deq[: r1 - r0]
+        for i in range(len(scales)):
+            s = scales64[i, r0:r1, None]
+            np.divide(b, s, out=qv)
+            np.rint(qv, out=qv)
+            np.maximum(qv, floor[i, r0:r1, None], out=qv)
+            np.minimum(qv, ceil[i, r0:r1, None], out=qv)
+            np.multiply(qv, s, out=dv, casting="same_kind")
+            np.copyto(qv, dv)
+            np.subtract(b, qv, out=qv)
+            np.square(qv, out=qv)
+            np.sum(qv, axis=1, out=losses[i, r0:r1])
+    return losses

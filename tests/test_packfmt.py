@@ -311,13 +311,18 @@ def test_size_report_balanced_mixed_plan():
 
 def test_size_report_accounts_for_every_bit():
     rng = np.random.default_rng(10)
-    for _ in range(10):
+    for trial in range(20):
         n = int(rng.integers(1, 20))
         beta = int(rng.choice([4, 8]))
-        k = int(rng.integers(1, 5))
-        blocks, widths = random_blocks(rng, n, k * beta, beta)
+        k = int(rng.integers(1, 7))
+        widths = rng.integers(1, 5, size=k)
+        widths[0] = 1
+        blocks, widths = random_blocks(rng, n, k * beta, beta, widths=widths,
+                                       binary=trial % 2 == 1)
         pm = pack(blocks, n, k * beta, beta)
+        assert pm.binary_1bit == (trial % 2 == 1)
         report = packed_size_report(pm)
         assert report.payload_bits == int(
             sum(n * beta * int(w) for w in widths))
+        assert report.metadata_bits == 8 * len(pm.to_bytes()) - int(pm.offsets[-1])
         assert report.total_bits == 8 * len(pm.to_bytes())

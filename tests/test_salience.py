@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fixtures import identity_calib, random_calib
 from slimquant.errors import (
@@ -98,6 +99,51 @@ def test_inverse_factor_convention():
     assert np.allclose(hs.chol_inv, np.triu(hs.chol_inv))
     assert np.allclose(hs.chol_inv.T @ hs.chol_inv, inv, rtol=1e-8, atol=1e-12)
     assert np.all(np.diag(hs.chol_inv) > 0.0)
+
+
+def three_step_inverse(H, percdamp):
+    """Reference factor: Cholesky of the damped matrix, a solve against the
+    identity, then the upper Cholesky factor of the symmetrized inverse."""
+    H = (H + H.T) * 0.5
+    damping = max(percdamp * float(np.mean(np.diag(H))), DAMPING_FLOOR)
+    A = H + damping * np.eye(H.shape[0])
+    lower = scipy.linalg.cholesky(A, lower=True)
+    inv = scipy.linalg.cho_solve((lower, True), np.eye(H.shape[0]))
+    inv = (inv + inv.T) * 0.5
+    return np.diag(inv).copy(), scipy.linalg.cholesky(inv, lower=False)
+
+
+def test_inverse_factor_matches_three_step_reference():
+    # the two factorizations round differently, by about cond(A) * eps, so
+    # the ill-conditioned cases stay near cond 1e4: what the default
+    # damping leaves of a rank-deficient Gram matrix, and a spectrum over
+    # four decades under the damping floor
+    rng = np.random.default_rng(19)
+    cases = [(np.array([[2.5]]), 0.01), (np.array([[1e-12]]), 0.0)]
+    for m in (2, 7, 33, 96):
+        b = rng.standard_normal((3 * m, m))
+        cases.append((b.T @ b / (3 * m), 0.01))
+    for t, m in ((20, 64), (48, 96)):
+        b = rng.standard_normal((t, m))  # fewer tokens than channels
+        cases += [(b.T @ b / t, 0.01), (b.T @ b / t, 1e-3)]
+    q, _ = np.linalg.qr(rng.standard_normal((48, 48)))
+    cases.append(((q * np.logspace(0, -4, 48)) @ q.T, 0.0))
+    for H, percdamp in cases:
+        hs = damp_and_invert(H, percdamp)
+        diag, upper = three_step_inverse(H, percdamp)
+        np.testing.assert_allclose(hs.H_inv_diag, diag, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(hs.chol_inv, upper, rtol=1e-12,
+                                   atol=1e-12 * np.abs(upper).max())
+        assert np.array_equal(hs.chol_inv, np.triu(hs.chol_inv))
+
+
+def test_singular_factor_rejected(monkeypatch):
+    def singular(c, lower=0, unitdiag=0, overwrite_c=0):
+        return c, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", singular)
+    with pytest.raises(NotPositiveDefinite):
+        damp_and_invert(np.eye(3))
 
 
 def test_indefinite_matrix_rejected():

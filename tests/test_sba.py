@@ -17,8 +17,8 @@ from slimquant.errors import (
     InsufficientCalibration,
     ShapeMismatch,
 )
-from slimquant.quant_core import dequantize, quantize_uniform
-from slimquant.salience import salience_map
+from slimquant.quant_core import binarize_block, dequantize, quantize_uniform
+from slimquant.salience import SalienceMap, salience_map
 from slimquant.sba import (
     BitPlan,
     KlConfig,
@@ -42,11 +42,9 @@ def oracle_kl(x, w, w_hat, cfg):
     return float(np.mean(np.sum(scipy.special.rel_entr(p, q), axis=1)))
 
 
-def oracle_allocation(w, x, group_mean, beta, target, cfg):
-    """Exhaustive search with its own ranking and assembly logic."""
-    n, m = w.shape
-    k = m // beta
-    curve = []
+def oracle_plans(group_mean, target):
+    """Every candidate plan, with its own ranking and assembly logic."""
+    k = len(group_mean)
     plans = []
     for p in range(k // 2 + 1):
         order = sorted(range(k), key=lambda g: (group_mean[g], g))
@@ -58,12 +56,26 @@ def oracle_allocation(w, x, group_mean, beta, target, cfg):
             bits[g] = target - 1
         for g in high:
             bits[g] = target + 1
-        w_hat = np.empty_like(w, dtype=np.float32)
-        for g in range(k):
-            sl = slice(g * beta, (g + 1) * beta)
-            w_hat[:, sl] = dequantize(quantize_uniform(w[:, sl], bits[g]))
-        curve.append(oracle_kl(x, w, w_hat, cfg))
         plans.append(bits)
+    return plans
+
+
+def fake_quantize(w, bits, beta, binarize_low=False):
+    """Plain min/max (or sign/magnitude for 1-bit) fake quantization per group."""
+    w_hat = np.empty_like(w, dtype=np.float32)
+    for g, b in enumerate(bits):
+        sl = slice(g * beta, (g + 1) * beta)
+        if b == 1 and binarize_low:
+            w_hat[:, sl] = dequantize(binarize_block(w[:, sl]))
+        else:
+            w_hat[:, sl] = dequantize(quantize_uniform(w[:, sl], b))
+    return w_hat
+
+
+def oracle_allocation(w, x, group_mean, beta, target, cfg):
+    """Exhaustive search scored with the scipy divergence."""
+    plans = oracle_plans(group_mean, target)
+    curve = [oracle_kl(x, w, fake_quantize(w, bits, beta), cfg) for bits in plans]
     best = int(np.argmin(curve))
     return plans, curve, best
 
@@ -211,8 +223,6 @@ def test_uniform_candidate_is_plain_fakequant():
 
 def test_monotone_salience_relabel_keeps_plan():
     w, x, sal = plan_inputs(42)
-    from slimquant.salience import SalienceMap
-
     relabeled = SalienceMap(
         delta=sal.delta,
         group_mean=np.exp(sal.group_mean / sal.group_mean.max()),
@@ -231,8 +241,6 @@ def test_duplicate_groups_tie_to_lower_index():
     x = random_calib(rng, 10, 16)
     hs = hessian_state(CalibrationSet([x]))
     # force exactly equal group salience with a hand-built map
-    from slimquant.salience import SalienceMap
-
     delta = np.tile((half.astype(np.float64) ** 2), (1, 2))
     sal = SalienceMap(
         delta=delta,
@@ -246,13 +254,31 @@ def test_duplicate_groups_tie_to_lower_index():
         assert plan.bits[1] == 3
 
 
-def test_threaded_search_is_deterministic():
-    w, x, sal = plan_inputs(5, m=64)
-    a = allocate_bits(w, x, sal, 8, 2, KlConfig(), threads=1)
-    b = allocate_bits(w, x, sal, 8, 2, KlConfig(), threads=4)
-    assert np.array_equal(a.bits, b.bits)
-    assert np.array_equal(a.kl_curve, b.kl_curve)
-    assert a.p_star == b.p_star
+def test_incremental_search_matches_full_recompute():
+    # the search updates one running layer output from candidate to
+    # candidate; rebuilding and multiplying every candidate from scratch
+    # must give the same curve up to summation order, and the same plan
+    cfg = KlConfig()
+    cases = [(*plan_inputs(seed, m=64), target, False)
+             for seed, target in [(5, 2), (6, 2), (7, 3), (8, 3), (9, 2)]]
+    cases += [(*plan_inputs(seed, m=64), 2, True) for seed in (31, 32, 33)]
+    # all means tied: ranks fall back to group index, so a group promoted
+    # at one pairing count is demoted at the next
+    w, x, sal = plan_inputs(10, m=64)
+    tied = SalienceMap(delta=sal.delta, group_mean=np.ones(8),
+                       channel_mean=sal.channel_mean)
+    cases += [(w, x, tied, 2, False), (w, x, tied, 2, True), (w, x, tied, 3, False)]
+    for w, x, sal, target, binarize_low in cases:
+        plan = allocate_bits(w, x, sal, 8, target, cfg, binarize_low=binarize_low)
+        plans = oracle_plans(sal.group_mean, target)
+        xs = stride_subsample(x, cfg.max_tokens)
+        curve = np.array([
+            output_kl(xs, w, fake_quantize(w, bits, 8, binarize_low), cfg)
+            for bits in plans
+        ])
+        np.testing.assert_allclose(plan.kl_curve, curve, rtol=1e-12, atol=0.0)
+        assert plan.p_star == int(np.argmin(curve))
+        assert list(plan.bits) == plans[plan.p_star]
 
 
 def test_evaluation_count_matches_group_count():

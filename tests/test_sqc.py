@@ -3,10 +3,25 @@
 import numpy as np
 import pytest
 
+import slimquant.sqc as sqc
 from slimquant.errors import ShapeMismatch
-from slimquant.quant_core import block_mse, dequantize, quantize_uniform
+from slimquant.quant_core import (
+    GroupQuantParams,
+    _row_range,
+    affine_params,
+    block_mse,
+    dequantize,
+    params_from_range,
+    quantize_uniform,
+)
 from slimquant.salience import salient_mask_3sigma
-from slimquant.sqc import SqcConfig, calibrate_group, gamma_grid, split_loss
+from slimquant.sqc import (
+    SqcConfig,
+    calibrate_group,
+    gamma_grid,
+    grid_row_losses,
+    split_loss,
+)
 
 
 def no_mask(shape):
@@ -191,3 +206,67 @@ def test_dominance_holds_in_deployed_float32():
             tuned = block_mse(block, dequantize(qb))
             plain = block_mse(block, dequantize(quantize_uniform(block, bits)))
             assert tuned <= plain
+
+
+def reference_row_losses(block, bits, grid):
+    """One full quantize_uniform -> dequantize per gamma."""
+    lo, hi = _row_range(block)
+    losses = np.empty((len(grid), block.shape[0]))
+    for i, gamma in enumerate(grid):
+        params = params_from_range(lo, hi, bits, gamma=float(gamma))
+        deq = dequantize(quantize_uniform(block, bits, params)).astype(np.float64)
+        losses[i] = ((block - deq) ** 2).sum(axis=1)
+    return losses
+
+
+def reference_calibrate(block, bits, cfg):
+    """Winner by the reference losses: (quantized block, gamma or per-row
+    gammas), with per-row parameters built one row at a time."""
+    grid = gamma_grid(cfg)
+    losses = reference_row_losses(block, bits, grid)
+    tie_dist = np.abs(grid - 1.0)
+    lo, hi = _row_range(block)
+    if cfg.per_row:
+        gammas = np.array([
+            grid[np.lexsort((grid, tie_dist, losses[:, r]))[0]]
+            for r in range(block.shape[0])
+        ])
+        rows = [params_from_range(lo[r : r + 1], hi[r : r + 1], bits, float(g))
+                for r, g in enumerate(gammas)]
+        params = GroupQuantParams(bits, np.concatenate([p.scale for p in rows]),
+                                  np.concatenate([p.zero for p in rows]))
+        return quantize_uniform(block, bits, params), gammas
+    gamma = float(grid[np.lexsort((grid, tie_dist, losses.sum(axis=1)))[0]])
+    return quantize_uniform(block, bits, params_from_range(lo, hi, bits, gamma)), gamma
+
+
+@pytest.mark.parametrize("slice_elements, shapes", [
+    # slices of 4 rows at width 16 and 2 rows at width 32
+    (64, ((1, 16), (9, 16), (13, 32))),
+    # the default slice: 128 rows at width 128
+    (sqc._SLICE_ELEMENTS, ((300, 128),)),
+])
+def test_grid_losses_bit_identical_to_reference(monkeypatch, slice_elements, shapes):
+    # no row count divides evenly into slices
+    monkeypatch.setattr(sqc, "_SLICE_ELEMENTS", slice_elements)
+    rng = np.random.default_rng(11)
+    grid = gamma_grid(SqcConfig())
+    for bits in (1, 2, 3, 4):
+        for n, beta in shapes:
+            block = rng.standard_normal((n, beta)) * rng.uniform(0.01, 4.0)
+            block[n // 2] = 0.0
+            if n > 2:
+                block[-1] = -1.5  # constant row
+                block[1] = np.abs(block[1])  # range pinned at zero from below
+            lo, hi = _row_range(block)
+            scales, zeros = affine_params(lo[None, :], hi[None, :], bits, grid[:, None])
+            got = grid_row_losses(block, bits, scales, zeros)
+            assert np.array_equal(got, reference_row_losses(block, bits, grid))
+            for per_row in (False, True):
+                cfg = SqcConfig(per_row=per_row)
+                qb, gamma = calibrate_group(block, bits, no_mask(block.shape), cfg)
+                ref_qb, ref_gamma = reference_calibrate(block, bits, cfg)
+                assert np.array_equal(gamma, ref_gamma)
+                assert np.array_equal(qb.codes, ref_qb.codes)
+                assert np.array_equal(qb.params.scale, ref_qb.params.scale)
+                assert np.array_equal(qb.params.zero, ref_qb.params.zero)
