@@ -32,14 +32,6 @@ from .sqc import SqcConfig
 from .tensor_store import load_calibration, read_tensor, write_tensor
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SLIMQ_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _load_weights(path: str) -> np.ndarray:
     w = read_tensor(path)
     if w.ndim != 2:
@@ -117,7 +109,6 @@ def _pipeline_config(args) -> PipelineConfig:
         compensation_enabled=not args.no_compensation,
         binarize_1bit=args.binarize_1bit,
         inner_columnwise=args.inner_columnwise,
-        threads=args.threads,
         kl_cfg=KlConfig(
             temperature=args.kl_temperature,
             epsilon=args.kl_epsilon,
@@ -155,7 +146,7 @@ def cmd_quantize(args) -> int:
             "kl_epsilon": cfg.kl_cfg.epsilon,
             "kl_max_tokens": cfg.kl_cfg.max_tokens,
             "seed": args.seed,
-            "threads": cfg.threads,
+            "threads": args.threads,
         },
         "shape": {"rows": n, "channels": m, "groups": m // cfg.beta},
         "plan": {
@@ -339,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
+        default=1,
         help="recorded in the report; every stage runs on one Python thread",
     )
     q.set_defaults(func=cmd_quantize)

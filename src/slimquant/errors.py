@@ -9,6 +9,10 @@ class SlimQuantError(Exception):
     """Base class for all deliberate failures in this package."""
 
 
+class InvalidConfig(SlimQuantError, ValueError):
+    """A setting is outside the range the algorithm is defined on."""
+
+
 class IoFailure(SlimQuantError):
     """Underlying file could not be read or written."""
 

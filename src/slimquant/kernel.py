@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidConfig, ShapeMismatch
 from .packfmt import PackedModel, packed_size_report
 from .quant_core import dequantize
 
@@ -58,7 +58,7 @@ def matmul_tolerance(pm: PackedModel, x: np.ndarray) -> float:
 def bench(pm: PackedModel, x: np.ndarray, repeats: int = 5) -> dict:
     """Median wall time and effective bytes touched for both paths."""
     if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+        raise InvalidConfig(f"repeats must be >= 1, got {repeats}")
     x = _check_input(pm, x)
     t, n, m = x.shape[0], pm.n, pm.m
 

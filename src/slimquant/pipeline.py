@@ -5,9 +5,9 @@ Order of operations for one weight matrix:
   1. build the damped activation Gram matrix and its inverse factor
   2. compute the salience map
   3. pick per-group bit widths (paired promote/demote search), or all-N
-  4. walk groups left to right: 3-sigma mask, range-calibrated
-     quantization, then spread this group's rounding error onto the
-     not-yet-quantized columns through the inverse factor
+  4. walk groups left to right: range-calibrated quantization, then
+     spread this group's rounding error onto the not-yet-quantized columns
+     through the inverse factor
   5. score the reconstruction against the original weights
 
 The error spreading mutates only a working copy; every reported metric
@@ -38,7 +38,7 @@ from .salience import (
     accumulate_hessian,
     damp_and_invert,
     salience_map,
-    salient_mask_3sigma,
+    salient_mask_3sigma,  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 )
 from .sba import BitPlan, KlConfig, allocate_bits, output_kl, stride_subsample
 from .sqc import SqcConfig, calibrate_group
@@ -55,7 +55,6 @@ class PipelineConfig:
     compensation_enabled: bool = True
     binarize_1bit: bool = False  # 1-bit groups use sign/magnitude form
     inner_columnwise: bool = False  # compensate column-by-column inside groups
-    threads: int = 1  # recorded in the report; every stage runs on one Python thread
     kl_cfg: KlConfig = field(default_factory=KlConfig)
     sqc_cfg: SqcConfig = field(default_factory=SqcConfig)
 
@@ -88,12 +87,52 @@ def proxy_loss(w: np.ndarray, w_hat: np.ndarray, hs: HessianState) -> float:
     return float(np.sum((d @ hs.H) * d) + hs.damping * np.sum(d * d))
 
 
-def _quantize_column(col: np.ndarray, qb_params) -> np.ndarray:
-    """Requantize a single column under a block's fixed parameters."""
-    if qb_params.binary:
-        return (col >= 0.0).astype(np.uint8)
-    block = quantize_uniform(col[:, None], qb_params.bit_width, qb_params)
-    return block.codes[:, 0]
+def _quantize_group(
+    block: np.ndarray, bits: int, cfg: PipelineConfig
+) -> tuple[QuantizedBlock, float]:
+    """Quantize one group at its planned width; returns the block and its
+    range factor (1.0 where no calibration ran)."""
+    if bits == 1 and cfg.binarize_1bit:
+        return binarize_block(block), 1.0
+    if cfg.sqc_enabled:
+        return calibrate_group(block, bits, cfg.sqc_cfg)
+    return quantize_uniform(block, bits), 1.0
+
+
+def _compensate(
+    work: np.ndarray, qb: QuantizedBlock, u: np.ndarray, lo: int, hi: int, columnwise: bool
+) -> QuantizedBlock:
+    """Spread the rounding error of columns [lo, hi) of work onto the
+    columns right of them through the inverse factor u, in place, and
+    return the group's final block.
+
+    In columnwise mode each column of the group is first requantized under
+    the group's fixed parameters, left to right, and its error spread onto
+    the rest of the group; the cross-group update is then the same.
+    """
+    if columnwise:
+        p = qb.params
+        codes = np.empty_like(qb.codes)
+        for j in range(hi - lo):
+            c = lo + j
+            col = work[:, c : c + 1]
+            if p.binary:
+                codes[:, j : j + 1] = col >= 0.0  # the sign convention of binarize
+            else:
+                codes[:, j : j + 1] = quantize_uniform(col, p.bit_width, p).codes
+            deq = dequantize(QuantizedBlock(codes=codes[:, j : j + 1], params=p))
+            e = (col - deq) / u[c, c]
+            work[:, c + 1 : hi] -= e * u[c, c + 1 : hi]
+        qb = QuantizedBlock(codes=codes, params=p)
+    # in columnwise mode work[:, c] now holds the value column c was
+    # requantized from: later columns never update earlier ones
+    err = (work[:, lo:hi] - dequantize(qb)) / np.diag(u)[lo:hi]
+    work[:, hi:] -= err @ u[lo:hi, hi:]
+    if not (np.all(np.isfinite(err)) and np.all(np.isfinite(work[:, hi:]))):
+        raise NonFiniteIntermediate(
+            f"error spreading produced non-finite values at group {lo // (hi - lo)}"
+        )
+    return qb
 
 
 def quantize_layer(
@@ -112,19 +151,15 @@ def quantize_layer(
     beta = cfg.beta
     k = m // beta
 
+    # 1. Gram matrix and inverse factor
     hs = damp_and_invert(accumulate_hessian(calib), cfg.percdamp)
+    # 2. salience
     sal = salience_map(w, hs, beta)
+    # 3. width plan
     x_all = calib.stacked()
-
     if cfg.sba_enabled:
         plan = allocate_bits(
-            w,
-            x_all,
-            sal,
-            beta,
-            cfg.bits,
-            cfg.kl_cfg,
-            binarize_low=cfg.binarize_1bit,
+            w, x_all, sal, beta, cfg.bits, cfg.kl_cfg, binarize_low=cfg.binarize_1bit
         )
     else:
         plan = BitPlan(
@@ -133,61 +168,17 @@ def quantize_layer(
             kl_curve=np.empty(0, dtype=np.float64),
             evaluations=0,
         )
-
-    u = hs.chol_inv
+    # 4. per group, left to right: quantize, then compensate
     work = w.astype(np.float64)
     blocks: list[QuantizedBlock] = []
     gammas = np.ones(k, dtype=np.float64)
-
     for g in range(k):
-        lo_col = g * beta
-        hi_col = lo_col + beta
-        bits_g = int(plan.bits[g])
-        block = work[:, lo_col:hi_col].copy()
-        mask = salient_mask_3sigma(sal.delta[:, lo_col:hi_col])
-
-        if bits_g == 1 and cfg.binarize_1bit:
-            qb = binarize_block(block)
-        elif cfg.sqc_enabled:
-            qb, gamma = calibrate_group(block, bits_g, mask, cfg.sqc_cfg)
-            gammas[g] = float(np.mean(gamma))
-        else:
-            qb = quantize_uniform(block, bits_g)
-
+        lo, hi = g * beta, (g + 1) * beta
+        qb, gammas[g] = _quantize_group(work[:, lo:hi], int(plan.bits[g]), cfg)
         if cfg.compensation_enabled:
-            if cfg.inner_columnwise:
-                err = np.empty((n, beta), dtype=np.float64)
-                codes = np.empty((n, beta), dtype=np.uint8)
-                scale = qb.params.scale.astype(np.float64)
-                zero = qb.params.zero.astype(np.float64)
-                for j in range(beta):
-                    c = lo_col + j
-                    col = work[:, c]
-                    codes[:, j] = _quantize_column(col, qb.params)
-                    if qb.params.binary:
-                        deq_col = (codes[:, j] * 2.0 - 1.0) * scale
-                    else:
-                        deq_col = (codes[:, j] - zero) * scale
-                    e = (col - deq_col) / u[c, c]
-                    if j + 1 < beta:
-                        work[:, c + 1 : hi_col] -= np.outer(e, u[c, c + 1 : hi_col])
-                    err[:, j] = e
-                qb = QuantizedBlock(codes=codes, params=qb.params)
-                if hi_col < m:
-                    work[:, hi_col:] -= err @ u[lo_col:hi_col, hi_col:]
-            else:
-                deq = dequantize(qb).astype(np.float64)
-                err = (block - deq) / np.diag(u)[lo_col:hi_col][None, :]
-                if hi_col < m:
-                    work[:, hi_col:] -= err @ u[lo_col:hi_col, hi_col:]
-            if not np.all(np.isfinite(err)) or (
-                hi_col < m and not np.all(np.isfinite(work[:, hi_col:]))
-            ):
-                raise NonFiniteIntermediate(
-                    f"error spreading produced non-finite values at group {g}"
-                )
+            qb = _compensate(work, qb, hs.chol_inv, lo, hi, cfg.inner_columnwise)
         blocks.append(qb)
-
+    # 5. score against the original weights
     recon = reconstruct(blocks)
     xs = stride_subsample(x_all, cfg.kl_cfg.max_tokens)
     return QuantizationResult(

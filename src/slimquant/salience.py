@@ -11,10 +11,15 @@ drives hard get small inverse diagonals and therefore large salience.
 The inverse itself is never formed: damp_and_invert computes its upper
 Cholesky factor (used by error compensation) from one Cholesky
 factorization and one triangular inversion, and reads d off that factor.
+
+The group means drive the width search. salient_mask_3sigma flags the
+outliers of one block of the map; `slimquant inspect` reports its density
+per group, and no quantization stage reads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +29,7 @@ import scipy.linalg.lapack
 from .errors import (
     BadGroupSize,
     EmptyCalibration,
+    InvalidConfig,
     NotPositiveDefinite,
     ShapeMismatch,
 )
@@ -72,6 +78,8 @@ def damp_and_invert(H: np.ndarray, percdamp: float = 0.01) -> HessianState:
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ShapeMismatch(f"Gram matrix must be square, got {H.shape}")
+    if not (math.isfinite(percdamp) and percdamp >= 0.0):
+        raise InvalidConfig(f"percdamp must be finite and >= 0, got {percdamp}")
     H = H + H.T
     H *= 0.5
     damping = max(float(percdamp) * float(np.mean(np.diag(H))), DAMPING_FLOOR)
@@ -95,18 +103,8 @@ def damp_and_invert(H: np.ndarray, percdamp: float = 0.01) -> HessianState:
     )
 
 
-def salience_map(
-    w: np.ndarray,
-    hs: HessianState,
-    beta: int,
-    use_chol_diag: bool = False,
-) -> SalienceMap:
-    """Element salience plus its per-group and per-channel means.
-
-    use_chol_diag switches the denominator from the inverse diagonal to the
-    diagonal of its upper Cholesky factor, for A/B comparison of the two
-    conventions; the default is the inverse diagonal.
-    """
+def salience_map(w: np.ndarray, hs: HessianState, beta: int) -> SalienceMap:
+    """Element salience plus its per-group and per-channel means."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ShapeMismatch(f"weights must be 2-D, got {w.shape}")
@@ -115,8 +113,8 @@ def salience_map(
         raise ShapeMismatch(f"weights have {m} channels, Gram matrix has {hs.H_inv_diag.shape[0]}")
     if beta < 1 or m % beta != 0:
         raise BadGroupSize(f"group size {beta} does not divide {m} channels")
-    denom = np.diag(hs.chol_inv) if use_chol_diag else hs.H_inv_diag
-    delta = (w * w) / (denom * denom)[None, :]
+    d = hs.H_inv_diag
+    delta = (w * w) / (d * d)[None, :]
     k = m // beta
     group_mean = delta.reshape(n, k, beta).mean(axis=(0, 2))
     channel_mean = delta.mean(axis=0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadGroupSize, InsufficientCalibration, ShapeMismatch
+from .errors import BadGroupSize, InsufficientCalibration, InvalidConfig, ShapeMismatch
 from .quant_core import binarize_block, dequantize, quantize_uniform
 from .salience import SalienceMap
 
@@ -33,9 +33,9 @@ class KlConfig:
 
     def __post_init__(self) -> None:
         if not (self.temperature > 0.0 and math.isfinite(self.temperature)):
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
+            raise InvalidConfig(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0.0 < self.epsilon <= 1e-3:
-            raise ValueError(f"epsilon must be in (0, 1e-3], got {self.epsilon}")
+            raise InvalidConfig(f"epsilon must be in (0, 1e-3], got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def allocate_bits(
     w = np.asarray(w, dtype=np.float32)
     x = np.asarray(x, dtype=np.float32)
     if target_bits not in (2, 3):
-        raise ValueError(f"target width must be 2 or 3 bits, got {target_bits}")
+        raise InvalidConfig(f"target width must be 2 or 3 bits, got {target_bits}")
     n, m = w.shape
     if beta < 1 or m % beta != 0:
         raise BadGroupSize(f"group size {beta} does not divide {m} channels")

@@ -1,11 +1,10 @@
-"""Quantizer range calibration by salience-split grid search.
+"""Quantizer range calibration by grid search.
 
 For one block, a shrink/grow factor gamma is applied to every row's
 min/max range before deriving scale and zero-point. The winning gamma
-minimizes the sum of squared reconstruction errors, bookkept separately
-over salient (masked) and ordinary elements. gamma = 1.0 is always a
-candidate, so calibrated quantization can never lose to the plain
-min/max quantizer on this objective.
+minimizes the total squared reconstruction error of the block. gamma = 1.0
+is always a candidate, so calibrated quantization can never lose to the
+plain min/max quantizer on this objective.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidConfig
 from .quant_core import (
-    GroupQuantParams,
     QuantizedBlock,
     _row_range,
     affine_params,
@@ -34,75 +32,42 @@ _SLICE_ELEMENTS = 16384
 @dataclass(frozen=True)
 class SqcConfig:
     lambda_gamma: float = 0.1  # half-width of the gamma interval
-    n_gamma: int = 50  # grid holds 2 * n_gamma points
-    include_unity: bool = True
-    per_row: bool = False  # opt-in: independent gamma per output row
+    n_gamma: int = 50  # grid holds 2 * n_gamma points, plus unity
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lambda_gamma < 1.0:
-            raise ValueError(f"lambda_gamma must be in (0, 1), got {self.lambda_gamma}")
+            raise InvalidConfig(f"lambda_gamma must be in (0, 1), got {self.lambda_gamma}")
         if self.n_gamma < 1:
-            raise ValueError(f"n_gamma must be >= 1, got {self.n_gamma}")
+            raise InvalidConfig(f"n_gamma must be >= 1, got {self.n_gamma}")
 
 
 def gamma_grid(cfg: SqcConfig) -> np.ndarray:
     """Candidate gammas: 2*n_gamma points spanning [1-lambda, 1+lambda]
     endpoints included, plus forced unity."""
     grid = np.linspace(1.0 - cfg.lambda_gamma, 1.0 + cfg.lambda_gamma, 2 * cfg.n_gamma)
-    if cfg.include_unity:
-        grid = np.unique(np.append(grid, 1.0))
-    return grid
-
-
-def split_loss(
-    block: np.ndarray, deq: np.ndarray, mask: np.ndarray
-) -> tuple[float, float]:
-    """Squared reconstruction error split into (salient, ordinary) sums."""
-    if mask.shape != block.shape:
-        raise ShapeMismatch(f"mask shape {mask.shape} != block shape {block.shape}")
-    err = (np.asarray(block, np.float64) - np.asarray(deq, np.float64)) ** 2
-    masked = float(err[mask].sum())
-    return masked, float(err.sum()) - masked
+    return np.unique(np.append(grid, 1.0))
 
 
 def calibrate_group(
-    block: np.ndarray,
-    bit_width: int,
-    mask: np.ndarray,
-    cfg: SqcConfig,
-) -> tuple[QuantizedBlock, float | np.ndarray]:
+    block: np.ndarray, bit_width: int, cfg: SqcConfig
+) -> tuple[QuantizedBlock, float]:
     """Grid-search gamma for one block and quantize with the winner.
 
-    Returns the quantized block and the winning gamma (an (n,) vector in
-    per_row mode). Ties prefer the gamma closest to 1.0, then the smaller
-    gamma. The loss of each candidate is measured on the float32
-    dequantization actually deployed, so the winner's objective value is
-    exactly the reconstruction error downstream consumers will see.
+    Returns the quantized block and the winning gamma. Ties prefer the
+    gamma closest to 1.0, then the smaller gamma. The loss of each
+    candidate is measured on the float32 dequantization actually deployed,
+    so the winner's objective value is exactly the reconstruction error
+    downstream consumers will see.
     """
-    block = np.asarray(block, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != block.shape:
-        raise ShapeMismatch(f"mask shape {mask.shape} != block shape {block.shape}")
+    # a column slice of a wider matrix is copied: grid_row_losses re-reads
+    # each slice of rows once per candidate, and strided rows miss the cache
+    block = np.ascontiguousarray(block, dtype=np.float64)
     grid = gamma_grid(cfg)
     lo, hi = _row_range(block)
     scales, zeros = affine_params(lo[None, :], hi[None, :], bit_width, grid[:, None])
-    row_losses = grid_row_losses(block, bit_width, scales, zeros)
-
+    totals = grid_row_losses(block, bit_width, scales, zeros).sum(axis=1)
     # lexsort keys, last listed is primary: loss, then closeness to 1, then value
-    tie_dist = np.abs(grid - 1.0)
-    if cfg.per_row:
-        n = block.shape[0]
-        winners = np.empty(n, dtype=np.int64)
-        for r in range(n):
-            winners[r] = np.lexsort((grid, tie_dist, row_losses[:, r]))[0]
-        rows = np.arange(n)
-        params = GroupQuantParams(
-            bit_width=bit_width, scale=scales[winners, rows], zero=zeros[winners, rows]
-        )
-        return quantize_uniform(block, bit_width, params), grid[winners]
-
-    totals = row_losses.sum(axis=1)
-    best = int(np.lexsort((grid, tie_dist, totals))[0])
+    best = int(np.lexsort((grid, np.abs(grid - 1.0), totals))[0])
     gamma_star = float(grid[best])
     params = params_from_range(lo, hi, bit_width, gamma=gamma_star)
     return quantize_uniform(block, bit_width, params), gamma_star

@@ -174,8 +174,7 @@ def test_acceptance_4_calibration_dominance(capsys):
         block = (rng.standard_normal((16, 64)) * rng.uniform(0.1, 3.0)).astype(
             np.float32
         )
-        mask = np.zeros(block.shape, dtype=bool)
-        qb, _ = calibrate_group(block, 2, mask, SqcConfig())
+        qb, _ = calibrate_group(block, 2, SqcConfig())
         tuned = block_mse(block, dequantize(qb))
         plain = block_mse(block, dequantize(quantize_uniform(block, 2)))
         dominated += tuned <= plain

@@ -334,20 +334,54 @@ def test_bench_reports_json(layer_files, tmp_path, capsys):
     assert report["packed"]["bytes_touched"] < report["dense"]["bytes_touched"]
 
 
-def test_threads_env_fallback(layer_files, tmp_path, capsys, monkeypatch):
+def test_threads_flag_recorded_in_report(layer_files, tmp_path, capsys):
     wpath, xpath, _, _ = layer_files
-    monkeypatch.setenv("SLIMQ_THREADS", "3")
-    import importlib
-
-    import slimquant.cli as cli_mod
-    assert cli_mod._default_threads() == 3
-    monkeypatch.setenv("SLIMQ_THREADS", "not-a-number")
-    assert cli_mod._default_threads() == 1
-    monkeypatch.delenv("SLIMQ_THREADS")
-    assert cli_mod._default_threads() == 1
-    # an explicit flag also round-trips into the report
     out = tmp_path / "m.slmq"
     code, _, _ = run(capsys, *quantize_args(wpath, xpath, out, threads=2))
     assert code == 0
     report = json.loads((tmp_path / "m.slmq.json").read_text())
     assert report["config"]["threads"] == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("gamma_lambda", 0),
+    ("gamma_steps", 0),
+    ("kl_temperature", 0),
+    ("percdamp", -3),
+    ("percdamp", "inf"),
+    ("percdamp", "nan"),
+])
+def test_quantize_rejects_invalid_config(layer_files, tmp_path, capsys, flag, value):
+    wpath, xpath, _, _ = layer_files
+    out = tmp_path / "m.slmq"
+    code, stdout, err = run(capsys, *quantize_args(wpath, xpath, out, **{flag: value}))
+    assert code == 1
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error[InvalidConfig]: ")
+    assert sorted(tmp_path.iterdir()) == sorted([wpath, xpath])
+
+
+def test_inspect_rejects_invalid_percdamp(layer_files, tmp_path, capsys):
+    wpath, xpath, _, _ = layer_files
+    out = tmp_path / "sal.csv"
+    code, stdout, err = run(capsys, "inspect", "--weights", wpath, "--calib", xpath,
+                            "--group-size", 16, "--percdamp", -1, "--out", out)
+    assert code == 1
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error[InvalidConfig]: ")
+    assert not out.exists()
+
+
+def test_bench_rejects_zero_repeats(layer_files, tmp_path, capsys):
+    wpath, xpath, _, x = layer_files
+    out = tmp_path / "m.slmq"
+    assert run(capsys, *quantize_args(wpath, xpath, out))[0] == 0
+    probe = tmp_path / "probe.slmt"
+    write_tensor(probe, x[:8])
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run(capsys, "bench", "--model", out, "--input", probe,
+                            "--repeats", 0)
+    assert code == 1
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error[InvalidConfig]: ")
+    assert sorted(tmp_path.iterdir()) == before

@@ -22,8 +22,15 @@ from slimquant.pipeline import (
     quantize_layer,
     reconstruct,
 )
-from slimquant.quant_core import block_mse, dequantize, quantize_uniform
+from slimquant.quant_core import (
+    QuantizedBlock,
+    binarize_block,
+    block_mse,
+    dequantize,
+    quantize_uniform,
+)
 from slimquant.salience import HessianState
+from slimquant.sqc import calibrate_group
 from slimquant.tensor_store import CalibrationSet
 
 
@@ -171,7 +178,7 @@ def test_cluster_fixture_ordering():
 def test_run_is_deterministic():
     w, x = clustered_layer(7, n=16, m=256, t=512)
     calib = CalibrationSet([x])
-    cfg = PipelineConfig(beta=64, bits=2, threads=2)
+    cfg = PipelineConfig(beta=64, bits=2)
     a = quantize_layer(w, calib, cfg)
     b = quantize_layer(w, calib, cfg)
     assert blocks_equal(a.blocks, b.blocks)
@@ -234,6 +241,72 @@ def test_inner_columnwise_runs_and_beats_rtn():
     for qb, bits in zip(inner.blocks, inner.plan.bits):
         assert qb.params.bit_width == int(bits)
         assert qb.codes.max() <= (1 << int(bits)) - 1
+
+
+def test_identity_gram_columnwise_matches_blockwise():
+    # a diagonal inverse factor leaves nothing to spread inside a group, so
+    # requantizing each column under the group's parameters changes nothing
+    rng = np.random.default_rng(11)
+    w = random_layer(rng, 8, 64)
+    calib = CalibrationSet([identity_calib(64)])
+    for binarize in (False, True):
+        results = [
+            quantize_layer(w, calib, PipelineConfig(
+                beta=16, bits=2, binarize_1bit=binarize, inner_columnwise=columnwise))
+            for columnwise in (False, True)
+        ]
+        blockwise, columnwise = results
+        assert blocks_equal(blockwise.blocks, columnwise.blocks)
+        assert blockwise.proxy_loss == columnwise.proxy_loss
+
+
+def columnwise_reference(w, calib, cfg, plan_bits):
+    """The columnwise in-group loop written out one column at a time, with
+    its own requantization and float32 decode of each column: the blocks
+    quantize_layer should return for this plan."""
+    hs = hessian_state(calib, cfg.percdamp)
+    u = hs.chol_inv
+    work = w.astype(np.float64)
+    blocks = []
+    for g, bits in enumerate(int(b) for b in plan_bits):
+        lo, hi = g * cfg.beta, (g + 1) * cfg.beta
+        if bits == 1 and cfg.binarize_1bit:
+            params = binarize_block(work[:, lo:hi].copy()).params
+        else:
+            params = calibrate_group(work[:, lo:hi].copy(), bits, cfg.sqc_cfg)[0].params
+        scale64 = params.scale.astype(np.float64)
+        scale32 = params.scale.astype(np.float32)
+        codes = np.empty((w.shape[0], cfg.beta), dtype=np.uint8)
+        err = np.empty((w.shape[0], cfg.beta))
+        for j in range(cfg.beta):
+            c = lo + j
+            col = work[:, c].copy()
+            if params.binary:
+                codes[:, j] = col >= 0.0
+                deq = (codes[:, j].astype(np.float32) * 2 - 1) * scale32
+            else:
+                q = np.rint(col / scale64) + params.zero.astype(np.float64)
+                codes[:, j] = np.clip(q, 0, (1 << bits) - 1)
+                deq = (codes[:, j].astype(np.float32) - params.zero.astype(np.float32)) * scale32
+            err[:, j] = (col - deq) / u[c, c]
+            work[:, c + 1 : hi] -= np.outer(err[:, j], u[c, c + 1 : hi])
+        work[:, hi:] -= err @ u[lo:hi, hi:]
+        blocks.append(QuantizedBlock(codes=codes, params=params))
+    return blocks, hs
+
+
+def test_columnwise_matches_per_column_reference():
+    for seed in range(3):
+        w, x = clustered_layer(seed, n=32, m=256, t=512)
+        calib = CalibrationSet([x])
+        for binarize in (False, True):
+            cfg = PipelineConfig(beta=64, bits=2, binarize_1bit=binarize,
+                                 inner_columnwise=True)
+            res = quantize_layer(w, calib, cfg)
+            assert res.plan.p_star >= 1  # some group runs at 1 bit
+            ref, hs = columnwise_reference(w, calib, cfg, res.plan.bits)
+            assert blocks_equal(res.blocks, ref)
+            assert res.proxy_loss == proxy_loss(w, reconstruct(ref), hs)
 
 
 def test_plan_widths_match_blocks():

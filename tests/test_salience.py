@@ -8,6 +8,7 @@ from fixtures import identity_calib, random_calib
 from slimquant.errors import (
     BadGroupSize,
     EmptyCalibration,
+    InvalidConfig,
     NotPositiveDefinite,
     ShapeMismatch,
 )
@@ -146,6 +147,14 @@ def test_singular_factor_rejected(monkeypatch):
         damp_and_invert(np.eye(3))
 
 
+@pytest.mark.parametrize("percdamp", [-3.0, -1e-12, np.inf, np.nan])
+def test_invalid_percdamp_rejected(percdamp):
+    # a negative value was floored silently, an infinite one surfaced as a
+    # failed factorization
+    with pytest.raises(InvalidConfig):
+        damp_and_invert(np.eye(3), percdamp)
+
+
 def test_indefinite_matrix_rejected():
     with pytest.raises(NotPositiveDefinite):
         damp_and_invert(np.diag([1.0, -5.0]), percdamp=0.0)
@@ -208,16 +217,6 @@ def test_scaled_identity_gram_preserves_magnitude_order():
     order = np.argsort(sal.delta.ravel())
     ref = np.argsort(np.abs(w.astype(np.float64)).ravel() ** 2)
     assert np.array_equal(order, ref)
-
-
-def test_chol_diag_denominator_option():
-    rng = np.random.default_rng(17)
-    w = rng.standard_normal((4, 8)).astype(np.float32)
-    x = random_calib(rng, 32, 8)
-    hs = damp_and_invert(accumulate_hessian(CalibrationSet([x])))
-    sal = salience_map(w, hs, beta=4, use_chol_diag=True)
-    d = np.diag(hs.chol_inv)
-    assert np.array_equal(sal.delta, (w.astype(np.float64) ** 2) / (d * d)[None, :])
 
 
 def test_outlier_channel_dominates_channel_mean():
