@@ -8,6 +8,7 @@ path is fully deterministic; --seed only drives fixture generation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import IoFailure, ShapeMismatch, SlimQuantError
+from .errors import ShapeMismatch, SlimQuantError
 from .kernel import bench, dense_reference, packed_matmul
 from .packfmt import pack, packed_size_report, read_packed, unpack
 from .pipeline import PipelineConfig, proxy_loss, quantize_layer, reconstruct
@@ -29,7 +30,7 @@ from .salience import (
 )
 from .sba import KlConfig, output_kl, stride_subsample
 from .sqc import SqcConfig
-from .tensor_store import load_calibration, read_tensor, write_tensor
+from .tensor_store import atomic_write, load_calibration, read_tensor, write_tensor
 
 
 def _load_weights(path: str) -> np.ndarray:
@@ -40,23 +41,17 @@ def _load_weights(path: str) -> np.ndarray:
 
 
 def _write_outputs(outputs: list[tuple[str, bytes | str]]) -> None:
-    """Write all outputs, removing everything on the first failure so a
-    failed run never leaves partial artifacts behind."""
+    """Write each output atomically, removing the ones already written on
+    the first failure so a failed run never leaves partial artifacts."""
     written = []
     try:
         for path, payload in outputs:
-            mode = "wb" if isinstance(payload, bytes) else "w"
-            with open(path, mode) as fh:
-                fh.write(payload)
+            atomic_write(path, payload)
             written.append(path)
-    except BaseException as exc:
+    except BaseException:
         for path in written:
-            try:
+            with contextlib.suppress(OSError):
                 os.remove(path)
-            except OSError:
-                pass
-        if isinstance(exc, OSError):
-            raise IoFailure(f"cannot write outputs: {exc}") from exc
         raise
 
 

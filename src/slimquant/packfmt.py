@@ -9,22 +9,25 @@ File layout (SLMQ, all little-endian):
     m        u32      input channels
     beta     u32      group width
     N        u8       average bit-width target
-    pad      3 bytes  reserved, zero
+    reserved 3 bytes  zero
     sections, each prefixed by a u64 byte length, in order:
-        bit_codes      2 bits per group, value = width - 1
+        bit_codes      one row of k 2-bit fields, value = width - 1
         offsets        (k+1) u64 cumulative bit offsets into weights_stream
         scales         k*n float32, group-major then row
-        zeros_stream   per group: n zero-points at the group's width
-        weights_stream per group, column by column: n codes at the group's
-                       width, each column padded to a 32-bit word boundary
+        zeros_stream   per group: one row of n zero-points at the group's width
+        weights_stream per group: beta rows, one per column, of n codes at
+                       the group's width
 
-Every bitstream is LSB-first within each byte, bytes in ascending address
-order. Padding bits are always zero; nonzero padding is rejected on read,
-which keeps the encoding injective.
+Every packed section is written by one rule: rows of fixed-width fields,
+LSB-first, bytes in ascending address order, each row padded with zero
+bits to a 32-bit word; the bit-code row is then cut to whole bytes.
+Padding bits and reserved bytes are always zero and nonzero ones are
+rejected on read, which keeps the encoding injective.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,79 +44,53 @@ from .errors import (
     UnsupportedVersion,
 )
 from .quant_core import GroupQuantParams, QuantizedBlock
+from .tensor_store import atomic_write
 
 MAGIC = b"SLMQ"
 VERSION = 1
 FLAG_BINARY_1BIT = 1
-_HEADER = struct.Struct("<4sHHIIIB3x")
+_HEADER = struct.Struct("<4sHHIIIB3s")
+_RESERVED = bytes(3)
 WORD_BITS = 32
 
 
-def _column_words(n: int, width: int) -> int:
-    return -(-n * width // WORD_BITS)
+def pack_fields(values: np.ndarray, width: int) -> bytes:
+    """Rows of `width`-bit fields, LSB-first, each row zero-padded to a
+    32-bit word. values is (rows, count) with entries below 2**width."""
+    v = np.asarray(values, dtype=np.uint8)
+    rows, count = v.shape
+    words = -(-count * width // WORD_BITS)
+    bits = np.zeros((rows, words * WORD_BITS), dtype=np.uint8)
+    fields = bits[:, : count * width].reshape(rows, count, width)  # a view into bits
+    for i in range(width):
+        fields[:, :, i] = (v >> i) & 1
+    return np.packbits(bits, axis=1, bitorder="little").tobytes()
 
 
-def _field_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """LSB-first bit expansion, value-major: (count * width,) uint8."""
-    v = np.asarray(values, dtype=np.uint32)
-    shifts = np.arange(width, dtype=np.uint32)
-    return ((v[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+def unpack_fields(raw, rows: int, count: int, width: int, what: str) -> np.ndarray:
+    """Inverse of pack_fields: (rows, count) uint8. raw must hold exactly
+    rows padded rows; a nonzero padding bit raises CodeOutOfRange."""
+    words = -(-count * width // WORD_BITS)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(rows, 4 * words), axis=1, bitorder="little"
+    )
+    if bits[:, count * width :].any():
+        raise CodeOutOfRange(f"nonzero padding bits in {what}")
+    fields = bits[:, : count * width].reshape(rows, count, width)
+    values = np.zeros((rows, count), dtype=np.uint8)
+    for i in range(width):
+        values |= fields[:, :, i] << i
+    return values
 
 
-def _bits_from_fields(bits: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of _field_bits for a flat (count * width,) bit array."""
-    weights = (1 << np.arange(width, dtype=np.uint32))
-    return (bits.reshape(-1, width).astype(np.uint32) * weights).sum(axis=1)
-
-
-def _pad_bits_to_words(bits: np.ndarray) -> np.ndarray:
-    rem = (-len(bits)) % WORD_BITS
-    if rem:
-        bits = np.concatenate([bits, np.zeros(rem, dtype=np.uint8)])
-    return bits
-
-
-def encode_bit_codes(widths: np.ndarray) -> bytes:
-    """Group widths as packed 2-bit fields (value = width - 1)."""
-    codes = np.asarray(widths, dtype=np.uint32) - 1
-    return np.packbits(_field_bits(codes, 2), bitorder="little").tobytes()
-
-
-def decode_bit_codes(raw: bytes, k: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    if np.any(bits[2 * k :]):
-        raise CodeOutOfRange("nonzero padding in bit-code section")
-    return (_bits_from_fields(bits[: 2 * k], 2) + 1).astype(np.int64)
-
-
-def encode_column_stream(codes: np.ndarray, width: int) -> bytes:
-    """One group's codes (n, beta), packed column by column, each column
-    padded to a word boundary."""
-    n, beta = codes.shape
-    words = _column_words(n, width)
-    out = np.zeros((beta, words * WORD_BITS), dtype=np.uint8)
-    col_bits = np.transpose(
-        ((codes.astype(np.uint32)[:, :, None] >> np.arange(width, dtype=np.uint32)) & 1),
-        (1, 0, 2),
-    ).reshape(beta, n * width)
-    out[:, : n * width] = col_bits
-    return np.packbits(out.reshape(-1), bitorder="little").tobytes()
-
-
-def decode_column_stream(bits: np.ndarray, n: int, beta: int, width: int) -> np.ndarray:
-    """Inverse of encode_column_stream given the group's flat bit segment."""
-    words = _column_words(n, width)
-    seg = bits.reshape(beta, words * WORD_BITS)
-    if np.any(seg[:, n * width :]):
-        raise CodeOutOfRange("nonzero padding bits inside a weight column")
-    fields = seg[:, : n * width].reshape(beta, n, width).astype(np.uint32)
-    values = (fields * (1 << np.arange(width, dtype=np.uint32))).sum(axis=2)
-    return values.T.astype(np.uint8)
-
-
-def encode_zeros(zeros: np.ndarray, width: int) -> bytes:
-    bits = _pad_bits_to_words(_field_bits(zeros, width))
-    return np.packbits(bits, bitorder="little").tobytes()
+def _layout(n: int, beta: int, widths) -> tuple[list[int], list[int]]:
+    """Words in one padded row of n fields at each group's width (a
+    group's zero-points are one such row, its codes beta of them), and the
+    k + 1 bit offsets of the groups in the weight stream. Python integers,
+    so a hostile header cannot overflow them."""
+    words = [-(-n * int(w) // WORD_BITS) for w in widths]
+    offsets = [0, *itertools.accumulate(beta * WORD_BITS * c for c in words)]
+    return words, offsets
 
 
 @dataclass(frozen=True)
@@ -139,12 +116,7 @@ class PackedModel:
     @cached_property
     def offsets(self) -> np.ndarray:
         """Cumulative bit offsets of each group in the weight stream."""
-        group_bits = [
-            self.beta * _column_words(self.n, int(w)) * WORD_BITS for w in self.widths
-        ]
-        return np.concatenate([[0], np.cumsum(group_bits, dtype=np.uint64)]).astype(
-            np.uint64
-        )
+        return np.array(_layout(self.n, self.beta, self.widths)[1], dtype=np.uint64)
 
     def group_block(self, g: int) -> QuantizedBlock:
         width = int(self.widths[g])
@@ -158,17 +130,16 @@ class PackedModel:
 
     def to_bytes(self) -> bytes:
         header = _HEADER.pack(
-            MAGIC, VERSION, self.flags, self.n, self.m, self.beta, self.target_bits
+            MAGIC, VERSION, self.flags, self.n, self.m, self.beta, self.target_bits, _RESERVED
         )
-        bit_codes = encode_bit_codes(self.widths)
+        bit_codes = pack_fields(self.widths[None, :] - 1, 2)[: -(-self.k // 4)]
         offsets = struct.pack(f"<{self.k + 1}Q", *self.offsets.tolist())
         scales = self.scales.astype("<f4").tobytes(order="C")
         zeros_stream = b"".join(
-            encode_zeros(self.zeros[g], int(self.widths[g])) for g in range(self.k)
+            pack_fields(self.zeros[g][None, :], int(self.widths[g])) for g in range(self.k)
         )
         weights_stream = b"".join(
-            encode_column_stream(self.codes[g], int(self.widths[g]))
-            for g in range(self.k)
+            pack_fields(self.codes[g].T, int(self.widths[g])) for g in range(self.k)
         )
         parts = [header]
         for section in (bit_codes, offsets, scales, zeros_stream, weights_stream):
@@ -237,17 +208,21 @@ def unpack(pm: PackedModel) -> tuple[list[QuantizedBlock], np.ndarray]:
 def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
     if len(raw) < _HEADER.size:
         raise TruncatedPayload(f"{name}: too short for a header")
-    magic, version, flags, n, m, beta, target_bits = _HEADER.unpack_from(raw, 0)
+    magic, version, flags, n, m, beta, target_bits, reserved = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise BadMagic(f"{name}: expected {MAGIC!r}, found {magic!r}")
-    if version != VERSION:
-        raise UnsupportedVersion(f"{name}: version {version}, this build reads {VERSION}")
+    if version != VERSION or reserved != _RESERVED:
+        raise UnsupportedVersion(
+            f"{name}: version {version} with reserved bytes {reserved.hex()}, "
+            f"this build reads {VERSION} with 000000"
+        )
     if beta < 1 or m % beta != 0:
         raise InconsistentPlan(f"{name}: group size {beta} does not divide {m}")
     k = m // beta
 
     sections = []
     pos = _HEADER.size
+    view = memoryview(raw)
     for label in ("bit_codes", "offsets", "scales", "zeros", "weights"):
         if pos + 8 > len(raw):
             raise TruncatedPayload(f"{name}: missing length of {label} section")
@@ -255,7 +230,7 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
         pos += 8
         if pos + length > len(raw):
             raise TruncatedPayload(f"{name}: {label} section cut off")
-        sections.append(raw[pos : pos + length])
+        sections.append(view[pos : pos + length])
         pos += length
     if pos != len(raw):
         raise TruncatedPayload(f"{name}: {len(raw) - pos} trailing bytes")
@@ -263,19 +238,18 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
 
     if len(bit_codes_raw) != -(-k // 4):
         raise InconsistentPlan(f"{name}: bit-code section holds {len(bit_codes_raw)} bytes for {k} groups")
-    widths = decode_bit_codes(bit_codes_raw, k)
+    bit_codes_row = bytes(bit_codes_raw) + bytes(-len(bit_codes_raw) % 4)  # back to whole words
+    widths = unpack_fields(bit_codes_row, 1, k, 2, f"{name}: bit codes")[0].astype(np.int64) + 1
 
     if len(offsets_raw) != 8 * (k + 1):
         raise CorruptOffsets(f"{name}: offset table holds {len(offsets_raw)} bytes for {k + 1} entries")
-    offsets = np.array(struct.unpack(f"<{k + 1}Q", offsets_raw), dtype=np.uint64)
-    expected = np.concatenate(
-        [[0], np.cumsum([beta * _column_words(n, int(w)) * WORD_BITS for w in widths], dtype=np.uint64)]
-    ).astype(np.uint64)
-    if not np.array_equal(offsets, expected):
+    offsets = list(struct.unpack(f"<{k + 1}Q", offsets_raw))
+    words, expected = _layout(n, beta, widths)
+    if offsets != expected:
         raise CorruptOffsets(f"{name}: offset table disagrees with the declared bit widths")
-    if int(offsets[-1]) != 8 * len(weights_raw):
+    if offsets[-1] != 8 * len(weights_raw):
         raise CorruptOffsets(
-            f"{name}: weight stream holds {8 * len(weights_raw)} bits, offsets claim {int(offsets[-1])}"
+            f"{name}: weight stream holds {8 * len(weights_raw)} bits, offsets claim {offsets[-1]}"
         )
 
     if len(scales_raw) != 4 * k * n:
@@ -284,25 +258,17 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
     if not np.all(np.isfinite(scales)):
         raise CodeOutOfRange(f"{name}: non-finite scale")
 
-    zeros_words = [_column_words(n, int(w)) for w in widths]
-    if len(zeros_raw) != 4 * sum(zeros_words):
+    if len(zeros_raw) != 4 * sum(words):
         raise InconsistentPlan(f"{name}: zero section length mismatch")
-    zero_bits = np.unpackbits(np.frombuffer(zeros_raw, dtype=np.uint8), bitorder="little")
-    zeros = []
-    cursor = 0
+    zeros, codes = [], []
+    zero_pos = 0
     for g in range(k):
         width = int(widths[g])
-        seg = zero_bits[cursor : cursor + zeros_words[g] * WORD_BITS]
-        cursor += zeros_words[g] * WORD_BITS
-        if np.any(seg[n * width :]):
-            raise CodeOutOfRange(f"{name}: nonzero padding in zero-point group {g}")
-        zeros.append(_bits_from_fields(seg[: n * width], width).astype(np.uint8))
-
-    weight_bits = np.unpackbits(np.frombuffer(weights_raw, dtype=np.uint8), bitorder="little")
-    codes = []
-    for g in range(k):
-        seg = weight_bits[int(offsets[g]) : int(offsets[g + 1])]
-        codes.append(decode_column_stream(seg, n, beta, int(widths[g])))
+        row = zeros_raw[zero_pos : zero_pos + 4 * words[g]]
+        zero_pos += 4 * words[g]
+        zeros.append(unpack_fields(row, 1, n, width, f"{name}: zero-point group {g}")[0])
+        group = weights_raw[offsets[g] // 8 : offsets[g + 1] // 8]
+        codes.append(unpack_fields(group, beta, n, width, f"{name}: weight group {g}").T)
 
     return PackedModel(
         n=n,
@@ -318,11 +284,7 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
 
 
 def write_packed(pm: PackedModel, path: str) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(pm.to_bytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    atomic_write(path, pm.to_bytes())
 
 
 def read_packed(path: str) -> PackedModel:
@@ -348,14 +310,15 @@ class SizeReport:
 
 def packed_size_report(pm: PackedModel) -> SizeReport:
     payload = int(sum(pm.n * pm.beta * int(w) for w in pm.widths))
-    stream = int(pm.offsets[-1])
+    words, offsets = _layout(pm.n, pm.beta, pm.widths)
+    stream = offsets[-1]
     metadata_bytes = (
         _HEADER.size
         + 8 * 5  # u64 length prefix of each section
         + -(-pm.k // 4)  # bit codes, 2 bits per group
         + 8 * (pm.k + 1)  # offsets
         + 4 * pm.k * pm.n  # scales
-        + 4 * sum(_column_words(pm.n, int(w)) for w in pm.widths)  # zero-points
+        + 4 * sum(words)  # zero-points
     )
     weights = pm.n * pm.m
     return SizeReport(

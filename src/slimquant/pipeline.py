@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     BadGroupSize,
+    InvalidConfig,
     NonFiniteIntermediate,
     NonFiniteValue,
     ShapeMismatch,
@@ -57,6 +58,10 @@ class PipelineConfig:
     inner_columnwise: bool = False  # compensate column-by-column inside groups
     kl_cfg: KlConfig = field(default_factory=KlConfig)
     sqc_cfg: SqcConfig = field(default_factory=SqcConfig)
+
+    def __post_init__(self) -> None:
+        if self.bits not in (2, 3):
+            raise InvalidConfig(f"bits must be 2 or 3, got {self.bits}")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ class KlConfig:
             raise InvalidConfig(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0.0 < self.epsilon <= 1e-3:
             raise InvalidConfig(f"epsilon must be in (0, 1e-3], got {self.epsilon}")
+        if self.max_tokens < 1:
+            raise InvalidConfig(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
 @dataclass(frozen=True)

@@ -2,21 +2,26 @@
 
 Layout, all little-endian:
 
-    magic   4 bytes  b"SLMT"
-    version u16      currently 1
-    ndim    u8
-    pad     u8       reserved, written as zero
-    extent  u64 * ndim
-    payload f32 * prod(extent), row-major
+    magic    4 bytes  b"SLMT"
+    version  u16      currently 1
+    ndim     u8
+    reserved u8       zero
+    extent   u64 * ndim
+    payload  f32 * prod(extent), row-major
 
 NaN and infinity are rejected on both read and write. A size mismatch
 between header and payload is an error in either direction; short files
-are never silently truncated.
+are never silently truncated. A nonzero reserved byte is rejected on read.
+
+Every file this package writes goes through atomic_write: a temporary
+file next to the target, renamed over it once complete.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -39,26 +44,37 @@ _HEADER = struct.Struct("<4sHBB")
 
 def tensor_to_bytes(values: np.ndarray, name: str = "<bytes>") -> bytes:
     """Serialize a tensor to the container format, casting to float32."""
-    arr = np.ascontiguousarray(values, dtype=np.float32)
+    arr = np.asarray(values, dtype=np.float32, order="C")  # keeps a 0-d tensor 0-d
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue(f"refusing to serialize non-finite values for {name}")
     header = _HEADER.pack(MAGIC, VERSION, arr.ndim, 0)
     extents = struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    if np.little_endian:
-        payload = arr.tobytes(order="C")
-    else:
-        payload = arr.byteswap().tobytes(order="C")
-    return header + extents + payload
+    if not np.little_endian:
+        arr = arr.byteswap()
+    return b"".join((header, extents, arr.data))
+
+
+def atomic_write(path: str, payload: bytes | str) -> None:
+    """Write payload to a temporary file in path's directory, then rename
+    it over path: a reader never sees a partial file, and a failed write
+    leaves a previous file at path as it was and removes the temporary."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    data = payload.encode() if isinstance(payload, str) else payload
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def write_tensor(path: str, values: np.ndarray) -> None:
     """Write a float32 tensor. Non-float32 input is cast before writing."""
-    blob = tensor_to_bytes(values, name=str(path))
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    atomic_write(path, tensor_to_bytes(values, name=str(path)))
 
 
 def read_tensor(path: str) -> np.ndarray:
@@ -74,11 +90,14 @@ def read_tensor(path: str) -> np.ndarray:
 def tensor_from_bytes(raw: bytes, name: str = "<bytes>") -> np.ndarray:
     if len(raw) < _HEADER.size:
         raise TruncatedPayload(f"{name}: {len(raw)} bytes is shorter than the header")
-    magic, version, ndim, _pad = _HEADER.unpack_from(raw, 0)
+    magic, version, ndim, reserved = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise BadMagic(f"{name}: expected {MAGIC!r}, found {magic!r}")
-    if version != VERSION:
-        raise UnsupportedVersion(f"{name}: version {version}, this build reads {VERSION}")
+    if version != VERSION or reserved != 0:
+        raise UnsupportedVersion(
+            f"{name}: version {version} with reserved byte {reserved}, "
+            f"this build reads {VERSION} with 0"
+        )
     extent_end = _HEADER.size + 8 * ndim
     if len(raw) < extent_end:
         raise TruncatedPayload(f"{name}: header declares {ndim} dims but extents are cut off")
@@ -90,7 +109,11 @@ def tensor_from_bytes(raw: bytes, name: str = "<bytes>") -> np.ndarray:
             f"{name}: header implies {expected} bytes total, file has {len(raw)}"
         )
     flat = np.frombuffer(raw, dtype="<f4", count=count, offset=extent_end)
-    arr = flat.reshape(shape).astype(np.float32, copy=True)
+    try:
+        arr = flat.reshape(shape)
+    except ValueError as exc:  # too many dims, or extents beyond the address space
+        raise ShapeMismatch(f"{name}: numpy cannot hold extents {shape}: {exc}") from exc
+    arr = arr.astype(np.float32, copy=True)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue(f"{name}: payload contains NaN or infinity")
     return arr

@@ -171,7 +171,7 @@ def test_quantize_failure_leaves_no_partial_outputs(layer_files, tmp_path,
                                               report=bad_report))
     assert code == 1
     assert "error[IoFailure]" in err
-    assert not out.exists()
+    assert sorted(tmp_path.iterdir()) == sorted([wpath, xpath])
 
 
 def test_quantize_missing_input_fails_cleanly(tmp_path, capsys):
@@ -347,6 +347,7 @@ def test_threads_flag_recorded_in_report(layer_files, tmp_path, capsys):
     ("gamma_lambda", 0),
     ("gamma_steps", 0),
     ("kl_temperature", 0),
+    ("kl_max_tokens", 0),
     ("percdamp", -3),
     ("percdamp", "inf"),
     ("percdamp", "nan"),

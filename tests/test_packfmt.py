@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import random_blocks, random_calib, random_layer
 from slimquant.errors import (
@@ -19,18 +21,19 @@ from slimquant.errors import (
     CorruptOffsets,
     InconsistentPlan,
     IoFailure,
+    SlimQuantError,
     TruncatedPayload,
     UnsupportedVersion,
 )
 from slimquant.packfmt import (
     PackedModel,
-    encode_bit_codes,
-    encode_column_stream,
     from_bytes,
     pack,
+    pack_fields,
     packed_size_report,
     read_packed,
     unpack,
+    unpack_fields,
     write_packed,
 )
 from slimquant.pipeline import PipelineConfig, quantize_layer, reconstruct
@@ -60,15 +63,17 @@ def golden_model():
 
 def test_bit_code_hand_example():
     # widths [3,2,1,2] -> codes [2,1,0,1] -> LSB-first 2-bit fields 0x46
-    raw = encode_bit_codes(np.array([3, 2, 1, 2]))
+    raw = pack_fields(np.array([[3, 2, 1, 2]]) - 1, 2)
     assert raw[0] == 0x46
+    assert unpack_fields(raw, 1, 4, 2, "bit codes").tolist() == [[2, 1, 0, 1]]
 
 
 def test_column_hand_example():
     # one 2-bit column [0,1,2,3] packs to 0xE4 inside one zero-padded word
     codes = np.array([[0], [1], [2], [3]], dtype=np.uint8)
-    raw = encode_column_stream(codes, 2)
+    raw = pack_fields(codes.T, 2)
     assert raw == bytes([0xE4, 0x00, 0x00, 0x00])
+    assert np.array_equal(unpack_fields(raw, 1, 4, 2, "column").T, codes)
 
 
 def test_round_trip_random_models():
@@ -178,6 +183,15 @@ def test_bad_magic_and_version():
     struct.pack_into("<H", tampered, 4, 9)
     with pytest.raises(UnsupportedVersion):
         from_bytes(bytes(tampered))
+
+
+def test_nonzero_reserved_header_bytes_rejected():
+    raw = golden_model().to_bytes()
+    for pos in (21, 22, 23):
+        tampered = bytearray(raw)
+        tampered[pos] = 0x7F
+        with pytest.raises(UnsupportedVersion):
+            from_bytes(bytes(tampered))
 
 
 def test_truncation_rejected_everywhere():
@@ -326,3 +340,62 @@ def test_size_report_accounts_for_every_bit():
             sum(n * beta * int(w) for w in widths))
         assert report.metadata_bits == 8 * len(pm.to_bytes()) - int(pm.offsets[-1])
         assert report.total_bits == 8 * len(pm.to_bytes())
+
+
+def base_files():
+    """Small valid files: widths 1-4 mixed, the 1-bit binary flag, n not a
+    multiple of 32 (with rows spanning two words), and k = 0."""
+    rng = np.random.default_rng(99)
+    mixed, _ = random_blocks(rng, 5, 16, 4, widths=[1, 2, 3, 4])
+    binary, _ = random_blocks(rng, 3, 12, 4, widths=[1, 2, 1], binary=True)
+    long_rows, _ = random_blocks(rng, 33, 8, 4, widths=[4, 1])
+    return [
+        pack(mixed, 5, 16, 4).to_bytes(),
+        pack(binary, 3, 12, 4).to_bytes(),
+        pack(long_rows, 33, 8, 4).to_bytes(),
+        pack([], 4, 0, 16).to_bytes(),
+    ]
+
+
+# Property: every valid file has exactly one in-memory reading, so a
+# mutated file is either rejected or is the encoding of what it decodes to.
+BASE_FILES = base_files()
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
+
+
+def header_fields(raw):
+    """(offset, size) of every header field and of the five section lengths."""
+    fields = [(0, 4), (4, 2), (6, 2), (8, 4), (12, 4), (16, 4), (20, 1), (21, 3)]
+    return fields + [(start - 8, 8) for start, _ in sections_of(raw)]
+
+
+def assert_rejected_or_canonical(raw):
+    try:
+        pm = from_bytes(raw)
+    except SlimQuantError:
+        return
+    assert pm.to_bytes() == raw
+
+
+@PROPERTY
+@given(st.sampled_from(BASE_FILES), st.data())
+def test_property_truncation(raw, data):
+    assert_rejected_or_canonical(raw[: data.draw(st.integers(0, len(raw) - 1))])
+
+
+@PROPERTY
+@given(st.sampled_from(BASE_FILES), st.data())
+def test_property_bit_flip(raw, data):
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    mutated = bytearray(raw)
+    mutated[bit // 8] ^= 1 << (bit % 8)
+    assert_rejected_or_canonical(bytes(mutated))
+
+
+@PROPERTY
+@given(st.sampled_from(BASE_FILES), st.data())
+def test_property_header_overwrite(raw, data):
+    start, size = data.draw(st.sampled_from(header_fields(raw)))
+    mutated = bytearray(raw)
+    mutated[start : start + size] = data.draw(st.binary(min_size=size, max_size=size))
+    assert_rejected_or_canonical(bytes(mutated))

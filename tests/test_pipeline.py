@@ -12,6 +12,7 @@ from fixtures import (
 )
 from slimquant.errors import (
     BadGroupSize,
+    InvalidConfig,
     NonFiniteValue,
     ShapeMismatch,
 )
@@ -334,6 +335,13 @@ def test_input_validation():
         quantize_layer(bad, calib, PipelineConfig(beta=8, bits=2))
     with pytest.raises(ShapeMismatch):
         quantize_layer(w[0], calib, PipelineConfig(beta=8, bits=2))
+
+
+@pytest.mark.parametrize("bits", [0, 1, 4, 5])
+@pytest.mark.parametrize("sba", [True, False])
+def test_bits_outside_two_and_three_rejected(bits, sba):
+    with pytest.raises(InvalidConfig):
+        PipelineConfig(bits=bits, sba_enabled=sba)
 
 
 def test_result_shapes_and_finiteness():

@@ -15,6 +15,7 @@ from fixtures import hessian_state, random_calib, random_layer
 from slimquant.errors import (
     BadGroupSize,
     InsufficientCalibration,
+    InvalidConfig,
     ShapeMismatch,
 )
 from slimquant.quant_core import binarize_block, dequantize, quantize_uniform
@@ -150,6 +151,9 @@ def test_config_validation():
         KlConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         KlConfig(epsilon=0.01)
+    for max_tokens in (0, -5):
+        with pytest.raises(InvalidConfig):
+            KlConfig(max_tokens=max_tokens)
 
 
 def test_stride_subsample():

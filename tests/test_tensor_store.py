@@ -4,12 +4,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slimquant import tensor_store
 from slimquant.errors import (
     BadMagic,
     IoFailure,
     NonFiniteValue,
     ShapeMismatch,
+    SlimQuantError,
     TruncatedPayload,
     UnsupportedVersion,
 )
@@ -57,6 +61,13 @@ def test_empty_tensor_is_header_plus_extent():
     assert back.shape == (0,)
 
 
+def test_zero_dim_tensor_stays_zero_dim():
+    blob = tensor_to_bytes(np.float32(2.5))
+    assert len(blob) == 8 + 4 and blob[6] == 0
+    back = tensor_from_bytes(blob)
+    assert back.shape == () and back == np.float32(2.5)
+
+
 def test_write_is_deterministic():
     rng = np.random.default_rng(5)
     arr = rng.standard_normal((4, 9)).astype(np.float32)
@@ -82,6 +93,22 @@ def test_unsupported_version_rejected():
     struct.pack_into("<H", blob, 4, 7)
     with pytest.raises(UnsupportedVersion):
         tensor_from_bytes(bytes(blob))
+
+
+def test_nonzero_reserved_byte_rejected():
+    blob = bytearray(tensor_to_bytes(np.ones((2,), dtype=np.float32)))
+    blob[7] = 1
+    with pytest.raises(UnsupportedVersion):
+        tensor_from_bytes(bytes(blob))
+
+
+def test_unrepresentable_extents_rejected():
+    huge = b"SLMT" + struct.pack("<HBB", 1, 2, 0) + struct.pack("<QQ", 2**63 + 3, 0)
+    with pytest.raises(ShapeMismatch):
+        tensor_from_bytes(huge)
+    deep = b"SLMT" + struct.pack("<HBB", 1, 65, 0) + bytes(8 * 65)
+    with pytest.raises(ShapeMismatch):
+        tensor_from_bytes(deep)
 
 
 def test_truncated_payload_rejected():
@@ -119,6 +146,32 @@ def test_missing_file_is_io_failure(tmp_path):
         read_tensor(tmp_path / "does-not-exist.slmt")
 
 
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.slmt"
+    write_tensor(path, np.ones((64,), dtype=np.float32))
+    before = path.read_bytes()
+
+    class DiskFull:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tensor_store, "open", lambda *a: DiskFull(open(*a)), raising=False)
+    with pytest.raises(IoFailure):
+        write_tensor(path, np.zeros((64,), dtype=np.float32))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.slmt"]
+
+
 def test_load_calibration_2d(tmp_path):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 5)).astype(np.float32)
@@ -154,3 +207,53 @@ def test_calibration_set_validates_channels():
     b = np.ones((2, 5), dtype=np.float32)
     with pytest.raises(ShapeMismatch):
         CalibrationSet(samples=[a, b])
+
+
+# Property: every valid file has exactly one in-memory reading, so a
+# mutated file is either rejected or is the encoding of what it decodes to.
+BASE_TENSORS = [
+    tensor_to_bytes(np.arange(6, dtype=np.float32).reshape(2, 3) - 2.5),
+    tensor_to_bytes(np.zeros((0,), dtype=np.float32)),
+    tensor_to_bytes(np.zeros((3, 0), dtype=np.float32)),
+    tensor_to_bytes(np.float32(-0.0)),
+    tensor_to_bytes(np.linspace(-1e-40, 3e38, 4, dtype=np.float32).reshape(1, 2, 2)),
+]
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
+
+
+def header_fields(raw):
+    """(offset, size) of magic, version, ndim, reserved and each extent."""
+    ndim = raw[6]
+    return [(0, 4), (4, 2), (6, 1), (7, 1)] + [(8 + 8 * i, 8) for i in range(ndim)]
+
+
+def assert_rejected_or_canonical(raw):
+    try:
+        arr = tensor_from_bytes(raw)
+    except SlimQuantError:
+        return
+    assert tensor_to_bytes(arr) == raw
+
+
+@PROPERTY
+@given(st.sampled_from(BASE_TENSORS), st.data())
+def test_property_truncation(raw, data):
+    assert_rejected_or_canonical(raw[: data.draw(st.integers(0, len(raw) - 1))])
+
+
+@PROPERTY
+@given(st.sampled_from(BASE_TENSORS), st.data())
+def test_property_bit_flip(raw, data):
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    mutated = bytearray(raw)
+    mutated[bit // 8] ^= 1 << (bit % 8)
+    assert_rejected_or_canonical(bytes(mutated))
+
+
+@PROPERTY
+@given(st.sampled_from(BASE_TENSORS), st.data())
+def test_property_header_overwrite(raw, data):
+    start, size = data.draw(st.sampled_from(header_fields(raw)))
+    mutated = bytearray(raw)
+    mutated[start : start + size] = data.draw(st.binary(min_size=size, max_size=size))
+    assert_rejected_or_canonical(bytes(mutated))
