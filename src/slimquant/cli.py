@@ -120,7 +120,7 @@ def cmd_quantize(args) -> int:
     cfg = _pipeline_config(args)
     result = quantize_layer(w, calib, cfg)
     n, m = w.shape
-    pm = pack(result, n, m, cfg.beta, target_bits=cfg.bits)
+    pm = pack(result.blocks, n, m, cfg.beta, target_bits=cfg.bits)
     blob = pm.to_bytes()
     size = packed_size_report(pm)
 
@@ -140,7 +140,6 @@ def cmd_quantize(args) -> int:
             "kl_temperature": cfg.kl_cfg.temperature,
             "kl_epsilon": cfg.kl_cfg.epsilon,
             "kl_max_tokens": cfg.kl_cfg.max_tokens,
-            "seed": args.seed,
             "threads": args.threads,
         },
         "shape": {"rows": n, "channels": m, "groups": m // cfg.beta},
@@ -321,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--kl-epsilon", type=float, default=1e-8)
     q.add_argument("--kl-max-tokens", type=int, default=4096)
     q.add_argument("--emit-curve", default=None, help="write the (p, KL) search curve as CSV")
-    q.add_argument("--seed", type=int, default=0, help="recorded in the report; the run itself is deterministic")
     q.add_argument(
         "--threads",
         type=int,

@@ -4,7 +4,8 @@ File layout (SLMQ, all little-endian):
 
     magic    4 bytes  b"SLMQ"
     version  u16      currently 1
-    flags    u16      bit 0: 1-bit groups are sign/magnitude
+    flags    u16      bit 0: 1-bit groups are sign/magnitude; it needs a
+                      1-bit group, and every other bit is zero
     n        u32      output rows
     m        u32      input channels
     beta     u32      group width
@@ -21,8 +22,8 @@ File layout (SLMQ, all little-endian):
 Every packed section is written by one rule: rows of fixed-width fields,
 LSB-first, bytes in ascending address order, each row padded with zero
 bits to a 32-bit word; the bit-code row is then cut to whole bytes.
-Padding bits and reserved bytes are always zero and nonzero ones are
-rejected on read, which keeps the encoding injective.
+Padding bits, reserved bytes and undefined flag bits are always zero and
+nonzero ones are rejected on read, which keeps the encoding injective.
 """
 
 from __future__ import annotations
@@ -93,40 +94,54 @@ def _layout(n: int, beta: int, widths) -> tuple[list[int], list[int]]:
     return words, offsets
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _frozen_block(codes, scale, zero, width: int, binary: bool) -> QuantizedBlock:
+    """One group of a PackedModel, its arrays marked read-only."""
+    params = GroupQuantParams(width, _readonly(scale), _readonly(zero), binary)
+    return QuantizedBlock(codes=_readonly(codes), params=params)
+
+
 @dataclass(frozen=True)
 class PackedModel:
+    """A packed layer in memory: the k groups that pack or from_bytes
+    checked, each with (n, beta) uint8 codes, (n,) float32 scales and (n,)
+    uint8 zero-points, every array read-only. Codes are column-major, so a
+    column, which is one row of the weight stream, is contiguous."""
+
     n: int
     m: int
     beta: int
     target_bits: int
-    flags: int
-    widths: np.ndarray  # (k,) int64 in [1, 4]
-    scales: np.ndarray  # (k, n) float32
-    zeros: list  # k arrays of (n,) uint8
-    codes: list  # k arrays of (n, beta) uint8
+    blocks: tuple  # k QuantizedBlock
 
     @property
     def k(self) -> int:
-        return len(self.widths)
+        return len(self.blocks)
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        """(k,) int64 in [1, 4], read-only."""
+        return _readonly(np.array([b.params.bit_width for b in self.blocks], dtype=np.int64))
 
     @property
     def binary_1bit(self) -> bool:
-        return bool(self.flags & FLAG_BINARY_1BIT)
+        return any(b.params.binary for b in self.blocks)
+
+    @property
+    def flags(self) -> int:
+        return FLAG_BINARY_1BIT if self.binary_1bit else 0
 
     @cached_property
     def offsets(self) -> np.ndarray:
-        """Cumulative bit offsets of each group in the weight stream."""
-        return np.array(_layout(self.n, self.beta, self.widths)[1], dtype=np.uint64)
+        """Cumulative bit offsets of each group in the weight stream, read-only."""
+        return _readonly(np.array(_layout(self.n, self.beta, self.widths)[1], dtype=np.uint64))
 
     def group_block(self, g: int) -> QuantizedBlock:
-        width = int(self.widths[g])
-        params = GroupQuantParams(
-            bit_width=width,
-            scale=self.scales[g].copy(),
-            zero=self.zeros[g].copy(),
-            binary=self.binary_1bit and width == 1,
-        )
-        return QuantizedBlock(codes=self.codes[g].copy(), params=params)
+        return self.blocks[g]
 
     def to_bytes(self) -> bytes:
         header = _HEADER.pack(
@@ -134,13 +149,11 @@ class PackedModel:
         )
         bit_codes = pack_fields(self.widths[None, :] - 1, 2)[: -(-self.k // 4)]
         offsets = struct.pack(f"<{self.k + 1}Q", *self.offsets.tolist())
-        scales = self.scales.astype("<f4").tobytes(order="C")
+        scales = b"".join(b.params.scale.astype("<f4").tobytes() for b in self.blocks)
         zeros_stream = b"".join(
-            pack_fields(self.zeros[g][None, :], int(self.widths[g])) for g in range(self.k)
+            pack_fields(b.params.zero[None, :], b.params.bit_width) for b in self.blocks
         )
-        weights_stream = b"".join(
-            pack_fields(self.codes[g].T, int(self.widths[g])) for g in range(self.k)
-        )
+        weights_stream = b"".join(pack_fields(b.codes.T, b.params.bit_width) for b in self.blocks)
         parts = [header]
         for section in (bit_codes, offsets, scales, zeros_stream, weights_stream):
             parts.append(struct.pack("<Q", len(section)))
@@ -148,61 +161,49 @@ class PackedModel:
         return b"".join(parts)
 
 
-def pack(result, n: int, m: int, beta: int, target_bits: int | None = None) -> PackedModel:
-    """Build a PackedModel from a quantization result (anything exposing
-    .blocks and .plan, or a plain list of QuantizedBlock)."""
-    blocks = result if isinstance(result, list) else result.blocks
-    plan_bits = None if isinstance(result, list) else np.asarray(result.plan.bits)
+def pack(blocks: list, n: int, m: int, beta: int, target_bits: int | None = None) -> PackedModel:
+    """Check a list of QuantizedBlock against an n x m layer in groups of
+    beta, and copy it once into a PackedModel. target_bits defaults to the
+    mean width, rounded."""
     if beta < 1 or m % beta != 0:
         raise InconsistentPlan(f"group size {beta} does not divide {m} channels")
     k = m // beta
     if len(blocks) != k:
         raise InconsistentPlan(f"{len(blocks)} blocks for {k} groups")
-    widths = np.array([b.params.bit_width for b in blocks], dtype=np.int64)
-    if plan_bits is not None and (len(plan_bits) != k or np.any(plan_bits != widths)):
-        raise InconsistentPlan("plan bit widths disagree with block parameters")
+    if target_bits is None:
+        target_bits = round(sum(b.params.bit_width for b in blocks) / k) if k else 0
+    if not 0 <= target_bits <= 255:
+        raise InconsistentPlan(f"target width {target_bits} does not fit the header's u8")
 
     binary_flags = {b.params.binary for b in blocks if b.params.bit_width == 1}
     if len(binary_flags) > 1:
         raise InconsistentPlan("1-bit groups mix sign/magnitude and affine modes")
     if any(b.params.binary and b.params.bit_width != 1 for b in blocks):
         raise InconsistentPlan("sign/magnitude mode is only defined for 1-bit groups")
-    flags = FLAG_BINARY_1BIT if binary_flags == {True} else 0
 
-    scales = np.empty((k, n), dtype=np.float32)
-    zeros, codes = [], []
+    checked = []
     for g, b in enumerate(blocks):
-        maxq = (1 << b.params.bit_width) - 1
+        width = b.params.bit_width
+        maxq = (1 << width) - 1
         if b.codes.shape != (n, beta):
             raise InconsistentPlan(f"group {g} codes have shape {b.codes.shape}")
         if b.params.scale.shape != (n,) or b.params.zero.shape != (n,):
             raise InconsistentPlan(f"group {g} params are not per-row of length {n}")
-        if b.codes.max(initial=0) > maxq or b.params.zero.max(initial=0) > maxq:
-            raise InconsistentPlan(f"group {g} carries values beyond {maxq}")
-        if not np.all(np.isfinite(b.params.scale)):
+        for values in (b.codes, b.params.zero):
+            if values.min(initial=0) < 0 or values.max(initial=0) > maxq:
+                raise InconsistentPlan(f"group {g} carries values outside [0, {maxq}]")
+        scale = np.array(b.params.scale, dtype=np.float32)
+        if not np.all(np.isfinite(scale)):
             raise InconsistentPlan(f"group {g} has non-finite scales")
-        scales[g] = b.params.scale
-        zeros.append(b.params.zero.astype(np.uint8))
-        codes.append(b.codes.astype(np.uint8))
-
-    if target_bits is None:
-        target_bits = int(round(float(widths.mean()))) if k else 0
-    return PackedModel(
-        n=n,
-        m=m,
-        beta=beta,
-        target_bits=target_bits,
-        flags=flags,
-        widths=widths,
-        scales=scales,
-        zeros=zeros,
-        codes=codes,
-    )
+        codes = np.array(b.codes, dtype=np.uint8, order="F")
+        zero = np.array(b.params.zero, dtype=np.uint8)
+        checked.append(_frozen_block(codes, scale, zero, width, b.params.binary))
+    return PackedModel(n=n, m=m, beta=beta, target_bits=target_bits, blocks=tuple(checked))
 
 
 def unpack(pm: PackedModel) -> tuple[list[QuantizedBlock], np.ndarray]:
-    """Blocks and their bit widths, exactly as packed."""
-    return [pm.group_block(g) for g in range(pm.k)], pm.widths.copy()
+    """Blocks and their bit widths, exactly as packed (read-only)."""
+    return list(pm.blocks), pm.widths
 
 
 def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
@@ -211,10 +212,10 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
     magic, version, flags, n, m, beta, target_bits, reserved = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise BadMagic(f"{name}: expected {MAGIC!r}, found {magic!r}")
-    if version != VERSION or reserved != _RESERVED:
+    if version != VERSION or flags & ~FLAG_BINARY_1BIT or reserved != _RESERVED:
         raise UnsupportedVersion(
-            f"{name}: version {version} with reserved bytes {reserved.hex()}, "
-            f"this build reads {VERSION} with 000000"
+            f"{name}: version {version}, flags {flags:#06x}, reserved bytes {reserved.hex()}; "
+            f"this build reads version {VERSION}, flag bit 0 only and 000000"
         )
     if beta < 1 or m % beta != 0:
         raise InconsistentPlan(f"{name}: group size {beta} does not divide {m}")
@@ -240,6 +241,9 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
         raise InconsistentPlan(f"{name}: bit-code section holds {len(bit_codes_raw)} bytes for {k} groups")
     bit_codes_row = bytes(bit_codes_raw) + bytes(-len(bit_codes_raw) % 4)  # back to whole words
     widths = unpack_fields(bit_codes_row, 1, k, 2, f"{name}: bit codes")[0].astype(np.int64) + 1
+    binary = bool(flags & FLAG_BINARY_1BIT)
+    if binary and not np.any(widths == 1):
+        raise InconsistentPlan(f"{name}: sign/magnitude flag set with no 1-bit group")
 
     if len(offsets_raw) != 8 * (k + 1):
         raise CorruptOffsets(f"{name}: offset table holds {len(offsets_raw)} bytes for {k + 1} entries")
@@ -254,33 +258,23 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
 
     if len(scales_raw) != 4 * k * n:
         raise InconsistentPlan(f"{name}: scale section holds {len(scales_raw)} bytes for {k}x{n} rows")
-    scales = np.frombuffer(scales_raw, dtype="<f4").reshape(k, n).astype(np.float32)
+    scales = _readonly(np.frombuffer(scales_raw, dtype="<f4").reshape(k, n).astype(np.float32))
     if not np.all(np.isfinite(scales)):
         raise CodeOutOfRange(f"{name}: non-finite scale")
 
     if len(zeros_raw) != 4 * sum(words):
         raise InconsistentPlan(f"{name}: zero section length mismatch")
-    zeros, codes = [], []
+    blocks = []
     zero_pos = 0
     for g in range(k):
         width = int(widths[g])
         row = zeros_raw[zero_pos : zero_pos + 4 * words[g]]
         zero_pos += 4 * words[g]
-        zeros.append(unpack_fields(row, 1, n, width, f"{name}: zero-point group {g}")[0])
+        zero = _readonly(unpack_fields(row, 1, n, width, f"{name}: zero-point group {g}"))[0]
         group = weights_raw[offsets[g] // 8 : offsets[g + 1] // 8]
-        codes.append(unpack_fields(group, beta, n, width, f"{name}: weight group {g}").T)
-
-    return PackedModel(
-        n=n,
-        m=m,
-        beta=beta,
-        target_bits=target_bits,
-        flags=flags,
-        widths=widths,
-        scales=scales,
-        zeros=zeros,
-        codes=codes,
-    )
+        codes = _readonly(unpack_fields(group, beta, n, width, f"{name}: weight group {g}")).T
+        blocks.append(_frozen_block(codes, scales[g], zero, width, binary and width == 1))
+    return PackedModel(n=n, m=m, beta=beta, target_bits=target_bits, blocks=tuple(blocks))
 
 
 def write_packed(pm: PackedModel, path: str) -> None:

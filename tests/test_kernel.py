@@ -80,7 +80,7 @@ def test_pipeline_output_flows_through_kernel():
     w = random_layer(rng, 16, 128)
     x = random_calib(rng, 256, 128)
     res = quantize_layer(w, CalibrationSet([x]), PipelineConfig(beta=32, bits=2))
-    pm = pack(res, 16, 128, 32, target_bits=2)
+    pm = pack(res.blocks, 16, 128, 32, target_bits=2)
     probe = random_calib(rng, 8, 128)
     got = packed_matmul(pm, probe)
     direct = probe @ reconstruct(res.blocks).T

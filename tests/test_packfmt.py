@@ -7,7 +7,6 @@ drift in the writer is caught immediately.
 
 import hashlib
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,10 +89,13 @@ def test_round_trip_random_models():
         assert back.flags == pm.flags
         assert back.target_bits == pm.target_bits
         assert np.array_equal(back.widths, widths)
-        assert np.array_equal(back.scales, pm.scales)
-        for g in range(back.k):
-            assert np.array_equal(back.zeros[g], pm.zeros[g])
-            assert np.array_equal(back.codes[g], pm.codes[g])
+        assert len(back.blocks) == len(pm.blocks) == k
+        for a, b in zip(back.blocks, pm.blocks):
+            assert a.params.bit_width == b.params.bit_width
+            assert a.params.binary == b.params.binary
+            assert np.array_equal(a.params.scale, b.params.scale)
+            assert np.array_equal(a.params.zero, b.params.zero)
+            assert np.array_equal(a.codes, b.codes)
 
 
 def test_round_trip_preserves_decode():
@@ -101,7 +103,7 @@ def test_round_trip_preserves_decode():
     w = random_layer(rng, 16, 128)
     calib = CalibrationSet([random_calib(rng, 256, 128)])
     res = quantize_layer(w, calib, PipelineConfig(beta=32, bits=2))
-    pm = pack(res, 16, 128, 32, target_bits=2)
+    pm = pack(res.blocks, 16, 128, 32, target_bits=2)
     blocks, widths = unpack(from_bytes(pm.to_bytes()))
     assert np.array_equal(widths, res.plan.bits)
     assert np.array_equal(reconstruct(blocks), reconstruct(res.blocks))
@@ -146,13 +148,51 @@ def test_file_identity_is_stable():
 
 def test_writer_is_injective_on_codes():
     pm = golden_model()
-    codes = [c.copy() for c in pm.codes]
-    codes[1][0, 0] ^= 1
+    blocks = list(pm.blocks)
+    codes = blocks[1].codes.copy()
+    codes[0, 0] ^= 1
+    blocks[1] = QuantizedBlock(codes=codes, params=blocks[1].params)
     other = PackedModel(
-        n=pm.n, m=pm.m, beta=pm.beta, target_bits=pm.target_bits,
-        flags=pm.flags, widths=pm.widths, scales=pm.scales,
-        zeros=pm.zeros, codes=codes)
+        n=pm.n, m=pm.m, beta=pm.beta, target_bits=pm.target_bits, blocks=tuple(blocks))
     assert other.to_bytes() != pm.to_bytes()
+
+
+def model_arrays(pm):
+    for b in pm.blocks:
+        yield from (b.codes, b.params.scale, b.params.zero)
+    yield from (pm.widths, pm.offsets)
+
+
+@pytest.mark.parametrize("source", ["pack", "from_bytes"])
+def test_model_arrays_are_read_only(source):
+    pm = golden_model()
+    if source == "from_bytes":
+        pm = from_bytes(pm.to_bytes())
+    for arr in model_arrays(pm):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+        if arr.base is not None:  # a view cannot be made writable again
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+
+def test_pack_copies_caller_arrays():
+    rng = np.random.default_rng(424242)
+    blocks, _ = random_blocks(rng, n=8, m=64, beta=16, widths=[1, 2, 3, 2])
+    pm = pack(blocks, 8, 64, 16, target_bits=2)
+    blob = pm.to_bytes()
+    for b in blocks:
+        b.codes[:] = 0
+        b.params.scale[:] = 7.0
+        b.params.zero[:] = 0
+    assert pm.to_bytes() == blob
+
+
+def test_group_block_is_the_stored_block():
+    pm = golden_model()
+    for source in (pm, from_bytes(pm.to_bytes())):
+        for g in range(source.k):
+            assert source.group_block(g) is source.blocks[g]
 
 
 def test_empty_model_round_trips():
@@ -191,6 +231,25 @@ def test_nonzero_reserved_header_bytes_rejected():
         tampered = bytearray(raw)
         tampered[pos] = 0x7F
         with pytest.raises(UnsupportedVersion):
+            from_bytes(bytes(tampered))
+
+
+def test_undefined_flag_bits_rejected():
+    raw = golden_model().to_bytes()
+    for flags in (0x0002, 0x8000, 0x0003):
+        tampered = bytearray(raw)
+        struct.pack_into("<H", tampered, 6, flags)
+        with pytest.raises(UnsupportedVersion):
+            from_bytes(bytes(tampered))
+
+
+def test_binary_flag_without_one_bit_group_rejected():
+    rng = np.random.default_rng(12)
+    blocks, _ = random_blocks(rng, 4, 16, 8, widths=[2, 3])
+    for raw in (pack(blocks, 4, 16, 8).to_bytes(), pack([], 4, 0, 16).to_bytes()):
+        tampered = bytearray(raw)
+        struct.pack_into("<H", tampered, 6, 0x0001)
+        with pytest.raises(InconsistentPlan):
             from_bytes(bytes(tampered))
 
 
@@ -275,6 +334,15 @@ def test_pack_validates_code_and_zero_ranges():
     ok_codes = np.zeros((2, 4), dtype=np.uint8)
     with pytest.raises(InconsistentPlan):
         pack([QuantizedBlock(codes=ok_codes, params=params_bad_zero)], 2, 4, 4)
+    # values that a uint8 copy would wrap into range
+    for bad in (-1, 256):
+        wrapped = np.zeros((2, 4), dtype=np.int64)
+        wrapped[1, 2] = bad
+        with pytest.raises(InconsistentPlan):
+            pack([QuantizedBlock(codes=wrapped, params=params)], 2, 4, 4)
+        with pytest.raises(InconsistentPlan):
+            pack([QuantizedBlock(codes=ok_codes, params=GroupQuantParams(
+                2, np.ones(2, dtype=np.float32), wrapped[1, 1:3]))], 2, 4, 4)
 
 
 def test_pack_validates_scale_finiteness():
@@ -293,13 +361,13 @@ def test_pack_rejects_mixed_one_bit_modes():
         pack([a[0], b[0]], 2, 8, 4)
 
 
-def test_pack_rejects_plan_disagreement():
+def test_pack_rejects_target_bits_beyond_u8():
     rng = np.random.default_rng(7)
-    blocks, widths = random_blocks(rng, 4, 32, 8)
-    fake = SimpleNamespace(blocks=blocks,
-                           plan=SimpleNamespace(bits=np.asarray(widths) + 1))
-    with pytest.raises(InconsistentPlan):
-        pack(fake, 4, 32, 8)
+    blocks, _ = random_blocks(rng, 4, 32, 8)
+    for target in (-1, 256):
+        with pytest.raises(InconsistentPlan):
+            pack(blocks, 4, 32, 8, target_bits=target)
+    assert from_bytes(pack(blocks, 4, 32, 8, target_bits=255).to_bytes()).target_bits == 255
 
 
 def test_size_report_uniform_two_bit():
