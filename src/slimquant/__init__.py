@@ -9,7 +9,7 @@ Results serialize to a bit-exact packed format with a reference kernel.
 """
 
 from .errors import SlimQuantError
-from .kernel import bench, dense_reference, packed_matmul
+from .kernel import dense_reference, packed_matmul
 from .packfmt import PackedModel, pack, packed_size_report, read_packed, unpack, write_packed
 from .pipeline import (
     PipelineConfig,
@@ -56,7 +56,6 @@ __all__ = [
     "SqcConfig",
     "accumulate_hessian",
     "allocate_bits",
-    "bench",
     "binarize",
     "binarize_block",
     "block_mse",

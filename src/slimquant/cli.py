@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Subcommands: gen (synthetic fixtures), quantize, eval, inspect, matmul,
-bench. Reports are JSON, per-channel series are CSV. The quantization
+Subcommands: gen (synthetic fixtures), quantize, eval, inspect, matmul.
+Reports are JSON, per-channel series are CSV. The quantization
 path is fully deterministic; --seed only drives fixture generation.
 """
 
@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import ShapeMismatch, SlimQuantError
-from .kernel import bench, dense_reference, packed_matmul
+from .kernel import dense_reference, packed_matmul
 from .packfmt import pack, packed_size_report, read_packed, unpack
 from .pipeline import PipelineConfig, proxy_loss, quantize_layer, reconstruct
 from .quant_core import block_mse
@@ -103,7 +103,6 @@ def _pipeline_config(args) -> PipelineConfig:
         sqc_enabled=not args.no_sqc,
         compensation_enabled=not args.no_compensation,
         binarize_1bit=args.binarize_1bit,
-        inner_columnwise=args.inner_columnwise,
         kl_cfg=KlConfig(
             temperature=args.kl_temperature,
             epsilon=args.kl_epsilon,
@@ -134,7 +133,6 @@ def cmd_quantize(args) -> int:
             "sqc": cfg.sqc_enabled,
             "compensation": cfg.compensation_enabled,
             "binarize_1bit": cfg.binarize_1bit,
-            "inner_columnwise": cfg.inner_columnwise,
             "gamma_lambda": cfg.sqc_cfg.lambda_gamma,
             "gamma_steps": cfg.sqc_cfg.n_gamma,
             "kl_temperature": cfg.kl_cfg.temperature,
@@ -236,7 +234,7 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-# ----------------------------------------------------- matmul / bench
+# ------------------------------------------------------------- matmul
 
 
 def _load_activations(path: str) -> np.ndarray:
@@ -255,13 +253,6 @@ def cmd_matmul(args) -> int:
     y = dense_reference(pm, x) if args.dense else packed_matmul(pm, x)
     write_tensor(args.out, y)
     print(f"wrote {args.out} ({y.shape[0]}x{y.shape[1]})")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    pm = read_packed(args.model)
-    x = _load_activations(args.input)
-    sys.stdout.write(_json(bench(pm, x, repeats=args.repeats)))
     return 0
 
 
@@ -313,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--no-sqc", action="store_true")
     q.add_argument("--no-compensation", action="store_true")
     q.add_argument("--binarize-1bit", action="store_true")
-    q.add_argument("--inner-columnwise", action="store_true")
     q.add_argument("--gamma-lambda", type=float, default=0.1)
     q.add_argument("--gamma-steps", type=int, default=50)
     q.add_argument("--kl-temperature", type=float, default=1.0)
@@ -352,12 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     mm.add_argument("--out", required=True)
     mm.add_argument("--dense", action="store_true", help="use the dense oracle path")
     mm.set_defaults(func=cmd_matmul)
-
-    b = sub.add_parser("bench", help="time the packed path against the dense path")
-    b.add_argument("--model", required=True)
-    b.add_argument("--input", required=True)
-    b.add_argument("--repeats", type=int, default=5)
-    b.set_defaults(func=cmd_bench)
     return parser
 
 

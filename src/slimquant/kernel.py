@@ -8,13 +8,10 @@ Both paths accept mixed and uniform bit widths identically.
 
 from __future__ import annotations
 
-import statistics
-import time
-
 import numpy as np
 
-from .errors import InvalidConfig, ShapeMismatch
-from .packfmt import PackedModel, packed_size_report
+from .errors import ShapeMismatch
+from .packfmt import PackedModel
 from .quant_core import dequantize
 
 
@@ -54,40 +51,3 @@ def matmul_tolerance(pm: PackedModel, x: np.ndarray) -> float:
     x_inf = float(np.abs(x).max(initial=0.0))
     return 1e-4 * x_inf * w_inf * pm.m
 
-
-def bench(pm: PackedModel, x: np.ndarray, repeats: int = 5) -> dict:
-    """Median wall time and effective bytes touched for both paths."""
-    if repeats < 1:
-        raise InvalidConfig(f"repeats must be >= 1, got {repeats}")
-    x = _check_input(pm, x)
-    t, n, m = x.shape[0], pm.n, pm.m
-
-    def timed(fn) -> list[float]:
-        samples = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn(pm, x)
-            samples.append(time.perf_counter() - start)
-        return samples
-
-    packed_samples = timed(packed_matmul)
-    dense_samples = timed(dense_reference)
-
-    size = packed_size_report(pm)
-    x_io = 4 * t * m + 4 * t * n
-    packed_bytes = size.total_bits // 8 + x_io
-    dense_bytes = 4 * n * m + x_io
-    return {
-        "repeats": repeats,
-        "shape": {"tokens": t, "rows": n, "channels": m, "groups": pm.k},
-        "packed": {
-            "samples_s": packed_samples,
-            "median_s": statistics.median(packed_samples),
-            "bytes_touched": packed_bytes,
-        },
-        "dense": {
-            "samples_s": dense_samples,
-            "median_s": statistics.median(dense_samples),
-            "bytes_touched": dense_bytes,
-        },
-    }

@@ -192,6 +192,8 @@ def pack(blocks: list, n: int, m: int, beta: int, target_bits: int | None = None
         for values in (b.codes, b.params.zero):
             if values.min(initial=0) < 0 or values.max(initial=0) > maxq:
                 raise InconsistentPlan(f"group {g} carries values outside [0, {maxq}]")
+            if values.dtype.kind not in "biu" and not np.all(values == np.rint(values)):
+                raise InconsistentPlan(f"group {g} carries non-integral codes or zero-points")
         scale = np.array(b.params.scale, dtype=np.float32)
         if not np.all(np.isfinite(scale)):
             raise InconsistentPlan(f"group {g} has non-finite scales")

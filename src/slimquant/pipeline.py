@@ -5,8 +5,9 @@ Order of operations for one weight matrix:
   1. build the damped activation Gram matrix and its inverse factor
   2. compute the salience map
   3. pick per-group bit widths (paired promote/demote search), or all-N
-  4. walk groups left to right: range-calibrated quantization, then
-     spread this group's rounding error onto the not-yet-quantized columns
+  4. walk groups left to right: range-calibrated parameters, then
+     requantize the group's columns left to right under them, spreading
+     each column's rounding error onto the not-yet-quantized columns
      through the inverse factor
   5. score the reconstruction against the original weights
 
@@ -16,6 +17,7 @@ compares against the caller's original matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +47,9 @@ from .sba import BitPlan, KlConfig, allocate_bits, output_kl, stride_subsample
 from .sqc import SqcConfig, calibrate_group
 from .tensor_store import CalibrationSet
 
+# Columns per lazy batch of the in-group error spreading.
+_BATCH = 16
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -55,13 +60,16 @@ class PipelineConfig:
     sqc_enabled: bool = True
     compensation_enabled: bool = True
     binarize_1bit: bool = False  # 1-bit groups use sign/magnitude form
-    inner_columnwise: bool = False  # compensate column-by-column inside groups
     kl_cfg: KlConfig = field(default_factory=KlConfig)
     sqc_cfg: SqcConfig = field(default_factory=SqcConfig)
 
     def __post_init__(self) -> None:
         if self.bits not in (2, 3):
             raise InvalidConfig(f"bits must be 2 or 3, got {self.bits}")
+        if self.beta < 1:
+            raise InvalidConfig(f"group size must be >= 1, got {self.beta}")
+        if not (math.isfinite(self.percdamp) and self.percdamp >= 0.0):
+            raise InvalidConfig(f"percdamp must be finite and >= 0, got {self.percdamp}")
 
 
 @dataclass(frozen=True)
@@ -105,39 +113,51 @@ def _quantize_group(
 
 
 def _compensate(
-    work: np.ndarray, qb: QuantizedBlock, u: np.ndarray, lo: int, hi: int, columnwise: bool
+    work: np.ndarray, qb: QuantizedBlock, u: np.ndarray, lo: int, hi: int
 ) -> QuantizedBlock:
-    """Spread the rounding error of columns [lo, hi) of work onto the
-    columns right of them through the inverse factor u, in place, and
-    return the group's final block.
+    """Requantize columns [lo, hi) of work one at a time, left to right,
+    under the group's fixed parameters qb.params, and spread each column's
+    rounding error onto the columns right of it through the inverse factor
+    u (the GPTQ column order). Updates work right of the group in place and
+    returns the group's final block.
 
-    In columnwise mode each column of the group is first requantized under
-    the group's fixed parameters, left to right, and its error spread onto
-    the rest of the group; the cross-group update is then the same.
+    The group is worked on as a transposed copy, so each column is one
+    contiguous row. Each column's codes and decode are bit-identical to
+    quant_core's quantize_uniform and dequantize under the same parameters.
+    Inside a batch of _BATCH columns the error spreads by rank-1 updates;
+    the batch then reaches the rest of the group in one matmul (GPTQ's lazy
+    batch updates).
     """
-    if columnwise:
-        p = qb.params
-        codes = np.empty_like(qb.codes)
-        for j in range(hi - lo):
-            c = lo + j
-            col = work[:, c : c + 1]
+    p = qb.params
+    cols = work[:, lo:hi].T.copy()
+    codes = np.empty(cols.shape, dtype=np.uint8)
+    err = np.empty_like(cols)
+    d = u.diagonal()[lo:hi]
+    scale64, scale32 = p.scale.astype(np.float64), p.scale.astype(np.float32)
+    zero64, zero32 = p.zero.astype(np.float64), p.zero.astype(np.float32)
+    maxq = (1 << p.bit_width) - 1
+    beta = hi - lo
+    for b0 in range(0, beta, _BATCH):
+        b1 = min(b0 + _BATCH, beta)
+        for j in range(b0, b1):
+            col = cols[j]
             if p.binary:
-                codes[:, j : j + 1] = col >= 0.0  # the sign convention of binarize
+                q = col >= 0.0  # the sign convention of binarize
+                deq = (q.astype(np.float32) * np.float32(2.0) - np.float32(1.0)) * scale32
             else:
-                codes[:, j : j + 1] = quantize_uniform(col, p.bit_width, p).codes
-            deq = dequantize(QuantizedBlock(codes=codes[:, j : j + 1], params=p))
-            e = (col - deq) / u[c, c]
-            work[:, c + 1 : hi] -= e * u[c, c + 1 : hi]
-        qb = QuantizedBlock(codes=codes, params=p)
-    # in columnwise mode work[:, c] now holds the value column c was
-    # requantized from: later columns never update earlier ones
-    err = (work[:, lo:hi] - dequantize(qb)) / np.diag(u)[lo:hi]
+                q = np.clip(np.rint(col / scale64) + zero64, 0, maxq)
+                deq = (q.astype(np.float32) - zero32) * scale32
+            codes[j] = q
+            err[j] = (col - deq) / d[j]
+            cols[j + 1 : b1] -= u[lo + j, lo + j + 1 : lo + b1, None] * err[j]
+        cols[b1:] -= u[lo + b0 : lo + b1, lo + b1 : hi].T @ err[b0:b1]
+    err = err.T
     work[:, hi:] -= err @ u[lo:hi, hi:]
     if not (np.all(np.isfinite(err)) and np.all(np.isfinite(work[:, hi:]))):
         raise NonFiniteIntermediate(
-            f"error spreading produced non-finite values at group {lo // (hi - lo)}"
+            f"error spreading produced non-finite values at group {lo // beta}"
         )
-    return qb
+    return QuantizedBlock(codes=codes.T, params=p)
 
 
 def quantize_layer(
@@ -149,7 +169,7 @@ def quantize_layer(
     if not np.all(np.isfinite(w)):
         raise NonFiniteValue("weight matrix contains NaN or infinity")
     n, m = w.shape
-    if cfg.beta < 1 or m % cfg.beta != 0:
+    if m % cfg.beta != 0:
         raise BadGroupSize(f"group size {cfg.beta} does not divide {m} channels")
     if calib.channels != m:
         raise ShapeMismatch(f"calibration has {calib.channels} channels, weights {m}")
@@ -181,7 +201,7 @@ def quantize_layer(
         lo, hi = g * beta, (g + 1) * beta
         qb, gammas[g] = _quantize_group(work[:, lo:hi], int(plan.bits[g]), cfg)
         if cfg.compensation_enabled:
-            qb = _compensate(work, qb, hs.chol_inv, lo, hi, cfg.inner_columnwise)
+            qb = _compensate(work, qb, hs.chol_inv, lo, hi)
         blocks.append(qb)
     # 5. score against the original weights
     recon = reconstruct(blocks)

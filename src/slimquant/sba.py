@@ -51,7 +51,7 @@ class BitPlan:
 def stride_subsample(x: np.ndarray, max_tokens: int) -> np.ndarray:
     """At most max_tokens rows of x, taken at a uniform stride."""
     t = x.shape[0]
-    if max_tokens <= 0 or t <= max_tokens:
+    if t <= max_tokens:
         return x
     stride = math.ceil(t / max_tokens)
     return x[::stride]

@@ -318,22 +318,6 @@ def test_matmul_accepts_generated_probe_batches(layer_files, tmp_path, capsys):
     assert "error[ShapeMismatch]" in err
 
 
-def test_bench_reports_json(layer_files, tmp_path, capsys):
-    wpath, xpath, _, x = layer_files
-    out = tmp_path / "m.slmq"
-    run(capsys, *quantize_args(wpath, xpath, out))
-    probe = tmp_path / "probe.slmt"
-    write_tensor(probe, x[:8])
-    code, stdout, _ = run(capsys, "bench", "--model", out, "--input", probe,
-                          "--repeats", 2)
-    assert code == 0
-    report = json.loads(stdout)
-    assert report["repeats"] == 2
-    assert report["shape"]["tokens"] == 8
-    assert len(report["packed"]["samples_s"]) == 2
-    assert report["packed"]["bytes_touched"] < report["dense"]["bytes_touched"]
-
-
 def test_threads_flag_recorded_in_report(layer_files, tmp_path, capsys):
     wpath, xpath, _, _ = layer_files
     out = tmp_path / "m.slmq"
@@ -372,17 +356,3 @@ def test_inspect_rejects_invalid_percdamp(layer_files, tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error[InvalidConfig]: ")
     assert not out.exists()
 
-
-def test_bench_rejects_zero_repeats(layer_files, tmp_path, capsys):
-    wpath, xpath, _, x = layer_files
-    out = tmp_path / "m.slmq"
-    assert run(capsys, *quantize_args(wpath, xpath, out))[0] == 0
-    probe = tmp_path / "probe.slmt"
-    write_tensor(probe, x[:8])
-    before = sorted(tmp_path.iterdir())
-    code, stdout, err = run(capsys, "bench", "--model", out, "--input", probe,
-                            "--repeats", 0)
-    assert code == 1
-    assert stdout == ""
-    assert err.count("\n") == 1 and err.startswith("error[InvalidConfig]: ")
-    assert sorted(tmp_path.iterdir()) == before

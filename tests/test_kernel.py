@@ -5,7 +5,7 @@ import pytest
 
 from fixtures import random_blocks, random_calib, random_layer
 from slimquant.errors import ShapeMismatch
-from slimquant.kernel import bench, dense_reference, matmul_tolerance, packed_matmul
+from slimquant.kernel import dense_reference, matmul_tolerance, packed_matmul
 from slimquant.packfmt import pack
 from slimquant.pipeline import PipelineConfig, quantize_layer, reconstruct
 from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize
@@ -96,27 +96,3 @@ def test_input_shape_validation():
     with pytest.raises(ShapeMismatch):
         dense_reference(pm, np.zeros(16, dtype=np.float32))
 
-
-def test_bench_structure_and_byte_accounting():
-    rng = np.random.default_rng(9)
-    blocks, _ = random_blocks(rng, 16, 64, 16, widths=[2, 2, 2, 2])
-    pm = pack(blocks, 16, 64, 16)
-    x = random_calib(rng, 32, 64)
-    out = bench(pm, x, repeats=3)
-    assert out["repeats"] == 3
-    assert out["shape"] == {"tokens": 32, "rows": 16, "channels": 64, "groups": 4}
-    for side in ("packed", "dense"):
-        assert len(out[side]["samples_s"]) == 3
-        assert out[side]["median_s"] > 0.0
-    x_io = 4 * 32 * 64 + 4 * 32 * 16
-    assert out["dense"]["bytes_touched"] == 4 * 16 * 64 + x_io
-    # 2-bit payload plus metadata stays far below float32 weights
-    assert out["packed"]["bytes_touched"] < out["dense"]["bytes_touched"]
-
-
-def test_bench_validates_repeats():
-    rng = np.random.default_rng(10)
-    blocks, _ = random_blocks(rng, 4, 16, 8)
-    pm = pack(blocks, 4, 16, 8)
-    with pytest.raises(ValueError):
-        bench(pm, np.zeros((2, 16), dtype=np.float32), repeats=0)

@@ -343,6 +343,20 @@ def test_pack_validates_code_and_zero_ranges():
         with pytest.raises(InconsistentPlan):
             pack([QuantizedBlock(codes=ok_codes, params=GroupQuantParams(
                 2, np.ones(2, dtype=np.float32), wrapped[1, 1:3]))], 2, 4, 4)
+    # values that a uint8 copy would truncate to an integer
+    for bad in (2.7, 1.5, np.nan):
+        fractional = np.zeros((2, 4))
+        fractional[1, 3] = bad
+        with pytest.raises(InconsistentPlan):
+            pack([QuantizedBlock(codes=fractional, params=params)], 2, 4, 4)
+        with pytest.raises(InconsistentPlan):
+            pack([QuantizedBlock(codes=ok_codes, params=GroupQuantParams(
+                2, np.ones(2, dtype=np.float32), fractional[1, 2:]))], 2, 4, 4)
+    # integral floats are accepted as codes and zero-points
+    whole = np.full((2, 4), 3.0)
+    pm = pack([QuantizedBlock(codes=whole, params=GroupQuantParams(
+        2, np.ones(2, dtype=np.float32), whole[0, :2]))], 2, 4, 4)
+    assert np.array_equal(pm.blocks[0].codes, whole)
 
 
 def test_pack_validates_scale_finiteness():

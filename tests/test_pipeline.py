@@ -161,19 +161,24 @@ def test_compensation_usually_improves_proxy_loss():
 
 
 def test_cluster_fixture_ordering():
-    # spot check of the frozen ordering chain on the first few seeds;
-    # the acceptance suite runs all twenty
+    # on the first few seeds: compensation beats plain rounding, and the
+    # column order beats quantizing each group at once; the acceptance
+    # suite gates the full < compensation-only < plain chain on twenty
     for seed in range(3):
         w, x = clustered_layer(seed)
         calib = CalibrationSet([x])
         rtn = quantize_layer(w, calib, PipelineConfig(
             beta=128, bits=2, sba_enabled=False, sqc_enabled=False,
             compensation_enabled=False))
-        comp = quantize_layer(w, calib, PipelineConfig(
-            beta=128, bits=2, sba_enabled=False, sqc_enabled=False,
-            compensation_enabled=True))
-        full = quantize_layer(w, calib, PipelineConfig(beta=128, bits=2))
-        assert full.proxy_loss < comp.proxy_loss < rtn.proxy_loss
+        comp_cfg = PipelineConfig(beta=128, bits=2, sba_enabled=False,
+                                  sqc_enabled=False)
+        comp = quantize_layer(w, calib, comp_cfg)
+        full_cfg = PipelineConfig(beta=128, bits=2)
+        full = quantize_layer(w, calib, full_cfg)
+        assert comp.proxy_loss < rtn.proxy_loss
+        assert full.proxy_loss < rtn.proxy_loss
+        assert comp.proxy_loss < group_at_once_loss(w, calib, comp_cfg, comp.plan.bits)
+        assert full.proxy_loss < group_at_once_loss(w, calib, full_cfg, full.plan.bits)
 
 
 def test_run_is_deterministic():
@@ -230,31 +235,31 @@ def test_affine_one_bit_groups_by_default():
             assert not qb.params.binary
 
 
-def test_inner_columnwise_runs_and_beats_rtn():
+def test_full_pipeline_runs_and_beats_rtn():
     w, x = clustered_layer(1)
     calib = CalibrationSet([x])
-    inner = quantize_layer(w, calib, PipelineConfig(beta=128, bits=2,
-                                                    inner_columnwise=True))
+    full = quantize_layer(w, calib, PipelineConfig(beta=128, bits=2))
     rtn = quantize_layer(w, calib, PipelineConfig(
         beta=128, bits=2, sba_enabled=False, sqc_enabled=False,
         compensation_enabled=False))
-    assert inner.proxy_loss < rtn.proxy_loss
-    for qb, bits in zip(inner.blocks, inner.plan.bits):
+    assert full.proxy_loss < rtn.proxy_loss
+    for qb, bits in zip(full.blocks, full.plan.bits):
         assert qb.params.bit_width == int(bits)
         assert qb.codes.max() <= (1 << int(bits)) - 1
 
 
 def test_identity_gram_columnwise_matches_blockwise():
-    # a diagonal inverse factor leaves nothing to spread inside a group, so
-    # requantizing each column under the group's parameters changes nothing
+    # identity Gram: compensation changes nothing. A diagonal inverse factor
+    # leaves nothing to spread, so requantizing each column under the
+    # group's parameters gives the blocks of rounding the group at once
     rng = np.random.default_rng(11)
     w = random_layer(rng, 8, 64)
     calib = CalibrationSet([identity_calib(64)])
     for binarize in (False, True):
         results = [
             quantize_layer(w, calib, PipelineConfig(
-                beta=16, bits=2, binarize_1bit=binarize, inner_columnwise=columnwise))
-            for columnwise in (False, True)
+                beta=16, bits=2, binarize_1bit=binarize, compensation_enabled=enabled))
+            for enabled in (False, True)
         ]
         blockwise, columnwise = results
         assert blocks_equal(blockwise.blocks, columnwise.blocks)
@@ -296,13 +301,31 @@ def columnwise_reference(w, calib, cfg, plan_bits):
     return blocks, hs
 
 
+def group_at_once_loss(w, calib, cfg, plan_bits):
+    """proxy_loss of the compensation that quantizes each group at once and
+    only then spreads its error onto the columns right of it."""
+    hs = hessian_state(calib, cfg.percdamp)
+    u = hs.chol_inv
+    work = w.astype(np.float64)
+    blocks = []
+    for g, bits in enumerate(int(b) for b in plan_bits):
+        lo, hi = g * cfg.beta, (g + 1) * cfg.beta
+        if cfg.sqc_enabled:
+            qb = calibrate_group(work[:, lo:hi].copy(), bits, cfg.sqc_cfg)[0]
+        else:
+            qb = quantize_uniform(work[:, lo:hi], bits)
+        err = (work[:, lo:hi] - dequantize(qb)) / np.diag(u)[lo:hi]
+        work[:, hi:] -= err @ u[lo:hi, hi:]
+        blocks.append(qb)
+    return proxy_loss(w, reconstruct(blocks), hs)
+
+
 def test_columnwise_matches_per_column_reference():
     for seed in range(3):
         w, x = clustered_layer(seed, n=32, m=256, t=512)
         calib = CalibrationSet([x])
         for binarize in (False, True):
-            cfg = PipelineConfig(beta=64, bits=2, binarize_1bit=binarize,
-                                 inner_columnwise=True)
+            cfg = PipelineConfig(beta=64, bits=2, binarize_1bit=binarize)
             res = quantize_layer(w, calib, cfg)
             assert res.plan.p_star >= 1  # some group runs at 1 bit
             ref, hs = columnwise_reference(w, calib, cfg, res.plan.bits)
@@ -342,6 +365,18 @@ def test_input_validation():
 def test_bits_outside_two_and_three_rejected(bits, sba):
     with pytest.raises(InvalidConfig):
         PipelineConfig(bits=bits, sba_enabled=sba)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("beta", 0),
+    ("beta", -8),
+    ("percdamp", -1e-12),
+    ("percdamp", np.inf),
+    ("percdamp", np.nan),
+])
+def test_bad_group_size_and_damping_rejected(name, value):
+    with pytest.raises(InvalidConfig):
+        PipelineConfig(**{name: value})
 
 
 def test_result_shapes_and_finiteness():

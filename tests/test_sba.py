@@ -162,7 +162,6 @@ def test_stride_subsample():
     assert sub.shape[0] == 4  # ceil(10/4) = 3 -> rows 0, 3, 6, 9
     assert np.array_equal(sub[:, 0], [0.0, 6.0, 12.0, 18.0])
     assert stride_subsample(x, 100) is x
-    assert stride_subsample(x, 0) is x
 
 
 def plan_inputs(seed, n=8, m=48, beta=8, t=20):
