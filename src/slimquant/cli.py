@@ -102,7 +102,6 @@ def _pipeline_config(args) -> PipelineConfig:
         sba_enabled=not args.no_sba,
         sqc_enabled=not args.no_sqc,
         compensation_enabled=not args.no_compensation,
-        binarize_1bit=args.binarize_1bit,
         kl_cfg=KlConfig(
             temperature=args.kl_temperature,
             epsilon=args.kl_epsilon,
@@ -132,7 +131,6 @@ def cmd_quantize(args) -> int:
             "sba": cfg.sba_enabled,
             "sqc": cfg.sqc_enabled,
             "compensation": cfg.compensation_enabled,
-            "binarize_1bit": cfg.binarize_1bit,
             "gamma_lambda": cfg.sqc_cfg.lambda_gamma,
             "gamma_steps": cfg.sqc_cfg.n_gamma,
             "kl_temperature": cfg.kl_cfg.temperature,
@@ -303,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--no-sba", action="store_true")
     q.add_argument("--no-sqc", action="store_true")
     q.add_argument("--no-compensation", action="store_true")
-    q.add_argument("--binarize-1bit", action="store_true")
     q.add_argument("--gamma-lambda", type=float, default=0.1)
     q.add_argument("--gamma-steps", type=int, default=50)
     q.add_argument("--kl-temperature", type=float, default=1.0)

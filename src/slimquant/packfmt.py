@@ -178,8 +178,6 @@ def pack(blocks: list, n: int, m: int, beta: int, target_bits: int | None = None
     binary_flags = {b.params.binary for b in blocks if b.params.bit_width == 1}
     if len(binary_flags) > 1:
         raise InconsistentPlan("1-bit groups mix sign/magnitude and affine modes")
-    if any(b.params.binary and b.params.bit_width != 1 for b in blocks):
-        raise InconsistentPlan("sign/magnitude mode is only defined for 1-bit groups")
 
     checked = []
     for g, b in enumerate(blocks):

@@ -5,7 +5,8 @@ Order of operations for one weight matrix:
   1. build the damped activation Gram matrix and its inverse factor
   2. compute the salience map
   3. pick per-group bit widths (paired promote/demote search), or all-N
-  4. walk groups left to right: range-calibrated parameters, then
+  4. walk groups left to right: range-calibrated parameters (sign/magnitude
+     ones for 1-bit groups), then
      requantize the group's columns left to right under them, spreading
      each column's rounding error onto the not-yet-quantized columns
      through the inverse factor
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .quant_core import (
     QuantizedBlock,
-    binarize_block,
+    binarize_block,  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
     block_mse,
     dequantize,
     quantize_uniform,
@@ -59,7 +60,6 @@ class PipelineConfig:
     sba_enabled: bool = True
     sqc_enabled: bool = True
     compensation_enabled: bool = True
-    binarize_1bit: bool = False  # 1-bit groups use sign/magnitude form
     kl_cfg: KlConfig = field(default_factory=KlConfig)
     sqc_cfg: SqcConfig = field(default_factory=SqcConfig)
 
@@ -104,10 +104,9 @@ def _quantize_group(
     block: np.ndarray, bits: int, cfg: PipelineConfig
 ) -> tuple[QuantizedBlock, float]:
     """Quantize one group at its planned width; returns the block and its
-    range factor (1.0 where no calibration ran)."""
-    if bits == 1 and cfg.binarize_1bit:
-        return binarize_block(block), 1.0
-    if cfg.sqc_enabled:
+    range factor (1.0 where no calibration ran, and always at 1 bit: the
+    sign/magnitude form has no range to scale)."""
+    if cfg.sqc_enabled and bits > 1:
         return calibrate_group(block, bits, cfg.sqc_cfg)
     return quantize_uniform(block, bits), 1.0
 
@@ -183,9 +182,7 @@ def quantize_layer(
     # 3. width plan
     x_all = calib.stacked()
     if cfg.sba_enabled:
-        plan = allocate_bits(
-            w, x_all, sal, beta, cfg.bits, cfg.kl_cfg, binarize_low=cfg.binarize_1bit
-        )
+        plan = allocate_bits(w, x_all, sal, beta, cfg.bits, cfg.kl_cfg)
     else:
         plan = BitPlan(
             bits=np.full(k, cfg.bits, dtype=np.int64),

@@ -1,12 +1,14 @@
 """Uniform affine group quantizer and sign binarizer.
 
-All quantization in this package reduces to the per-row affine map
+Groups of 2 to 4 bits use the per-row affine map
 
     code = clamp(round(w / scale) + zero, 0, 2^N - 1)
     w'   = (code - zero) * scale
 
 with one (scale, zero) pair per output row inside an n x beta block.
 Rounding is round-half-to-even everywhere, so results are platform-stable.
+1-bit groups use the sign/magnitude form instead: code = (w >= 0) and
+w' = alpha * (2 code - 1), with alpha the block's mean absolute value.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InconsistentPlan, ShapeMismatch
 
 # Smallest usable row range. Rows whose extended range collapses to zero
 # (all-zero rows) get this floor so the affine map stays well defined.
@@ -33,7 +35,7 @@ class GroupQuantParams:
     """Per-row affine parameters for one block.
 
     binary marks sign/magnitude blocks: codes {0,1} decode to scale*(2c - 1)
-    instead of the affine map.
+    instead of the affine map. Only 1-bit blocks can be binary.
     """
 
     bit_width: int
@@ -46,6 +48,10 @@ class GroupQuantParams:
         if self.scale.shape != self.zero.shape:
             raise ShapeMismatch(
                 f"scale shape {self.scale.shape} != zero shape {self.zero.shape}"
+            )
+        if self.binary and self.bit_width != 1:
+            raise InconsistentPlan(
+                f"sign/magnitude form is only defined at 1 bit, not {self.bit_width}"
             )
 
 
@@ -97,6 +103,12 @@ def affine_params(
 
 
 def derive_params(block: np.ndarray, bit_width: int) -> GroupQuantParams:
+    """Per-row min/max params; at 1 bit sign/magnitude params, because the
+    zero-inclusive affine grid's two levels are 0 and the whole row range
+    on one side of it: [-1, 0.1, 0.2, 2] would decode to [0, 0, 0, 3]."""
+    if bit_width == 1:
+        n, alpha = block.shape[0], np.float32(binarize(block)[1])
+        return GroupQuantParams(1, np.full(n, alpha), np.zeros(n, dtype=np.uint8), binary=True)
     lo, hi = _row_range(block)
     return params_from_range(lo, hi, bit_width)
 
@@ -104,8 +116,9 @@ def derive_params(block: np.ndarray, bit_width: int) -> GroupQuantParams:
 def quantize_uniform(
     block: np.ndarray, bit_width: int, params: GroupQuantParams | None = None
 ) -> QuantizedBlock:
-    """Quantize an n x beta block at bit_width bits, deriving per-row
-    min/max params unless explicit ones are supplied."""
+    """Quantize an n x beta block at bit_width bits, deriving its params
+    (derive_params) unless explicit ones are supplied. Binary params take
+    the sign rule, code = (w >= 0)."""
     b = np.asarray(block, dtype=np.float64)
     if b.ndim != 2:
         raise ShapeMismatch(f"block must be 2-D, got shape {b.shape}")
@@ -115,6 +128,8 @@ def quantize_uniform(
         raise ShapeMismatch(
             f"params are {params.bit_width}-bit, requested {bit_width}-bit"
         )
+    if params.binary:
+        return QuantizedBlock(codes=(b >= 0.0).astype(np.uint8), params=params)
     maxq = _max_code(bit_width)
     scale = params.scale.astype(np.float64)[:, None]
     zero = params.zero.astype(np.float64)[:, None]
@@ -144,17 +159,9 @@ def binarize(block: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def binarize_block(block: np.ndarray) -> QuantizedBlock:
-    """1-bit sign/magnitude form of a block, packable like any other group."""
-    signs, alpha = binarize(block)
-    n = block.shape[0]
-    codes = ((signs + 1.0) * 0.5).astype(np.uint8)
-    params = GroupQuantParams(
-        bit_width=1,
-        scale=np.full(n, np.float32(alpha)),
-        zero=np.zeros(n, dtype=np.uint8),
-        binary=True,
-    )
-    return QuantizedBlock(codes=codes, params=params)
+    """1-bit sign/magnitude form of a block: what quantize_uniform(block, 1)
+    returns."""
+    return quantize_uniform(block, 1)
 
 
 def block_mse(a: np.ndarray, b: np.ndarray) -> float:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadGroupSize, InsufficientCalibration, InvalidConfig, ShapeMismatch
-from .quant_core import binarize_block, dequantize, quantize_uniform
+from .quant_core import dequantize, quantize_uniform
+from .quant_core import binarize_block  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 from .salience import SalienceMap
 
 
@@ -114,13 +115,13 @@ def allocate_bits(
     beta: int,
     target_bits: int,
     cfg: KlConfig,
-    binarize_low: bool = False,
 ) -> BitPlan:
     """Search all pairing counts p and return the divergence-minimizing plan.
 
-    Fake quantization here is plain per-row min/max at each group's width;
-    range calibration and error compensation happen later in the pipeline
-    and deliberately do not influence the allocation.
+    Fake quantization here is quantize_uniform at each group's width:
+    per-row min/max, or sign/magnitude at 1 bit. Range calibration and
+    error compensation happen later in the pipeline and deliberately do not
+    influence the allocation.
 
     The quantized output Y = xs @ W_hat^T is built once for p = 0 and then
     updated in place: from one candidate to the next only the groups whose
@@ -147,11 +148,7 @@ def allocate_bits(
     def fake_block(g: int, bits: int) -> np.ndarray:
         key = (g, bits)
         if key not in deq_cache:
-            block = w[:, g * beta : (g + 1) * beta]
-            if bits == 1 and binarize_low:
-                qb = binarize_block(block)
-            else:
-                qb = quantize_uniform(block, bits)
+            qb = quantize_uniform(w[:, g * beta : (g + 1) * beta], bits)
             deq_cache[key] = dequantize(qb).astype(np.float64)
         return deq_cache[key]
 

@@ -4,7 +4,8 @@ For one block, a shrink/grow factor gamma is applied to every row's
 min/max range before deriving scale and zero-point. The winning gamma
 minimizes the total squared reconstruction error of the block. gamma = 1.0
 is always a candidate, so calibrated quantization can never lose to the
-plain min/max quantizer on this objective.
+plain min/max quantizer on this objective. The search runs at 2 to 4 bits:
+1-bit groups take the sign/magnitude form, which has no range to scale.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ def calibrate_group(
     so the winner's objective value is exactly the reconstruction error
     downstream consumers will see.
     """
+    if bit_width < 2:
+        raise InvalidConfig(f"range calibration needs a width of 2 to 4 bits, got {bit_width}")
     # a column slice of a wider matrix is copied: grid_row_losses re-reads
     # each slice of rows once per candidate, and strided rows miss the cache
     block = np.ascontiguousarray(block, dtype=np.float64)

@@ -4,16 +4,19 @@ Everything runs in-process through main(argv) so stdout, stderr, exit
 codes and written files can all be checked cheaply.
 """
 
+import argparse
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fixtures import identity_calib, random_calib, random_layer
-from slimquant.cli import main
-from slimquant.packfmt import read_packed, unpack
+from fixtures import clustered_layer, identity_calib, random_calib, random_layer
+from slimquant.cli import build_parser, main
+from slimquant.packfmt import FLAG_BINARY_1BIT, read_packed, unpack
 from slimquant.quant_core import dequantize, quantize_uniform
 from slimquant.tensor_store import read_tensor, write_tensor
 
@@ -197,6 +200,57 @@ def test_eval_matches_quantize_report(layer_files, tmp_path, capsys):
     hist = scored["bit_histogram"]
     assert sum(hist.values()) == 4
     assert hist.get("1", 0) == hist.get("3", 0)  # paired promote/demote
+
+
+def test_one_bit_groups_are_written_as_sign_magnitude(tmp_path, capsys):
+    w, x = clustered_layer(0, n=16, m=256, t=512)
+    wpath, xpath, out = tmp_path / "w.slmt", tmp_path / "x.slmt", tmp_path / "m.slmq"
+    write_tensor(wpath, w)
+    write_tensor(xpath, x)
+    code, _, _ = run(capsys, *quantize_args(wpath, xpath, out, group_size=64))
+    assert code == 0
+    report = json.loads((tmp_path / "m.slmq.json").read_text())
+    assert 1 in report["plan"]["bits"]
+    raw = out.read_bytes()
+    assert int.from_bytes(raw[6:8], "little") == FLAG_BINARY_1BIT  # header flags field
+    pm = read_packed(out)
+    for qb, bits in zip(pm.blocks, report["plan"]["bits"]):
+        assert qb.params.binary == (bits == 1)
+    code, stdout, _ = run(capsys, "eval", "--model", out, "--weights", wpath,
+                          "--calib", xpath)
+    assert code == 0
+    scored = json.loads(stdout)
+    for key in ("recon_mse", "proxy_loss", "recon_kl", "bits_per_weight"):
+        assert scored["metrics"][key] == report["metrics"][key]
+
+
+def test_binarize_flag_is_a_usage_error(layer_files, tmp_path, capsys):
+    wpath, xpath, _, _ = layer_files
+    argv = quantize_args(wpath, xpath, tmp_path / "m.slmq") + ["--binarize-1bit"]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    assert exc.value.code == 2
+    assert "--binarize-1bit" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([wpath, xpath])
+
+
+def parser_flags(parser):
+    """Every option string of a parser and of its subcommands, recursively."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= parser_flags(sub)
+    return flags
+
+
+def test_readme_cli_flags_exist():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert named, "README's CLI section names no flags"
+    assert sorted(named - parser_flags(build_parser())) == []
 
 
 def test_eval_on_grid_weights_score_zero(tmp_path, capsys):

@@ -208,31 +208,25 @@ def test_gammas_cover_groups_and_default_to_unity():
     assert np.all(plain.gammas == 1.0)
 
 
-def test_binarize_flag_switches_one_bit_groups():
+@pytest.mark.parametrize("sqc, compensation", [
+    (True, True), (False, True), (True, False), (False, False),
+])
+def test_one_bit_groups_take_sign_form(sqc, compensation):
     w, x = clustered_layer(0)
     calib = CalibrationSet([x])
-    res = quantize_layer(w, calib, PipelineConfig(beta=128, bits=2,
-                                                  binarize_1bit=True))
+    res = quantize_layer(w, calib, PipelineConfig(
+        beta=128, bits=2, sqc_enabled=sqc, compensation_enabled=compensation))
     assert res.plan.p_star >= 1  # fixture reliably demotes at least one group
-    widths = [qb.params.bit_width for qb in res.blocks]
-    for qb, bits in zip(res.blocks, res.plan.bits):
+    for g, (qb, bits) in enumerate(zip(res.blocks, res.plan.bits)):
         assert qb.params.bit_width == int(bits)
+        assert qb.params.binary == (bits == 1)
         if bits == 1:
-            assert qb.params.binary
             assert np.all(qb.params.zero == 0)
-        else:
-            assert not qb.params.binary
-    assert widths.count(1) >= 1
-
-
-def test_affine_one_bit_groups_by_default():
-    w, x = clustered_layer(0)
-    calib = CalibrationSet([x])
-    res = quantize_layer(w, calib, PipelineConfig(beta=128, bits=2))
-    assert res.plan.p_star >= 1
-    for qb, bits in zip(res.blocks, res.plan.bits):
-        if bits == 1:
-            assert not qb.params.binary
+            assert np.all(qb.params.scale == qb.params.scale[0])  # one shared alpha
+            assert res.gammas[g] == 1.0  # no range calibration at 1 bit
+            if not compensation:
+                ref = binarize_block(w[:, g * 128:(g + 1) * 128])
+                assert blocks_equal([qb], [ref])
 
 
 def test_full_pipeline_runs_and_beats_rtn():
@@ -255,15 +249,13 @@ def test_identity_gram_columnwise_matches_blockwise():
     rng = np.random.default_rng(11)
     w = random_layer(rng, 8, 64)
     calib = CalibrationSet([identity_calib(64)])
-    for binarize in (False, True):
-        results = [
-            quantize_layer(w, calib, PipelineConfig(
-                beta=16, bits=2, binarize_1bit=binarize, compensation_enabled=enabled))
-            for enabled in (False, True)
-        ]
-        blockwise, columnwise = results
-        assert blocks_equal(blockwise.blocks, columnwise.blocks)
-        assert blockwise.proxy_loss == columnwise.proxy_loss
+    blockwise, columnwise = [
+        quantize_layer(w, calib, PipelineConfig(beta=16, bits=2, compensation_enabled=enabled))
+        for enabled in (False, True)
+    ]
+    assert blockwise.plan.p_star >= 1  # sign/magnitude groups are compared too
+    assert blocks_equal(blockwise.blocks, columnwise.blocks)
+    assert blockwise.proxy_loss == columnwise.proxy_loss
 
 
 def columnwise_reference(w, calib, cfg, plan_bits):
@@ -276,7 +268,7 @@ def columnwise_reference(w, calib, cfg, plan_bits):
     blocks = []
     for g, bits in enumerate(int(b) for b in plan_bits):
         lo, hi = g * cfg.beta, (g + 1) * cfg.beta
-        if bits == 1 and cfg.binarize_1bit:
+        if bits == 1:
             params = binarize_block(work[:, lo:hi].copy()).params
         else:
             params = calibrate_group(work[:, lo:hi].copy(), bits, cfg.sqc_cfg)[0].params
@@ -310,7 +302,7 @@ def group_at_once_loss(w, calib, cfg, plan_bits):
     blocks = []
     for g, bits in enumerate(int(b) for b in plan_bits):
         lo, hi = g * cfg.beta, (g + 1) * cfg.beta
-        if cfg.sqc_enabled:
+        if cfg.sqc_enabled and bits > 1:
             qb = calibrate_group(work[:, lo:hi].copy(), bits, cfg.sqc_cfg)[0]
         else:
             qb = quantize_uniform(work[:, lo:hi], bits)
@@ -324,13 +316,12 @@ def test_columnwise_matches_per_column_reference():
     for seed in range(3):
         w, x = clustered_layer(seed, n=32, m=256, t=512)
         calib = CalibrationSet([x])
-        for binarize in (False, True):
-            cfg = PipelineConfig(beta=64, bits=2, binarize_1bit=binarize)
-            res = quantize_layer(w, calib, cfg)
-            assert res.plan.p_star >= 1  # some group runs at 1 bit
-            ref, hs = columnwise_reference(w, calib, cfg, res.plan.bits)
-            assert blocks_equal(res.blocks, ref)
-            assert res.proxy_loss == proxy_loss(w, reconstruct(ref), hs)
+        cfg = PipelineConfig(beta=64, bits=2)
+        res = quantize_layer(w, calib, cfg)
+        assert res.plan.p_star >= 1  # some group runs at 1 bit
+        ref, hs = columnwise_reference(w, calib, cfg, res.plan.bits)
+        assert blocks_equal(res.blocks, ref)
+        assert res.proxy_loss == proxy_loss(w, reconstruct(ref), hs)
 
 
 def test_plan_widths_match_blocks():

@@ -5,10 +5,12 @@ one element at a time, so any vectorization slip in the library shows up
 as an exact mismatch.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from slimquant.errors import ShapeMismatch
+from slimquant.errors import InconsistentPlan, ShapeMismatch
 from slimquant.quant_core import (
     RANGE_FLOOR,
     GroupQuantParams,
@@ -24,12 +26,20 @@ from slimquant.quant_core import (
 
 
 def scalar_reference(block, bits):
-    """Elementwise re-derivation of codes, scales and zero-points."""
+    """Elementwise re-derivation of codes, scales and zero-points: the
+    sign/magnitude form at 1 bit, the zero-inclusive min/max grid above."""
     n, width = block.shape
     maxq = (1 << bits) - 1
     codes = np.zeros((n, width), dtype=np.uint8)
     scales = np.zeros(n, dtype=np.float32)
     zeros = np.zeros(n, dtype=np.uint8)
+    if bits == 1:
+        values = [float(v) for v in np.asarray(block, dtype=np.float64).ravel()]
+        scales[:] = np.float32(math.fsum(abs(v) for v in values) / len(values))
+        for i in range(n):
+            for j in range(width):
+                codes[i, j] = 1 if float(block[i, j]) >= 0.0 else 0
+        return codes, scales, zeros
     for i in range(n):
         row = [float(v) for v in np.asarray(block[i], dtype=np.float64)]
         lo = min(min(row), 0.0)
@@ -114,10 +124,16 @@ def test_invariants_hold_on_random_blocks():
             assert qb.codes.max() <= maxq
             assert np.all(qb.params.scale > 0.0)
             assert qb.params.zero.max() <= maxq
-            # derived params cover the data, so error stays within half a step
-            err = np.abs(dequantize(qb).astype(np.float64) - block)
-            bound = qb.params.scale.astype(np.float64)[:, None] * (0.5 + 1e-5)
-            assert np.all(err <= bound)
+            assert qb.params.binary == (bits == 1)
+            deq = dequantize(qb).astype(np.float64)
+            if bits == 1:
+                # every weight keeps its sign at the shared magnitude
+                assert np.all(np.abs(deq) == qb.params.scale[0])
+                assert np.all((deq > 0.0) == (block >= 0.0))
+            else:
+                # derived params cover the data, so error stays within half a step
+                bound = qb.params.scale.astype(np.float64)[:, None] * (0.5 + 1e-5)
+                assert np.all(np.abs(deq - block) <= bound)
 
 
 def test_round_half_to_even():
@@ -278,13 +294,47 @@ def test_block_mse_shape_mismatch():
 
 
 def test_one_bit_affine_differs_from_binary():
-    # default 1-bit mode is the affine map, not sign/magnitude
-    block = np.array([[-1.0, 2.0]], dtype=np.float32)
+    # the zero-inclusive affine grid's two 1-bit levels are 0 and 3 here:
+    # it keeps only the 2, and loses the sign of the -1
+    block = np.array([[-1.0, 0.1, 0.2, 2.0]], dtype=np.float32)
+    lo, hi = np.array([-1.0]), np.array([2.0])
+    affine = quantize_uniform(block, 1, params_from_range(lo, hi, 1))
+    assert np.array_equal(dequantize(affine), [[0.0, 0.0, 0.0, 3.0]])
     qb = quantize_uniform(block, 1)
-    assert not qb.params.binary
-    assert qb.params.scale[0] == np.float32(3.0)
-    assert qb.params.zero[0] == 0  # rint(1/3) = 0
-    assert np.array_equal(qb.codes, [[0, 1]])
+    assert qb.params.binary
+    alpha = np.float32(np.mean(np.abs(block.astype(np.float64))))
+    assert qb.params.scale[0] == alpha
+    assert np.array_equal(qb.codes, [[0, 1, 1, 1]])
+    assert np.array_equal(dequantize(qb), [[-alpha, alpha, alpha, alpha]])
+
+
+def test_quantize_uniform_one_bit_is_binarize_block():
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        block = rng.standard_normal((int(rng.integers(1, 9)), 16)).astype(np.float32)
+        a, b = quantize_uniform(block, 1), binarize_block(block)
+        assert np.array_equal(a.codes, b.codes)
+        assert np.array_equal(a.params.scale, b.params.scale)
+        assert np.array_equal(a.params.zero, b.params.zero)
+        assert a.params.binary and b.params.binary
+
+
+def test_binary_params_take_sign_rule():
+    # explicit sign params: rounding 0.1 / alpha and 0.2 / alpha would give
+    # code 0, which decodes to -alpha; the sign rule keeps their sign
+    block = np.array([[-1.0, 0.1, 0.2, 2.0]], dtype=np.float32)
+    params = binarize_block(block).params
+    qb = quantize_uniform(block, 1, params=params)
+    assert qb.params is params
+    assert np.array_equal(qb.codes, [[0, 1, 1, 1]])
+
+
+def test_binary_params_only_at_one_bit():
+    scale, zero = np.ones(2, dtype=np.float32), np.zeros(2, dtype=np.uint8)
+    assert GroupQuantParams(1, scale, zero, binary=True).binary
+    for bits in (2, 3, 4):
+        with pytest.raises(InconsistentPlan):
+            GroupQuantParams(bits, scale, zero, binary=True)
 
 
 def test_derive_params_float32_scale():

@@ -18,7 +18,12 @@ from slimquant.errors import (
     InvalidConfig,
     ShapeMismatch,
 )
-from slimquant.quant_core import binarize_block, dequantize, quantize_uniform
+from slimquant.quant_core import (
+    binarize_block,
+    dequantize,
+    params_from_range,
+    quantize_uniform,
+)
 from slimquant.salience import SalienceMap, salience_map
 from slimquant.sba import (
     BitPlan,
@@ -61,13 +66,14 @@ def oracle_plans(group_mean, target):
     return plans
 
 
-def fake_quantize(w, bits, beta, binarize_low=False):
-    """Plain min/max (or sign/magnitude for 1-bit) fake quantization per group."""
+def fake_quantize(w, bits, beta, one_bit=quantize_uniform):
+    """Plain quantize_uniform fake quantization per group; 1-bit groups go
+    through one_bit instead."""
     w_hat = np.empty_like(w, dtype=np.float32)
     for g, b in enumerate(bits):
         sl = slice(g * beta, (g + 1) * beta)
-        if b == 1 and binarize_low:
-            w_hat[:, sl] = dequantize(binarize_block(w[:, sl]))
+        if b == 1:
+            w_hat[:, sl] = dequantize(one_bit(w[:, sl], 1))
         else:
             w_hat[:, sl] = dequantize(quantize_uniform(w[:, sl], b))
     return w_hat
@@ -262,22 +268,21 @@ def test_incremental_search_matches_full_recompute():
     # candidate; rebuilding and multiplying every candidate from scratch
     # must give the same curve up to summation order, and the same plan
     cfg = KlConfig()
-    cases = [(*plan_inputs(seed, m=64), target, False)
-             for seed, target in [(5, 2), (6, 2), (7, 3), (8, 3), (9, 2)]]
-    cases += [(*plan_inputs(seed, m=64), 2, True) for seed in (31, 32, 33)]
+    cases = [(*plan_inputs(seed, m=64), target)
+             for seed, target in [(5, 2), (6, 2), (7, 3), (8, 3), (9, 2),
+                                  (31, 2), (32, 2), (33, 2)]]
     # all means tied: ranks fall back to group index, so a group promoted
     # at one pairing count is demoted at the next
     w, x, sal = plan_inputs(10, m=64)
     tied = SalienceMap(delta=sal.delta, group_mean=np.ones(8),
                        channel_mean=sal.channel_mean)
-    cases += [(w, x, tied, 2, False), (w, x, tied, 2, True), (w, x, tied, 3, False)]
-    for w, x, sal, target, binarize_low in cases:
-        plan = allocate_bits(w, x, sal, 8, target, cfg, binarize_low=binarize_low)
+    cases += [(w, x, tied, 2), (w, x, tied, 3)]
+    for w, x, sal, target in cases:
+        plan = allocate_bits(w, x, sal, 8, target, cfg)
         plans = oracle_plans(sal.group_mean, target)
         xs = stride_subsample(x, cfg.max_tokens)
         curve = np.array([
-            output_kl(xs, w, fake_quantize(w, bits, 8, binarize_low), cfg)
-            for bits in plans
+            output_kl(xs, w, fake_quantize(w, bits, 8), cfg) for bits in plans
         ])
         np.testing.assert_allclose(plan.kl_curve, curve, rtol=1e-12, atol=0.0)
         assert plan.p_star == int(np.argmin(curve))
@@ -295,13 +300,28 @@ def test_evaluation_count_matches_group_count():
     assert len(plan.kl_curve) == 17
 
 
-def test_binarize_low_changes_one_bit_groups():
-    w, x, sal = plan_inputs(31)
-    affine = allocate_bits(w, x, sal, 8, 2, KlConfig())
-    signed = allocate_bits(w, x, sal, 8, 2, KlConfig(), binarize_low=True)
-    # same search space, possibly different curves; both honor constraints
-    assert affine.bits.sum() == signed.bits.sum() == 12
-    assert affine.kl_curve[0] == signed.kl_curve[0]  # p=0 has no 1-bit groups
+def sign_one_bit(block, bits):
+    return binarize_block(block)
+
+
+def affine_one_bit(block, bits):
+    """The zero-inclusive min/max grid at 1 bit, which the search does not use."""
+    b = np.asarray(block, dtype=np.float64)
+    lo, hi = np.minimum(b.min(axis=1), 0.0), np.maximum(b.max(axis=1), 0.0)
+    return quantize_uniform(b, bits, params_from_range(lo, hi, bits))
+
+
+def test_one_bit_candidates_are_sign_magnitude():
+    cfg = KlConfig()
+    for seed in (31, 32, 33):
+        w, x, sal = plan_inputs(seed)
+        plan = allocate_bits(w, x, sal, 8, 2, cfg)
+        plans = oracle_plans(sal.group_mean, 2)
+        signed = [output_kl(x, w, fake_quantize(w, b, 8, sign_one_bit), cfg) for b in plans]
+        affine = [output_kl(x, w, fake_quantize(w, b, 8, affine_one_bit), cfg) for b in plans]
+        np.testing.assert_allclose(plan.kl_curve, signed, rtol=1e-12, atol=0.0)
+        assert affine[0] == signed[0]  # p=0 has no 1-bit groups
+        assert np.all(np.array(affine[1:]) != np.array(signed[1:]))
 
 
 def test_allocation_input_validation():

@@ -166,7 +166,7 @@ def test_grid_losses_bit_identical_to_reference(monkeypatch, slice_elements, sha
     monkeypatch.setattr(sqc, "_SLICE_ELEMENTS", slice_elements)
     rng = np.random.default_rng(11)
     grid = gamma_grid(SqcConfig())
-    for bits in (1, 2, 3, 4):
+    for bits in (2, 3, 4):
         for n, beta in shapes:
             block = rng.standard_normal((n, beta)) * rng.uniform(0.01, 4.0)
             block[n // 2] = 0.0
@@ -183,3 +183,10 @@ def test_grid_losses_bit_identical_to_reference(monkeypatch, slice_elements, sha
             assert np.array_equal(qb.codes, ref_qb.codes)
             assert np.array_equal(qb.params.scale, ref_qb.params.scale)
             assert np.array_equal(qb.params.zero, ref_qb.params.zero)
+
+
+@pytest.mark.parametrize("bits", [0, 1])
+def test_widths_below_two_rejected(bits):
+    # 1-bit groups take the sign/magnitude form, which has no range to scale
+    with pytest.raises(InvalidConfig):
+        calibrate_group(np.ones((2, 8)), bits, SqcConfig())
