@@ -60,12 +60,15 @@ def accumulate_hessian(calib: CalibrationSet) -> np.ndarray:
     """Mean outer product of all token vectors: (1/T) * sum_t x_t x_tT."""
     if not calib.samples or calib.token_count == 0:
         raise EmptyCalibration("need at least one token vector")
-    m = calib.channels
-    acc = np.zeros((m, m), dtype=np.float64)
-    for s in calib.samples:
+    # start from the first product and divide in place: no zero matrix and
+    # no second m x m temporary
+    x = np.asarray(calib.samples[0], dtype=np.float64)
+    acc = x.T @ x
+    for s in calib.samples[1:]:
         x = np.asarray(s, dtype=np.float64)
         acc += x.T @ x
-    return acc / float(calib.token_count)
+    acc /= float(calib.token_count)
+    return acc
 
 
 def damp_and_invert(H: np.ndarray, percdamp: float = 0.01) -> HessianState:

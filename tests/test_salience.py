@@ -67,6 +67,20 @@ def test_gram_splits_across_samples():
     assert np.allclose(whole, split, rtol=1e-12, atol=1e-15)
 
 
+def test_gram_bit_identical_to_sum_from_zero():
+    # starting from the first sample's product and dividing in place gives
+    # the same bits as summing onto a zero matrix and dividing after
+    rng = np.random.default_rng(9)
+    x = random_calib(rng, 40, 7)
+    for samples in ([x], [x[:0], x[:13], x[13:]]):
+        ref = np.zeros((7, 7))
+        for s in samples:
+            ref += s.astype(np.float64).T @ s.astype(np.float64)
+        ref = ref / 40.0
+        H = accumulate_hessian(CalibrationSet(samples))
+        assert H.tobytes() == ref.tobytes()
+
+
 def test_empty_calibration_rejected():
     with pytest.raises(EmptyCalibration):
         accumulate_hessian(CalibrationSet([]))

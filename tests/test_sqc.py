@@ -190,3 +190,141 @@ def test_widths_below_two_rejected(bits):
     # 1-bit groups take the sign/magnitude form, which has no range to scale
     with pytest.raises(InvalidConfig):
         calibrate_group(np.ones((2, 8)), bits, SqcConfig())
+
+
+def candidates(block, bits):
+    """Every candidate's scales and zero-points on the default grid."""
+    lo, hi = _row_range(block)
+    return affine_params(lo[None, :], hi[None, :], bits, gamma_grid(SqcConfig())[:, None])
+
+
+def grid_case(block, bits):
+    """Candidate parameters of a block and their exact float64 totals."""
+    scales, zeros = candidates(block, bits)
+    return scales, zeros, grid_row_losses(block, bits, scales, zeros).sum(axis=1)
+
+
+def on_half_steps(rng, block, bits, index):
+    """Move every element but each row's min and max onto a half-integer
+    multiple of candidate index's scale inside the row's range, so the row
+    ranges, and with them every candidate's parameters, stay as they were."""
+    lo, hi = _row_range(block)
+    s = candidates(block, bits)[0][index].astype(np.float64)[:, None]
+    k_lo, k_hi = np.ceil(lo[:, None] / s - 0.5), np.floor(hi[:, None] / s - 0.5)
+    k = k_lo + np.floor(rng.random(block.shape) * (k_hi - k_lo + 1))
+    out = (k + 0.5) * s
+    out[:, 0], out[:, 1] = lo, hi
+    return out
+
+
+def edge_rows(block):
+    block = block.copy()
+    block[0] = 0.0
+    block[1] = block[1, 0]  # constant row
+    block[2] = np.abs(block[2])  # range pinned at zero from below
+    block[3] = -np.abs(block[3])  # and from above
+    return block
+
+
+@pytest.mark.parametrize("beta", [16, 128])
+@pytest.mark.parametrize("magnitude", [1e-30, 1e-12, 1.0, 1e12, 1e30])
+def test_screen_bound_holds_for_every_candidate(beta, magnitude):
+    rng = np.random.default_rng(20 + beta)
+    for bits in (2, 3, 4):
+        gaussian = rng.standard_normal((37, beta)) * magnitude
+        blocks = [gaussian, edge_rows(gaussian)]
+        blocks += [on_half_steps(rng, gaussian, bits, i) for i in (0, 30, 50, 77)]
+        for block in blocks:
+            scales, zeros, exact = grid_case(block, bits)
+            approx, bound = sqc._screen_totals(block, bits, scales, zeros)
+            assert np.all(np.isfinite(approx)) and np.all(np.isfinite(bound))
+            assert np.all(np.abs(approx - exact) <= bound)
+            # every candidate that can win survives the screen
+            keep = sqc._survivors(block, bits, scales, zeros)
+            assert set(np.flatnonzero(exact == exact.min())) <= set(keep)
+
+
+def test_screen_bound_holds_on_rows_rounded_by_half_an_ulp():
+    # where every element loses almost half a float32 ulp and a row has
+    # few elements, the screen's error comes closest to its bound (about
+    # a third of it here)
+    rng = np.random.default_rng(25)
+    for trial in range(400):
+        bits, beta = 2 + trial % 3, 1 + trial // 3 % 4
+        x = rng.standard_normal((1, beta)).astype(np.float32)
+        ulp = np.spacing(np.abs(x)).astype(np.float64)
+        block = x.astype(np.float64) + rng.choice([-0.499, 0.499], x.shape) * ulp
+        scales, zeros, exact = grid_case(block, bits)
+        approx, bound = sqc._screen_totals(block, bits, scales, zeros)
+        assert np.all(np.abs(approx - exact) <= bound)
+
+
+def assert_matches_reference(block, bits):
+    qb, gamma = calibrate_group(block, bits, SqcConfig())
+    ref_qb, ref_gamma = reference_calibrate(block, bits, SqcConfig())
+    assert gamma == ref_gamma
+    assert np.array_equal(qb.codes, ref_qb.codes)
+    assert np.array_equal(qb.params.scale, ref_qb.params.scale)
+    assert np.array_equal(qb.params.zero, ref_qb.params.zero)
+
+
+def near_tie(rng, bits, beta):
+    """A block whose two best candidates' exact totals differ by far less
+    than the screen's bound: a row that prefers the runner-up, scaled so
+    that it makes up the gap."""
+    base = rng.standard_normal((int(rng.integers(1, 6)), beta))
+    grid = gamma_grid(SqcConfig())
+    _, _, totals = grid_case(base, bits)
+    first, second = np.lexsort((grid, np.abs(grid - 1.0), totals))[:2]
+    while True:
+        row = rng.standard_normal((1, beta))
+        _, _, losses = grid_case(row, bits)
+        if losses[first] > losses[second]:
+            break
+    alpha = np.sqrt((totals[second] - totals[first]) / (losses[first] - losses[second]))
+    return np.vstack([base, alpha * row])
+
+
+def test_calibration_matches_full_search():
+    rng = np.random.default_rng(22)
+    for trial in range(480):
+        bits = 2 + trial % 3
+        beta = (4, 8, 16, 32)[trial // 3 % 4]
+        block = rng.standard_normal((int(rng.integers(1, 40)), beta))
+        if trial % 4 == 1:
+            block = np.round(block * 2.0) / 2.0  # coarse values, exact ties
+        elif trial % 4 == 2:
+            block[rng.random(block.shape) < 0.5] = 0.0
+        assert_matches_reference(block * 10.0 ** rng.uniform(-6, 6), bits)
+    rescored = 0
+    for trial in range(30):
+        bits, beta = 2 + trial % 3, (8, 16, 32)[trial // 3 % 3]
+        block = near_tie(rng, bits, beta)
+        scales, zeros, exact = grid_case(block, bits)
+        keep = sqc._survivors(block, bits, scales, zeros)
+        rescored += len(keep) >= 2 and len(set(exact[keep])) >= 2
+        assert_matches_reference(block, bits)
+    assert rescored >= 20  # near-ties the screen cannot split: scored exactly
+
+
+@pytest.mark.parametrize("magnitude, value", [(1.0, 1e-40), (1e30, 1e-10)])
+def test_block_outside_float32_normal_range_keeps_every_candidate(magnitude, value):
+    # no power of two brings both magnitudes into float32's normal range
+    block = np.random.default_rng(23).standard_normal((6, 16)) * magnitude
+    block[2, 5] = value
+    scales, zeros = candidates(block, 2)
+    assert sqc._screen_totals(block, 2, scales, zeros) is None
+    assert len(sqc._survivors(block, 2, scales, zeros)) == len(scales)
+    for bits in (2, 3, 4):
+        assert_matches_reference(block, bits)
+
+
+@pytest.mark.parametrize("rows", [1024, 4096])
+def test_screen_leaves_at_most_two_candidates(rows):
+    # a deterministic stand-in for a timing check: each survivor costs one
+    # exact float64 pass over the block
+    rng = np.random.default_rng(24)
+    for bits in (2, 3, 4):
+        block = rng.standard_normal((rows, 128))
+        scales, zeros = candidates(block, bits)
+        assert len(sqc._survivors(block, bits, scales, zeros)) <= 2
