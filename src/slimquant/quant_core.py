@@ -137,14 +137,23 @@ def quantize_uniform(
     return QuantizedBlock(codes=codes, params=params)
 
 
-def dequantize(qb: QuantizedBlock) -> np.ndarray:
-    """Decode a block back to float32."""
-    codes = qb.codes.astype(np.float32)
-    scale = qb.params.scale.astype(np.float32)[:, None]
+def int_levels(qb: QuantizedBlock) -> np.ndarray:
+    """The block's integer levels, int8 in the codes' layout: code - zero,
+    or 2 code - 1 in the sign/magnitude form. Exact, because codes and
+    zero-points are at most 15."""
     if qb.params.binary:
-        return (codes * np.float32(2.0) - np.float32(1.0)) * scale
-    zero = qb.params.zero.astype(np.float32)[:, None]
-    return (codes - zero) * scale
+        levels = np.multiply(qb.codes, 2, dtype=np.int8, casting="unsafe")
+        levels -= 1
+        return levels
+    return np.subtract(qb.codes, qb.params.zero[:, None], dtype=np.int8, casting="unsafe")
+
+
+def dequantize(qb: QuantizedBlock) -> np.ndarray:
+    """Decode a block back to float32: its integer levels times the row
+    scales, in one float32 buffer."""
+    w = int_levels(qb).astype(np.float32)
+    w *= qb.params.scale.astype(np.float32)[:, None]
+    return w
 
 
 def binarize(block: np.ndarray) -> tuple[np.ndarray, float]:

@@ -41,8 +41,63 @@ def test_single_group_equals_plain_gemm():
     blocks, _ = random_blocks(rng, 6, 8, 8)
     pm = pack(blocks, 6, 8, 8)
     x = random_calib(rng, 5, 8)
-    assert np.array_equal(packed_matmul(pm, x),
-                          x @ dequantize(blocks[0]).T)
+    qb = pm.group_block(0)
+    levels = qb.codes.astype(np.float32) - qb.params.zero.astype(np.float32)[:, None]
+    assert np.array_equal(packed_matmul(pm, x), (x @ levels.T) * qb.params.scale)
+
+
+def group_kinds_blocks(rng, n, beta, kinds):
+    """One block per (bits, kind): kind "sign" is the sign/magnitude form,
+    "low" and "high" put every zero-point at 0 or at maxq, "random" draws
+    them."""
+    blocks = []
+    for bits, kind in kinds:
+        maxq = (1 << bits) - 1
+        codes = rng.integers(0, maxq + 1, size=(n, beta)).astype(np.uint8)
+        scale = rng.uniform(0.01, 2.0, size=n).astype(np.float32)
+        zero = {
+            "sign": np.zeros(n),
+            "low": np.zeros(n),
+            "high": np.full(n, maxq),
+            "random": rng.integers(0, maxq + 1, size=n),
+        }[kind].astype(np.uint8)
+        params = GroupQuantParams(bits, scale, zero, binary=kind == "sign")
+        blocks.append(QuantizedBlock(codes=codes, params=params))
+    return blocks
+
+
+GROUP_KIND_CASES = {
+    "sign_magnitude": [(1, "sign"), (2, "random"), (1, "sign"), (4, "high")],
+    "affine_1bit": [(1, "random"), (1, "low"), (1, "high"), (3, "random")],
+    "zero_points_at_0": [(1, "low"), (2, "low"), (3, "low"), (4, "low")],
+    "zero_points_at_maxq": [(1, "high"), (2, "high"), (3, "high"), (4, "high")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUP_KIND_CASES))
+@pytest.mark.parametrize("beta", [16, 32])
+def test_group_kinds_at_every_token_count(case, beta):
+    rng = np.random.default_rng(9)
+    n, kinds = 12, GROUP_KIND_CASES[case]
+    m = beta * len(kinds)
+    blocks = group_kinds_blocks(rng, n, beta, kinds)
+    pm = pack(blocks, n, m, beta)
+    w = np.concatenate([dequantize(b) for b in blocks], axis=1)
+    # the same model with every affine group's codes at its zero-points
+    at_zero = [
+        QuantizedBlock(codes=np.repeat(b.params.zero[:, None], beta, axis=1), params=b.params)
+        for b in blocks if not b.params.binary
+    ]
+    pm_zero = pack(at_zero, n, beta * len(at_zero), beta)
+    for t in (1, beta - 1, beta, 2 * beta):
+        x = random_calib(rng, t, m)
+        got = packed_matmul(pm, x)
+        assert float(np.abs(got - dense_reference(pm, x)).max()) <= matmul_tolerance(pm, x)
+        rows = rng.choice(m, size=t, replace=False)
+        probe = np.eye(m, dtype=np.float32)[rows]
+        assert np.array_equal(packed_matmul(pm, probe), w[:, rows].T)
+        zero_out = packed_matmul(pm_zero, x[:, : pm_zero.m])
+        assert np.array_equal(zero_out, np.zeros((t, n), np.float32))
 
 
 def test_zero_codes_at_zero_point_give_zero_output():

@@ -342,3 +342,36 @@ def test_derive_params_float32_scale():
     assert p.scale.dtype == np.float32
     assert p.zero.dtype == np.uint8
     assert p.scale[0] == np.float32(1.0 / 7.0)
+
+
+def three_step_decode(qb):
+    """Decode by casting the codes, then subtracting the zero-point (or
+    doubling and subtracting 1), then scaling, each step a new float32
+    array."""
+    codes = qb.codes.astype(np.float32)
+    scale = qb.params.scale.astype(np.float32)[:, None]
+    if qb.params.binary:
+        return (codes * np.float32(2.0) - np.float32(1.0)) * scale
+    return (codes - qb.params.zero.astype(np.float32)[:, None]) * scale
+
+
+@pytest.mark.parametrize("bits, binary", [(1, True), (1, False), (2, False), (3, False), (4, False)])
+def test_dequantize_bytes_match_three_step_decode(bits, binary):
+    rng = np.random.default_rng(15)
+    n, width, maxq = 64, 48, (1 << bits) - 1
+    codes = rng.integers(0, maxq + 1, size=(n, width)).astype(np.uint8)
+    codes[0] = maxq
+    codes[1] = 0
+    scale = (rng.uniform(0.5, 2.0, size=n) * 2.0 ** rng.integers(-30, 30, size=n)).astype(np.float32)
+    zero = np.zeros(n, dtype=np.uint8)
+    if not binary:
+        zero = rng.integers(0, maxq + 1, size=n).astype(np.uint8)
+        zero[2:4] = (0, maxq)
+    params = GroupQuantParams(bits, scale, zero, binary=binary)
+    # row-major as quantize_uniform returns, column-major as a PackedModel holds
+    for layout in (codes, np.asfortranarray(codes)):
+        qb = QuantizedBlock(codes=layout, params=params)
+        got, ref = dequantize(qb), three_step_decode(qb)
+        assert got.dtype == ref.dtype == np.float32
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()

@@ -158,8 +158,8 @@ def reference_calibrate(block, bits, cfg):
 @pytest.mark.parametrize("slice_elements, shapes", [
     # slices of 4 rows at width 16 and 2 rows at width 32
     (64, ((1, 16), (9, 16), (13, 32))),
-    # the default slice: 128 rows at width 128
-    (sqc._SLICE_ELEMENTS, ((300, 128),)),
+    # the default slice: 512 rows at width 128, so two full slices and 76 rows
+    (sqc._SLICE_ELEMENTS, ((1100, 128),)),
 ])
 def test_grid_losses_bit_identical_to_reference(monkeypatch, slice_elements, shapes):
     # no row count divides evenly into slices
