@@ -16,6 +16,7 @@ import time
 from collections import Counter
 
 import numpy as np
+import scipy
 
 from .errors import ShapeMismatch, SlimQuantError
 from .kernel import dense_reference, packed_matmul
@@ -31,6 +32,17 @@ from .salience import (
 from .sba import KlConfig, output_kl, stride_subsample
 from .sqc import SqcConfig
 from .tensor_store import atomic_write, load_calibration, read_tensor, write_tensor
+
+
+# Environment variables that set a BLAS thread count. The thread count can
+# change float summation order, so the report records them.
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
 
 
 def _load_weights(path: str) -> np.ndarray:
@@ -159,7 +171,13 @@ def cmd_quantize(args) -> int:
             "metadata_bits": size.metadata_bits,
             "file_bytes": len(blob),
         },
-        "timing": {"total_s": time.perf_counter() - start},
+        "timing": {
+            "total_s": time.perf_counter() - start,
+            "stages": result.stage_s,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas_thread_env": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        },
     }
 
     outputs: list[tuple[str, bytes | str]] = [(args.out, blob)]

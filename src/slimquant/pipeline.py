@@ -13,12 +13,16 @@ Order of operations for one weight matrix:
   5. score the reconstruction against the original weights
 
 The error spreading mutates only a working copy; every reported metric
-compares against the caller's original matrix.
+compares against the caller's original matrix. The exact layer's output
+distributions are built once, in step 3, and serve both the width search
+and the final divergence score. Each step's wall time is reported in
+QuantizationResult.stage_s under the names in STAGES.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,12 +48,15 @@ from .salience import (
     salience_map,
     salient_mask_3sigma,  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 )
-from .sba import BitPlan, KlConfig, allocate_bits, output_kl, stride_subsample
+from .sba import BitPlan, KlConfig, allocate_bits, kl_reference, output_kl, stride_subsample
 from .sqc import SqcConfig, calibrate_group
 from .tensor_store import CalibrationSet
 
 # Columns per lazy batch of the in-group error spreading.
 _BATCH = 16
+
+# quantize_layer's steps, in order, as keys of QuantizationResult.stage_s.
+STAGES = ("gram_and_inverse", "salience", "width_plan", "groups", "scoring")
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,7 @@ class QuantizationResult:
     recon_mse: float
     recon_kl: float
     gammas: np.ndarray  # (k,) float64, 1.0 where calibration was off
+    stage_s: dict[str, float]  # wall seconds per step, keyed by STAGES
 
 
 def reconstruct(blocks: list[QuantizedBlock]) -> np.ndarray:
@@ -175,14 +183,18 @@ def quantize_layer(
     beta = cfg.beta
     k = m // beta
 
+    marks = [time.perf_counter()]
     # 1. Gram matrix and inverse factor
     hs = damp_and_invert(accumulate_hessian(calib), cfg.percdamp)
+    marks.append(time.perf_counter())
     # 2. salience
     sal = salience_map(w, hs, beta)
-    # 3. width plan
+    marks.append(time.perf_counter())
+    # 3. width plan, and the exact outputs every divergence is taken against
     x_all = calib.stacked()
+    ref = kl_reference(stride_subsample(x_all, cfg.kl_cfg.max_tokens), w, cfg.kl_cfg)
     if cfg.sba_enabled:
-        plan = allocate_bits(w, x_all, sal, beta, cfg.bits, cfg.kl_cfg)
+        plan = allocate_bits(w, x_all, sal, beta, cfg.bits, cfg.kl_cfg, ref=ref)
     else:
         plan = BitPlan(
             bits=np.full(k, cfg.bits, dtype=np.int64),
@@ -190,6 +202,8 @@ def quantize_layer(
             kl_curve=np.empty(0, dtype=np.float64),
             evaluations=0,
         )
+    del x_all
+    marks.append(time.perf_counter())
     # 4. per group, left to right: quantize, then compensate
     work = w.astype(np.float64)
     blocks: list[QuantizedBlock] = []
@@ -200,14 +214,20 @@ def quantize_layer(
         if cfg.compensation_enabled:
             qb = _compensate(work, qb, hs.chol_inv, lo, hi)
         blocks.append(qb)
+    del sal, work  # scoring's temporaries reuse their memory
+    marks.append(time.perf_counter())
     # 5. score against the original weights
     recon = reconstruct(blocks)
-    xs = stride_subsample(x_all, cfg.kl_cfg.max_tokens)
+    loss = proxy_loss(w, recon, hs)
+    mse = block_mse(w, recon)
+    kl = output_kl(ref.xs, w, recon, cfg.kl_cfg, ref=ref)
+    marks.append(time.perf_counter())
     return QuantizationResult(
         plan=plan,
         blocks=blocks,
-        proxy_loss=proxy_loss(w, recon, hs),
-        recon_mse=block_mse(w, recon),
-        recon_kl=output_kl(xs, w, recon, cfg.kl_cfg),
+        proxy_loss=loss,
+        recon_mse=mse,
+        recon_kl=kl,
         gammas=gammas,
+        stage_s={name: b - a for name, a, b in zip(STAGES, marks, marks[1:])},
     )

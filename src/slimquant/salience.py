@@ -43,7 +43,7 @@ class HessianState:
     """Damped activation Gram matrix with its inverse diagonal and the
     upper-triangular factor U of the inverse: (H + damping*I)^-1 == UT U."""
 
-    H: np.ndarray  # (m, m) float64, symmetric
+    H: np.ndarray  # (m, m) float64, symmetric: the caller's Gram matrix, not a copy
     damping: float
     H_inv_diag: np.ndarray  # (m,) float64, > 0
     chol_inv: np.ndarray  # (m, m) float64, upper-triangular
@@ -57,7 +57,10 @@ class SalienceMap:
 
 
 def accumulate_hessian(calib: CalibrationSet) -> np.ndarray:
-    """Mean outer product of all token vectors: (1/T) * sum_t x_t x_tT."""
+    """Mean outer product of all token vectors: (1/T) * sum_t x_t x_tT.
+
+    Each x.T @ x goes through BLAS's symmetric rank-k path, which writes one
+    triangle and mirrors it, so the result is exactly symmetric."""
     if not calib.samples or calib.token_count == 0:
         raise EmptyCalibration("need at least one token vector")
     # start from the first product and divide in place: no zero matrix and
@@ -77,19 +80,24 @@ def damp_and_invert(H: np.ndarray, percdamp: float = 0.01) -> HessianState:
     With P the reversal permutation and P A P = L L^T (one Cholesky), the
     upper factor of the inverse is U = P L^-1 P, so A^-1 = U^T U without
     ever forming A^-1; its diagonal is the column sums of U * U.
+
+    H is taken to be symmetric, as accumulate_hessian builds it: only its
+    lower triangle (LAPACK's convention) and diagonal are read, and it is
+    neither copied nor written. The returned state holds H as passed.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ShapeMismatch(f"Gram matrix must be square, got {H.shape}")
     if not (math.isfinite(percdamp) and percdamp >= 0.0):
         raise InvalidConfig(f"percdamp must be finite and >= 0, got {percdamp}")
-    H = H + H.T
-    H *= 0.5
     damping = max(float(percdamp) * float(np.mean(np.diag(H))), DAMPING_FLOOR)
-    # P A P with A = H + damping * I, built in place. H is exactly
-    # symmetric, so the transpose of the C-ordered reversal is P H P in
-    # Fortran order: LAPACK factors and inverts it without another copy.
-    reversed_a = np.ascontiguousarray(H[::-1, ::-1]).T
+    # P A P with A = H + damping * I, built in a private copy (np.array
+    # copies even a 1 x 1 view, so the damping never reaches the caller's
+    # H). The transpose of the C-ordered reversal is P HT P in Fortran
+    # order, whose lower triangle is H's lower triangle reversed: LAPACK
+    # factors and inverts it without another copy, and never reads H's
+    # upper triangle.
+    reversed_a = np.array(H[::-1, ::-1], order="C").T
     reversed_a[np.diag_indices_from(reversed_a)] += damping
     try:
         lower = scipy.linalg.cholesky(reversed_a, lower=True, overwrite_a=True)

@@ -58,6 +58,24 @@ def stride_subsample(x: np.ndarray, max_tokens: int) -> np.ndarray:
     return x[::stride]
 
 
+@dataclass(frozen=True)
+class KlReference:
+    """The exact layer's side of an output divergence: the token rows and
+    the softmax distribution of the exact outputs over them, with its log.
+    Built once per layer, it serves the width search and the final score."""
+
+    xs: np.ndarray  # (t, m) float64 token rows
+    p: np.ndarray  # (t, n) float64
+    log_p: np.ndarray  # (t, n) float64
+
+
+def kl_reference(xs: np.ndarray, w: np.ndarray, cfg: KlConfig) -> KlReference:
+    """Distributions of the exact outputs xs @ wT, every row of xs used."""
+    xs = np.asarray(xs, dtype=np.float64)
+    p = _row_distributions(xs @ np.asarray(w, dtype=np.float64).T, cfg)
+    return KlReference(xs=xs, p=p, log_p=np.log(p))
+
+
 def _row_distributions(y: np.ndarray, cfg: KlConfig) -> np.ndarray:
     p = y / cfg.temperature
     p -= p.max(axis=1, keepdims=True)
@@ -76,21 +94,31 @@ def _kl_rows(p: np.ndarray, log_p: np.ndarray, q: np.ndarray) -> float:
     return float(terms.sum(axis=1).mean())
 
 
-def output_kl(x: np.ndarray, w: np.ndarray, w_hat: np.ndarray, cfg: KlConfig) -> float:
+def output_kl(
+    x: np.ndarray,
+    w: np.ndarray,
+    w_hat: np.ndarray,
+    cfg: KlConfig,
+    *,
+    ref: KlReference | None = None,
+) -> float:
     """Mean over token rows of KL(P || Q), where P and Q are softmax
-    distributions over the exact and quantized layer outputs."""
+    distributions over the exact and quantized layer outputs.
+
+    ref, when given, must be kl_reference(x, w, cfg); the exact side is
+    then read from it instead of being recomputed."""
     x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
     w_hat = np.asarray(w_hat, dtype=np.float64)
-    if w.shape != w_hat.shape:
-        raise ShapeMismatch(f"weight shapes differ: {w.shape} vs {w_hat.shape}")
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeMismatch(f"activations {x.shape} do not match weights {w.shape}")
+    if np.shape(w) != w_hat.shape:
+        raise ShapeMismatch(f"weight shapes differ: {np.shape(w)} vs {w_hat.shape}")
+    if x.ndim != 2 or x.shape[1] != w_hat.shape[1]:
+        raise ShapeMismatch(f"activations {x.shape} do not match weights {w_hat.shape}")
     if x.shape[0] == 0:
         raise InsufficientCalibration("no token rows to compare outputs on")
-    p = _row_distributions(x @ w.T, cfg)
-    q = _row_distributions(x @ w_hat.T, cfg)
-    return _kl_rows(p, np.log(p), q)
+    if ref is None:
+        ref = kl_reference(x, w, cfg)
+    q = _row_distributions(ref.xs @ w_hat.T, cfg)
+    return _kl_rows(ref.p, ref.log_p, q)
 
 
 def _ranked_sets(group_mean: np.ndarray, p: int) -> tuple[list[int], list[int]]:
@@ -115,8 +143,14 @@ def allocate_bits(
     beta: int,
     target_bits: int,
     cfg: KlConfig,
+    *,
+    ref: KlReference | None = None,
 ) -> BitPlan:
     """Search all pairing counts p and return the divergence-minimizing plan.
+
+    Divergences are measured on the float32-rounded token rows of x, at
+    most cfg.max_tokens of them at a uniform stride. ref, when given, must
+    be kl_reference of exactly those rows and w; it is built here if not.
 
     Fake quantization here is quantize_uniform at each group's width:
     per-row min/max, or sign/magnitude at 1 bit. Range calibration and
@@ -141,7 +175,9 @@ def allocate_bits(
         raise ShapeMismatch(f"salience has {sal.group_mean.shape[0]} groups, expected {k}")
     if x.size == 0:
         raise InsufficientCalibration("bit allocation needs calibration activations")
-    xs64 = stride_subsample(x, cfg.max_tokens).astype(np.float64)
+    if ref is None:
+        ref = kl_reference(stride_subsample(x, cfg.max_tokens), w, cfg)
+    xs64 = ref.xs
 
     deq_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -160,9 +196,6 @@ def allocate_bits(
         bits[high] = target_bits + 1
         candidates.append(bits)
 
-    p_ref = _row_distributions(xs64 @ w.astype(np.float64).T, cfg)
-    log_p_ref = np.log(p_ref)
-
     prev = candidates[0]
     y = xs64 @ np.concatenate([fake_block(g, int(prev[g])) for g in range(k)], axis=1).T
     kl_curve = np.empty(len(candidates))
@@ -170,7 +203,7 @@ def allocate_bits(
         for g in map(int, np.flatnonzero(bits != prev)):
             delta = fake_block(g, int(bits[g])) - fake_block(g, int(prev[g]))
             y += xs64[:, g * beta : (g + 1) * beta] @ delta.T
-        kl_curve[p] = _kl_rows(p_ref, log_p_ref, _row_distributions(y, cfg))
+        kl_curve[p] = _kl_rows(ref.p, ref.log_p, _row_distributions(y, cfg))
         prev = bits
 
     p_star = int(np.argmin(kl_curve))  # first minimum: ties favor smaller p

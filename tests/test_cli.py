@@ -13,10 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from fixtures import clustered_layer, identity_calib, random_calib, random_layer
-from slimquant.cli import build_parser, main
+from slimquant.cli import BLAS_THREAD_VARS, build_parser, main
 from slimquant.packfmt import FLAG_BINARY_1BIT, read_packed, unpack
+from slimquant.pipeline import STAGES
 from slimquant.quant_core import dequantize, quantize_uniform
 from slimquant.tensor_store import read_tensor, write_tensor
 
@@ -379,6 +381,20 @@ def test_threads_flag_recorded_in_report(layer_files, tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "m.slmq.json").read_text())
     assert report["config"]["threads"] == 2
+
+
+def test_quantize_report_times_stages_and_records_environment(layer_files, tmp_path,
+                                                              capsys):
+    wpath, xpath, _, _ = layer_files
+    out = tmp_path / "m.slmq"
+    code, _, _ = run(capsys, *quantize_args(wpath, xpath, out))
+    assert code == 0
+    timing = json.loads((tmp_path / "m.slmq.json").read_text())["timing"]
+    assert sorted(timing["stages"]) == sorted(STAGES)
+    assert sum(timing["stages"].values()) <= timing["total_s"]
+    assert timing["numpy"] == np.__version__
+    assert timing["scipy"] == scipy.__version__
+    assert sorted(timing["blas_thread_env"]) == sorted(BLAS_THREAD_VARS)
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -17,6 +17,7 @@ from slimquant.errors import (
     ShapeMismatch,
 )
 from slimquant.pipeline import (
+    STAGES,
     PipelineConfig,
     QuantizationResult,
     proxy_loss,
@@ -31,6 +32,7 @@ from slimquant.quant_core import (
     quantize_uniform,
 )
 from slimquant.salience import HessianState
+from slimquant.sba import KlConfig, output_kl, stride_subsample
 from slimquant.sqc import calibrate_group
 from slimquant.tensor_store import CalibrationSet
 
@@ -193,6 +195,28 @@ def test_run_is_deterministic():
     assert a.recon_kl == b.recon_kl
     assert np.array_equal(a.gammas, b.gammas)
     assert np.array_equal(a.plan.bits, b.plan.bits)
+
+
+@pytest.mark.parametrize("sba", [True, False])
+@pytest.mark.parametrize("max_tokens", [4096, 100])
+def test_recon_kl_is_output_kl_of_the_strided_rows(sba, max_tokens):
+    # the final score reads the exact side from the reference the width
+    # search built; it must be the number output_kl computes from scratch
+    w, x = clustered_layer(3, n=16, m=256, t=512)
+    calib = CalibrationSet([x[:200], x[200:]])
+    kl_cfg = KlConfig(max_tokens=max_tokens)
+    cfg = PipelineConfig(beta=64, bits=2, sba_enabled=sba, kl_cfg=kl_cfg)
+    res = quantize_layer(w, calib, cfg)
+    xs = stride_subsample(calib.stacked(), max_tokens)
+    assert (len(xs) < 512) == (max_tokens < 512)
+    assert res.recon_kl == output_kl(xs, w, reconstruct(res.blocks), kl_cfg)
+
+
+def test_stage_times_cover_every_step():
+    w, x = clustered_layer(4, n=16, m=256, t=512)
+    res = quantize_layer(w, CalibrationSet([x]), PipelineConfig(beta=64, bits=2))
+    assert tuple(res.stage_s) == STAGES
+    assert all(isinstance(v, float) and v >= 0.0 for v in res.stage_s.values())
 
 
 def test_gammas_cover_groups_and_default_to_unity():

@@ -81,6 +81,24 @@ def test_gram_bit_identical_to_sum_from_zero():
         assert H.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 7, 1024])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_samples", [1, 3])
+def test_gram_is_exactly_symmetric(m, dtype, n_samples):
+    # damp_and_invert reads only the lower triangle; this is the premise
+    # that makes that safe for every Gram matrix the pipeline builds
+    rng = np.random.default_rng(m + n_samples)
+    samples = [rng.standard_normal((24, m)).astype(dtype) for _ in range(n_samples)]
+    H = accumulate_hessian(CalibrationSet(samples))
+    assert np.array_equal(H, H.T)
+    # non-contiguous views: every third token row of every other channel
+    wide = rng.standard_normal((72, 2 * m)).astype(dtype)
+    views = [wide[i::3, ::2] for i in range(n_samples)]
+    assert not views[0].flags.c_contiguous
+    H = accumulate_hessian(CalibrationSet(views))
+    assert np.array_equal(H, H.T)
+
+
 def test_empty_calibration_rejected():
     with pytest.raises(EmptyCalibration):
         accumulate_hessian(CalibrationSet([]))
@@ -150,6 +168,44 @@ def test_inverse_factor_matches_three_step_reference():
         np.testing.assert_allclose(hs.chol_inv, upper, rtol=1e-12,
                                    atol=1e-12 * np.abs(upper).max())
         assert np.array_equal(hs.chol_inv, np.triu(hs.chol_inv))
+
+
+@pytest.mark.parametrize("m", [1, 2, 33])
+def test_damp_and_invert_leaves_caller_array_alone(m):
+    # a 1 x 1 reversal is a view even through np.ascontiguousarray, so a
+    # missing copy wrote the damping into the caller's matrix
+    rng = np.random.default_rng(m)
+    b = rng.standard_normal((2 * m, m))
+    H = b.T @ b / (2 * m)
+    before = H.copy()
+    hs = damp_and_invert(H, percdamp=0.01)
+    assert np.array_equal(H, before)
+    assert hs.H is H
+    for out in (hs.H_inv_diag, hs.chol_inv):
+        assert not np.shares_memory(out, H)
+    assert not np.shares_memory(hs.H_inv_diag, hs.chol_inv)
+
+
+def test_asymmetric_gram_reads_lower_triangle():
+    # the factor of an asymmetric H is the factor of the symmetric matrix
+    # that H's lower triangle and diagonal define, bit for bit
+    rng = np.random.default_rng(23)
+    cases = [np.array([[2.5]])]
+    for m in (2, 7, 33, 96):
+        b = rng.standard_normal((3 * m, m))
+        H = b.T @ b / (3 * m)
+        H[np.triu_indices(m, 1)] += rng.standard_normal(m * (m - 1) // 2)
+        cases.append(H)
+    q, _ = np.linalg.qr(rng.standard_normal((48, 48)))
+    cases.append((q * np.logspace(0, -4, 48)) @ q.T)  # asymmetric by rounding
+    for H in cases:
+        lower = np.tril(H) + np.tril(H, -1).T
+        for percdamp in (0.01, 0.0):
+            hs = damp_and_invert(H, percdamp)
+            ref = damp_and_invert(lower, percdamp)
+            assert hs.damping == ref.damping
+            assert hs.chol_inv.tobytes() == ref.chol_inv.tobytes()
+            assert hs.H_inv_diag.tobytes() == ref.H_inv_diag.tobytes()
 
 
 def test_singular_factor_rejected(monkeypatch):

@@ -29,6 +29,7 @@ from slimquant.sba import (
     BitPlan,
     KlConfig,
     allocate_bits,
+    kl_reference,
     output_kl,
     stride_subsample,
 )
@@ -228,6 +229,24 @@ def test_uniform_candidate_is_plain_fakequant():
         sl = slice(g * 8, (g + 1) * 8)
         w_hat[:, sl] = dequantize(quantize_uniform(w[:, sl], 2))
     assert plan.kl_curve[0] == pytest.approx(output_kl(x, w, w_hat, cfg), rel=1e-12)
+
+
+def test_reference_reuse_changes_no_bits():
+    # a KlReference built once gives the same curve and score, to the bit,
+    # as the ones allocate_bits and output_kl build for themselves
+    for seed, max_tokens in ((70, 4096), (71, 7)):
+        w, x, sal = plan_inputs(seed, t=20)
+        cfg = KlConfig(max_tokens=max_tokens)
+        xs = stride_subsample(x, max_tokens)
+        ref = kl_reference(xs, w, cfg)
+        own = allocate_bits(w, x, sal, 8, 2, cfg)
+        shared = allocate_bits(w, x, sal, 8, 2, cfg, ref=ref)
+        assert own.kl_curve.tobytes() == shared.kl_curve.tobytes()
+        assert np.array_equal(own.bits, shared.bits)
+        w_hat = fake_quantize(w, list(own.bits), 8)
+        p_before = ref.p.copy()
+        assert output_kl(xs, w, w_hat, cfg, ref=ref) == output_kl(xs, w, w_hat, cfg)
+        assert np.array_equal(ref.p, p_before)
 
 
 def test_monotone_salience_relabel_keeps_plan():
