@@ -135,6 +135,7 @@ def cmd_quantize(args) -> int:
     size = packed_size_report(pm)
 
     gamma_hist = Counter(repr(float(g)) for g in result.gammas)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {
         "config": {
             "bits": cfg.bits,
@@ -176,6 +177,7 @@ def cmd_quantize(args) -> int:
             "stages": result.stage_s,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "blas_thread_env": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
         },
     }

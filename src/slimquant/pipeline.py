@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg.blas
 
 from .errors import (
     BadGroupSize,
@@ -97,15 +98,23 @@ def reconstruct(blocks: list[QuantizedBlock]) -> np.ndarray:
 
 def proxy_loss(w: np.ndarray, w_hat: np.ndarray, hs: HessianState) -> float:
     """Quadratic-form reconstruction loss tr(D (H + damping I) DT),
-    D = w_hat - w: squared output error averaged over calibration tokens."""
-    w = np.asarray(w, dtype=np.float64)
-    w_hat = np.asarray(w_hat, dtype=np.float64)
+    D = w_hat - w: squared output error averaged over calibration tokens.
+
+    Since UT U = (H + damping I)^-1 for U = hs.chol_inv, the loss is
+    ||D U^-1||_F^2: one triangular solve, done in D's buffer."""
+    w, w_hat = np.asarray(w), np.asarray(w_hat)
     if w.shape != w_hat.shape:
         raise ShapeMismatch(f"weight shapes differ: {w.shape} vs {w_hat.shape}")
-    if w.shape[1] != hs.H.shape[0]:
-        raise ShapeMismatch(f"weights have {w.shape[1]} channels, Gram has {hs.H.shape[0]}")
-    d = w_hat - w
-    return float(np.sum((d @ hs.H) * d) + hs.damping * np.sum(d * d))
+    if w.ndim != 2 or w.shape[1] != hs.chol_inv.shape[0]:
+        raise ShapeMismatch(
+            f"weights {w.shape} do not match a Gram matrix of {hs.chol_inv.shape[0]} channels"
+        )
+    d = np.subtract(w_hat, w, dtype=np.float64)
+    # X U = D is UT XT = DT; DT of a C-ordered D is Fortran-ordered, so
+    # dtrsm solves it in place
+    x = scipy.linalg.blas.dtrsm(1.0, hs.chol_inv, d.T, trans_a=1, overwrite_b=1)
+    np.square(x, out=x)
+    return float(x.sum())
 
 
 def _quantize_group(
@@ -158,12 +167,11 @@ def _compensate(
             err[j] = (col - deq) / d[j]
             cols[j + 1 : b1] -= u[lo + j, lo + j + 1 : lo + b1, None] * err[j]
         cols[b1:] -= u[lo + b0 : lo + b1, lo + b1 : hi].T @ err[b0:b1]
-    err = err.T
-    work[:, hi:] -= err @ u[lo:hi, hi:]
-    if not (np.all(np.isfinite(err)) and np.all(np.isfinite(work[:, hi:]))):
+    if not np.all(np.isfinite(err)):
         raise NonFiniteIntermediate(
             f"error spreading produced non-finite values at group {lo // beta}"
         )
+    work[:, hi:] -= err.T @ u[lo:hi, hi:]
     return QuantizedBlock(codes=codes.T, params=p)
 
 
@@ -210,6 +218,10 @@ def quantize_layer(
     gammas = np.ones(k, dtype=np.float64)
     for g in range(k):
         lo, hi = g * beta, (g + 1) * beta
+        # the spreading from earlier groups has reached these columns; each
+        # column is checked once, before anything reads it
+        if not np.all(np.isfinite(work[:, lo:hi])):
+            raise NonFiniteIntermediate(f"error spreading left non-finite values in group {g}")
         qb, gammas[g] = _quantize_group(work[:, lo:hi], int(plan.bits[g]), cfg)
         if cfg.compensation_enabled:
             qb = _compensate(work, qb, hs.chol_inv, lo, hi)

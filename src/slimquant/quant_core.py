@@ -174,10 +174,11 @@ def binarize_block(block: np.ndarray) -> QuantizedBlock:
 
 
 def block_mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of squared element differences."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """Sum of squared element differences, in float64; squared in place in
+    the one difference array."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.sum(d * d))
+    d = np.subtract(a, b, dtype=np.float64)
+    np.square(d, out=d)
+    return float(d.sum())

@@ -11,6 +11,7 @@ drives hard get small inverse diagonals and therefore large salience.
 The inverse itself is never formed: damp_and_invert computes its upper
 Cholesky factor (used by error compensation) from one Cholesky
 factorization and one triangular inversion, and reads d off that factor.
+It allocates one m x m array, and the factor is built in it.
 
 The group means drive the width search. salient_mask_3sigma flags the
 outliers of one block of the map; `slimquant inspect` reports its density
@@ -37,16 +38,20 @@ from .tensor_store import CalibrationSet
 
 DAMPING_FLOOR = 1e-8
 
+# Elements per chunk of the in-place buffer reversal (512 KiB of float64).
+_REVERSE_CHUNK = 65536
+
 
 @dataclass(frozen=True)
 class HessianState:
-    """Damped activation Gram matrix with its inverse diagonal and the
-    upper-triangular factor U of the inverse: (H + damping*I)^-1 == UT U."""
+    """What quantization keeps of the damped Gram matrix H + damping*I:
+    the damping, the inverse diagonal and the upper-triangular factor U of
+    the inverse, (H + damping*I)^-1 == UT U. The Gram matrix itself is not
+    held."""
 
-    H: np.ndarray  # (m, m) float64, symmetric: the caller's Gram matrix, not a copy
     damping: float
     H_inv_diag: np.ndarray  # (m,) float64, > 0
-    chol_inv: np.ndarray  # (m, m) float64, upper-triangular
+    chol_inv: np.ndarray  # (m, m) float64, upper-triangular, Fortran order
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,8 @@ def damp_and_invert(H: np.ndarray, percdamp: float = 0.01) -> HessianState:
 
     H is taken to be symmetric, as accumulate_hessian builds it: only its
     lower triangle (LAPACK's convention) and diagonal are read, and it is
-    neither copied nor written. The returned state holds H as passed.
+    never written. One m x m array is allocated: the reversed damped copy,
+    which LAPACK factors and inverts in place and which then becomes U.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -106,12 +112,25 @@ def damp_and_invert(H: np.ndarray, percdamp: float = 0.01) -> HessianState:
     lower_inv, info = scipy.linalg.lapack.dtrtri(lower, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefinite(f"Cholesky factor is singular (dtrtri info {info})")
-    return HessianState(
-        H=H,
-        damping=damping,
-        H_inv_diag=np.einsum("ij,ij->j", lower_inv, lower_inv)[::-1].copy(),
-        chol_inv=np.asfortranarray(lower_inv[::-1, ::-1]),
-    )
+    h_inv_diag = np.einsum("ij,ij->j", lower_inv, lower_inv)[::-1].copy()
+    # P L^-1 P: reversing both axes of a Fortran-ordered array reverses its
+    # flat buffer, and the result is Fortran-ordered again
+    _reverse_in_place(lower_inv.ravel(order="F"))
+    return HessianState(damping=damping, H_inv_diag=h_inv_diag, chol_inv=lower_inv)
+
+
+def _reverse_in_place(flat: np.ndarray) -> None:
+    """flat[:] = flat[::-1] for a contiguous 1-D array, swapping mirrored
+    chunks through one _REVERSE_CHUNK-element buffer."""
+    size = flat.shape[0]
+    half = size // 2
+    buf = np.empty(min(_REVERSE_CHUNK, half), dtype=flat.dtype)
+    for lo in range(0, half, _REVERSE_CHUNK):
+        hi = min(lo + _REVERSE_CHUNK, half)
+        front, back, tmp = flat[lo:hi], flat[size - hi : size - lo], buf[: hi - lo]
+        np.copyto(tmp, front)
+        np.copyto(front, back[::-1])
+        np.copyto(back, tmp[::-1])
 
 
 def salience_map(w: np.ndarray, hs: HessianState, beta: int) -> SalienceMap:

@@ -23,6 +23,10 @@ from .quant_core import dequantize, quantize_uniform
 from .quant_core import binarize_block  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 from .salience import SalienceMap
 
+# Elements per row block of the divergence scoring (512 KiB of float64),
+# as in sqc's slices: the block and its buffer stay in cache.
+_BLOCK_ELEMENTS = 65536
+
 
 @dataclass(frozen=True)
 class KlConfig:
@@ -72,26 +76,43 @@ class KlReference:
 def kl_reference(xs: np.ndarray, w: np.ndarray, cfg: KlConfig) -> KlReference:
     """Distributions of the exact outputs xs @ wT, every row of xs used."""
     xs = np.asarray(xs, dtype=np.float64)
-    p = _row_distributions(xs @ np.asarray(w, dtype=np.float64).T, cfg)
+    p = xs @ np.asarray(w, dtype=np.float64).T
+    _row_distributions(p, cfg)
     return KlReference(xs=xs, p=p, log_p=np.log(p))
 
 
-def _row_distributions(y: np.ndarray, cfg: KlConfig) -> np.ndarray:
-    p = y / cfg.temperature
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    np.maximum(p, cfg.epsilon, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+def _row_distributions(y: np.ndarray, cfg: KlConfig) -> None:
+    """Overwrite each row of y with its tempered softmax, floored at
+    cfg.epsilon and renormalized."""
+    y /= cfg.temperature
+    y -= y.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
+    np.maximum(y, cfg.epsilon, out=y)
+    y /= y.sum(axis=1, keepdims=True)
 
 
-def _kl_rows(p: np.ndarray, log_p: np.ndarray, q: np.ndarray) -> float:
-    """Mean over rows of sum p * (log p - log q); overwrites q."""
-    terms = np.log(q, out=q)
-    np.subtract(log_p, terms, out=terms)
-    terms *= p
-    return float(terms.sum(axis=1).mean())
+def _kl_score(ref: KlReference, y: np.ndarray, cfg: KlConfig) -> float:
+    """Mean over rows of KL(ref.p || softmax of y's rows); y is not written.
+
+    The rows are taken in blocks of about _BLOCK_ELEMENTS elements through
+    one reused buffer. Every max and sum still runs over one whole
+    contiguous row, so the score is the same to the bit as one pass over
+    the full array."""
+    t, n = y.shape
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    buf = np.empty((min(rows, t), n))
+    row_kl = np.empty(t)
+    for r0 in range(0, t, rows):
+        r1 = min(r0 + rows, t)
+        q = buf[: r1 - r0]
+        np.copyto(q, y[r0:r1])
+        _row_distributions(q, cfg)
+        np.log(q, out=q)
+        np.subtract(ref.log_p[r0:r1], q, out=q)
+        q *= ref.p[r0:r1]
+        q.sum(axis=1, out=row_kl[r0:r1])
+    return float(row_kl.mean())
 
 
 def output_kl(
@@ -117,8 +138,7 @@ def output_kl(
         raise InsufficientCalibration("no token rows to compare outputs on")
     if ref is None:
         ref = kl_reference(x, w, cfg)
-    q = _row_distributions(ref.xs @ w_hat.T, cfg)
-    return _kl_rows(ref.p, ref.log_p, q)
+    return _kl_score(ref, ref.xs @ w_hat.T, cfg)
 
 
 def _ranked_sets(group_mean: np.ndarray, p: int) -> tuple[list[int], list[int]]:
@@ -179,13 +199,13 @@ def allocate_bits(
         ref = kl_reference(stride_subsample(x, cfg.max_tokens), w, cfg)
     xs64 = ref.xs
 
+    # float32 decodes, widened to float64 where they are used
     deq_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def fake_block(g: int, bits: int) -> np.ndarray:
         key = (g, bits)
         if key not in deq_cache:
-            qb = quantize_uniform(w[:, g * beta : (g + 1) * beta], bits)
-            deq_cache[key] = dequantize(qb).astype(np.float64)
+            deq_cache[key] = dequantize(quantize_uniform(w[:, g * beta : (g + 1) * beta], bits))
         return deq_cache[key]
 
     candidates = []
@@ -197,13 +217,21 @@ def allocate_bits(
         candidates.append(bits)
 
     prev = candidates[0]
-    y = xs64 @ np.concatenate([fake_block(g, int(prev[g])) for g in range(k)], axis=1).T
+    w_hat = np.concatenate(
+        [fake_block(g, int(prev[g])) for g in range(k)], axis=1, dtype=np.float64
+    )
+    y = xs64 @ w_hat.T
+    del w_hat
+    update = np.empty_like(y)
     kl_curve = np.empty(len(candidates))
     for p, bits in enumerate(candidates):
         for g in map(int, np.flatnonzero(bits != prev)):
-            delta = fake_block(g, int(bits[g])) - fake_block(g, int(prev[g]))
-            y += xs64[:, g * beta : (g + 1) * beta] @ delta.T
-        kl_curve[p] = _kl_rows(ref.p, ref.log_p, _row_distributions(y, cfg))
+            delta = np.subtract(
+                fake_block(g, int(bits[g])), fake_block(g, int(prev[g])), dtype=np.float64
+            )
+            np.matmul(xs64[:, g * beta : (g + 1) * beta], delta.T, out=update)
+            y += update
+        kl_curve[p] = _kl_score(ref, y, cfg)
         prev = bits
 
     p_star = int(np.argmin(kl_curve))  # first minimum: ties favor smaller p

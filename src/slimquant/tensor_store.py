@@ -144,10 +144,15 @@ class CalibrationSet:
         return sum(s.shape[0] for s in self.samples)
 
     def stacked(self) -> np.ndarray:
-        """All token rows as one (token_count, channels) float32 matrix."""
+        """All token rows as one (token_count, channels) float32 matrix.
+
+        A set of one float32 sample returns that sample itself, not a copy:
+        callers must not write to the result."""
         if not self.samples:
             raise EmptyCalibration("calibration set has no samples")
-        return np.concatenate([np.asarray(s, dtype=np.float32) for s in self.samples], axis=0)
+        if len(self.samples) == 1:
+            return np.asarray(self.samples[0], dtype=np.float32)
+        return np.concatenate(self.samples, axis=0, dtype=np.float32)
 
 
 def load_calibration(path: str) -> CalibrationSet:

@@ -394,6 +394,9 @@ def test_quantize_report_times_stages_and_records_environment(layer_files, tmp_p
     assert sum(timing["stages"].values()) <= timing["total_s"]
     assert timing["numpy"] == np.__version__
     assert timing["scipy"] == scipy.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert timing["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert timing["blas"]["name"] and timing["blas"]["version"]
     assert sorted(timing["blas_thread_env"]) == sorted(BLAS_THREAD_VARS)
 
 

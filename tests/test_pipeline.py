@@ -10,9 +10,11 @@ from fixtures import (
     random_calib,
     random_layer,
 )
+from slimquant import pipeline
 from slimquant.errors import (
     BadGroupSize,
     InvalidConfig,
+    NonFiniteIntermediate,
     NonFiniteValue,
     ShapeMismatch,
 )
@@ -31,7 +33,7 @@ from slimquant.quant_core import (
     dequantize,
     quantize_uniform,
 )
-from slimquant.salience import HessianState
+from slimquant.salience import HessianState, accumulate_hessian, damp_and_invert
 from slimquant.sba import KlConfig, output_kl, stride_subsample
 from slimquant.sqc import calibrate_group
 from slimquant.tensor_store import CalibrationSet
@@ -119,15 +121,31 @@ def test_proxy_loss_identity_gram_is_frobenius():
     rng = np.random.default_rng(6)
     w = random_layer(rng, 4, 8)
     w_hat = w + rng.normal(0, 0.1, w.shape).astype(np.float32)
-    hs = HessianState(H=np.eye(8), damping=0.0,
-                      H_inv_diag=np.ones(8), chol_inv=np.eye(8))
+    hs = HessianState(damping=0.0, H_inv_diag=np.ones(8), chol_inv=np.eye(8))
     d = w_hat.astype(np.float64) - w.astype(np.float64)
     assert proxy_loss(w, w_hat, hs) == pytest.approx(float((d * d).sum()),
                                                      rel=1e-12)
-    damped = HessianState(H=np.eye(8), damping=0.5,
-                          H_inv_diag=np.ones(8), chol_inv=np.eye(8))
+    # H = I damped by 0.5: (1.5 I)^-1 = UT U with U = I / sqrt(1.5)
+    damped = HessianState(damping=0.5, H_inv_diag=np.full(8, 1.0 / 1.5),
+                          chol_inv=np.asfortranarray(np.eye(8) / np.sqrt(1.5)))
     assert proxy_loss(w, w_hat, damped) == pytest.approx(
         1.5 * float((d * d).sum()), rel=1e-12)
+
+
+def test_proxy_loss_matches_damped_gram_form():
+    # the triangular solve against the inverse factor against the
+    # quadratic form with the damped Gram matrix written out
+    cases = [clustered_layer(seed) for seed in range(3)]
+    rng = np.random.default_rng(12)
+    cases.append((random_layer(rng, 64, 512), random_calib(rng, 1024, 512)))
+    for w, x in cases:
+        H = accumulate_hessian(CalibrationSet([x]))
+        hs = damp_and_invert(H)
+        w_hat = reconstruct([quantize_uniform(w[:, lo:lo + 128], 2)
+                             for lo in range(0, 512, 128)])
+        d = w_hat.astype(np.float64) - w.astype(np.float64)
+        ref = float(np.trace(d @ (H + hs.damping * np.eye(512)) @ d.T))
+        assert proxy_loss(w, w_hat, hs) == pytest.approx(ref, rel=1e-12)
 
 
 def test_proxy_loss_equals_output_error_mean():
@@ -346,6 +364,34 @@ def test_columnwise_matches_per_column_reference():
         ref, hs = columnwise_reference(w, calib, cfg, res.plan.bits)
         assert blocks_equal(res.blocks, ref)
         assert res.proxy_loss == proxy_loss(w, reconstruct(ref), hs)
+
+
+@pytest.mark.parametrize("row, col", [(0, 5), (3, 20)])
+def test_non_finite_factor_raises(monkeypatch, row, col):
+    # (0, 5) spreads inside group 0, (3, 20) from group 0 into group 1
+    rng = np.random.default_rng(13)
+    w = random_layer(rng, 8, 64)
+    calib = CalibrationSet([random_calib(rng, 128, 64)])
+
+    def with_inf(H, percdamp):
+        hs = damp_and_invert(H, percdamp)
+        hs.chol_inv[row, col] = np.inf
+        return hs
+
+    monkeypatch.setattr(pipeline, "damp_and_invert", with_inf)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIntermediate):
+        quantize_layer(w, calib, PipelineConfig(beta=16, bits=2, sba_enabled=False))
+
+
+def test_one_sample_calibration_is_not_copied_or_written():
+    rng = np.random.default_rng(14)
+    w = random_layer(rng, 8, 64)
+    x = random_calib(rng, 128, 64)
+    before = x.copy()
+    calib = CalibrationSet([x])
+    assert calib.stacked() is x
+    quantize_layer(w, calib, PipelineConfig(beta=16, bits=2))
+    assert x.tobytes() == before.tobytes()
 
 
 def test_plan_widths_match_blocks():

@@ -1,8 +1,11 @@
 """Tests for Gram accumulation, damped inversion and salience scoring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from fixtures import identity_calib, random_calib
 from slimquant.errors import (
@@ -13,8 +16,10 @@ from slimquant.errors import (
     ShapeMismatch,
 )
 from slimquant.salience import (
+    _REVERSE_CHUNK,
     DAMPING_FLOOR,
     HessianState,
+    _reverse_in_place,
     accumulate_hessian,
     damp_and_invert,
     salience_map,
@@ -26,7 +31,6 @@ from slimquant.tensor_store import CalibrationSet
 def unit_state(m):
     """HessianState for an exactly-identity inverse (no damping applied)."""
     return HessianState(
-        H=np.eye(m),
         damping=0.0,
         H_inv_diag=np.ones(m),
         chol_inv=np.eye(m),
@@ -125,7 +129,7 @@ def test_inverse_factor_convention():
     b = rng.standard_normal((40, 16))
     H = b.T @ b / 40.0
     hs = damp_and_invert(H, percdamp=0.01)
-    A = hs.H + hs.damping * np.eye(16)
+    A = H + hs.damping * np.eye(16)
     inv = np.linalg.inv(A)
     assert np.allclose(hs.H_inv_diag, np.diag(inv), rtol=1e-9, atol=1e-12)
     # chol_inv is upper-triangular and UT U reproduces the full inverse
@@ -180,10 +184,49 @@ def test_damp_and_invert_leaves_caller_array_alone(m):
     before = H.copy()
     hs = damp_and_invert(H, percdamp=0.01)
     assert np.array_equal(H, before)
-    assert hs.H is H
     for out in (hs.H_inv_diag, hs.chol_inv):
         assert not np.shares_memory(out, H)
     assert not np.shares_memory(hs.H_inv_diag, hs.chol_inv)
+
+
+@pytest.mark.parametrize("m", [1, 2, 33, 400])
+def test_inverse_factor_is_reversed_inverse_cholesky(m):
+    # U = P L^-1 P with P A P = L LT, in Fortran order; at m = 400 the
+    # flat buffer spans several reversal chunks
+    rng = np.random.default_rng(40 + m)
+    b = rng.standard_normal((2 * m, m))
+    H = b.T @ b / (2 * m)
+    hs = damp_and_invert(H, percdamp=0.01)
+    lower = scipy.linalg.cholesky((H + hs.damping * np.eye(m))[::-1, ::-1], lower=True)
+    lower_inv, info = scipy.linalg.lapack.dtrtri(lower, lower=1)
+    assert info == 0
+    ref = np.asfortranarray(lower_inv[::-1, ::-1])
+    assert hs.chol_inv.flags.f_contiguous
+    assert hs.chol_inv.tobytes(order="F") == ref.tobytes(order="F")
+
+
+@pytest.mark.parametrize("size", [0, 1, _REVERSE_CHUNK - 1, _REVERSE_CHUNK,
+                                  2 * _REVERSE_CHUNK, 2 * _REVERSE_CHUNK + 1])
+def test_chunked_reversal_matches_slice_reversal(size):
+    a = np.arange(size, dtype=np.float64)
+    _reverse_in_place(a)
+    assert np.array_equal(a, np.arange(size, dtype=np.float64)[::-1])
+
+
+def test_damp_and_invert_allocates_one_matrix():
+    # the reversed damped copy is the only m x m array: LAPACK factors and
+    # inverts it in place and the inverse factor is reversed in place
+    m = 1024
+    rng = np.random.default_rng(31)
+    H = accumulate_hessian(CalibrationSet([random_calib(rng, 2 * m, m)]))
+    tracemalloc.start()
+    try:
+        hs = damp_and_invert(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hs.chol_inv.shape == (m, m)
+    assert peak < 1.2 * m * m * 8
 
 
 def test_asymmetric_gram_reads_lower_triangle():

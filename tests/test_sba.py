@@ -308,6 +308,66 @@ def test_incremental_search_matches_full_recompute():
         assert list(plan.bits) == plans[plan.p_star]
 
 
+def full_array_distributions(y, cfg):
+    """The softmax of every row of y at once, floored and renormalized."""
+    q = y / cfg.temperature
+    q -= q.max(axis=1, keepdims=True)
+    np.exp(q, out=q)
+    q /= q.sum(axis=1, keepdims=True)
+    np.maximum(q, cfg.epsilon, out=q)
+    q /= q.sum(axis=1, keepdims=True)
+    return q
+
+
+def full_array_kl(p, log_p, y, cfg):
+    """Mean over rows of KL(p || softmax(y)), over the whole arrays."""
+    return float(((log_p - np.log(full_array_distributions(y, cfg))) * p).sum(axis=1).mean())
+
+
+def full_array_curve(w, x, group_mean, beta, target, cfg):
+    """The width search's curve with every softmax and divergence taken
+    over the whole (t, n) output, the layer output updated as the search
+    updates it."""
+    xs = stride_subsample(x, cfg.max_tokens).astype(np.float64)
+    p = full_array_distributions(xs @ w.astype(np.float64).T, cfg)
+    log_p = np.log(p)
+
+    def fake(g, bits):
+        return dequantize(quantize_uniform(w[:, g * beta:(g + 1) * beta], bits)).astype(np.float64)
+
+    plans = [np.array(b) for b in oracle_plans(group_mean, target)]
+    prev = plans[0]
+    y = xs @ np.concatenate([fake(g, b) for g, b in enumerate(prev)], axis=1).T
+    curve = []
+    for bits in plans:
+        for g in np.flatnonzero(bits != prev):
+            y += xs[:, g * beta:(g + 1) * beta] @ (fake(g, bits[g]) - fake(g, prev[g])).T
+        curve.append(full_array_kl(p, log_p, y, cfg))
+        prev = bits
+    return np.array(curve)
+
+
+@pytest.mark.parametrize("n, m, beta, t, temperature", [
+    (4096, 16, 4, 50, 1.0),  # 16 rows per block, a ragged last block of 2
+    (70_000, 8, 4, 3, 1.0),  # rows longer than a block: one row per block
+    (64, 32, 8, 200, 0.7),
+])
+def test_row_blocks_match_full_array_scoring(n, m, beta, t, temperature):
+    rng = np.random.default_rng(n + t)
+    w = random_layer(rng, n, m)
+    x = random_calib(rng, t, m)
+    cfg = KlConfig(temperature=temperature)
+    w_hat = fake_quantize(w, [2] * (m // beta), beta)
+    xs = x.astype(np.float64)
+    p = full_array_distributions(xs @ w.astype(np.float64).T, cfg)
+    want = full_array_kl(p, np.log(p), xs @ w_hat.astype(np.float64).T, cfg)
+    assert np.float64(output_kl(x, w, w_hat, cfg)).tobytes() == np.float64(want).tobytes()
+    sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
+    plan = allocate_bits(w, x, sal, beta, 2, cfg)
+    want_curve = full_array_curve(w, x, sal.group_mean, beta, 2, cfg)
+    assert plan.kl_curve.tobytes() == want_curve.tobytes()
+
+
 def test_evaluation_count_matches_group_count():
     rng = np.random.default_rng(6)
     w = random_layer(rng, 4, 4096)
