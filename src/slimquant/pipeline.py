@@ -39,7 +39,9 @@ from .quant_core import (
     QuantizedBlock,
     binarize_block,  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
     block_mse,
+    decode,
     dequantize,
+    encode,
     quantize_uniform,
 )
 from .salience import (
@@ -138,8 +140,9 @@ def _compensate(
     returns the group's final block.
 
     The group is worked on as a transposed copy, so each column is one
-    contiguous row. Each column's codes and decode are bit-identical to
-    quant_core's quantize_uniform and dequantize under the same parameters.
+    contiguous row. Each column's codes and decode come from quant_core's
+    encode and decode, the rule quantize_uniform and dequantize apply to a
+    whole block.
     Inside a batch of _BATCH columns the error spreads by rank-1 updates;
     the batch then reaches the rest of the group in one matmul (GPTQ's lazy
     batch updates).
@@ -150,21 +153,13 @@ def _compensate(
     err = np.empty_like(cols)
     d = u.diagonal()[lo:hi]
     scale64, scale32 = p.scale.astype(np.float64), p.scale.astype(np.float32)
-    zero64, zero32 = p.zero.astype(np.float64), p.zero.astype(np.float32)
-    maxq = (1 << p.bit_width) - 1
+    zero64 = p.zero.astype(np.float64)
     beta = hi - lo
     for b0 in range(0, beta, _BATCH):
         b1 = min(b0 + _BATCH, beta)
         for j in range(b0, b1):
-            col = cols[j]
-            if p.binary:
-                q = col >= 0.0  # the sign convention of binarize
-                deq = (q.astype(np.float32) * np.float32(2.0) - np.float32(1.0)) * scale32
-            else:
-                q = np.clip(np.rint(col / scale64) + zero64, 0, maxq)
-                deq = (q.astype(np.float32) - zero32) * scale32
-            codes[j] = q
-            err[j] = (col - deq) / d[j]
+            codes[j] = encode(cols[j], scale64, zero64, p.bit_width, p.binary)
+            err[j] = (cols[j] - decode(codes[j], scale32, p.zero, p.binary)) / d[j]
             cols[j + 1 : b1] -= u[lo + j, lo + j + 1 : lo + b1, None] * err[j]
         cols[b1:] -= u[lo + b0 : lo + b1, lo + b1 : hi].T @ err[b0:b1]
     if not np.all(np.isfinite(err)):
@@ -181,6 +176,8 @@ def quantize_layer(
     w = np.asarray(w, dtype=np.float32)
     if w.ndim != 2:
         raise ShapeMismatch(f"weights must be 2-D, got shape {w.shape}")
+    if w.size == 0:
+        raise ShapeMismatch(f"weights need at least one row and one channel, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise NonFiniteValue("weight matrix contains NaN or infinity")
     n, m = w.shape

@@ -9,6 +9,8 @@ with one (scale, zero) pair per output row inside an n x beta block.
 Rounding is round-half-to-even everywhere, so results are platform-stable.
 1-bit groups use the sign/magnitude form instead: code = (w >= 0) and
 w' = alpha * (2 code - 1), with alpha the block's mean absolute value.
+encode and decode are the only place either rule is written out: whole
+blocks and the error compensation's single columns both go through them.
 """
 
 from __future__ import annotations
@@ -117,8 +119,8 @@ def quantize_uniform(
     block: np.ndarray, bit_width: int, params: GroupQuantParams | None = None
 ) -> QuantizedBlock:
     """Quantize an n x beta block at bit_width bits, deriving its params
-    (derive_params) unless explicit ones are supplied. Binary params take
-    the sign rule, code = (w >= 0)."""
+    (derive_params) unless explicit ones are supplied; the codes come from
+    encode."""
     b = np.asarray(block, dtype=np.float64)
     if b.ndim != 2:
         raise ShapeMismatch(f"block must be 2-D, got shape {b.shape}")
@@ -128,32 +130,52 @@ def quantize_uniform(
         raise ShapeMismatch(
             f"params are {params.bit_width}-bit, requested {bit_width}-bit"
         )
-    if params.binary:
-        return QuantizedBlock(codes=(b >= 0.0).astype(np.uint8), params=params)
-    maxq = _max_code(bit_width)
     scale = params.scale.astype(np.float64)[:, None]
     zero = params.zero.astype(np.float64)[:, None]
-    codes = np.clip(np.rint(b / scale) + zero, 0, maxq).astype(np.uint8)
+    codes = encode(b, scale, zero, bit_width, params.binary)
     return QuantizedBlock(codes=codes, params=params)
 
 
-def int_levels(qb: QuantizedBlock) -> np.ndarray:
-    """The block's integer levels, int8 in the codes' layout: code - zero,
-    or 2 code - 1 in the sign/magnitude form. Exact, because codes and
+def encode(
+    w: np.ndarray, scale: np.ndarray, zero: np.ndarray, bit_width: int, binary: bool
+) -> np.ndarray:
+    """uint8 codes of float64 values under float64 scales and zero-points
+    that broadcast against them: the sign rule, code = (w >= 0), under
+    binary params, else clamp(round(w / scale) + zero, 0, 2^N - 1). The one
+    quantizer rule, for a whole block or for a single column."""
+    if binary:
+        return (w >= 0.0).astype(np.uint8)
+    return np.clip(np.rint(w / scale) + zero, 0, _max_code(bit_width)).astype(np.uint8)
+
+
+def _levels(codes: np.ndarray, zero: np.ndarray, binary: bool) -> np.ndarray:
+    """Integer levels of codes, int8 in their layout: code - zero, or
+    2 code - 1 in the sign/magnitude form. Exact, because codes and
     zero-points are at most 15."""
-    if qb.params.binary:
-        levels = np.multiply(qb.codes, 2, dtype=np.int8, casting="unsafe")
+    if binary:
+        levels = np.multiply(codes, 2, dtype=np.int8, casting="unsafe")
         levels -= 1
         return levels
-    return np.subtract(qb.codes, qb.params.zero[:, None], dtype=np.int8, casting="unsafe")
+    return np.subtract(codes, zero, dtype=np.int8, casting="unsafe")
+
+
+def decode(codes: np.ndarray, scale: np.ndarray, zero: np.ndarray, binary: bool) -> np.ndarray:
+    """float32 decode of codes: their integer levels times float32 scales
+    that broadcast against them, in one float32 buffer."""
+    w = _levels(codes, zero, binary).astype(np.float32)
+    w *= scale
+    return w
+
+
+def int_levels(qb: QuantizedBlock) -> np.ndarray:
+    """The block's integer levels (_levels), one zero-point per row."""
+    return _levels(qb.codes, qb.params.zero[:, None], qb.params.binary)
 
 
 def dequantize(qb: QuantizedBlock) -> np.ndarray:
-    """Decode a block back to float32: its integer levels times the row
-    scales, in one float32 buffer."""
-    w = int_levels(qb).astype(np.float32)
-    w *= qb.params.scale.astype(np.float32)[:, None]
-    return w
+    """Decode a block back to float32 (decode), one scale per row."""
+    p = qb.params
+    return decode(qb.codes, p.scale.astype(np.float32)[:, None], p.zero[:, None], p.binary)
 
 
 def binarize(block: np.ndarray) -> tuple[np.ndarray, float]:

@@ -10,9 +10,11 @@ plain min/max quantizer on this objective. The search runs at 2 to 4 bits:
 The grid is searched in two passes. A float32 screen scores every
 candidate cheaply, with a proven bound on its distance from the exact
 float64 total; only the candidates the bound cannot rule out are then
-scored exactly, and the winner is picked among them by the same rule as
-before. No candidate that could win is ever dropped, ties included, so the
-gamma, codes, scales and zero-points are those of the full float64 search.
+scored exactly, by quantizing and dequantizing the block once each with
+quant_core's deployed quantizer, and the winner is picked among them by
+the same rule as before. No candidate that could win is ever dropped,
+ties included, so the gamma, codes, scales and zero-points are those of
+the full float64 search.
 """
 
 from __future__ import annotations
@@ -26,19 +28,16 @@ from .quant_core import (
     QuantizedBlock,
     _row_range,
     affine_params,
-    dequantize,  # noqa: F401  (kept importable from this module)
+    dequantize,
     params_from_range,
     quantize_uniform,
 )
 
-# Elements per slice of rows, in both passes over the grid. The slice and
-# its work buffers (1.25 MiB in the float64 pass, 512 KiB in the
-# float32 screen) stay in a 2 MiB L2 cache across all candidates. On a
-# 4096x128 block at 3 bits (a 2-vCPU Xeon, numpy 2.4, one thread) the
+# Elements per slice of rows in the float32 screen. The slice and its work
+# buffer (512 KiB together) stay in a 2 MiB L2 cache across all candidates.
+# On a 4096x128 block at 3 bits (a 2-vCPU Xeon, numpy 2.4, one thread) the
 # screen took 206 ms at 16384 elements, 140 ms at 65536 and 125 ms at
-# 131072, while the exact pass over all 101 candidates ran at 430-480 ms
-# from 16384 to 131072; smaller slices pay numpy's per-call overhead
-# instead.
+# 131072; smaller slices pay numpy's per-call overhead instead.
 _SLICE_ELEMENTS = 65536
 
 # float32's smallest normal number, and a bound on the scales that keeps
@@ -82,20 +81,25 @@ def calibrate_group(
     """
     if bit_width < 2:
         raise InvalidConfig(f"range calibration needs a width of 2 to 4 bits, got {bit_width}")
-    # a column slice of a wider matrix is copied: both passes re-read each
-    # slice of rows once per candidate, and strided rows miss the cache
+    # a column slice of a wider matrix is copied once, so that every pass
+    # over the grid reads contiguous rows
     block = np.ascontiguousarray(block, dtype=np.float64)
     grid = gamma_grid(cfg)
     lo, hi = _row_range(block)
     scales, zeros = affine_params(lo[None, :], hi[None, :], bit_width, grid[:, None])
-    keep = _survivors(block, bit_width, scales, zeros)
-    totals = grid_row_losses(block, bit_width, scales[keep], zeros[keep]).sum(axis=1)
-    # lexsort keys, last listed is primary: loss, then closeness to 1, then value
-    kept = grid[keep]
-    best = int(keep[np.lexsort((kept, np.abs(kept - 1.0), totals))[0]])
-    gamma_star = float(grid[best])
-    params = params_from_range(lo, hi, bit_width, gamma=gamma_star)
-    return quantize_uniform(block, bit_width, params), gamma_star
+    kept = grid[_survivors(block, bit_width, scales, zeros)]
+    totals = []
+    for i, gamma in enumerate(kept):
+        qb = quantize_uniform(block, bit_width, params_from_range(lo, hi, bit_width, gamma))
+        residual = block - dequantize(qb)
+        np.square(residual, out=residual)
+        totals.append(residual.sum(axis=1).sum())
+        # keep only the winner so far; lexsort keys, last listed is primary:
+        # loss, then closeness to 1, then value
+        head = kept[: i + 1]
+        if np.lexsort((head, np.abs(head - 1.0), totals))[0] == i:
+            best = qb, float(gamma)
+    return best
 
 
 def _survivors(
@@ -118,8 +122,9 @@ def _screen_totals(
     block: np.ndarray, bit_width: int, scales: np.ndarray, zeros: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Each candidate's total squared error from a float32 pass, A, and a
-    bound E with |A - T| <= E, where T is the float64 sum over rows of
-    grid_row_losses.
+    bound E with |A - T| <= E, where T is the deployed quantizer's float64
+    total: quantize_uniform, then dequantize, then the float64 residual
+    squared, summed per row and then over rows.
 
     The pass runs on the block and scales times 2^p, with p chosen to
     bring the largest |b| into [1/2, 1), so that neither the squares nor
@@ -197,53 +202,16 @@ def _screen_totals(
     return np.ldexp(approx, -2 * p), np.ldexp(bound * (1.0 + 2.0 ** -20), -2 * p)
 
 
-def grid_row_losses(
-    block: np.ndarray, bit_width: int, scales: np.ndarray, zeros: np.ndarray
-) -> np.ndarray:
-    """Per-row squared reconstruction error of a float64 block under each
-    candidate's parameters: scales/zeros are (G, n), the result (G, n).
-
-    Bit-identical to quantizing with quantize_uniform, decoding with
-    dequantize and summing each row of the squared float64 error, but run
-    over slices of rows that stay in cache for the whole grid, with no
-    per-candidate allocation. Two identities keep it exact: code - zero is
-    clip(rint(w / scale), -zero, maxq - zero), so the zero-point only moves
-    the clip bounds; and |code - zero| <= 15 times a float32 scale is exact
-    in float64, so rounding that product to float32 equals the float32
-    decode.
-    """
-    n, beta = block.shape
-    scales64 = scales.astype(np.float64)
-    floor = -zeros.astype(np.float64)
-    ceil = floor + float((1 << bit_width) - 1)
-    losses = np.empty(scales.shape, dtype=np.float64)
-    rows = max(1, _SLICE_ELEMENTS // beta)
-    q = np.empty((rows, beta), dtype=np.float64)
-    deq = np.empty((rows, beta), dtype=np.float32)
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        b = block[r0:r1]
-        qv, dv = q[: r1 - r0], deq[: r1 - r0]
-        for i in range(len(scales)):
-            s = scales64[i, r0:r1, None]
-            np.divide(b, s, out=qv)
-            np.rint(qv, out=qv)
-            np.maximum(qv, floor[i, r0:r1, None], out=qv)
-            np.minimum(qv, ceil[i, r0:r1, None], out=qv)
-            np.multiply(qv, s, out=dv, casting="same_kind")
-            np.copyto(qv, dv)
-            np.subtract(b, qv, out=qv)
-            np.square(qv, out=qv)
-            np.sum(qv, axis=1, out=losses[i, r0:r1])
-    return losses
-
-
 def _screen_row_losses(
     block: np.ndarray, bit_width: int, scales: np.ndarray, zeros: np.ndarray
 ) -> np.ndarray:
-    """grid_row_losses in float32, for the screen. Each slice of rows is
-    held transposed, so the per-row parameters run along its contiguous
-    axis and every ufunc makes long inner loops; the decode needs no cast."""
+    """Per-row squared reconstruction error of the block under each
+    candidate's parameters, in float32, for the screen: scales/zeros are
+    (G, n), the result (G, n). The zero-point only moves the clip bounds,
+    since code - zero is clip(rint(w / scale), -zero, maxq - zero). Each
+    slice of rows is held transposed, so the per-row parameters run along
+    its contiguous axis and every ufunc makes long inner loops; the decode
+    needs no cast."""
     n, beta = block.shape
     scales = scales.astype(np.float32)
     floor = -zeros.astype(np.float32)

@@ -188,6 +188,21 @@ def test_quantize_missing_input_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "m.slmq").exists()
 
 
+@pytest.mark.parametrize("rows, channels", [(0, 8), (8, 0)])
+def test_quantize_empty_layer_fails_cleanly(tmp_path, capfd, rows, channels):
+    # capfd, not capsys: LAPACK writes its argument errors to the process's
+    # stderr, which capsys does not see
+    wpath, xpath = tmp_path / "w.slmt", tmp_path / "x.slmt"
+    write_tensor(wpath, np.ones((rows, channels), dtype=np.float32))
+    write_tensor(xpath, np.ones((16, channels), dtype=np.float32))
+    code = main([str(a) for a in quantize_args(wpath, xpath, tmp_path / "m.slmq", group_size=8)])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error[ShapeMismatch]: ")
+    assert not (tmp_path / "m.slmq").exists()
+
+
 def test_eval_matches_quantize_report(layer_files, tmp_path, capsys):
     wpath, xpath, _, _ = layer_files
     out = tmp_path / "m.slmq"

@@ -421,6 +421,15 @@ def test_input_validation():
         quantize_layer(w[0], calib, PipelineConfig(beta=8, bits=2))
 
 
+@pytest.mark.parametrize("rows, channels", [(0, 8), (8, 0)])
+def test_empty_layer_rejected(rows, channels):
+    # the calibration matches the layer's width, so only the empty shape is wrong
+    calib = CalibrationSet([np.ones((4, channels), dtype=np.float32)])
+    with pytest.raises(ShapeMismatch):
+        quantize_layer(np.ones((rows, channels), dtype=np.float32), calib,
+                       PipelineConfig(beta=8, bits=2))
+
+
 @pytest.mark.parametrize("bits", [0, 1, 4, 5])
 @pytest.mark.parametrize("sba", [True, False])
 def test_bits_outside_two_and_three_rejected(bits, sba):

@@ -18,8 +18,10 @@ from slimquant.quant_core import (
     binarize,
     binarize_block,
     block_mse,
+    decode,
     dequantize,
     derive_params,
+    encode,
     params_from_range,
     quantize_uniform,
 )
@@ -375,3 +377,41 @@ def test_dequantize_bytes_match_three_step_decode(bits, binary):
         assert got.dtype == ref.dtype == np.float32
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bits, binary", [(1, True), (1, False), (2, False), (3, False), (4, False)])
+def test_column_rule_matches_block_column(bits, binary):
+    # the error compensation encodes and decodes one column at a time, with
+    # each row's parameters along the column
+    rng = np.random.default_rng(16)
+    n, width, maxq = 32, 12, (1 << bits) - 1
+    scale = (rng.uniform(0.5, 2.0, size=n) * 2.0 ** rng.integers(-20, 20, size=n)).astype(np.float32)
+    zero = np.zeros(n, dtype=np.uint8)
+    if not binary:
+        zero = rng.integers(0, maxq + 1, size=n).astype(np.uint8)
+        zero[:2] = (0, maxq)
+    s = scale.astype(np.float64)[:, None]
+    k = rng.integers(-maxq - 2, maxq + 3, size=(n, width)).astype(np.float64)
+    block = (k + rng.uniform(-0.5, 0.5, size=(n, width))) * s
+    block[:, 0] = (k[:, 0] + 0.5) * s[:, 0]  # half-way: rounds to the even level
+    block[:, 1] = (k[:, 1] - 0.5) * s[:, 0]
+    block[:, 2] = 0.0
+    block[:, 3] = -0.0
+    block[:, 4] = (2 * maxq + 3.0) * s[:, 0]  # clamped at the top code
+    block[:, 5] = -(2 * maxq + 3.0) * s[:, 0]  # and at code 0
+    qb = quantize_uniform(block, bits, GroupQuantParams(bits, scale, zero, binary=binary))
+    deq = dequantize(qb)
+    assert np.all(qb.codes[:, 4] == (1 if binary else maxq))
+    assert np.all(qb.codes[:, 5] == 0)
+    if not binary:
+        # clamped codes aside, a half-way value keeps an even level
+        level = qb.codes[:, :2].astype(np.int64) - zero[:, None]
+        inside = (qb.codes[:, :2] > 0) & (qb.codes[:, :2] < maxq)
+        assert np.all(level[inside] % 2 == 0)
+    for j in range(width):
+        codes = encode(block[:, j], s[:, 0], zero.astype(np.float64), bits, binary)
+        assert codes.dtype == np.uint8
+        assert np.array_equal(codes, qb.codes[:, j])
+        col = decode(codes, scale, zero, binary)
+        assert col.dtype == np.float32
+        assert col.tobytes() == deq[:, j].tobytes()

@@ -13,12 +13,7 @@ from slimquant.quant_core import (
     params_from_range,
     quantize_uniform,
 )
-from slimquant.sqc import (
-    SqcConfig,
-    calibrate_group,
-    gamma_grid,
-    grid_row_losses,
-)
+from slimquant.sqc import SqcConfig, calibrate_group, gamma_grid
 
 
 def test_default_grid_has_101_points():
@@ -155,36 +150,6 @@ def reference_calibrate(block, bits, cfg):
     return quantize_uniform(block, bits, params_from_range(lo, hi, bits, gamma)), gamma
 
 
-@pytest.mark.parametrize("slice_elements, shapes", [
-    # slices of 4 rows at width 16 and 2 rows at width 32
-    (64, ((1, 16), (9, 16), (13, 32))),
-    # the default slice: 512 rows at width 128, so two full slices and 76 rows
-    (sqc._SLICE_ELEMENTS, ((1100, 128),)),
-])
-def test_grid_losses_bit_identical_to_reference(monkeypatch, slice_elements, shapes):
-    # no row count divides evenly into slices
-    monkeypatch.setattr(sqc, "_SLICE_ELEMENTS", slice_elements)
-    rng = np.random.default_rng(11)
-    grid = gamma_grid(SqcConfig())
-    for bits in (2, 3, 4):
-        for n, beta in shapes:
-            block = rng.standard_normal((n, beta)) * rng.uniform(0.01, 4.0)
-            block[n // 2] = 0.0
-            if n > 2:
-                block[-1] = -1.5  # constant row
-                block[1] = np.abs(block[1])  # range pinned at zero from below
-            lo, hi = _row_range(block)
-            scales, zeros = affine_params(lo[None, :], hi[None, :], bits, grid[:, None])
-            got = grid_row_losses(block, bits, scales, zeros)
-            assert np.array_equal(got, reference_row_losses(block, bits, grid))
-            qb, gamma = calibrate_group(block, bits, SqcConfig())
-            ref_qb, ref_gamma = reference_calibrate(block, bits, SqcConfig())
-            assert gamma == ref_gamma
-            assert np.array_equal(qb.codes, ref_qb.codes)
-            assert np.array_equal(qb.params.scale, ref_qb.params.scale)
-            assert np.array_equal(qb.params.zero, ref_qb.params.zero)
-
-
 @pytest.mark.parametrize("bits", [0, 1])
 def test_widths_below_two_rejected(bits):
     # 1-bit groups take the sign/magnitude form, which has no range to scale
@@ -201,7 +166,7 @@ def candidates(block, bits):
 def grid_case(block, bits):
     """Candidate parameters of a block and their exact float64 totals."""
     scales, zeros = candidates(block, bits)
-    return scales, zeros, grid_row_losses(block, bits, scales, zeros).sum(axis=1)
+    return scales, zeros, reference_row_losses(block, bits, gamma_grid(SqcConfig())).sum(axis=1)
 
 
 def on_half_steps(rng, block, bits, index):
@@ -266,6 +231,27 @@ def assert_matches_reference(block, bits):
     assert np.array_equal(qb.codes, ref_qb.codes)
     assert np.array_equal(qb.params.scale, ref_qb.params.scale)
     assert np.array_equal(qb.params.zero, ref_qb.params.zero)
+
+
+@pytest.mark.parametrize("slice_elements, shapes", [
+    # slices of 4 rows at width 16 and 2 rows at width 32
+    (64, ((1, 16), (9, 16), (13, 32))),
+    # the default slice: 512 rows at width 128, so two full slices and 76 rows
+    (sqc._SLICE_ELEMENTS, ((1100, 128),)),
+])
+def test_sliced_screen_keeps_the_reference_winner(monkeypatch, slice_elements, shapes):
+    # the float32 screen is the one pass over slices of rows; no row count
+    # divides evenly into slices
+    monkeypatch.setattr(sqc, "_SLICE_ELEMENTS", slice_elements)
+    rng = np.random.default_rng(11)
+    for bits in (2, 3, 4):
+        for n, beta in shapes:
+            block = rng.standard_normal((n, beta)) * rng.uniform(0.01, 4.0)
+            block[n // 2] = 0.0
+            if n > 2:
+                block[-1] = -1.5  # constant row
+                block[1] = np.abs(block[1])  # range pinned at zero from below
+            assert_matches_reference(block, bits)
 
 
 def near_tie(rng, bits, beta):
