@@ -207,7 +207,8 @@ def quantize_layer(
             kl_curve=np.empty(0, dtype=np.float64),
             evaluations=0,
         )
-    del x_all
+    # nothing after the plan reads the stacked rows or the salience map
+    del x_all, sal
     marks.append(time.perf_counter())
     # 4. per group, left to right: quantize, then compensate
     work = w.astype(np.float64)
@@ -223,7 +224,7 @@ def quantize_layer(
         if cfg.compensation_enabled:
             qb = _compensate(work, qb, hs.chol_inv, lo, hi)
         blocks.append(qb)
-    del sal, work  # scoring's temporaries reuse their memory
+    del work  # scoring's temporaries reuse its memory
     marks.append(time.perf_counter())
     # 5. score against the original weights
     recon = reconstruct(blocks)

@@ -8,7 +8,10 @@ promotion/demotion keeps the average width at exactly N bits.
 
 The search is sequential: neighbouring candidates differ in a few groups,
 so each evaluation updates the previous candidate's layer output instead
-of recomputing it, and costs one softmax plus a few thin matmuls.
+of recomputing it, and costs one softmax plus a few thin matmuls. Each
+thin product is accumulated into the running output in place, so the
+search holds two output-sized arrays: the reference distribution and the
+running output.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg.blas
 
 from .errors import BadGroupSize, InsufficientCalibration, InvalidConfig, ShapeMismatch
 from .quant_core import dequantize, quantize_uniform
@@ -65,12 +69,12 @@ def stride_subsample(x: np.ndarray, max_tokens: int) -> np.ndarray:
 @dataclass(frozen=True)
 class KlReference:
     """The exact layer's side of an output divergence: the token rows and
-    the softmax distribution of the exact outputs over them, with its log.
-    Built once per layer, it serves the width search and the final score."""
+    the softmax distribution of the exact outputs over them. Its log is not
+    stored; each score takes it block by block. Built once per layer, it
+    serves the width search and the final score."""
 
     xs: np.ndarray  # (t, m) float64 token rows
     p: np.ndarray  # (t, n) float64
-    log_p: np.ndarray  # (t, n) float64
 
 
 def kl_reference(xs: np.ndarray, w: np.ndarray, cfg: KlConfig) -> KlReference:
@@ -78,7 +82,7 @@ def kl_reference(xs: np.ndarray, w: np.ndarray, cfg: KlConfig) -> KlReference:
     xs = np.asarray(xs, dtype=np.float64)
     p = xs @ np.asarray(w, dtype=np.float64).T
     _row_distributions(p, cfg)
-    return KlReference(xs=xs, p=p, log_p=np.log(p))
+    return KlReference(xs=xs, p=p)
 
 
 def _row_distributions(y: np.ndarray, cfg: KlConfig) -> None:
@@ -96,20 +100,23 @@ def _kl_score(ref: KlReference, y: np.ndarray, cfg: KlConfig) -> float:
     """Mean over rows of KL(ref.p || softmax of y's rows); y is not written.
 
     The rows are taken in blocks of about _BLOCK_ELEMENTS elements through
-    one reused buffer. Every max and sum still runs over one whole
-    contiguous row, so the score is the same to the bit as one pass over
-    the full array."""
+    two reused buffers, one for the block of y's distributions and one for
+    the log of ref.p's block. Every max and sum still runs over one whole
+    contiguous row, and the log is elementwise, so the score is the same to
+    the bit as one pass over the full arrays."""
     t, n = y.shape
     rows = max(1, _BLOCK_ELEMENTS // n)
     buf = np.empty((min(rows, t), n))
+    log_buf = np.empty_like(buf)
     row_kl = np.empty(t)
     for r0 in range(0, t, rows):
         r1 = min(r0 + rows, t)
-        q = buf[: r1 - r0]
+        q, log_p = buf[: r1 - r0], log_buf[: r1 - r0]
         np.copyto(q, y[r0:r1])
         _row_distributions(q, cfg)
         np.log(q, out=q)
-        np.subtract(ref.log_p[r0:r1], q, out=q)
+        np.log(ref.p[r0:r1], out=log_p)
+        np.subtract(log_p, q, out=q)
         q *= ref.p[r0:r1]
         q.sum(axis=1, out=row_kl[r0:r1])
     return float(row_kl.mean())
@@ -179,9 +186,15 @@ def allocate_bits(
 
     The quantized output Y = xs @ W_hat^T is built once for p = 0 and then
     updated in place: from one candidate to the next only the groups whose
-    width changed contribute xs[:, g] @ (new_g - old_g)^T. The curve thus
-    matches a full recompute per candidate up to float rounding (the
-    summation order differs), not bit for bit.
+    width changed contribute xs[:, g] @ (new_g - old_g)^T, which one dgemm
+    adds straight into Y. The curve thus matches a full recompute per
+    candidate up to float rounding (the summation order differs), not bit
+    for bit. While beta fits the BLAS library's K block, the accumulating
+    dgemm rounds as a separate product followed by an add does, to the
+    bit; past it, the library adds partial sums into Y and the low bits
+    move. On more than one BLAS thread the two forms can also split the
+    work differently at some shapes, and a few elements then differ in
+    their last bit.
     """
     w = np.asarray(w, dtype=np.float32)
     x = np.asarray(x, dtype=np.float32)
@@ -222,15 +235,18 @@ def allocate_bits(
     )
     y = xs64 @ w_hat.T
     del w_hat
-    update = np.empty_like(y)
     kl_curve = np.empty(len(candidates))
     for p, bits in enumerate(candidates):
         for g in map(int, np.flatnonzero(bits != prev)):
             delta = np.subtract(
                 fake_block(g, int(bits[g])), fake_block(g, int(prev[g])), dtype=np.float64
             )
-            np.matmul(xs64[:, g * beta : (g + 1) * beta], delta.T, out=update)
-            y += update
+            # yT += delta @ xs[:, g]T in yT's own Fortran-ordered buffer;
+            # the transposed slice is Fortran-ordered, so the wrapper copies
+            # it without transposing
+            scipy.linalg.blas.dgemm(
+                1.0, delta, xs64[:, g * beta : (g + 1) * beta].T, beta=1.0, c=y.T, overwrite_c=1
+            )
         kl_curve[p] = _kl_score(ref, y, cfg)
         prev = bits
 

@@ -280,6 +280,17 @@ def test_non_finite_matrix_rejected():
         damp_and_invert(H)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(2, 0), (0, 2)], ids=["lower", "upper"])
+def test_non_finite_off_diagonal_rejected(value, where):
+    # a non-finite entry in either triangle fails, although only the lower
+    # one is factored
+    H = np.eye(3) + 0.1
+    H[where] = value
+    with pytest.raises(NotPositiveDefinite):
+        damp_and_invert(H)
+
+
 def test_non_square_rejected():
     with pytest.raises(ShapeMismatch):
         damp_and_invert(np.zeros((2, 3)))

@@ -6,6 +6,7 @@ and Python sorting for the rank sets.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,9 @@ def full_array_curve(w, x, group_mean, beta, target, cfg):
     (4096, 16, 4, 50, 1.0),  # 16 rows per block, a ragged last block of 2
     (70_000, 8, 4, 3, 1.0),  # rows longer than a block: one row per block
     (64, 32, 8, 200, 0.7),
+    # the benchmark's group size over 64-row blocks, the last one ragged:
+    # the accumulating update rounds as a separate product plus an add
+    (1024, 512, 128, 200, 1.0),
 ])
 def test_row_blocks_match_full_array_scoring(n, m, beta, t, temperature):
     rng = np.random.default_rng(n + t)
@@ -366,6 +370,42 @@ def test_row_blocks_match_full_array_scoring(n, m, beta, t, temperature):
     plan = allocate_bits(w, x, sal, beta, 2, cfg)
     want_curve = full_array_curve(w, x, sal.group_mean, beta, 2, cfg)
     assert plan.kl_curve.tobytes() == want_curve.tobytes()
+
+
+def test_wide_groups_match_full_array_scoring_closely():
+    # groups wider than the BLAS K block: the accumulating update adds
+    # partial sums into the running output, so only the low bits may move
+    rng = np.random.default_rng(512)
+    n, m, beta, t = 256, 2048, 512, 300
+    w = random_layer(rng, n, m)
+    x = random_calib(rng, t, m)
+    cfg = KlConfig()
+    sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
+    plan = allocate_bits(w, x, sal, beta, 2, cfg)
+    want_curve = full_array_curve(w, x, sal.group_mean, beta, 2, cfg)
+    np.testing.assert_allclose(plan.kl_curve, want_curve, rtol=1e-10, atol=0.0)
+    assert plan.p_star == int(np.argmin(want_curve))
+
+
+def test_search_holds_two_output_sized_arrays():
+    # the reference distribution and the running output are the only
+    # (t, n) arrays alive at once: no stored log of the reference and no
+    # separate update buffer
+    rng = np.random.default_rng(21)
+    n, m, beta, t = 2048, 32, 8, 1024
+    w = random_layer(rng, n, m)
+    x = random_calib(rng, t, m)
+    cfg = KlConfig()
+    sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
+    tracemalloc.start()
+    try:
+        ref = kl_reference(x, w, cfg)
+        plan = allocate_bits(w, x, sal, beta, 2, cfg, ref=ref)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.evaluations == m // beta // 2 + 1
+    assert peak < 2.5 * t * n * 8
 
 
 def test_evaluation_count_matches_group_count():
