@@ -35,7 +35,7 @@ from .salience import (
     salience_map,
     salient_mask_3sigma,
 )
-from .sba import BitPlan, KlConfig, allocate_bits, output_kl
+from .sba import BitPlan, KlConfig, KlReference, allocate_bits, kl_reference, output_kl
 from .sqc import SqcConfig, calibrate_group, gamma_grid
 from .tensor_store import CalibrationSet, load_calibration, read_tensor, write_tensor
 
@@ -47,6 +47,7 @@ __all__ = [
     "GroupQuantParams",
     "HessianState",
     "KlConfig",
+    "KlReference",
     "PackedModel",
     "PipelineConfig",
     "QuantizationResult",
@@ -64,6 +65,7 @@ __all__ = [
     "dense_reference",
     "dequantize",
     "gamma_grid",
+    "kl_reference",
     "load_calibration",
     "output_kl",
     "pack",

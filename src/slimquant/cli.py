@@ -29,7 +29,7 @@ from .salience import (
     salience_map,
     salient_mask_3sigma,
 )
-from .sba import KlConfig, output_kl, stride_subsample
+from .sba import KlConfig, kl_reference, output_kl, stride_subsample
 from .sqc import SqcConfig
 from .tensor_store import atomic_write, load_calibration, read_tensor, write_tensor
 
@@ -106,6 +106,13 @@ def cmd_gen_calib(args) -> int:
 # ----------------------------------------------------------- quantize
 
 
+def _kl_config(args) -> KlConfig:
+    """The divergence settings of quantize and eval, from their shared options."""
+    return KlConfig(
+        temperature=args.kl_temperature, epsilon=args.kl_epsilon, max_tokens=args.kl_max_tokens
+    )
+
+
 def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
         beta=args.group_size,
@@ -114,11 +121,7 @@ def _pipeline_config(args) -> PipelineConfig:
         sba_enabled=not args.no_sba,
         sqc_enabled=not args.no_sqc,
         compensation_enabled=not args.no_compensation,
-        kl_cfg=KlConfig(
-            temperature=args.kl_temperature,
-            epsilon=args.kl_epsilon,
-            max_tokens=args.kl_max_tokens,
-        ),
+        kl_cfg=_kl_config(args),
         sqc_cfg=SqcConfig(lambda_gamma=args.gamma_lambda, n_gamma=args.gamma_steps),
     )
 
@@ -206,11 +209,7 @@ def cmd_eval(args) -> int:
     blocks, widths = unpack(pm)
     recon = reconstruct(blocks)
     hs = damp_and_invert(accumulate_hessian(calib), args.percdamp)
-    kl_cfg = KlConfig(
-        temperature=args.kl_temperature,
-        epsilon=args.kl_epsilon,
-        max_tokens=args.kl_max_tokens,
-    )
+    kl_cfg = _kl_config(args)
     xs = stride_subsample(calib.stacked(), kl_cfg.max_tokens)
     size = packed_size_report(pm)
     hist = Counter(int(b) for b in widths)
@@ -219,7 +218,7 @@ def cmd_eval(args) -> int:
         "metrics": {
             "recon_mse": block_mse(w, recon),
             "proxy_loss": proxy_loss(w, recon, hs),
-            "recon_kl": output_kl(xs, w, recon, kl_cfg),
+            "recon_kl": output_kl(kl_reference(xs, w, kl_cfg), recon),
             "bits_per_weight": size.bits_per_weight,
         },
         "bit_histogram": {str(b): hist[b] for b in sorted(hist)},

@@ -202,10 +202,7 @@ def quantize_layer(
         plan = allocate_bits(w, x_all, sal, beta, cfg.bits, cfg.kl_cfg, ref=ref)
     else:
         plan = BitPlan(
-            bits=np.full(k, cfg.bits, dtype=np.int64),
-            p_star=0,
-            kl_curve=np.empty(0, dtype=np.float64),
-            evaluations=0,
+            bits=np.full(k, cfg.bits, dtype=np.int64), p_star=0, kl_curve=np.empty(0)
         )
     # nothing after the plan reads the stacked rows or the salience map
     del x_all, sal
@@ -230,7 +227,7 @@ def quantize_layer(
     recon = reconstruct(blocks)
     loss = proxy_loss(w, recon, hs)
     mse = block_mse(w, recon)
-    kl = output_kl(ref.xs, w, recon, cfg.kl_cfg, ref=ref)
+    kl = output_kl(ref, recon)
     marks.append(time.perf_counter())
     return QuantizationResult(
         plan=plan,

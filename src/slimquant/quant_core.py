@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentPlan, ShapeMismatch
+from .errors import InconsistentPlan, InvalidConfig, ShapeMismatch
 
 # Smallest usable row range. Rows whose extended range collapses to zero
 # (all-zero rows) get this floor so the affine map stays well defined.
@@ -28,7 +28,7 @@ RANGE_FLOOR = 2.0 ** -20
 
 def _max_code(bit_width: int) -> int:
     if not 1 <= bit_width <= 4:
-        raise ValueError(f"bit width must be in [1, 4], got {bit_width}")
+        raise InvalidConfig(f"bit width must be in [1, 4], got {bit_width}")
     return (1 << bit_width) - 1
 
 
@@ -61,6 +61,15 @@ class GroupQuantParams:
 class QuantizedBlock:
     codes: np.ndarray  # (n, width) uint8, in [0, 2^N - 1]
     params: GroupQuantParams
+
+
+def as_block(block: np.ndarray) -> np.ndarray:
+    """block as float64, checked to be 2-D and non-empty (ShapeMismatch):
+    every quantizer, at every width, takes its input through here."""
+    b = np.asarray(block, dtype=np.float64)
+    if b.ndim != 2 or b.size == 0:
+        raise ShapeMismatch(f"block must be 2-D and non-empty, got shape {b.shape}")
+    return b
 
 
 def _row_range(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,9 +130,7 @@ def quantize_uniform(
     """Quantize an n x beta block at bit_width bits, deriving its params
     (derive_params) unless explicit ones are supplied; the codes come from
     encode."""
-    b = np.asarray(block, dtype=np.float64)
-    if b.ndim != 2:
-        raise ShapeMismatch(f"block must be 2-D, got shape {b.shape}")
+    b = as_block(block)
     if params is None:
         params = derive_params(b, bit_width)
     elif params.bit_width != bit_width:

@@ -11,13 +11,16 @@ so each evaluation updates the previous candidate's layer output instead
 of recomputing it, and costs one softmax plus a few thin matmuls. Each
 thin product is accumulated into the running output in place, so the
 search holds two output-sized arrays: the reference distribution and the
-running output.
+running output. Every divergence is taken against a KlReference, the
+exact layer's side, which kl_reference builds from checked inputs and which
+carries the KlConfig every score against it uses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.blas
@@ -53,8 +56,11 @@ class KlConfig:
 class BitPlan:
     bits: np.ndarray  # (k,) int, entries in {N-1, N, N+1}
     p_star: int
-    kl_curve: np.ndarray  # (floor(k/2)+1,) float64
-    evaluations: int = field(default=0)
+    kl_curve: np.ndarray  # (floor(k/2)+1,) float64, empty for a uniform plan
+
+    @property
+    def evaluations(self) -> int:  # candidates scored, one per curve point
+        return len(self.kl_curve)
 
 
 def stride_subsample(x: np.ndarray, max_tokens: int) -> np.ndarray:
@@ -68,21 +74,40 @@ def stride_subsample(x: np.ndarray, max_tokens: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KlReference:
-    """The exact layer's side of an output divergence: the token rows and
-    the softmax distribution of the exact outputs over them. Its log is not
-    stored; each score takes it block by block. Built once per layer, it
-    serves the width search and the final score."""
+    """The exact layer's side of an output divergence: the token rows, the
+    softmax distribution of the exact outputs over them, and the KlConfig
+    that distribution was taken under, which every score against it uses.
+    Its log is not stored; each score takes it block by block. Built once
+    per layer by kl_reference, it serves the width search and the final
+    score."""
 
     xs: np.ndarray  # (t, m) float64 token rows
     p: np.ndarray  # (t, n) float64
+    cfg: KlConfig
 
 
 def kl_reference(xs: np.ndarray, w: np.ndarray, cfg: KlConfig) -> KlReference:
-    """Distributions of the exact outputs xs @ wT, every row of xs used."""
-    xs = np.asarray(xs, dtype=np.float64)
+    """Distributions of the exact outputs xs @ wT under cfg, every row of
+    xs used. The one check of a divergence's inputs: w must be 2-D with at
+    least one row (ShapeMismatch), xs 2-D over w's channels (ShapeMismatch)
+    with at least one row (InsufficientCalibration)."""
+    xs, w = np.asarray(xs, dtype=np.float64), np.asarray(w)
+    if w.ndim != 2 or w.shape[0] == 0:
+        raise ShapeMismatch(f"weights must be 2-D with at least one row, got shape {w.shape}")
+    if xs.ndim != 2 or xs.shape[1] != w.shape[1]:
+        raise ShapeMismatch(f"activations {xs.shape} do not match weights {w.shape}")
+    if xs.shape[0] == 0:
+        raise InsufficientCalibration("no token rows to compare outputs on")
     p = xs @ np.asarray(w, dtype=np.float64).T
     _row_distributions(p, cfg)
-    return KlReference(xs=xs, p=p)
+    return KlReference(xs=xs, p=p, cfg=cfg)
+
+
+def _check_weights(ref: KlReference, w: np.ndarray) -> None:
+    """ShapeMismatch unless w has the shape of the weights ref was built from."""
+    want = (ref.p.shape[1], ref.xs.shape[1])
+    if np.shape(w) != want:
+        raise ShapeMismatch(f"weights {np.shape(w)} do not match the reference's {want}")
 
 
 def _row_distributions(y: np.ndarray, cfg: KlConfig) -> None:
@@ -96,8 +121,9 @@ def _row_distributions(y: np.ndarray, cfg: KlConfig) -> None:
     y /= y.sum(axis=1, keepdims=True)
 
 
-def _kl_score(ref: KlReference, y: np.ndarray, cfg: KlConfig) -> float:
-    """Mean over rows of KL(ref.p || softmax of y's rows); y is not written.
+def _kl_score(ref: KlReference, y: np.ndarray) -> float:
+    """Mean over rows of KL(ref.p || softmax of y's rows) under ref.cfg; y
+    is not written.
 
     The rows are taken in blocks of about _BLOCK_ELEMENTS elements through
     two reused buffers, one for the block of y's distributions and one for
@@ -113,7 +139,7 @@ def _kl_score(ref: KlReference, y: np.ndarray, cfg: KlConfig) -> float:
         r1 = min(r0 + rows, t)
         q, log_p = buf[: r1 - r0], log_buf[: r1 - r0]
         np.copyto(q, y[r0:r1])
-        _row_distributions(q, cfg)
+        _row_distributions(q, ref.cfg)
         np.log(q, out=q)
         np.log(ref.p[r0:r1], out=log_p)
         np.subtract(log_p, q, out=q)
@@ -122,45 +148,20 @@ def _kl_score(ref: KlReference, y: np.ndarray, cfg: KlConfig) -> float:
     return float(row_kl.mean())
 
 
-def output_kl(
-    x: np.ndarray,
-    w: np.ndarray,
-    w_hat: np.ndarray,
-    cfg: KlConfig,
-    *,
-    ref: KlReference | None = None,
-) -> float:
-    """Mean over token rows of KL(P || Q), where P and Q are softmax
-    distributions over the exact and quantized layer outputs.
-
-    ref, when given, must be kl_reference(x, w, cfg); the exact side is
-    then read from it instead of being recomputed."""
-    x = np.asarray(x, dtype=np.float64)
-    w_hat = np.asarray(w_hat, dtype=np.float64)
-    if np.shape(w) != w_hat.shape:
-        raise ShapeMismatch(f"weight shapes differ: {np.shape(w)} vs {w_hat.shape}")
-    if x.ndim != 2 or x.shape[1] != w_hat.shape[1]:
-        raise ShapeMismatch(f"activations {x.shape} do not match weights {w_hat.shape}")
-    if x.shape[0] == 0:
-        raise InsufficientCalibration("no token rows to compare outputs on")
-    if ref is None:
-        ref = kl_reference(x, w, cfg)
-    return _kl_score(ref, ref.xs @ w_hat.T, cfg)
+def output_kl(ref: KlReference, w_hat: np.ndarray) -> float:
+    """Mean over ref's token rows of KL(P || Q), where P is ref's
+    distribution of the exact outputs and Q the softmax of the outputs of
+    w_hat, under ref.cfg. w_hat must have the shape of the weights ref was
+    built from (ShapeMismatch)."""
+    _check_weights(ref, w_hat)
+    return _kl_score(ref, ref.xs @ np.asarray(w_hat, dtype=np.float64).T)
 
 
 def _ranked_sets(group_mean: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     """Indices of the p least and p most salient groups, disjoint, ties
     resolved toward lower group index."""
-    k = len(group_mean)
-    asc = sorted(range(k), key=lambda g: (group_mean[g], g))
-    low = asc[:p]
-    taken = set(low)
-    desc = sorted(
-        (g for g in range(k) if g not in taken),
-        key=lambda g: (-group_mean[g], g),
-    )
-    high = desc[:p]
-    return low, high
+    asc = sorted(range(len(group_mean)), key=lambda g: (group_mean[g], g))
+    return asc[:p], sorted(asc[p:], key=lambda g: (-group_mean[g], g))[:p]
 
 
 def allocate_bits(
@@ -176,8 +177,10 @@ def allocate_bits(
     """Search all pairing counts p and return the divergence-minimizing plan.
 
     Divergences are measured on the float32-rounded token rows of x, at
-    most cfg.max_tokens of them at a uniform stride. ref, when given, must
-    be kl_reference of exactly those rows and w; it is built here if not.
+    most cfg.max_tokens of them at a uniform stride, against their
+    kl_reference, which checks w and x. A ref given must be that reference
+    (x is then not read): one built under another config is rejected
+    (InvalidConfig), as is one of another weight shape (ShapeMismatch).
 
     Fake quantization here is quantize_uniform at each group's width:
     per-row min/max, or sign/magnitude at 1 bit. Range calibration and
@@ -197,29 +200,26 @@ def allocate_bits(
     their last bit.
     """
     w = np.asarray(w, dtype=np.float32)
-    x = np.asarray(x, dtype=np.float32)
     if target_bits not in (2, 3):
         raise InvalidConfig(f"target width must be 2 or 3 bits, got {target_bits}")
-    n, m = w.shape
+    if ref is None:
+        x = np.asarray(x, dtype=np.float32)
+        ref = kl_reference(stride_subsample(x, cfg.max_tokens), w, cfg)
+    elif ref.cfg != cfg:
+        raise InvalidConfig(f"reference was built under {ref.cfg}, allocation asks for {cfg}")
+    _check_weights(ref, w)
+    m = w.shape[1]
     if beta < 1 or m % beta != 0:
         raise BadGroupSize(f"group size {beta} does not divide {m} channels")
     k = m // beta
     if sal.group_mean.shape[0] != k:
         raise ShapeMismatch(f"salience has {sal.group_mean.shape[0]} groups, expected {k}")
-    if x.size == 0:
-        raise InsufficientCalibration("bit allocation needs calibration activations")
-    if ref is None:
-        ref = kl_reference(stride_subsample(x, cfg.max_tokens), w, cfg)
     xs64 = ref.xs
 
     # float32 decodes, widened to float64 where they are used
-    deq_cache: dict[tuple[int, int], np.ndarray] = {}
-
+    @functools.cache
     def fake_block(g: int, bits: int) -> np.ndarray:
-        key = (g, bits)
-        if key not in deq_cache:
-            deq_cache[key] = dequantize(quantize_uniform(w[:, g * beta : (g + 1) * beta], bits))
-        return deq_cache[key]
+        return dequantize(quantize_uniform(w[:, g * beta : (g + 1) * beta], bits))
 
     candidates = []
     for p in range(k // 2 + 1):
@@ -230,11 +230,8 @@ def allocate_bits(
         candidates.append(bits)
 
     prev = candidates[0]
-    w_hat = np.concatenate(
-        [fake_block(g, int(prev[g])) for g in range(k)], axis=1, dtype=np.float64
-    )
-    y = xs64 @ w_hat.T
-    del w_hat
+    groups = [fake_block(g, int(b)) for g, b in enumerate(prev)]
+    y = xs64 @ np.concatenate(groups, axis=1, dtype=np.float64).T
     kl_curve = np.empty(len(candidates))
     for p, bits in enumerate(candidates):
         for g in map(int, np.flatnonzero(bits != prev)):
@@ -247,13 +244,8 @@ def allocate_bits(
             scipy.linalg.blas.dgemm(
                 1.0, delta, xs64[:, g * beta : (g + 1) * beta].T, beta=1.0, c=y.T, overwrite_c=1
             )
-        kl_curve[p] = _kl_score(ref, y, cfg)
+        kl_curve[p] = _kl_score(ref, y)
         prev = bits
 
     p_star = int(np.argmin(kl_curve))  # first minimum: ties favor smaller p
-    return BitPlan(
-        bits=candidates[p_star],
-        p_star=p_star,
-        kl_curve=kl_curve,
-        evaluations=len(kl_curve),
-    )
+    return BitPlan(bits=candidates[p_star], p_star=p_star, kl_curve=kl_curve)

@@ -28,6 +28,7 @@ from .quant_core import (
     QuantizedBlock,
     _row_range,
     affine_params,
+    as_block,
     dequantize,
     params_from_range,
     quantize_uniform,
@@ -83,7 +84,7 @@ def calibrate_group(
         raise InvalidConfig(f"range calibration needs a width of 2 to 4 bits, got {bit_width}")
     # a column slice of a wider matrix is copied once, so that every pass
     # over the grid reads contiguous rows
-    block = np.ascontiguousarray(block, dtype=np.float64)
+    block = np.ascontiguousarray(as_block(block))
     grid = gamma_grid(cfg)
     lo, hi = _row_range(block)
     scales, zeros = affine_params(lo[None, :], hi[None, :], bit_width, grid[:, None])

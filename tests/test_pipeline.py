@@ -34,7 +34,7 @@ from slimquant.quant_core import (
     quantize_uniform,
 )
 from slimquant.salience import HessianState, accumulate_hessian, damp_and_invert
-from slimquant.sba import KlConfig, output_kl, stride_subsample
+from slimquant.sba import KlConfig, kl_reference, output_kl, stride_subsample
 from slimquant.sqc import calibrate_group
 from slimquant.tensor_store import CalibrationSet
 
@@ -219,7 +219,7 @@ def test_run_is_deterministic():
 @pytest.mark.parametrize("max_tokens", [4096, 100])
 def test_recon_kl_is_output_kl_of_the_strided_rows(sba, max_tokens):
     # the final score reads the exact side from the reference the width
-    # search built; it must be the number output_kl computes from scratch
+    # search built; it must be the score against a reference built afresh
     w, x = clustered_layer(3, n=16, m=256, t=512)
     calib = CalibrationSet([x[:200], x[200:]])
     kl_cfg = KlConfig(max_tokens=max_tokens)
@@ -227,7 +227,7 @@ def test_recon_kl_is_output_kl_of_the_strided_rows(sba, max_tokens):
     res = quantize_layer(w, calib, cfg)
     xs = stride_subsample(calib.stacked(), max_tokens)
     assert (len(xs) < 512) == (max_tokens < 512)
-    assert res.recon_kl == output_kl(xs, w, reconstruct(res.blocks), kl_cfg)
+    assert res.recon_kl == output_kl(kl_reference(xs, w, kl_cfg), reconstruct(res.blocks))
 
 
 def test_stage_times_cover_every_step():

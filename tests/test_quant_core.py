@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from slimquant.errors import InconsistentPlan, ShapeMismatch
+from slimquant.errors import InconsistentPlan, InvalidConfig, ShapeMismatch
 from slimquant.quant_core import (
     RANGE_FLOOR,
     GroupQuantParams,
@@ -25,6 +25,7 @@ from slimquant.quant_core import (
     params_from_range,
     quantize_uniform,
 )
+from slimquant.sqc import SqcConfig, calibrate_group
 
 
 def scalar_reference(block, bits):
@@ -222,6 +223,25 @@ def test_bit_width_bounds():
 def test_non_2d_block_rejected():
     with pytest.raises(ShapeMismatch):
         quantize_uniform(np.zeros(4, dtype=np.float32), 2)
+
+
+@pytest.mark.parametrize("shape, bits, error", [
+    *[(shape, bits, ShapeMismatch) for shape in [(4, 0), (0, 4), (4,)] for bits in (1, 2, 3, 4)],
+    ((2, 3), 0, InvalidConfig),
+    ((2, 3), 5, InvalidConfig),
+], ids=lambda v: getattr(v, "__name__", None) or "x".join(map(str, np.atleast_1d(v))))
+def test_malformed_blocks_and_widths_raise_typed_errors(shape, bits, error):
+    # the same error at every width, from each quantizer; InvalidConfig is
+    # also a ValueError
+    block = np.zeros(shape, dtype=np.float32)
+    with pytest.raises(error):
+        quantize_uniform(block, bits)
+    if bits != 1:  # range calibration rejects 1 bit for its width alone
+        with pytest.raises(error):
+            calibrate_group(block, bits, SqcConfig())
+    if error is InvalidConfig:
+        with pytest.raises(error):
+            GroupQuantParams(bits, np.ones(2, dtype=np.float32), np.zeros(2, dtype=np.uint8))
 
 
 def test_scale_zero_shape_agreement():

@@ -93,7 +93,7 @@ def test_identical_outputs_give_zero():
     rng = np.random.default_rng(1)
     w = random_layer(rng, 4, 8)
     x = random_calib(rng, 6, 8)
-    assert output_kl(x, w, w.copy(), KlConfig()) == 0.0
+    assert output_kl(kl_reference(x, w, KlConfig()), w.copy()) == 0.0
 
 
 def test_divergence_nonnegative():
@@ -102,7 +102,7 @@ def test_divergence_nonnegative():
         w = random_layer(rng, 3, 6)
         w_hat = w + rng.normal(0, 0.1, w.shape).astype(np.float32)
         x = random_calib(rng, 5, 6)
-        assert output_kl(x, w, w_hat, KlConfig()) >= 0.0
+        assert output_kl(kl_reference(x, w, KlConfig()), w_hat) >= 0.0
 
 
 def test_two_way_closed_form():
@@ -111,7 +111,7 @@ def test_two_way_closed_form():
     w = np.array([[0.0], [math.log(3.0)]])
     w_hat = np.zeros((2, 1))
     expected = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
-    got = output_kl(x, w, w_hat, KlConfig())
+    got = output_kl(kl_reference(x, w, KlConfig()), w_hat)
     assert got == pytest.approx(expected, rel=1e-9)
     assert got == pytest.approx(0.13081, abs=1e-5)
 
@@ -123,7 +123,7 @@ def test_matches_scipy_oracle():
         w = random_layer(rng, 6, 10)
         w_hat = w + rng.normal(0, 0.2, w.shape).astype(np.float32)
         x = random_calib(rng, 12, 10)
-        assert output_kl(x, w, w_hat, cfg) == pytest.approx(
+        assert output_kl(kl_reference(x, w, cfg), w_hat) == pytest.approx(
             oracle_kl(x, w, w_hat, cfg), rel=1e-10)
 
 
@@ -132,8 +132,8 @@ def test_temperature_flattens_divergence():
     w = random_layer(rng, 8, 16)
     w_hat = w + rng.normal(0, 0.3, w.shape).astype(np.float32)
     x = random_calib(rng, 10, 16)
-    hot = output_kl(x, w, w_hat, KlConfig(temperature=10.0))
-    cold = output_kl(x, w, w_hat, KlConfig(temperature=0.5))
+    hot = output_kl(kl_reference(x, w, KlConfig(temperature=10.0)), w_hat)
+    cold = output_kl(kl_reference(x, w, KlConfig(temperature=0.5)), w_hat)
     assert hot < cold
 
 
@@ -141,15 +141,38 @@ def test_epsilon_floor_keeps_logs_finite():
     x = np.array([[1.0]], dtype=np.float32)
     w = np.array([[0.0], [200.0]], dtype=np.float32)  # saturated softmax
     w_hat = np.array([[200.0], [0.0]], dtype=np.float32)
-    got = output_kl(x, w, w_hat, KlConfig())
+    got = output_kl(kl_reference(x, w, KlConfig()), w_hat)
     assert math.isfinite(got)
     assert got > 0.0
 
 
-def test_no_tokens_rejected():
-    w = np.zeros((2, 4), dtype=np.float32)
-    with pytest.raises(InsufficientCalibration):
-        output_kl(np.zeros((0, 4), dtype=np.float32), w, w, KlConfig())
+# malformed divergence inputs made from a valid (w, x) pair, and the error
+# kl_reference, the one check of them, must raise
+MALFORMED = {
+    "1d-activations": (lambda w, x: (w, x[:, 0]), ShapeMismatch),
+    "wrong-channel-count": (lambda w, x: (w, x[:, :-1]), ShapeMismatch),
+    "no-token-rows": (lambda w, x: (w, x[:0]), InsufficientCalibration),
+    "1d-weights": (lambda w, x: (w[0], x), ShapeMismatch),
+    "no-weight-rows": (lambda w, x: (w[:0], x), ShapeMismatch),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_kl_reference_rejects_malformed_inputs(case):
+    rng = np.random.default_rng(5)
+    malform, error = MALFORMED[case]
+    w, x = malform(random_layer(rng, 2, 4), random_calib(rng, 3, 4))
+    with pytest.raises(error):
+        kl_reference(x, w, KlConfig())
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (3, 4), (8,), (4, 2)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_output_kl_rejects_other_weight_shapes(shape):
+    rng = np.random.default_rng(5)
+    ref = kl_reference(random_calib(rng, 6, 4), random_layer(rng, 2, 4), KlConfig())
+    with pytest.raises(ShapeMismatch):
+        output_kl(ref, np.zeros(shape, dtype=np.float32))
 
 
 def test_config_validation():
@@ -229,25 +252,36 @@ def test_uniform_candidate_is_plain_fakequant():
     for g in range(6):
         sl = slice(g * 8, (g + 1) * 8)
         w_hat[:, sl] = dequantize(quantize_uniform(w[:, sl], 2))
-    assert plan.kl_curve[0] == pytest.approx(output_kl(x, w, w_hat, cfg), rel=1e-12)
+    want = output_kl(kl_reference(x, w, cfg), w_hat)
+    assert plan.kl_curve[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_reference_reuse_changes_no_bits():
-    # a KlReference built once gives the same curve and score, to the bit,
-    # as the ones allocate_bits and output_kl build for themselves
+    # a KlReference built once gives the same curve, to the bit, as the one
+    # allocate_bits builds for itself, and no score writes it
     for seed, max_tokens in ((70, 4096), (71, 7)):
         w, x, sal = plan_inputs(seed, t=20)
         cfg = KlConfig(max_tokens=max_tokens)
-        xs = stride_subsample(x, max_tokens)
-        ref = kl_reference(xs, w, cfg)
+        ref = kl_reference(stride_subsample(x, max_tokens), w, cfg)
+        p_before = ref.p.copy()
         own = allocate_bits(w, x, sal, 8, 2, cfg)
         shared = allocate_bits(w, x, sal, 8, 2, cfg, ref=ref)
         assert own.kl_curve.tobytes() == shared.kl_curve.tobytes()
         assert np.array_equal(own.bits, shared.bits)
-        w_hat = fake_quantize(w, list(own.bits), 8)
-        p_before = ref.p.copy()
-        assert output_kl(xs, w, w_hat, cfg, ref=ref) == output_kl(xs, w, w_hat, cfg)
+        output_kl(ref, fake_quantize(w, list(own.bits), 8))
         assert np.array_equal(ref.p, p_before)
+
+
+def test_reference_under_another_config_rejected():
+    w, x, sal = plan_inputs(72, t=20)
+    ref = kl_reference(x, w, KlConfig(temperature=2.0))
+    assert ref.cfg == KlConfig(temperature=2.0)
+    with pytest.raises(InvalidConfig):
+        allocate_bits(w, x, sal, 8, 2, KlConfig(), ref=ref)
+    with pytest.raises(InvalidConfig):
+        allocate_bits(w, x, sal, 8, 2, KlConfig(temperature=2.0, max_tokens=7), ref=ref)
+    with pytest.raises(ShapeMismatch):
+        allocate_bits(w[:4], x, sal, 8, 2, KlConfig(temperature=2.0), ref=ref)
 
 
 def test_monotone_salience_relabel_keeps_plan():
@@ -300,10 +334,8 @@ def test_incremental_search_matches_full_recompute():
     for w, x, sal, target in cases:
         plan = allocate_bits(w, x, sal, 8, target, cfg)
         plans = oracle_plans(sal.group_mean, target)
-        xs = stride_subsample(x, cfg.max_tokens)
-        curve = np.array([
-            output_kl(xs, w, fake_quantize(w, bits, 8), cfg) for bits in plans
-        ])
+        ref = kl_reference(stride_subsample(x, cfg.max_tokens), w, cfg)
+        curve = np.array([output_kl(ref, fake_quantize(w, bits, 8)) for bits in plans])
         np.testing.assert_allclose(plan.kl_curve, curve, rtol=1e-12, atol=0.0)
         assert plan.p_star == int(np.argmin(curve))
         assert list(plan.bits) == plans[plan.p_star]
@@ -365,7 +397,8 @@ def test_row_blocks_match_full_array_scoring(n, m, beta, t, temperature):
     xs = x.astype(np.float64)
     p = full_array_distributions(xs @ w.astype(np.float64).T, cfg)
     want = full_array_kl(p, np.log(p), xs @ w_hat.astype(np.float64).T, cfg)
-    assert np.float64(output_kl(x, w, w_hat, cfg)).tobytes() == np.float64(want).tobytes()
+    got = output_kl(kl_reference(x, w, cfg), w_hat)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
     sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
     plan = allocate_bits(w, x, sal, beta, 2, cfg)
     want_curve = full_array_curve(w, x, sal.group_mean, beta, 2, cfg)
@@ -436,8 +469,9 @@ def test_one_bit_candidates_are_sign_magnitude():
         w, x, sal = plan_inputs(seed)
         plan = allocate_bits(w, x, sal, 8, 2, cfg)
         plans = oracle_plans(sal.group_mean, 2)
-        signed = [output_kl(x, w, fake_quantize(w, b, 8, sign_one_bit), cfg) for b in plans]
-        affine = [output_kl(x, w, fake_quantize(w, b, 8, affine_one_bit), cfg) for b in plans]
+        ref = kl_reference(x, w, cfg)
+        signed = [output_kl(ref, fake_quantize(w, b, 8, sign_one_bit)) for b in plans]
+        affine = [output_kl(ref, fake_quantize(w, b, 8, affine_one_bit)) for b in plans]
         np.testing.assert_allclose(plan.kl_curve, signed, rtol=1e-12, atol=0.0)
         assert affine[0] == signed[0]  # p=0 has no 1-bit groups
         assert np.all(np.array(affine[1:]) != np.array(signed[1:]))
@@ -451,5 +485,13 @@ def test_allocation_input_validation():
         allocate_bits(w, x, sal, 7, 2, KlConfig())
     with pytest.raises(ShapeMismatch):
         allocate_bits(w[:, :40], x[:, :40], sal, 8, 2, KlConfig())
-    with pytest.raises(InsufficientCalibration):
-        allocate_bits(w, x[:0], sal, 8, 2, KlConfig())
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_allocation_rejects_malformed_divergence_inputs(case):
+    # allocate_bits builds its reference through kl_reference's checks
+    w, x, sal = plan_inputs(1)
+    malform, error = MALFORMED[case]
+    w, x = malform(w, x)
+    with pytest.raises(error):
+        allocate_bits(w, x, sal, 8, 2, KlConfig())
