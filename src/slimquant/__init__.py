@@ -21,7 +21,6 @@ from .pipeline import (
 from .quant_core import (
     GroupQuantParams,
     QuantizedBlock,
-    binarize,
     binarize_block,
     block_mse,
     dequantize,
@@ -57,7 +56,6 @@ __all__ = [
     "SqcConfig",
     "accumulate_hessian",
     "allocate_bits",
-    "binarize",
     "binarize_block",
     "block_mse",
     "calibrate_group",

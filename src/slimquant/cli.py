@@ -29,7 +29,7 @@ from .salience import (
     salience_map,
     salient_mask_3sigma,
 )
-from .sba import KlConfig, kl_reference, output_kl, stride_subsample
+from .sba import KlConfig, kl_reference, output_kl
 from .sqc import SqcConfig
 from .tensor_store import atomic_write, load_calibration, read_tensor, write_tensor
 
@@ -209,8 +209,7 @@ def cmd_eval(args) -> int:
     blocks, widths = unpack(pm)
     recon = reconstruct(blocks)
     hs = damp_and_invert(accumulate_hessian(calib), args.percdamp)
-    kl_cfg = _kl_config(args)
-    xs = stride_subsample(calib.stacked(), kl_cfg.max_tokens)
+    ref = kl_reference(calib.stacked(), w, _kl_config(args))
     size = packed_size_report(pm)
     hist = Counter(int(b) for b in widths)
     report = {
@@ -218,7 +217,7 @@ def cmd_eval(args) -> int:
         "metrics": {
             "recon_mse": block_mse(w, recon),
             "proxy_loss": proxy_loss(w, recon, hs),
-            "recon_kl": output_kl(kl_reference(xs, w, kl_cfg), recon),
+            "recon_kl": output_kl(ref, recon),
             "bits_per_weight": size.bits_per_weight,
         },
         "bit_histogram": {str(b): hist[b] for b in sorted(hist)},

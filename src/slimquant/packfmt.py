@@ -84,14 +84,22 @@ def unpack_fields(raw, rows: int, count: int, width: int, what: str) -> np.ndarr
     return values
 
 
-def _layout(n: int, beta: int, widths) -> tuple[list[int], list[int]]:
+def _bit_code_bytes(k: int) -> int:
+    """Bytes of the bit-code section: k 2-bit fields cut to whole bytes."""
+    return -(-k // 4)
+
+
+def _layout(n: int, beta: int, widths) -> tuple[list[int], list[int], tuple[int, ...]]:
     """Words in one padded row of n fields at each group's width (a
-    group's zero-points are one such row, its codes beta of them), and the
-    k + 1 bit offsets of the groups in the weight stream. Python integers,
+    group's zero-points are one such row, its codes beta of them), the
+    k + 1 bit offsets of the groups in the weight stream, and the byte
+    length of each of the five sections, in file order. Python integers,
     so a hostile header cannot overflow them."""
+    k = len(widths)
     words = [-(-n * int(w) // WORD_BITS) for w in widths]
     offsets = [0, *itertools.accumulate(beta * WORD_BITS * c for c in words)]
-    return words, offsets
+    sizes = (_bit_code_bytes(k), 8 * (k + 1), 4 * k * n, 4 * sum(words), offsets[-1] // 8)
+    return words, offsets, sizes
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -147,7 +155,7 @@ class PackedModel:
         header = _HEADER.pack(
             MAGIC, VERSION, self.flags, self.n, self.m, self.beta, self.target_bits, _RESERVED
         )
-        bit_codes = pack_fields(self.widths[None, :] - 1, 2)[: -(-self.k // 4)]
+        bit_codes = pack_fields(self.widths[None, :] - 1, 2)[: _bit_code_bytes(self.k)]
         offsets = struct.pack(f"<{self.k + 1}Q", *self.offsets.tolist())
         scales = b"".join(b.params.scale.astype("<f4").tobytes() for b in self.blocks)
         zeros_stream = b"".join(
@@ -237,7 +245,7 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
         raise TruncatedPayload(f"{name}: {len(raw) - pos} trailing bytes")
     bit_codes_raw, offsets_raw, scales_raw, zeros_raw, weights_raw = sections
 
-    if len(bit_codes_raw) != -(-k // 4):
+    if len(bit_codes_raw) != _bit_code_bytes(k):
         raise InconsistentPlan(f"{name}: bit-code section holds {len(bit_codes_raw)} bytes for {k} groups")
     bit_codes_row = bytes(bit_codes_raw) + bytes(-len(bit_codes_raw) % 4)  # back to whole words
     widths = unpack_fields(bit_codes_row, 1, k, 2, f"{name}: bit codes")[0].astype(np.int64) + 1
@@ -245,24 +253,25 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
     if binary and not np.any(widths == 1):
         raise InconsistentPlan(f"{name}: sign/magnitude flag set with no 1-bit group")
 
-    if len(offsets_raw) != 8 * (k + 1):
+    words, expected, sizes = _layout(n, beta, widths)
+    _, offsets_bytes, scales_bytes, zeros_bytes, weights_bytes = sizes
+    if len(offsets_raw) != offsets_bytes:
         raise CorruptOffsets(f"{name}: offset table holds {len(offsets_raw)} bytes for {k + 1} entries")
     offsets = list(struct.unpack(f"<{k + 1}Q", offsets_raw))
-    words, expected = _layout(n, beta, widths)
     if offsets != expected:
         raise CorruptOffsets(f"{name}: offset table disagrees with the declared bit widths")
-    if offsets[-1] != 8 * len(weights_raw):
+    if len(weights_raw) != weights_bytes:
         raise CorruptOffsets(
             f"{name}: weight stream holds {8 * len(weights_raw)} bits, offsets claim {offsets[-1]}"
         )
 
-    if len(scales_raw) != 4 * k * n:
+    if len(scales_raw) != scales_bytes:
         raise InconsistentPlan(f"{name}: scale section holds {len(scales_raw)} bytes for {k}x{n} rows")
     scales = _readonly(np.frombuffer(scales_raw, dtype="<f4").reshape(k, n).astype(np.float32))
     if not np.all(np.isfinite(scales)):
         raise CodeOutOfRange(f"{name}: non-finite scale")
 
-    if len(zeros_raw) != 4 * sum(words):
+    if len(zeros_raw) != zeros_bytes:
         raise InconsistentPlan(f"{name}: zero section length mismatch")
     blocks = []
     zero_pos = 0
@@ -304,16 +313,10 @@ class SizeReport:
 
 def packed_size_report(pm: PackedModel) -> SizeReport:
     payload = int(sum(pm.n * pm.beta * int(w) for w in pm.widths))
-    words, offsets = _layout(pm.n, pm.beta, pm.widths)
-    stream = offsets[-1]
-    metadata_bytes = (
-        _HEADER.size
-        + 8 * 5  # u64 length prefix of each section
-        + -(-pm.k // 4)  # bit codes, 2 bits per group
-        + 8 * (pm.k + 1)  # offsets
-        + 4 * pm.k * pm.n  # scales
-        + 4 * sum(words)  # zero-points
-    )
+    sizes = _layout(pm.n, pm.beta, pm.widths)[2]
+    stream = 8 * sizes[-1]
+    # the header, a u64 length per section, and every section but the weight stream
+    metadata_bytes = _HEADER.size + 8 * len(sizes) + sum(sizes[:-1])
     weights = pm.n * pm.m
     return SizeReport(
         payload_bits=payload,

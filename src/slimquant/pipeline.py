@@ -51,7 +51,8 @@ from .salience import (
     salience_map,
     salient_mask_3sigma,  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 )
-from .sba import BitPlan, KlConfig, allocate_bits, kl_reference, output_kl, stride_subsample
+from .sba import BitPlan, KlConfig, allocate_bits, kl_reference, output_kl
+from .sba import stride_subsample  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 from .sqc import SqcConfig, calibrate_group
 from .tensor_store import CalibrationSet
 
@@ -197,14 +198,14 @@ def quantize_layer(
     marks.append(time.perf_counter())
     # 3. width plan, and the exact outputs every divergence is taken against
     x_all = calib.stacked()
-    ref = kl_reference(stride_subsample(x_all, cfg.kl_cfg.max_tokens), w, cfg.kl_cfg)
+    ref = kl_reference(x_all, w, cfg.kl_cfg)
     if cfg.sba_enabled:
         plan = allocate_bits(w, x_all, sal, beta, cfg.bits, cfg.kl_cfg, ref=ref)
     else:
         plan = BitPlan(
             bits=np.full(k, cfg.bits, dtype=np.int64), p_star=0, kl_curve=np.empty(0)
         )
-    # nothing after the plan reads the stacked rows or the salience map
+    # nothing after the plan reads x_all (ref keeps its own rows) or sal
     del x_all, sal
     marks.append(time.perf_counter())
     # 4. per group, left to right: quantize, then compensate

@@ -117,8 +117,9 @@ def derive_params(block: np.ndarray, bit_width: int) -> GroupQuantParams:
     """Per-row min/max params; at 1 bit sign/magnitude params, because the
     zero-inclusive affine grid's two levels are 0 and the whole row range
     on one side of it: [-1, 0.1, 0.2, 2] would decode to [0, 0, 0, 3]."""
+    block = as_block(block)
     if bit_width == 1:
-        n, alpha = block.shape[0], np.float32(binarize(block)[1])
+        n, alpha = block.shape[0], np.float32(np.abs(block).mean())
         return GroupQuantParams(1, np.full(n, alpha), np.zeros(n, dtype=np.uint8), binary=True)
     lo, hi = _row_range(block)
     return params_from_range(lo, hi, bit_width)
@@ -183,17 +184,6 @@ def dequantize(qb: QuantizedBlock) -> np.ndarray:
     """Decode a block back to float32 (decode), one scale per row."""
     p = qb.params
     return decode(qb.codes, p.scale.astype(np.float32)[:, None], p.zero[:, None], p.binary)
-
-
-def binarize(block: np.ndarray) -> tuple[np.ndarray, float]:
-    """Sign decomposition: signs in {-1, +1} with sign(0) = +1, and the
-    mean absolute value of the block as the shared magnitude."""
-    b = np.asarray(block, dtype=np.float64)
-    if b.size == 0:
-        raise ShapeMismatch("cannot binarize an empty block")
-    signs = np.where(b >= 0.0, 1.0, -1.0)
-    alpha = float(np.abs(b).mean())
-    return signs, alpha
 
 
 def binarize_block(block: np.ndarray) -> QuantizedBlock:

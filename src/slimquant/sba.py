@@ -12,8 +12,10 @@ of recomputing it, and costs one softmax plus a few thin matmuls. Each
 thin product is accumulated into the running output in place, so the
 search holds two output-sized arrays: the reference distribution and the
 running output. Every divergence is taken against a KlReference, the
-exact layer's side, which kl_reference builds from checked inputs and which
-carries the KlConfig every score against it uses.
+exact layer's side, which kl_reference builds from the raw token rows: it
+checks them, takes at most KlConfig.max_tokens of them at a uniform stride,
+and keeps them in the dtype they came in. The reference carries the
+KlConfig every score against it uses.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class KlConfig:
             raise InvalidConfig(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: == on arrays is ambiguous
 class BitPlan:
     bits: np.ndarray  # (k,) int, entries in {N-1, N, N+1}
     p_star: int
@@ -64,40 +66,46 @@ class BitPlan:
 
 
 def stride_subsample(x: np.ndarray, max_tokens: int) -> np.ndarray:
-    """At most max_tokens rows of x, taken at a uniform stride."""
+    """At most max_tokens rows of x, taken at a uniform stride: x itself
+    if it has no more, else a compact copy, which does not keep x alive."""
     t = x.shape[0]
     if t <= max_tokens:
         return x
     stride = math.ceil(t / max_tokens)
-    return x[::stride]
+    return x[::stride].copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: == on arrays is ambiguous
 class KlReference:
     """The exact layer's side of an output divergence: the token rows, the
     softmax distribution of the exact outputs over them, and the KlConfig
     that distribution was taken under, which every score against it uses.
-    Its log is not stored; each score takes it block by block. Built once
-    per layer by kl_reference, it serves the width search and the final
-    score."""
+    The rows are kept in the dtype they came in; every product widens them
+    to float64. The log of p is not stored; each score takes it block by
+    block. Built once per layer by kl_reference, it serves the width search
+    and the final score."""
 
-    xs: np.ndarray  # (t, m) float64 token rows
+    xs: np.ndarray  # (t, m) token rows, at most cfg.max_tokens
     p: np.ndarray  # (t, n) float64
     cfg: KlConfig
 
 
-def kl_reference(xs: np.ndarray, w: np.ndarray, cfg: KlConfig) -> KlReference:
-    """Distributions of the exact outputs xs @ wT under cfg, every row of
-    xs used. The one check of a divergence's inputs: w must be 2-D with at
-    least one row (ShapeMismatch), xs 2-D over w's channels (ShapeMismatch)
-    with at least one row (InsufficientCalibration)."""
-    xs, w = np.asarray(xs, dtype=np.float64), np.asarray(w)
+def kl_reference(x: np.ndarray, w: np.ndarray, cfg: KlConfig) -> KlReference:
+    """Distributions under cfg of the exact outputs xs @ wT, where xs is at
+    most cfg.max_tokens of x's token rows at a uniform stride
+    (stride_subsample). The one check of a divergence's inputs: w must be
+    2-D with at least one row (ShapeMismatch), x 2-D over w's channels
+    (ShapeMismatch) with at least one row (InsufficientCalibration). The
+    rows are not converted: unstrided rows are x itself, strided ones a
+    compact copy."""
+    x, w = np.asarray(x), np.asarray(w)
     if w.ndim != 2 or w.shape[0] == 0:
         raise ShapeMismatch(f"weights must be 2-D with at least one row, got shape {w.shape}")
-    if xs.ndim != 2 or xs.shape[1] != w.shape[1]:
-        raise ShapeMismatch(f"activations {xs.shape} do not match weights {w.shape}")
-    if xs.shape[0] == 0:
+    if x.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeMismatch(f"activations {x.shape} do not match weights {w.shape}")
+    if x.shape[0] == 0:
         raise InsufficientCalibration("no token rows to compare outputs on")
+    xs = stride_subsample(x, cfg.max_tokens)
     p = xs @ np.asarray(w, dtype=np.float64).T
     _row_distributions(p, cfg)
     return KlReference(xs=xs, p=p, cfg=cfg)
@@ -176,11 +184,11 @@ def allocate_bits(
 ) -> BitPlan:
     """Search all pairing counts p and return the divergence-minimizing plan.
 
-    Divergences are measured on the float32-rounded token rows of x, at
-    most cfg.max_tokens of them at a uniform stride, against their
-    kl_reference, which checks w and x. A ref given must be that reference
-    (x is then not read): one built under another config is rejected
-    (InvalidConfig), as is one of another weight shape (ShapeMismatch).
+    Divergences are measured against kl_reference of x's float32-rounded
+    token rows, which checks w and x and keeps at most cfg.max_tokens rows
+    at a uniform stride. A ref given must be that reference (x is then not
+    read): one built under another config is rejected (InvalidConfig), as
+    is one of another weight shape (ShapeMismatch).
 
     Fake quantization here is quantize_uniform at each group's width:
     per-row min/max, or sign/magnitude at 1 bit. Range calibration and
@@ -203,8 +211,7 @@ def allocate_bits(
     if target_bits not in (2, 3):
         raise InvalidConfig(f"target width must be 2 or 3 bits, got {target_bits}")
     if ref is None:
-        x = np.asarray(x, dtype=np.float32)
-        ref = kl_reference(stride_subsample(x, cfg.max_tokens), w, cfg)
+        ref = kl_reference(np.asarray(x, dtype=np.float32), w, cfg)
     elif ref.cfg != cfg:
         raise InvalidConfig(f"reference was built under {ref.cfg}, allocation asks for {cfg}")
     _check_weights(ref, w)
@@ -214,7 +221,7 @@ def allocate_bits(
     k = m // beta
     if sal.group_mean.shape[0] != k:
         raise ShapeMismatch(f"salience has {sal.group_mean.shape[0]} groups, expected {k}")
-    xs64 = ref.xs
+    xs = ref.xs
 
     # float32 decodes, widened to float64 where they are used
     @functools.cache
@@ -231,7 +238,7 @@ def allocate_bits(
 
     prev = candidates[0]
     groups = [fake_block(g, int(b)) for g, b in enumerate(prev)]
-    y = xs64 @ np.concatenate(groups, axis=1, dtype=np.float64).T
+    y = xs @ np.concatenate(groups, axis=1, dtype=np.float64).T
     kl_curve = np.empty(len(candidates))
     for p, bits in enumerate(candidates):
         for g in map(int, np.flatnonzero(bits != prev)):
@@ -239,10 +246,10 @@ def allocate_bits(
                 fake_block(g, int(bits[g])), fake_block(g, int(prev[g])), dtype=np.float64
             )
             # yT += delta @ xs[:, g]T in yT's own Fortran-ordered buffer;
-            # the transposed slice is Fortran-ordered, so the wrapper copies
-            # it without transposing
+            # the wrapper copies the transposed slice, widened to float64,
+            # without transposing it
             scipy.linalg.blas.dgemm(
-                1.0, delta, xs64[:, g * beta : (g + 1) * beta].T, beta=1.0, c=y.T, overwrite_c=1
+                1.0, delta, xs[:, g * beta : (g + 1) * beta].T, beta=1.0, c=y.T, overwrite_c=1
             )
         kl_curve[p] = _kl_score(ref, y)
         prev = bits

@@ -219,6 +219,32 @@ def test_eval_matches_quantize_report(layer_files, tmp_path, capsys):
     assert hist.get("1", 0) == hist.get("3", 0)  # paired promote/demote
 
 
+@pytest.mark.parametrize("samples, max_tokens", [(1, 50), (2, 4096), (2, 50)])
+def test_eval_matches_quantize_report_on_strided_and_batched_rows(
+    layer_files, tmp_path, capsys, samples, max_tokens
+):
+    # eval scores on the rows quantize scored on: a strided subsample of
+    # the calibration rows, and the rows of every sample of a 3-D file
+    wpath, _, _, x = layer_files
+    xpath = tmp_path / "x3.slmt"
+    write_tensor(xpath, x.reshape(samples, -1, x.shape[1]))
+    out = tmp_path / "m.slmq"
+    run(capsys, *quantize_args(wpath, xpath, out, kl_max_tokens=max_tokens))
+    report = json.loads((tmp_path / "m.slmq.json").read_text())
+    code, stdout, _ = run(capsys, "eval", "--model", out, "--weights", wpath,
+                          "--calib", xpath, "--kl-max-tokens", max_tokens)
+    assert code == 0
+    scored = json.loads(stdout)
+    for key in ("recon_mse", "proxy_loss", "recon_kl"):
+        assert scored["metrics"][key] == report["metrics"][key]
+    # a different subsample scores differently, so the stride was applied
+    _, unstrided, _ = run(capsys, "eval", "--model", out, "--weights", wpath,
+                          "--calib", xpath)
+    assert (json.loads(unstrided)["metrics"]["recon_kl"] == report["metrics"]["recon_kl"]) == (
+        max_tokens >= x.shape[0]
+    )
+
+
 def test_one_bit_groups_are_written_as_sign_magnitude(tmp_path, capsys):
     w, x = clustered_layer(0, n=16, m=256, t=512)
     wpath, xpath, out = tmp_path / "w.slmt", tmp_path / "x.slmt", tmp_path / "m.slmq"

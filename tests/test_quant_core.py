@@ -15,7 +15,6 @@ from slimquant.quant_core import (
     RANGE_FLOOR,
     GroupQuantParams,
     QuantizedBlock,
-    binarize,
     binarize_block,
     block_mse,
     decode,
@@ -254,30 +253,32 @@ def test_scale_zero_shape_agreement():
 
 
 def test_binarize_signs_and_magnitude():
+    # the 1-bit quantizer codes sign(0) as +1, and its magnitude is the
+    # block's mean |w|
     block = np.array([[1.0, -2.0, 0.0, 3.0]], dtype=np.float32)
-    signs, alpha = binarize(block)
-    assert np.array_equal(signs, [[1.0, -1.0, 1.0, 1.0]])
-    assert alpha == pytest.approx(1.5)
+    qb = quantize_uniform(block, 1)
+    assert np.array_equal(qb.codes, [[1, 0, 1, 1]])
+    assert qb.params.scale.tolist() == [1.5]
 
 
 def test_binarize_magnitude_is_mean_abs():
     rng = np.random.default_rng(9)
     for _ in range(20):
         block = (rng.standard_normal((3, 10)) * 2.0).astype(np.float32)
-        signs, alpha = binarize(block)
+        qb = quantize_uniform(block, 1)
         ref = float(np.mean([abs(float(v)) for v in block.ravel()]))
-        assert alpha == pytest.approx(ref, rel=1e-12)
-        assert set(np.unique(signs)) <= {-1.0, 1.0}
+        assert np.all(qb.params.scale == qb.params.scale[0])
+        assert float(qb.params.scale[0]) == pytest.approx(ref, rel=1e-7)  # float32 rounding
+        assert set(np.unique(qb.codes)) <= {0, 1}
 
 
 def test_binarize_sign_flip_mirrors_signs():
     rng = np.random.default_rng(10)
     block = rng.standard_normal((4, 8)).astype(np.float32)
     block[np.abs(block) < 1e-6] = 0.1  # keep signs unambiguous
-    s1, a1 = binarize(block)
-    s2, a2 = binarize(-block)
-    assert np.array_equal(s1, -s2)
-    assert a1 == a2
+    q1, q2 = quantize_uniform(block, 1), quantize_uniform(-block, 1)
+    assert np.array_equal(q1.codes, 1 - q2.codes)
+    assert np.array_equal(q1.params.scale, q2.params.scale)
 
 
 def test_binarize_block_decodes_to_signed_magnitude():
@@ -293,7 +294,7 @@ def test_binarize_block_decodes_to_signed_magnitude():
 
 def test_binarize_empty_rejected():
     with pytest.raises(ShapeMismatch):
-        binarize(np.zeros((0, 4), dtype=np.float32))
+        quantize_uniform(np.zeros((0, 4), dtype=np.float32), 1)
 
 
 def test_block_mse_hand_values():

@@ -149,6 +149,7 @@ def test_epsilon_floor_keeps_logs_finite():
 # malformed divergence inputs made from a valid (w, x) pair, and the error
 # kl_reference, the one check of them, must raise
 MALFORMED = {
+    "0d-activations": (lambda w, x: (w, x[0, 0]), ShapeMismatch),
     "1d-activations": (lambda w, x: (w, x[:, 0]), ShapeMismatch),
     "wrong-channel-count": (lambda w, x: (w, x[:, :-1]), ShapeMismatch),
     "no-token-rows": (lambda w, x: (w, x[:0]), InsufficientCalibration),
@@ -193,6 +194,32 @@ def test_stride_subsample():
     assert sub.shape[0] == 4  # ceil(10/4) = 3 -> rows 0, 3, 6, 9
     assert np.array_equal(sub[:, 0], [0.0, 6.0, 12.0, 18.0])
     assert stride_subsample(x, 100) is x
+
+
+@pytest.mark.parametrize("t, max_tokens", [(10, 4), (10, 3), (9, 9), (9, 100), (7, 1)])
+def test_kl_reference_strides_its_rows(t, max_tokens):
+    rng = np.random.default_rng(t + max_tokens)
+    w, x = random_layer(rng, 3, 4), random_calib(rng, t, 4)
+    cfg = KlConfig(max_tokens=max_tokens)
+    ref = kl_reference(x, w, cfg)
+    assert np.array_equal(ref.xs, x[::math.ceil(t / max_tokens)])
+    assert ref.xs.dtype == np.float32  # kept as given, not widened
+    # unstrided rows are the caller's own; strided ones a compact copy
+    # that does not keep the caller's rows alive
+    assert np.shares_memory(ref.xs, x) == (t <= max_tokens)
+    assert ref.xs.flags.c_contiguous
+    want = output_kl(kl_reference(x[::math.ceil(t / max_tokens)], w, cfg), w * 0.5)
+    assert output_kl(ref, w * 0.5) == want
+
+
+def test_references_and_plans_compare_by_identity():
+    # == on dataclasses of arrays would raise numpy's ambiguous truth value
+    w, x, sal = plan_inputs(3)
+    a, b = kl_reference(x, w, KlConfig()), kl_reference(x, w, KlConfig())
+    assert a == a and a != b
+    plan = allocate_bits(w, x, sal, 8, 2, KlConfig(), ref=a)
+    same = BitPlan(bits=plan.bits.copy(), p_star=plan.p_star, kl_curve=plan.kl_curve.copy())
+    assert plan == plan and plan != same
 
 
 def plan_inputs(seed, n=8, m=48, beta=8, t=20):

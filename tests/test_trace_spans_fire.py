@@ -25,6 +25,7 @@ DEAD = {
     "pipeline.salient_mask_3sigma",
     "pipeline.binarize_block",
     "sba.binarize_block",
+    "pipeline.stride_subsample",
 }
 
 
