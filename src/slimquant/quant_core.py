@@ -167,12 +167,23 @@ def _levels(codes: np.ndarray, zero: np.ndarray, binary: bool) -> np.ndarray:
     return np.subtract(codes, zero, dtype=np.int8, casting="unsafe")
 
 
-def decode(codes: np.ndarray, scale: np.ndarray, zero: np.ndarray, binary: bool) -> np.ndarray:
+def decode(
+    codes: np.ndarray,
+    scale: np.ndarray,
+    zero: np.ndarray,
+    binary: bool,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """float32 decode of codes: their integer levels times float32 scales
-    that broadcast against them, in one float32 buffer."""
-    w = _levels(codes, zero, binary).astype(np.float32)
-    w *= scale
-    return w
+    that broadcast against them, in one float32 buffer, a new one or out
+    (float32, the codes' shape, any layout), which is returned."""
+    levels = _levels(codes, zero, binary)
+    if out is None:
+        out = levels.astype(np.float32)
+    else:
+        out[...] = levels
+    out *= scale
+    return out
 
 
 def int_levels(qb: QuantizedBlock) -> np.ndarray:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from fixtures import random_blocks, random_calib, random_layer
+from slimquant import kernel
 from slimquant.errors import ShapeMismatch
 from slimquant.kernel import dense_reference, matmul_tolerance, packed_matmul
 from slimquant.packfmt import pack
 from slimquant.pipeline import PipelineConfig, quantize_layer, reconstruct
-from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize
+from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize, int_levels
 from slimquant.tensor_store import CalibrationSet
 
 
@@ -74,9 +75,20 @@ GROUP_KIND_CASES = {
 }
 
 
+# decode-buffer budgets in groups of the tests' layers: the default, runs
+# of 3 groups (so 4 groups end in a partial chunk), and less than one
+# group, which must still get one group per chunk
+CHUNK_GROUPS = [None, 3, 0.5]
+
+
+def set_chunk_groups(monkeypatch, groups, n, beta):
+    budget = kernel._CHUNK_ELEMENTS if groups is None else int(groups * n * beta)
+    monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", budget)
+
+
 @pytest.mark.parametrize("case", sorted(GROUP_KIND_CASES))
 @pytest.mark.parametrize("beta", [16, 32])
-def test_group_kinds_at_every_token_count(case, beta):
+def test_group_kinds_at_every_token_count(case, beta, monkeypatch):
     rng = np.random.default_rng(9)
     n, kinds = 12, GROUP_KIND_CASES[case]
     m = beta * len(kinds)
@@ -89,15 +101,37 @@ def test_group_kinds_at_every_token_count(case, beta):
         for b in blocks if not b.params.binary
     ]
     pm_zero = pack(at_zero, n, beta * len(at_zero), beta)
-    for t in (1, beta - 1, beta, 2 * beta):
-        x = random_calib(rng, t, m)
-        got = packed_matmul(pm, x)
-        assert float(np.abs(got - dense_reference(pm, x)).max()) <= matmul_tolerance(pm, x)
-        rows = rng.choice(m, size=t, replace=False)
-        probe = np.eye(m, dtype=np.float32)[rows]
-        assert np.array_equal(packed_matmul(pm, probe), w[:, rows].T)
-        zero_out = packed_matmul(pm_zero, x[:, : pm_zero.m])
-        assert np.array_equal(zero_out, np.zeros((t, n), np.float32))
+    for chunk_groups in CHUNK_GROUPS:
+        set_chunk_groups(monkeypatch, chunk_groups, n, beta)
+        for t in (1, beta - 1, beta, 2 * beta):
+            x = random_calib(rng, t, m)
+            got = packed_matmul(pm, x)
+            assert float(np.abs(got - dense_reference(pm, x)).max()) <= matmul_tolerance(pm, x)
+            rows = rng.choice(m, size=t, replace=False)
+            probe = np.eye(m, dtype=np.float32)[rows]
+            assert np.array_equal(packed_matmul(pm, probe), w[:, rows].T)
+            zero_out = packed_matmul(pm_zero, x[:, : pm_zero.m])
+            assert np.array_equal(zero_out, np.zeros((t, n), np.float32))
+
+
+@pytest.mark.parametrize("chunk_groups", CHUNK_GROUPS)
+def test_decode_form_adds_one_product_per_chunk(chunk_groups, monkeypatch):
+    # from beta tokens on: each run of groups decoded side by side, one
+    # product per run added into the output in order
+    rng = np.random.default_rng(10)
+    n, beta, k = 12, 8, 7
+    blocks, _ = random_blocks(rng, n, k * beta, beta, binary=True)
+    pm = pack(blocks, n, k * beta, beta)
+    set_chunk_groups(monkeypatch, chunk_groups, n, beta)
+    per_chunk = max(1, kernel._CHUNK_ELEMENTS // (n * beta))
+    for t in (beta, 2 * beta):
+        x = random_calib(rng, t, k * beta)
+        want = np.zeros((t, n), dtype=np.float32)
+        for g0 in range(0, k, per_chunk):
+            run = pm.blocks[g0 : g0 + per_chunk]
+            w = np.asfortranarray(np.concatenate([dequantize(b) for b in run], axis=1))
+            want += x[:, g0 * beta : (g0 + len(run)) * beta] @ w.T
+        assert np.array_equal(packed_matmul(pm, x), want)
 
 
 def test_zero_codes_at_zero_point_give_zero_output():
@@ -111,11 +145,47 @@ def test_zero_codes_at_zero_point_give_zero_output():
 
 
 def test_empty_token_batch():
+    # no tokens; then no groups or no rows at beta and 2 beta tokens
     rng = np.random.default_rng(5)
-    blocks, _ = random_blocks(rng, 4, 16, 8)
-    pm = pack(blocks, 4, 16, 8)
-    y = packed_matmul(pm, np.zeros((0, 16), dtype=np.float32))
-    assert y.shape == (0, 4)
+    for n, k, t in [(4, 2, 0), (4, 0, 8), (4, 0, 16), (0, 2, 8), (0, 2, 16)]:
+        blocks, _ = random_blocks(rng, n, k * 8, 8)
+        pm = pack(blocks, n, k * 8, 8)
+        x = random_calib(rng, t, k * 8)
+        y = packed_matmul(pm, x)
+        assert y.dtype == np.float32
+        assert np.array_equal(y, np.zeros((t, n), dtype=np.float32))
+        assert np.array_equal(dense_reference(pm, x), y)
+        assert 0.0 <= matmul_tolerance(pm, x) < 1e-30
+
+
+def test_budget_holds_on_all_positive_inputs_at_m_4096():
+    # every term of one sign, so nothing cancels and |x| @ |W|^T, which the
+    # budget scales, is the product itself; at 1 and beta - 1 tokens the
+    # scale-after form runs, at beta and 2 beta the decode form
+    rng = np.random.default_rng(11)
+    n, beta, k = 8, 128, 32
+    blocks = []
+    for g in range(k):
+        bits = 1 + g % 4
+        maxq = (1 << bits) - 1
+        codes = rng.integers(1, maxq + 1, size=(n, beta)).astype(np.uint8)
+        scale = rng.uniform(0.5, 2.0, size=n).astype(np.float32)
+        params = GroupQuantParams(bits, scale, np.zeros(n, dtype=np.uint8), binary=bits == 1)
+        blocks.append(QuantizedBlock(codes=codes, params=params))
+    pm = pack(blocks, n, k * beta, beta)
+    w = np.concatenate(
+        [int_levels(b) * b.params.scale.astype(np.float64)[:, None] for b in pm.blocks], axis=1
+    )
+    assert (w > 0).all()
+    for t in (1, beta - 1, beta, 2 * beta):
+        x = rng.uniform(0.5, 1.0, size=(t, k * beta)).astype(np.float32)
+        exact = x.astype(np.float64) @ w.T
+        budget = matmul_tolerance(pm, x)
+        got, ref = packed_matmul(pm, x), dense_reference(pm, x)
+        # each path within its half of the budget of the exact product
+        assert float(np.abs(got - exact).max()) <= budget / 2
+        assert float(np.abs(ref - exact).max()) <= budget / 2
+        assert float(np.abs(got - ref).max()) <= budget
 
 
 def test_linearity_within_budget():

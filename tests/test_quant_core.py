@@ -398,6 +398,14 @@ def test_dequantize_bytes_match_three_step_decode(bits, binary):
         assert got.dtype == ref.dtype == np.float32
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+        # into a column slice of a Fortran-order buffer, as the kernel's
+        # chunked decode writes it; the columns around it are not touched
+        buf = np.full((n, 3 * width), np.nan, dtype=np.float32, order="F")
+        cols = buf[:, width : 2 * width]
+        back = decode(layout, scale[:, None], params.zero[:, None], binary, out=cols)
+        assert back is cols
+        assert cols.tobytes() == got.tobytes()
+        assert np.isnan(buf[:, :width]).all() and np.isnan(buf[:, 2 * width :]).all()
 
 
 @pytest.mark.parametrize("bits, binary", [(1, True), (1, False), (2, False), (3, False), (4, False)])
