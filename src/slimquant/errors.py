@@ -61,9 +61,5 @@ class InconsistentPlan(SlimQuantError):
     """Quantized blocks disagree with the declared shape or bit plan."""
 
 
-class CorruptOffsets(SlimQuantError):
-    """Packed group offset table disagrees with the declared bit widths."""
-
-
 class CodeOutOfRange(SlimQuantError):
     """Packed stream carries a field value outside its representable range."""

@@ -3,7 +3,7 @@
 File layout (SLMQ, all little-endian):
 
     magic    4 bytes  b"SLMQ"
-    version  u16      currently 1
+    version  u16      currently 2
     flags    u16      bit 0: 1-bit groups are sign/magnitude; it needs a
                       1-bit group, and every other bit is zero
     n        u32      output rows
@@ -11,9 +11,8 @@ File layout (SLMQ, all little-endian):
     beta     u32      group width
     N        u8       average bit-width target
     reserved 3 bytes  zero
-    sections, each prefixed by a u64 byte length, in order:
-        bit_codes      one row of k 2-bit fields, value = width - 1
-        offsets        (k+1) u64 cumulative bit offsets into weights_stream
+    sections, back to back, in order:
+        bit_codes      one row of k = m / beta 2-bit fields, value = width - 1
         scales         k*n float32, group-major then row
         zeros_stream   per group: one row of n zero-points at the group's width
         weights_stream per group: beta rows, one per column, of n codes at
@@ -21,9 +20,11 @@ File layout (SLMQ, all little-endian):
 
 Every packed section is written by one rule: rows of fixed-width fields,
 LSB-first, bytes in ascending address order, each row padded with zero
-bits to a 32-bit word; the bit-code row is then cut to whole bytes.
-Padding bits, reserved bytes and undefined flag bits are always zero and
-nonzero ones are rejected on read, which keeps the encoding injective.
+bits to a 32-bit word. No section carries its length: the header fixes k
+and the bit-code row, and the widths then fix every other section's size,
+so a file is exactly as long as they imply (_layout). Padding bits,
+reserved bytes and undefined flag bits are always zero and nonzero ones
+are rejected on read, which keeps the encoding injective.
 """
 
 from __future__ import annotations
@@ -35,24 +36,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CodeOutOfRange,
-    CorruptOffsets,
-    InconsistentPlan,
-    IoFailure,
-    TruncatedPayload,
-    UnsupportedVersion,
-)
+from .errors import BadMagic, CodeOutOfRange, InconsistentPlan, TruncatedPayload, UnsupportedVersion
 from .quant_core import GroupQuantParams, QuantizedBlock
-from .tensor_store import atomic_write
+from .tensor_store import atomic_write, read_file
 
 MAGIC = b"SLMQ"
-VERSION = 1
+VERSION = 2
 FLAG_BINARY_1BIT = 1
 _HEADER = struct.Struct("<4sHHIIIB3s")
 _RESERVED = bytes(3)
 WORD_BITS = 32
+
+
+def _row_words(count: int, width: int) -> int:
+    """32-bit words in one padded row of count width-bit fields."""
+    return -(-count * width // WORD_BITS)
 
 
 def pack_fields(values: np.ndarray, width: int) -> bytes:
@@ -60,7 +58,7 @@ def pack_fields(values: np.ndarray, width: int) -> bytes:
     32-bit word. values is (rows, count) with entries below 2**width."""
     v = np.asarray(values, dtype=np.uint8)
     rows, count = v.shape
-    words = -(-count * width // WORD_BITS)
+    words = _row_words(count, width)
     bits = np.zeros((rows, words * WORD_BITS), dtype=np.uint8)
     fields = bits[:, : count * width].reshape(rows, count, width)  # a view into bits
     for i in range(width):
@@ -71,7 +69,7 @@ def pack_fields(values: np.ndarray, width: int) -> bytes:
 def unpack_fields(raw, rows: int, count: int, width: int, what: str) -> np.ndarray:
     """Inverse of pack_fields: (rows, count) uint8. raw must hold exactly
     rows padded rows; a nonzero padding bit raises CodeOutOfRange."""
-    words = -(-count * width // WORD_BITS)
+    words = _row_words(count, width)
     bits = np.unpackbits(
         np.frombuffer(raw, dtype=np.uint8).reshape(rows, 4 * words), axis=1, bitorder="little"
     )
@@ -84,21 +82,16 @@ def unpack_fields(raw, rows: int, count: int, width: int, what: str) -> np.ndarr
     return values
 
 
-def _bit_code_bytes(k: int) -> int:
-    """Bytes of the bit-code section: k 2-bit fields cut to whole bytes."""
-    return -(-k // 4)
-
-
 def _layout(n: int, beta: int, widths) -> tuple[list[int], list[int], tuple[int, ...]]:
     """Words in one padded row of n fields at each group's width (a
     group's zero-points are one such row, its codes beta of them), the
     k + 1 bit offsets of the groups in the weight stream, and the byte
-    length of each of the five sections, in file order. Python integers,
+    length of each of the four sections, in file order. Python integers,
     so a hostile header cannot overflow them."""
     k = len(widths)
-    words = [-(-n * int(w) // WORD_BITS) for w in widths]
+    words = [_row_words(n, int(w)) for w in widths]
     offsets = [0, *itertools.accumulate(beta * WORD_BITS * c for c in words)]
-    sizes = (_bit_code_bytes(k), 8 * (k + 1), 4 * k * n, 4 * sum(words), offsets[-1] // 8)
+    sizes = (4 * _row_words(k, 2), 4 * k * n, 4 * sum(words), offsets[-1] // 8)
     return words, offsets, sizes
 
 
@@ -143,11 +136,6 @@ class PackedModel:
     def flags(self) -> int:
         return FLAG_BINARY_1BIT if self.binary_1bit else 0
 
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """Cumulative bit offsets of each group in the weight stream, read-only."""
-        return _readonly(np.array(_layout(self.n, self.beta, self.widths)[1], dtype=np.uint64))
-
     def group_block(self, g: int) -> QuantizedBlock:
         return self.blocks[g]
 
@@ -155,18 +143,15 @@ class PackedModel:
         header = _HEADER.pack(
             MAGIC, VERSION, self.flags, self.n, self.m, self.beta, self.target_bits, _RESERVED
         )
-        bit_codes = pack_fields(self.widths[None, :] - 1, 2)[: _bit_code_bytes(self.k)]
-        offsets = struct.pack(f"<{self.k + 1}Q", *self.offsets.tolist())
-        scales = b"".join(b.params.scale.astype("<f4").tobytes() for b in self.blocks)
-        zeros_stream = b"".join(
-            pack_fields(b.params.zero[None, :], b.params.bit_width) for b in self.blocks
+        return b"".join(
+            [
+                header,
+                pack_fields(self.widths[None, :] - 1, 2),
+                *(b.params.scale.astype("<f4").tobytes() for b in self.blocks),
+                *(pack_fields(b.params.zero[None, :], b.params.bit_width) for b in self.blocks),
+                *(pack_fields(b.codes.T, b.params.bit_width) for b in self.blocks),
+            ]
         )
-        weights_stream = b"".join(pack_fields(b.codes.T, b.params.bit_width) for b in self.blocks)
-        parts = [header]
-        for section in (bit_codes, offsets, scales, zeros_stream, weights_stream):
-            parts.append(struct.pack("<Q", len(section)))
-            parts.append(section)
-        return b"".join(parts)
 
 
 def pack(blocks: list, n: int, m: int, beta: int, target_bits: int | None = None) -> PackedModel:
@@ -229,58 +214,34 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
         raise InconsistentPlan(f"{name}: group size {beta} does not divide {m}")
     k = m // beta
 
-    sections = []
-    pos = _HEADER.size
+    # the bit-code row first: it bounds k by the file's size before
+    # anything is sized by k, and its widths size every other section
     view = memoryview(raw)
-    for label in ("bit_codes", "offsets", "scales", "zeros", "weights"):
-        if pos + 8 > len(raw):
-            raise TruncatedPayload(f"{name}: missing length of {label} section")
-        (length,) = struct.unpack_from("<Q", raw, pos)
-        pos += 8
-        if pos + length > len(raw):
-            raise TruncatedPayload(f"{name}: {label} section cut off")
-        sections.append(view[pos : pos + length])
-        pos += length
-    if pos != len(raw):
-        raise TruncatedPayload(f"{name}: {len(raw) - pos} trailing bytes")
-    bit_codes_raw, offsets_raw, scales_raw, zeros_raw, weights_raw = sections
-
-    if len(bit_codes_raw) != _bit_code_bytes(k):
-        raise InconsistentPlan(f"{name}: bit-code section holds {len(bit_codes_raw)} bytes for {k} groups")
-    bit_codes_row = bytes(bit_codes_raw) + bytes(-len(bit_codes_raw) % 4)  # back to whole words
-    widths = unpack_fields(bit_codes_row, 1, k, 2, f"{name}: bit codes")[0].astype(np.int64) + 1
+    code_end = _HEADER.size + 4 * _row_words(k, 2)
+    if len(raw) < code_end:
+        raise TruncatedPayload(f"{name}: bit-code row of {k} groups cut off")
+    bit_codes = view[_HEADER.size : code_end]
+    widths = unpack_fields(bit_codes, 1, k, 2, f"{name}: bit codes")[0].astype(np.int64) + 1
+    words, offsets, sizes = _layout(n, beta, widths)
+    _, scales_at, zeros_at, weights_at, end = itertools.accumulate(sizes, initial=_HEADER.size)
+    if len(raw) != end:
+        raise TruncatedPayload(f"{name}: {len(raw)} bytes, header and bit widths imply {end}")
     binary = bool(flags & FLAG_BINARY_1BIT)
     if binary and not np.any(widths == 1):
         raise InconsistentPlan(f"{name}: sign/magnitude flag set with no 1-bit group")
 
-    words, expected, sizes = _layout(n, beta, widths)
-    _, offsets_bytes, scales_bytes, zeros_bytes, weights_bytes = sizes
-    if len(offsets_raw) != offsets_bytes:
-        raise CorruptOffsets(f"{name}: offset table holds {len(offsets_raw)} bytes for {k + 1} entries")
-    offsets = list(struct.unpack(f"<{k + 1}Q", offsets_raw))
-    if offsets != expected:
-        raise CorruptOffsets(f"{name}: offset table disagrees with the declared bit widths")
-    if len(weights_raw) != weights_bytes:
-        raise CorruptOffsets(
-            f"{name}: weight stream holds {8 * len(weights_raw)} bits, offsets claim {offsets[-1]}"
-        )
-
-    if len(scales_raw) != scales_bytes:
-        raise InconsistentPlan(f"{name}: scale section holds {len(scales_raw)} bytes for {k}x{n} rows")
-    scales = _readonly(np.frombuffer(scales_raw, dtype="<f4").reshape(k, n).astype(np.float32))
+    scales = np.frombuffer(raw, dtype="<f4", count=k * n, offset=scales_at)
+    scales = _readonly(scales.reshape(k, n).astype(np.float32))
     if not np.all(np.isfinite(scales)):
         raise CodeOutOfRange(f"{name}: non-finite scale")
 
-    if len(zeros_raw) != zeros_bytes:
-        raise InconsistentPlan(f"{name}: zero section length mismatch")
     blocks = []
-    zero_pos = 0
     for g in range(k):
         width = int(widths[g])
-        row = zeros_raw[zero_pos : zero_pos + 4 * words[g]]
-        zero_pos += 4 * words[g]
+        row = view[zeros_at : zeros_at + 4 * words[g]]
+        zeros_at += 4 * words[g]
         zero = _readonly(unpack_fields(row, 1, n, width, f"{name}: zero-point group {g}"))[0]
-        group = weights_raw[offsets[g] // 8 : offsets[g + 1] // 8]
+        group = view[weights_at + offsets[g] // 8 : weights_at + offsets[g + 1] // 8]
         codes = _readonly(unpack_fields(group, beta, n, width, f"{name}: weight group {g}")).T
         blocks.append(_frozen_block(codes, scales[g], zero, width, binary and width == 1))
     return PackedModel(n=n, m=m, beta=beta, target_bits=target_bits, blocks=tuple(blocks))
@@ -291,19 +252,14 @@ def write_packed(pm: PackedModel, path: str) -> None:
 
 
 def read_packed(path: str) -> PackedModel:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return from_bytes(raw, name=path)
+    return from_bytes(read_file(path), name=path)
 
 
 @dataclass(frozen=True)
 class SizeReport:
     payload_bits: int  # code bits, padding excluded
     padding_bits: int
-    metadata_bits: int  # header, lengths, bit codes, offsets, scales, zeros
+    metadata_bits: int  # header, bit codes, scales, zeros
     bits_per_weight: float
 
     @property
@@ -315,8 +271,8 @@ def packed_size_report(pm: PackedModel) -> SizeReport:
     payload = int(sum(pm.n * pm.beta * int(w) for w in pm.widths))
     sizes = _layout(pm.n, pm.beta, pm.widths)[2]
     stream = 8 * sizes[-1]
-    # the header, a u64 length per section, and every section but the weight stream
-    metadata_bytes = _HEADER.size + 8 * len(sizes) + sum(sizes[:-1])
+    # the header and every section but the weight stream
+    metadata_bytes = _HEADER.size + sum(sizes[:-1])
     weights = pm.n * pm.m
     return SizeReport(
         payload_bits=payload,

@@ -77,14 +77,18 @@ def write_tensor(path: str, values: np.ndarray) -> None:
     atomic_write(path, tensor_to_bytes(values, name=str(path)))
 
 
-def read_tensor(path: str) -> np.ndarray:
-    """Read a tensor written by write_tensor. Returns float32, row-major."""
+def read_file(path: str) -> bytes:
+    """The whole file at path; an OSError becomes IoFailure."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return tensor_from_bytes(raw, name=path)
+
+
+def read_tensor(path: str) -> np.ndarray:
+    """Read a tensor written by write_tensor. Returns float32, row-major."""
+    return tensor_from_bytes(read_file(path), name=path)
 
 
 def tensor_from_bytes(raw: bytes, name: str = "<bytes>") -> np.ndarray:

@@ -6,7 +6,9 @@ drift in the writer is caught immediately.
 """
 
 import hashlib
+import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from fixtures import random_blocks, random_calib, random_layer
 from slimquant.errors import (
     BadMagic,
     CodeOutOfRange,
-    CorruptOffsets,
     InconsistentPlan,
     IoFailure,
     SlimQuantError,
@@ -26,6 +27,7 @@ from slimquant.errors import (
 )
 from slimquant.packfmt import (
     PackedModel,
+    _layout,
     from_bytes,
     pack,
     pack_fields,
@@ -39,19 +41,15 @@ from slimquant.pipeline import PipelineConfig, quantize_layer, reconstruct
 from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize
 from slimquant.tensor_store import CalibrationSet
 
-GOLDEN_SHA256 = "a67fa0e107f12e60300ef560128afcec9512dbe6c3620740bce94806b61f8fcb"
+GOLDEN_SHA256 = "2216c29c00fa8a597132e73bbf20d4640ff682aec2d90b4c6e168e13d4cca168"
 
 
 def sections_of(raw):
-    """(start, length) of each section body, in file order."""
-    out = []
-    pos = 24
-    for _ in range(5):
-        (length,) = struct.unpack_from("<Q", raw, pos)
-        pos += 8
-        out.append((pos, length))
-        pos += length
-    return out
+    """(start, length) of each of the four sections of a valid file, in
+    file order, as its header and bit widths imply them."""
+    pm = from_bytes(raw)
+    sizes = _layout(pm.n, pm.beta, pm.widths)[2]
+    return list(zip(itertools.accumulate(sizes, initial=24), sizes))
 
 
 def golden_model():
@@ -132,10 +130,11 @@ def test_offsets_use_padded_group_lengths():
     blocks, _ = random_blocks(rng, 8, 48, 16, widths=[2, 3, 1])
     pm = pack(blocks, 8, 48, 16)
     # n=8: a column holds 8*width bits, padded to one 32-bit word
-    assert list(pm.offsets) == [0, 16 * 32, 32 * 32, 48 * 32]
+    offsets = _layout(8, 16, pm.widths)[1]
+    assert offsets == [0, 16 * 32, 32 * 32, 48 * 32]
     raw = pm.to_bytes()
-    weights = sections_of(raw)[4]
-    assert weights[1] * 8 == pm.offsets[-1]
+    weights = sections_of(raw)[3]
+    assert weights[1] * 8 == offsets[-1]
 
 
 def test_file_identity_is_stable():
@@ -160,7 +159,7 @@ def test_writer_is_injective_on_codes():
 def model_arrays(pm):
     for b in pm.blocks:
         yield from (b.codes, b.params.scale, b.params.zero)
-    yield from (pm.widths, pm.offsets)
+    yield pm.widths
 
 
 @pytest.mark.parametrize("source", ["pack", "from_bytes"])
@@ -257,8 +256,6 @@ def test_truncation_rejected_everywhere():
     raw = golden_model().to_bytes()
     with pytest.raises(TruncatedPayload):
         from_bytes(raw[:10])  # inside the header
-    with pytest.raises(TruncatedPayload):
-        from_bytes(raw[:30])  # inside a section length
     for start, length in sections_of(raw):
         if length:
             with pytest.raises(TruncatedPayload):
@@ -267,30 +264,58 @@ def test_truncation_rejected_everywhere():
         from_bytes(raw + b"\x00")
 
 
-def test_tampered_offset_table_rejected():
+def test_every_proper_prefix_and_one_extra_byte_rejected():
+    raw = golden_model().to_bytes()
+    for end in range(len(raw)):
+        with pytest.raises(TruncatedPayload):
+            from_bytes(raw[:end])
+    with pytest.raises(TruncatedPayload):
+        from_bytes(raw + b"\x00")
+
+
+def test_version_one_file_rejected():
     raw = bytearray(golden_model().to_bytes())
-    start, length = sections_of(raw)[1]
-    struct.pack_into("<Q", raw, start + 8, 12345)
-    with pytest.raises(CorruptOffsets):
+    struct.pack_into("<H", raw, 4, 1)
+    with pytest.raises(UnsupportedVersion):
         from_bytes(bytes(raw))
 
 
-def test_tampered_bit_codes_break_offset_agreement():
+@pytest.mark.parametrize("field, value", [("m", 2**32 - 1), ("n", 2**32 - 1)])
+def test_hostile_header_rejected_before_sizing(field, value):
+    # m = 2^32 - 1 with beta = 1 claims 2^32 - 1 groups; n = 2^32 - 1 claims
+    # rows of 2^32 - 1 fields. Either is refused on the file's length, with
+    # no allocation sized by k or n.
+    raw = bytearray(golden_model().to_bytes()[:40])
+    if field == "m":
+        struct.pack_into("<II", raw, 12, value, 1)
+    else:
+        struct.pack_into("<I", raw, 8, value)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayload):
+            from_bytes(bytes(raw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_tampered_bit_codes_change_the_file_length():
     # with 16 rows, a 1-bit and a 3-bit column pad to different word counts,
-    # so flipping a stored width desynchronizes the offset table
+    # so flipping a stored width changes the length the file must have
     rng = np.random.default_rng(11)
     blocks, _ = random_blocks(rng, 16, 32, 16, widths=[1, 2])
     raw = bytearray(pack(blocks, 16, 32, 16).to_bytes())
     start, _ = sections_of(raw)[0]
     raw[start] ^= 0x02  # group 0: 1 bit -> 3 bits
-    with pytest.raises(CorruptOffsets):
+    with pytest.raises(TruncatedPayload):
         from_bytes(bytes(raw))
 
 
 def test_nonzero_weight_padding_rejected():
     # golden model has n=8, so every column leaves padding inside its word
     raw = bytearray(golden_model().to_bytes())
-    start, _ = sections_of(raw)[4]
+    start, _ = sections_of(raw)[3]
     raw[start + 3] = 0xFF  # top byte of the first column's word
     with pytest.raises(CodeOutOfRange):
         from_bytes(bytes(raw))
@@ -298,7 +323,7 @@ def test_nonzero_weight_padding_rejected():
 
 def test_nonzero_zero_point_padding_rejected():
     raw = bytearray(golden_model().to_bytes())
-    start, _ = sections_of(raw)[3]
+    start, _ = sections_of(raw)[2]
     raw[start + 3] = 0xFF
     with pytest.raises(CodeOutOfRange):
         from_bytes(bytes(raw))
@@ -306,7 +331,7 @@ def test_nonzero_zero_point_padding_rejected():
 
 def test_non_finite_scale_rejected_on_read():
     raw = bytearray(golden_model().to_bytes())
-    start, _ = sections_of(raw)[2]
+    start, _ = sections_of(raw)[1]
     struct.pack_into("<f", raw, start, np.nan)
     with pytest.raises(CodeOutOfRange):
         from_bytes(bytes(raw))
@@ -402,7 +427,7 @@ def test_size_report_balanced_mixed_plan():
     report = packed_size_report(pm)
     assert report.bits_per_weight == 2.0  # (1+2+3)/3 at equal group sizes
     assert report.padding_bits > 0  # n=8 leaves slack in every word
-    assert report.payload_bits + report.padding_bits == int(pm.offsets[-1])
+    assert report.payload_bits + report.padding_bits == _layout(8, 16, pm.widths)[1][-1]
 
 
 def test_size_report_accounts_for_every_bit():
@@ -420,7 +445,7 @@ def test_size_report_accounts_for_every_bit():
         report = packed_size_report(pm)
         assert report.payload_bits == int(
             sum(n * beta * int(w) for w in widths))
-        assert report.metadata_bits == 8 * len(pm.to_bytes()) - int(pm.offsets[-1])
+        assert report.metadata_bits == 8 * len(pm.to_bytes()) - _layout(n, beta, widths)[1][-1]
         assert report.total_bits == 8 * len(pm.to_bytes())
 
 
@@ -445,10 +470,8 @@ BASE_FILES = base_files()
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 
 
-def header_fields(raw):
-    """(offset, size) of every header field and of the five section lengths."""
-    fields = [(0, 4), (4, 2), (6, 2), (8, 4), (12, 4), (16, 4), (20, 1), (21, 3)]
-    return fields + [(start - 8, 8) for start, _ in sections_of(raw)]
+# (offset, size) of every header field
+HEADER_FIELDS = [(0, 4), (4, 2), (6, 2), (8, 4), (12, 4), (16, 4), (20, 1), (21, 3)]
 
 
 def assert_rejected_or_canonical(raw):
@@ -477,7 +500,7 @@ def test_property_bit_flip(raw, data):
 @PROPERTY
 @given(st.sampled_from(BASE_FILES), st.data())
 def test_property_header_overwrite(raw, data):
-    start, size = data.draw(st.sampled_from(header_fields(raw)))
+    start, size = data.draw(st.sampled_from(HEADER_FIELDS))
     mutated = bytearray(raw)
     mutated[start : start + size] = data.draw(st.binary(min_size=size, max_size=size))
     assert_rejected_or_canonical(bytes(mutated))
