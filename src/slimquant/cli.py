@@ -26,6 +26,7 @@ from .quant_core import block_mse
 from .salience import (
     accumulate_hessian,
     damp_and_invert,
+    salience,
     salience_map,
     salient_mask_3sigma,
 )
@@ -234,12 +235,13 @@ def cmd_inspect(args) -> int:
     calib = load_calibration(args.calib)
     hs = damp_and_invert(accumulate_hessian(calib), args.percdamp)
     sal = salience_map(w, hs, args.group_size)
+    delta = salience(w, hs)
     k = w.shape[1] // args.group_size
     lines = ["kind,index,value"]
     lines += [f"channel_mean,{j},{float(v)!r}" for j, v in enumerate(sal.channel_mean)]
     lines += [f"group_mean,{g},{float(v)!r}" for g, v in enumerate(sal.group_mean)]
     for g in range(k):
-        block = sal.delta[:, g * args.group_size : (g + 1) * args.group_size]
+        block = delta[:, g * args.group_size : (g + 1) * args.group_size]
         density = float(salient_mask_3sigma(block).mean())
         lines.append(f"mask_density,{g},{density!r}")
     text = "\n".join(lines) + "\n"

@@ -190,7 +190,7 @@ def quantize_layer(
     k = m // beta
 
     marks = [time.perf_counter()]
-    # 1. Gram matrix and inverse factor
+    # 1. Gram matrix and inverse factor, factored in the Gram matrix's buffer
     hs = damp_and_invert(accumulate_hessian(calib), cfg.percdamp)
     marks.append(time.perf_counter())
     # 2. salience
@@ -227,6 +227,7 @@ def quantize_layer(
     # 5. score against the original weights
     recon = reconstruct(blocks)
     loss = proxy_loss(w, recon, hs)
+    del hs  # the inverse factor is not read after the proxy loss
     mse = block_mse(w, recon)
     kl = output_kl(ref, recon)
     marks.append(time.perf_counter())

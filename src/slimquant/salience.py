@@ -8,14 +8,17 @@ where d is the diagonal of the inverse of the damped activation Gram
 matrix H = mean over tokens of x xT. Channels that the calibration data
 drives hard get small inverse diagonals and therefore large salience.
 
-The inverse itself is never formed: damp_and_invert computes its upper
-Cholesky factor (used by error compensation) from one Cholesky
-factorization and one triangular inversion, and reads d off that factor.
-It allocates one m x m array, and the factor is built in it.
+accumulate_hessian builds H's lower triangle with BLAS's symmetric rank-k
+update (dsyrk). The inverse itself is never formed: damp_and_invert
+computes its upper Cholesky factor (used by error compensation) from one
+Cholesky factorization and one triangular inversion, both run by LAPACK
+in H's own buffer, and reads d off that factor. It allocates no m x m
+array: the Gram matrix becomes the factor.
 
-The group means drive the width search. salient_mask_3sigma flags the
-outliers of one block of the map; `slimquant inspect` reports its density
-per group, and no quantization stage reads it.
+salience gives the element map; salience_map keeps only its group and
+channel means, which drive the width search. salient_mask_3sigma flags
+the outliers of one block of the map; `slimquant inspect` reports its
+density per group, and no quantization stage reads it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .errors import (
@@ -56,27 +59,45 @@ class HessianState:
 
 @dataclass(frozen=True)
 class SalienceMap:
-    delta: np.ndarray  # (n, m) float64, >= 0
+    """The means of the element salience (see salience) that quantization
+    reads; the element map itself is not held."""
+
     group_mean: np.ndarray  # (k,) float64
     channel_mean: np.ndarray  # (m,) float64
 
 
 def accumulate_hessian(calib: CalibrationSet) -> np.ndarray:
-    """Mean outer product of all token vectors: (1/T) * sum_t x_t x_tT.
+    """Mean outer product of all token vectors, (1/T) * sum_t x_t x_tT,
+    as a C-ordered m x m float64 array that holds H's lower triangle and
+    diagonal; its strict upper triangle is zero (damp_and_invert reads only
+    the lower one).
 
-    Each x.T @ x goes through BLAS's symmetric rank-k path, which writes one
-    triangle and mirrors it, so the result is exactly symmetric."""
+    Each sample's x.T @ x is one dsyrk of the sample widened to float64:
+    the triangle numpy's x.T @ x computes, to the bit, without numpy's pass
+    that mirrors it. Later samples' products are added after, not
+    accumulated by dsyrk itself: accumulating moves the low bits once a
+    sample has more rows than the BLAS library's K block (384 on OpenBLAS
+    0.3.31)."""
     if not calib.samples or calib.token_count == 0:
         raise EmptyCalibration("need at least one token vector")
-    # start from the first product and divide in place: no zero matrix and
-    # no second m x m temporary
-    x = np.asarray(calib.samples[0], dtype=np.float64)
-    acc = x.T @ x
+    acc = _lower_gram(calib.samples[0])
     for s in calib.samples[1:]:
-        x = np.asarray(s, dtype=np.float64)
-        acc += x.T @ x
+        acc += _lower_gram(s)
     acc /= float(calib.token_count)
     return acc
+
+
+def _lower_gram(sample: np.ndarray) -> np.ndarray:
+    """x.T @ x of one sample widened to float64: C-ordered, its lower
+    triangle and diagonal filled and zeros above."""
+    x = np.asarray(sample, dtype=np.float64)
+    if x.shape[1] == 1:
+        # numpy takes one channel as a dot product, which sums in another
+        # order than dsyrk
+        return x.T @ x
+    # dsyrk of the Fortran-ordered xT fills the upper triangle of a
+    # Fortran-ordered xT x; its transpose is C-ordered with the lower one
+    return scipy.linalg.blas.dsyrk(1.0, x.T, lower=0).T
 
 
 def damp_and_invert(H: np.ndarray, percdamp: float = 0.01) -> HessianState:
@@ -86,29 +107,40 @@ def damp_and_invert(H: np.ndarray, percdamp: float = 0.01) -> HessianState:
     upper factor of the inverse is U = P L^-1 P, so A^-1 = U^T U without
     ever forming A^-1; its diagonal is the column sums of U * U.
 
-    H is taken to be symmetric, as accumulate_hessian builds it: only its
-    lower triangle (LAPACK's convention) and diagonal are read, and it is
-    never written. One m x m array is allocated: the reversed damped copy,
-    which LAPACK factors and inverts in place and which then becomes U.
+    H is consumed: a C-ordered, writeable float64 H becomes the returned
+    factor, chol_inv, and the caller must not read it after the call. Any
+    other H is first copied to one, and the caller's array is left alone.
+    Only H's lower triangle and diagonal are factored (LAPACK's
+    convention), as accumulate_hessian builds it, but a non-finite entry in
+    either triangle raises NotPositiveDefinite. No other m x m array is
+    allocated.
     """
-    H = np.asarray(H, dtype=np.float64)
+    H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ShapeMismatch(f"Gram matrix must be square, got {H.shape}")
     if not (math.isfinite(percdamp) and percdamp >= 0.0):
         raise InvalidConfig(f"percdamp must be finite and >= 0, got {percdamp}")
+    if not (H.dtype == np.float64 and H.flags.c_contiguous and H.flags.writeable):
+        H = np.array(H, dtype=np.float64, order="C")
+    # from H's own diagonal, before the reversal reverses it
     damping = max(float(percdamp) * float(np.mean(np.diag(H))), DAMPING_FLOOR)
-    # P A P with A = H + damping * I, built in a private copy (np.array
-    # copies even a 1 x 1 view, so the damping never reaches the caller's
-    # H). The transpose of the C-ordered reversal is P HT P in Fortran
-    # order, whose lower triangle is H's lower triangle reversed: LAPACK
-    # factors and inverts it without another copy, and never reads H's
-    # upper triangle.
-    reversed_a = np.array(H[::-1, ::-1], order="C").T
-    reversed_a[np.diag_indices_from(reversed_a)] += damping
-    try:
-        lower = scipy.linalg.cholesky(reversed_a, lower=True, overwrite_a=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NotPositiveDefinite(f"damped Gram matrix is not PD: {exc}") from exc
+    if not np.all(np.isfinite(H)):
+        raise NotPositiveDefinite("Gram matrix has non-finite entries")
+    m = H.shape[0]
+    # only the lower triangle is H; with zeros above it, U comes out
+    # upper-triangular (accumulate_hessian's are zero already)
+    for i in range(m - 1):
+        H[i, i + 1 :] = 0.0
+    # Reversing the C-ordered buffer makes it P H P; its Fortran view is
+    # P HT P, whose lower triangle is H's lower triangle reversed. LAPACK
+    # factors and inverts that view in place, and the zeros above its
+    # diagonal stay zero.
+    _reverse_in_place(H.ravel())
+    reversed_a = H.T
+    reversed_a[np.diag_indices(m)] += damping
+    lower, info = scipy.linalg.lapack.dpotrf(reversed_a, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"damped Gram matrix is not PD (dpotrf info {info})")
     lower_inv, info = scipy.linalg.lapack.dtrtri(lower, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefinite(f"Cholesky factor is singular (dtrtri info {info})")
@@ -133,22 +165,30 @@ def _reverse_in_place(flat: np.ndarray) -> None:
         np.copyto(back, tmp[::-1])
 
 
-def salience_map(w: np.ndarray, hs: HessianState, beta: int) -> SalienceMap:
-    """Element salience plus its per-group and per-channel means."""
-    w = np.asarray(w, dtype=np.float64)
+def salience(w: np.ndarray, hs: HessianState) -> np.ndarray:
+    """Element salience w^2 / d^2, (n, m) float64 and >= 0, with d the
+    inverse diagonal of hs. The one n x m array it allocates is the map."""
+    w = np.asarray(w)
     if w.ndim != 2:
         raise ShapeMismatch(f"weights must be 2-D, got {w.shape}")
-    n, m = w.shape
+    m = w.shape[1]
     if m != hs.H_inv_diag.shape[0]:
         raise ShapeMismatch(f"weights have {m} channels, Gram matrix has {hs.H_inv_diag.shape[0]}")
+    delta = np.square(w, dtype=np.float64)
+    delta /= np.square(hs.H_inv_diag)
+    return delta
+
+
+def salience_map(w: np.ndarray, hs: HessianState, beta: int) -> SalienceMap:
+    """Per-group and per-channel means of the element salience."""
+    delta = salience(w, hs)
+    n, m = delta.shape
     if beta < 1 or m % beta != 0:
         raise BadGroupSize(f"group size {beta} does not divide {m} channels")
-    d = hs.H_inv_diag
-    delta = (w * w) / (d * d)[None, :]
     k = m // beta
     group_mean = delta.reshape(n, k, beta).mean(axis=(0, 2))
     channel_mean = delta.mean(axis=0)
-    return SalienceMap(delta=delta, group_mean=group_mean, channel_mean=channel_mean)
+    return SalienceMap(group_mean=group_mean, channel_mean=channel_mean)
 
 
 def salient_mask_3sigma(delta_block: np.ndarray) -> np.ndarray:

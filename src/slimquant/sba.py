@@ -16,6 +16,11 @@ exact layer's side, which kl_reference builds from the raw token rows: it
 checks them, takes at most KlConfig.max_tokens of them at a uniform stride,
 and keeps them in the dtype they came in. The reference carries the
 KlConfig every score against it uses.
+
+Every full product with the token rows (the exact outputs, the search's
+first candidate and a whole-layer score) goes through _outputs, which
+widens the rows to float64 one row block at a time, so no float64 copy of
+all the rows is made.
 """
 
 from __future__ import annotations
@@ -35,6 +40,13 @@ from .salience import SalienceMap
 # Elements per row block of the divergence scoring (512 KiB of float64),
 # as in sqc's slices: the block and its buffer stay in cache.
 _BLOCK_ELEMENTS = 65536
+
+# Elements of the float64 buffer _outputs widens token rows into (8 MiB):
+# 256 rows at 4096 channels, 1024 at 1024. A block of them holds at least
+# 2^20 multiply-adds per output, more than the about 1e6 up to which
+# OpenBLAS takes a product to a kernel that sums in another order than the
+# whole product's (numpy takes single rows to another routine too).
+_PRODUCT_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -81,9 +93,9 @@ class KlReference:
     softmax distribution of the exact outputs over them, and the KlConfig
     that distribution was taken under, which every score against it uses.
     The rows are kept in the dtype they came in; every product widens them
-    to float64. The log of p is not stored; each score takes it block by
-    block. Built once per layer by kl_reference, it serves the width search
-    and the final score."""
+    to float64 a row block at a time (_outputs). The log of p is not
+    stored; each score takes it block by block. Built once per layer by
+    kl_reference, it serves the width search and the final score."""
 
     xs: np.ndarray  # (t, m) token rows, at most cfg.max_tokens
     p: np.ndarray  # (t, n) float64
@@ -106,9 +118,36 @@ def kl_reference(x: np.ndarray, w: np.ndarray, cfg: KlConfig) -> KlReference:
     if x.shape[0] == 0:
         raise InsufficientCalibration("no token rows to compare outputs on")
     xs = stride_subsample(x, cfg.max_tokens)
-    p = xs @ np.asarray(w, dtype=np.float64).T
+    p = _outputs(xs, w)
     _row_distributions(p, cfg)
     return KlReference(xs=xs, p=p, cfg=cfg)
+
+
+def _outputs(xs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """xs @ wT in float64, (t, n), for token rows xs (t, m) of any real
+    dtype and weights w (n, m).
+
+    The rows are widened block by block into one reused float64 buffer of
+    about _PRODUCT_ELEMENTS elements (at least two rows), and a partial
+    last block joins the one before it. Each block's product is written
+    straight into its rows of the result. On OpenBLAS this equals the product of all rows widened at
+    once, to the bit, when n is a multiple of 8; at other widths the last
+    rows of a block can differ in their last bits, as one whole product's
+    rows can between BLAS thread counts."""
+    w = np.asarray(w, dtype=np.float64)
+    t, (n, m) = xs.shape[0], w.shape
+    rows = max(2, _PRODUCT_ELEMENTS // max(m, 1))
+    bounds = list(range(0, t, rows))
+    if len(bounds) > 1 and t - bounds[-1] < rows:
+        bounds.pop()
+    bounds.append(t)
+    y = np.empty((t, n))
+    buf = np.empty((max(b - a for a, b in zip(bounds, bounds[1:])), m))
+    for r0, r1 in zip(bounds, bounds[1:]):
+        block = buf[: r1 - r0]
+        np.copyto(block, xs[r0:r1])
+        np.matmul(block, w.T, out=y[r0:r1])
+    return y
 
 
 def _check_weights(ref: KlReference, w: np.ndarray) -> None:
@@ -162,7 +201,7 @@ def output_kl(ref: KlReference, w_hat: np.ndarray) -> float:
     w_hat, under ref.cfg. w_hat must have the shape of the weights ref was
     built from (ShapeMismatch)."""
     _check_weights(ref, w_hat)
-    return _kl_score(ref, ref.xs @ np.asarray(w_hat, dtype=np.float64).T)
+    return _kl_score(ref, _outputs(ref.xs, w_hat))
 
 
 def _ranked_sets(group_mean: np.ndarray, p: int) -> tuple[list[int], list[int]]:
@@ -238,7 +277,8 @@ def allocate_bits(
 
     prev = candidates[0]
     groups = [fake_block(g, int(b)) for g, b in enumerate(prev)]
-    y = xs @ np.concatenate(groups, axis=1, dtype=np.float64).T
+    # the float64 layer lives only through this product
+    y = _outputs(xs, np.concatenate(groups, axis=1, dtype=np.float64))
     kl_curve = np.empty(len(candidates))
     for p, bits in enumerate(candidates):
         for g in map(int, np.flatnonzero(bits != prev)):

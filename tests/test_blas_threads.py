@@ -26,11 +26,18 @@ from slimquant.tensor_store import write_tensor
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def quantize(tmp_path: Path, threads: int) -> tuple[bytes, dict]:
+def thread_env(threads: int) -> dict:
+    """The environment of a fresh process with `threads` BLAS threads that
+    imports this checkout's slimquant."""
     env = dict(os.environ)
     env.update({v: str(threads) for v in THREAD_VARS})
     src = str(Path(slimquant.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return env
+
+
+def quantize(tmp_path: Path, threads: int) -> tuple[bytes, dict]:
+    env = thread_env(threads)
     out = tmp_path / f"m{threads}.slmq"
     subprocess.run(
         [sys.executable, "-m", "slimquant.cli", "quantize", "--weights", tmp_path / "w.slmt",
@@ -54,3 +61,28 @@ def test_one_and_two_blas_threads_give_the_same_model(tmp_path):
     assert loss2 == pytest.approx(loss1, rel=1e-12, abs=0.0)
     del report1["timing"], report2["timing"]
     assert report1 == report2
+
+
+GRAM_HASH = """
+import hashlib, sys
+from slimquant.salience import accumulate_hessian
+from slimquant.tensor_store import load_calibration
+H = accumulate_hessian(load_calibration(sys.argv[1]))
+print(hashlib.sha256(H.tobytes()).hexdigest())
+"""
+
+
+def test_gram_matrix_is_the_same_under_one_and_two_blas_threads(tmp_path):
+    # the README's determinism paragraph: the thread count moves the
+    # Cholesky factor's low bits, but not the dsyrk-built Gram matrix
+    _, x = clustered_layer(0, n=256, m=1024, t=2048)
+    write_tensor(tmp_path / "x.slmt", x)
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", GRAM_HASH, tmp_path / "x.slmt"],
+            env=thread_env(threads), check=True, capture_output=True, text=True,
+        ).stdout
+        for threads in (1, 2)
+    ]
+    assert len(digests[0]) == 65
+    assert digests[0] == digests[1]

@@ -140,7 +140,8 @@ def test_proxy_loss_matches_damped_gram_form():
     cases.append((random_layer(rng, 64, 512), random_calib(rng, 1024, 512)))
     for w, x in cases:
         H = accumulate_hessian(CalibrationSet([x]))
-        hs = damp_and_invert(H)
+        H = np.tril(H) + np.tril(H, -1).T  # the symmetric matrix H stands for
+        hs = damp_and_invert(H.copy())
         w_hat = reconstruct([quantize_uniform(w[:, lo:lo + 128], 2)
                              for lo in range(0, 512, 128)])
         d = w_hat.astype(np.float64) - w.astype(np.float64)

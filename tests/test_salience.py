@@ -22,10 +22,30 @@ from slimquant.salience import (
     _reverse_in_place,
     accumulate_hessian,
     damp_and_invert,
+    salience,
     salience_map,
     salient_mask_3sigma,
 )
 from slimquant.tensor_store import CalibrationSet
+
+
+def numpy_gram(samples):
+    """numpy's x.T @ x per sample, summed from the first product and
+    divided by the token count: the exactly symmetric Gram matrix whose
+    lower triangle accumulate_hessian must hold."""
+    xs = [np.asarray(s, dtype=np.float64) for s in samples]
+    acc = xs[0].T @ xs[0]
+    for x in xs[1:]:
+        acc += x.T @ x
+    return acc / float(sum(len(x) for x in xs))
+
+
+def assert_lower_gram(H, ref):
+    """H holds ref's lower triangle and diagonal, bit for bit, and zeros
+    above the diagonal."""
+    assert H.flags.c_contiguous and H.dtype == np.float64
+    assert np.tril(H).tobytes() == np.tril(ref).tobytes()
+    assert not np.triu(H, 1).any()
 
 
 def unit_state(m):
@@ -59,8 +79,8 @@ def test_gram_matches_outer_product_loop():
         v = x[t].astype(np.float64)
         ref += np.outer(v, v)
     ref /= 64.0
-    assert np.allclose(H, ref, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(H, H.T)
+    assert np.allclose(np.tril(H), np.tril(ref), rtol=1e-12, atol=1e-12)
+    assert not np.triu(H, 1).any()
 
 
 def test_gram_splits_across_samples():
@@ -82,25 +102,32 @@ def test_gram_bit_identical_to_sum_from_zero():
             ref += s.astype(np.float64).T @ s.astype(np.float64)
         ref = ref / 40.0
         H = accumulate_hessian(CalibrationSet(samples))
-        assert H.tobytes() == ref.tobytes()
+        assert_lower_gram(H, ref)
 
 
 @pytest.mark.parametrize("m", [1, 7, 1024])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_samples", [1, 3])
 def test_gram_is_exactly_symmetric(m, dtype, n_samples):
-    # damp_and_invert reads only the lower triangle; this is the premise
-    # that makes that safe for every Gram matrix the pipeline builds
+    # the matrix the Gram stands for is numpy's exactly symmetric x.T @ x
+    # sum: its lower triangle, to the bit, is what damp_and_invert reads
     rng = np.random.default_rng(m + n_samples)
     samples = [rng.standard_normal((24, m)).astype(dtype) for _ in range(n_samples)]
-    H = accumulate_hessian(CalibrationSet(samples))
-    assert np.array_equal(H, H.T)
+    assert_lower_gram(accumulate_hessian(CalibrationSet(samples)), numpy_gram(samples))
     # non-contiguous views: every third token row of every other channel
     wide = rng.standard_normal((72, 2 * m)).astype(dtype)
     views = [wide[i::3, ::2] for i in range(n_samples)]
     assert not views[0].flags.c_contiguous
-    H = accumulate_hessian(CalibrationSet(views))
-    assert np.array_equal(H, H.T)
+    assert_lower_gram(accumulate_hessian(CalibrationSet(views)), numpy_gram(views))
+
+
+def test_gram_adds_each_sample_product():
+    # each sample's product is made on its own and then added: letting
+    # dsyrk accumulate into the running sum (beta = 1) moves the low bits
+    # once a sample has more rows than OpenBLAS's K block (384)
+    rng = np.random.default_rng(29)
+    samples = [random_calib(rng, 1024, 512) for _ in range(3)]
+    assert_lower_gram(accumulate_hessian(CalibrationSet(samples)), numpy_gram(samples))
 
 
 def test_empty_calibration_rejected():
@@ -128,7 +155,7 @@ def test_inverse_factor_convention():
     rng = np.random.default_rng(14)
     b = rng.standard_normal((40, 16))
     H = b.T @ b / 40.0
-    hs = damp_and_invert(H, percdamp=0.01)
+    hs = damp_and_invert(H.copy(), percdamp=0.01)
     A = H + hs.damping * np.eye(16)
     inv = np.linalg.inv(A)
     assert np.allclose(hs.H_inv_diag, np.diag(inv), rtol=1e-9, atol=1e-12)
@@ -166,7 +193,7 @@ def test_inverse_factor_matches_three_step_reference():
     q, _ = np.linalg.qr(rng.standard_normal((48, 48)))
     cases.append(((q * np.logspace(0, -4, 48)) @ q.T, 0.0))
     for H, percdamp in cases:
-        hs = damp_and_invert(H, percdamp)
+        hs = damp_and_invert(H.copy(), percdamp)
         diag, upper = three_step_inverse(H, percdamp)
         np.testing.assert_allclose(hs.H_inv_diag, diag, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(hs.chol_inv, upper, rtol=1e-12,
@@ -176,17 +203,35 @@ def test_inverse_factor_matches_three_step_reference():
 
 @pytest.mark.parametrize("m", [1, 2, 33])
 def test_damp_and_invert_leaves_caller_array_alone(m):
-    # a 1 x 1 reversal is a view even through np.ascontiguousarray, so a
-    # missing copy wrote the damping into the caller's matrix
+    # an H that is not a C-ordered, writeable float64 array is copied to
+    # one first: the caller's array is not written and the factor is that
+    # of the copy, to the bit
     rng = np.random.default_rng(m)
     b = rng.standard_normal((2 * m, m))
     H = b.T @ b / (2 * m)
-    before = H.copy()
-    hs = damp_and_invert(H, percdamp=0.01)
-    assert np.array_equal(H, before)
-    for out in (hs.H_inv_diag, hs.chol_inv):
-        assert not np.shares_memory(out, H)
-    assert not np.shares_memory(hs.H_inv_diag, hs.chol_inv)
+    wide = np.zeros((m, 2 * m))
+    wide[:, ::2] = H
+    read_only = H.copy()
+    read_only.flags.writeable = False
+    inputs = {
+        "float32": H.astype(np.float32),
+        "fortran": np.asfortranarray(H),
+        "strided": wide[:, ::2],
+        "reversed": H[::-1, ::-1].copy()[::-1, ::-1],
+        "read-only": read_only,
+    }
+    for name, given in inputs.items():
+        if given.dtype == np.float64 and given.flags.c_contiguous and given.flags.writeable:
+            assert m == 1  # a 1 x 1 array is C-ordered in every layout: consumed
+            continue
+        before = given.copy(order="K")
+        hs = damp_and_invert(given, percdamp=0.01)
+        ref = damp_and_invert(np.array(given, dtype=np.float64, order="C"), percdamp=0.01)
+        assert given.tobytes(order="A") == before.tobytes(order="A"), name
+        assert hs.chol_inv.tobytes(order="F") == ref.chol_inv.tobytes(order="F"), name
+        assert hs.H_inv_diag.tobytes() == ref.H_inv_diag.tobytes(), name
+        for out in (hs.H_inv_diag, hs.chol_inv):
+            assert not np.shares_memory(out, given), name
 
 
 @pytest.mark.parametrize("m", [1, 2, 33, 400])
@@ -196,7 +241,7 @@ def test_inverse_factor_is_reversed_inverse_cholesky(m):
     rng = np.random.default_rng(40 + m)
     b = rng.standard_normal((2 * m, m))
     H = b.T @ b / (2 * m)
-    hs = damp_and_invert(H, percdamp=0.01)
+    hs = damp_and_invert(H.copy(), percdamp=0.01)
     lower = scipy.linalg.cholesky((H + hs.damping * np.eye(m))[::-1, ::-1], lower=True)
     lower_inv, info = scipy.linalg.lapack.dtrtri(lower, lower=1)
     assert info == 0
@@ -213,20 +258,38 @@ def test_chunked_reversal_matches_slice_reversal(size):
     assert np.array_equal(a, np.arange(size, dtype=np.float64)[::-1])
 
 
-def test_damp_and_invert_allocates_one_matrix():
-    # the reversed damped copy is the only m x m array: LAPACK factors and
-    # inverts it in place and the inverse factor is reversed in place
-    m = 1024
-    rng = np.random.default_rng(31)
-    H = accumulate_hessian(CalibrationSet([random_calib(rng, 2 * m, m)]))
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes."""
     tracemalloc.start()
     try:
-        hs = damp_and_invert(H)
+        out = fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert hs.chol_inv.shape == (m, m)
-    assert peak < 1.2 * m * m * 8
+    return out, peak
+
+
+def test_damp_and_invert_factors_in_place():
+    # a C-ordered float64 H is consumed: LAPACK factors and inverts it in
+    # its own buffer, which becomes the inverse factor, and no other m x m
+    # array is allocated
+    m = 1024
+    rng = np.random.default_rng(31)
+    H = accumulate_hessian(CalibrationSet([random_calib(rng, 2 * m, m)]))
+    ref = damp_and_invert(H.copy())
+    hs, peak = traced_peak(damp_and_invert, H)
+    assert np.shares_memory(hs.chol_inv, H)
+    assert hs.chol_inv.tobytes(order="F") == ref.chol_inv.tobytes(order="F")
+    assert peak < 0.25 * m * m * 8
+
+
+def test_gram_and_factor_peak_at_one_matrix():
+    # the Gram matrix, the float64 widening of one sample and the check's
+    # transients: no second m x m array at any point
+    t, m = 2048, 1024
+    calib = CalibrationSet([random_calib(np.random.default_rng(32), t, m)])
+    _, peak = traced_peak(lambda: damp_and_invert(accumulate_hessian(calib)))
+    assert peak < m * m * 8 + t * m * 8 + 0.25 * m * m * 8
 
 
 def test_asymmetric_gram_reads_lower_triangle():
@@ -244,8 +307,8 @@ def test_asymmetric_gram_reads_lower_triangle():
     for H in cases:
         lower = np.tril(H) + np.tril(H, -1).T
         for percdamp in (0.01, 0.0):
-            hs = damp_and_invert(H, percdamp)
-            ref = damp_and_invert(lower, percdamp)
+            hs = damp_and_invert(H.copy(), percdamp)
+            ref = damp_and_invert(lower.copy(), percdamp)
             assert hs.damping == ref.damping
             assert hs.chol_inv.tobytes() == ref.chol_inv.tobytes()
             assert hs.H_inv_diag.tobytes() == ref.H_inv_diag.tobytes()
@@ -300,8 +363,9 @@ def test_identity_inverse_gives_squared_weights():
     rng = np.random.default_rng(5)
     w = rng.standard_normal((4, 8)).astype(np.float32)
     sal = salience_map(w, unit_state(8), beta=4)
-    assert np.array_equal(sal.delta, w.astype(np.float64) ** 2)
-    assert sal.delta.shape == (4, 8)
+    delta = salience(w, unit_state(8))
+    assert np.array_equal(delta, w.astype(np.float64) ** 2)
+    assert delta.shape == (4, 8)
     assert sal.group_mean.shape == (2,)
     assert sal.channel_mean.shape == (8,)
 
@@ -317,9 +381,9 @@ def test_group_and_channel_means():
 def test_scaling_weights_scales_salience():
     rng = np.random.default_rng(6)
     w = rng.standard_normal((3, 8)).astype(np.float32)
-    s1 = salience_map(w, unit_state(8), beta=4)
-    s2 = salience_map(np.float32(2.0) * w, unit_state(8), beta=4)
-    assert np.array_equal(s2.delta, 4.0 * s1.delta)
+    s1 = salience(w, unit_state(8))
+    s2 = salience(np.float32(2.0) * w, unit_state(8))
+    assert np.array_equal(s2, 4.0 * s1)
 
 
 def test_group_ranking_invariant_to_row_permutation():
@@ -337,8 +401,7 @@ def test_scaled_identity_gram_preserves_magnitude_order():
     rng = np.random.default_rng(16)
     w = rng.standard_normal((2, 6)).astype(np.float32)
     hs = damp_and_invert(3.0 * np.eye(6), percdamp=1e-6)
-    sal = salience_map(w, hs, beta=3)
-    order = np.argsort(sal.delta.ravel())
+    order = np.argsort(salience(w, hs).ravel())
     ref = np.argsort(np.abs(w.astype(np.float64)).ravel() ** 2)
     assert np.array_equal(order, ref)
 

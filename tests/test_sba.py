@@ -27,10 +27,12 @@ from slimquant.quant_core import (
 )
 from slimquant.salience import SalienceMap, salience_map
 from slimquant.sba import (
+    _PRODUCT_ELEMENTS,
     BitPlan,
     KlConfig,
     allocate_bits,
     kl_reference,
+    _outputs,
     output_kl,
     stride_subsample,
 )
@@ -314,7 +316,6 @@ def test_reference_under_another_config_rejected():
 def test_monotone_salience_relabel_keeps_plan():
     w, x, sal = plan_inputs(42)
     relabeled = SalienceMap(
-        delta=sal.delta,
         group_mean=np.exp(sal.group_mean / sal.group_mean.max()),
         channel_mean=sal.channel_mean,
     )
@@ -333,7 +334,6 @@ def test_duplicate_groups_tie_to_lower_index():
     # force exactly equal group salience with a hand-built map
     delta = np.tile((half.astype(np.float64) ** 2), (1, 2))
     sal = SalienceMap(
-        delta=delta,
         group_mean=np.array([1.0, 1.0]),
         channel_mean=delta.mean(axis=0),
     )
@@ -355,7 +355,7 @@ def test_incremental_search_matches_full_recompute():
     # all means tied: ranks fall back to group index, so a group promoted
     # at one pairing count is demoted at the next
     w, x, sal = plan_inputs(10, m=64)
-    tied = SalienceMap(delta=sal.delta, group_mean=np.ones(8),
+    tied = SalienceMap(group_mean=np.ones(8),
                        channel_mean=sal.channel_mean)
     cases += [(w, x, tied, 2), (w, x, tied, 3)]
     for w, x, sal, target in cases:
@@ -466,6 +466,39 @@ def test_search_holds_two_output_sized_arrays():
         tracemalloc.stop()
     assert plan.evaluations == m // beta // 2 + 1
     assert peak < 2.5 * t * n * 8
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t", [1, 255, 256, 257, 2048])
+def test_row_blocked_product_matches_widened_product(t, dtype):
+    # rows widened a block at a time give the product of all rows widened
+    # at once, to the bit; a lone last row joins the block before it
+    m = 4096
+    assert _PRODUCT_ELEMENTS // m == 256  # the block, in rows
+    rng = np.random.default_rng(t)
+    w = random_layer(rng, 64, m)
+    xs = rng.standard_normal((t, m)).astype(dtype)
+    want = xs.astype(np.float64) @ w.astype(np.float64).T
+    assert _outputs(xs, w).tobytes() == want.tobytes()
+
+
+def test_products_make_no_float64_copy_of_the_rows():
+    # the exact outputs and a whole-layer score widen float32 rows a block
+    # at a time: no (t, m) float64 array is allocated
+    rng = np.random.default_rng(22)
+    t, m = 2048, 1024
+    w = random_layer(rng, 64, m)
+    x = random_calib(rng, t, m)
+    w_hat = fake_quantize(w, [2] * 8, 128)
+    tracemalloc.start()
+    try:
+        ref = kl_reference(x, w, KlConfig())
+        output_kl(ref, w_hat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ref.xs is x
+    assert peak < t * m * 8
 
 
 def test_evaluation_count_matches_group_count():
