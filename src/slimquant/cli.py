@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 import scipy
 
-from .errors import ShapeMismatch, SlimQuantError
+from .errors import InvalidConfig, ShapeMismatch, SlimQuantError
 from .kernel import dense_reference, packed_matmul
 from .packfmt import pack, packed_size_report, read_packed, unpack
 from .pipeline import PipelineConfig, proxy_loss, quantize_layer, reconstruct
@@ -31,7 +31,6 @@ from .salience import (
     salient_mask_3sigma,
 )
 from .sba import KlConfig, kl_reference, output_kl
-from .sqc import SqcConfig
 from .tensor_store import atomic_write, load_calibration, read_tensor, write_tensor
 
 
@@ -75,7 +74,14 @@ def _json(obj) -> str:
 # ---------------------------------------------------------------- gen
 
 
+def _check_sizes(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise InvalidConfig(f"--{name} must be >= 1, got {value}")
+
+
 def cmd_gen_weights(args) -> int:
+    _check_sizes(rows=args.rows, cols=args.cols)
     rng = np.random.default_rng(args.seed)
     w = rng.standard_normal((args.rows, args.cols)) * args.amplitude
     write_tensor(args.out, w.astype(np.float32))
@@ -83,21 +89,32 @@ def cmd_gen_weights(args) -> int:
     return 0
 
 
-def _parse_cluster(text: str) -> tuple[int, int, float]:
+def _parse_cluster(text: str, channels: int) -> tuple[int, int, float]:
     try:
         start, width, scale = text.split(":")
-        return int(start), int(width), float(scale)
+        start, width, scale = int(start), int(width), float(scale)
     except ValueError as exc:
         raise SlimQuantError(f"bad --cluster value {text!r}, want START:WIDTH:SCALE") from exc
+    if start < 0 or width < 1 or start + width > channels:
+        raise InvalidConfig(
+            f"--cluster {text!r} needs START >= 0, WIDTH >= 1 and "
+            f"START + WIDTH <= {channels} channels"
+        )
+    return start, width, scale
 
 
 def cmd_gen_calib(args) -> int:
+    _check_sizes(samples=args.samples, tokens=args.tokens, channels=args.channels)
+    if args.outlier_channel is not None and not 0 <= args.outlier_channel < args.channels:
+        raise InvalidConfig(
+            f"--outlier-channel must lie in [0, {args.channels}), got {args.outlier_channel}"
+        )
+    clusters = [_parse_cluster(item, args.channels) for item in args.cluster or []]
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.samples, args.tokens, args.channels))
     if args.outlier_channel is not None:
         x[..., args.outlier_channel] *= args.outlier_scale
-    for item in args.cluster or []:
-        start, width, scale = _parse_cluster(item)
+    for start, width, scale in clusters:
         x[..., start : start + width] *= scale
     write_tensor(args.out, x.astype(np.float32))
     print(f"wrote {args.out} ({args.samples}x{args.tokens}x{args.channels})")
@@ -107,23 +124,13 @@ def cmd_gen_calib(args) -> int:
 # ----------------------------------------------------------- quantize
 
 
-def _kl_config(args) -> KlConfig:
-    """The divergence settings of quantize and eval, from their shared options."""
-    return KlConfig(
-        temperature=args.kl_temperature, epsilon=args.kl_epsilon, max_tokens=args.kl_max_tokens
-    )
-
-
 def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
         beta=args.group_size,
         bits=args.bits,
-        percdamp=args.percdamp,
         sba_enabled=not args.no_sba,
         sqc_enabled=not args.no_sqc,
         compensation_enabled=not args.no_compensation,
-        kl_cfg=_kl_config(args),
-        sqc_cfg=SqcConfig(lambda_gamma=args.gamma_lambda, n_gamma=args.gamma_steps),
     )
 
 
@@ -144,15 +151,9 @@ def cmd_quantize(args) -> int:
         "config": {
             "bits": cfg.bits,
             "group_size": cfg.beta,
-            "percdamp": cfg.percdamp,
             "sba": cfg.sba_enabled,
             "sqc": cfg.sqc_enabled,
             "compensation": cfg.compensation_enabled,
-            "gamma_lambda": cfg.sqc_cfg.lambda_gamma,
-            "gamma_steps": cfg.sqc_cfg.n_gamma,
-            "kl_temperature": cfg.kl_cfg.temperature,
-            "kl_epsilon": cfg.kl_cfg.epsilon,
-            "kl_max_tokens": cfg.kl_cfg.max_tokens,
             "threads": args.threads,
         },
         "shape": {"rows": n, "channels": m, "groups": m // cfg.beta},
@@ -186,14 +187,8 @@ def cmd_quantize(args) -> int:
         },
     }
 
-    outputs: list[tuple[str, bytes | str]] = [(args.out, blob)]
     report_path = args.report or args.out + ".json"
-    outputs.append((report_path, _json(report)))
-    if args.emit_curve:
-        lines = ["p,kl"]
-        lines += [f"{p},{float(kl)!r}" for p, kl in enumerate(result.plan.kl_curve)]
-        outputs.append((args.emit_curve, "\n".join(lines) + "\n"))
-    _write_outputs(outputs)
+    _write_outputs([(args.out, blob), (report_path, _json(report))])
     print(f"wrote {args.out} ({size.bits_per_weight:.3f} bits/weight), report {report_path}")
     return 0
 
@@ -209,8 +204,8 @@ def cmd_eval(args) -> int:
         raise ShapeMismatch(f"weights {w.shape} do not match packed model {(pm.n, pm.m)}")
     blocks, widths = unpack(pm)
     recon = reconstruct(blocks)
-    hs = damp_and_invert(accumulate_hessian(calib), args.percdamp)
-    ref = kl_reference(calib.stacked(), w, _kl_config(args))
+    hs = damp_and_invert(accumulate_hessian(calib))
+    ref = kl_reference(calib.stacked(), w, KlConfig())
     size = packed_size_report(pm)
     hist = Counter(int(b) for b in widths)
     report = {
@@ -233,7 +228,7 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     w = _load_weights(args.weights)
     calib = load_calibration(args.calib)
-    hs = damp_and_invert(accumulate_hessian(calib), args.percdamp)
+    hs = damp_and_invert(accumulate_hessian(calib))
     sal = salience_map(w, hs, args.group_size)
     delta = salience(w, hs)
     k = w.shape[1] // args.group_size
@@ -317,16 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--report", default=None, help="report path, default OUT.json")
     q.add_argument("--bits", type=int, choices=(2, 3), default=2)
     q.add_argument("--group-size", type=int, default=128)
-    q.add_argument("--percdamp", type=float, default=0.01)
     q.add_argument("--no-sba", action="store_true")
     q.add_argument("--no-sqc", action="store_true")
     q.add_argument("--no-compensation", action="store_true")
-    q.add_argument("--gamma-lambda", type=float, default=0.1)
-    q.add_argument("--gamma-steps", type=int, default=50)
-    q.add_argument("--kl-temperature", type=float, default=1.0)
-    q.add_argument("--kl-epsilon", type=float, default=1e-8)
-    q.add_argument("--kl-max-tokens", type=int, default=4096)
-    q.add_argument("--emit-curve", default=None, help="write the (p, KL) search curve as CSV")
     q.add_argument(
         "--threads",
         type=int,
@@ -339,17 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True)
     e.add_argument("--weights", required=True)
     e.add_argument("--calib", required=True)
-    e.add_argument("--percdamp", type=float, default=0.01)
-    e.add_argument("--kl-temperature", type=float, default=1.0)
-    e.add_argument("--kl-epsilon", type=float, default=1e-8)
-    e.add_argument("--kl-max-tokens", type=int, default=4096)
     e.set_defaults(func=cmd_eval)
 
     i = sub.add_parser("inspect", help="emit salience series as CSV")
     i.add_argument("--weights", required=True)
     i.add_argument("--calib", required=True)
     i.add_argument("--group-size", type=int, default=128)
-    i.add_argument("--percdamp", type=float, default=0.01)
     i.add_argument("--out", default=None, help="CSV path, default stdout")
     i.set_defaults(func=cmd_inspect)
 

@@ -21,9 +21,8 @@ QuantizationResult.stage_s under the names in STAGES.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.blas
@@ -65,22 +64,21 @@ STAGES = ("gram_and_inverse", "salience", "width_plan", "groups", "scoring")
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The settings a caller chooses. The rest are fixed, as in the paper:
+    damp_and_invert's default damping, SqcConfig()'s gamma grid and
+    KlConfig()'s divergence."""
+
     beta: int = 128
     bits: int = 2  # average width target, 2 or 3
-    percdamp: float = 0.01
     sba_enabled: bool = True
     sqc_enabled: bool = True
     compensation_enabled: bool = True
-    kl_cfg: KlConfig = field(default_factory=KlConfig)
-    sqc_cfg: SqcConfig = field(default_factory=SqcConfig)
 
     def __post_init__(self) -> None:
         if self.bits not in (2, 3):
             raise InvalidConfig(f"bits must be 2 or 3, got {self.bits}")
         if self.beta < 1:
             raise InvalidConfig(f"group size must be >= 1, got {self.beta}")
-        if not (math.isfinite(self.percdamp) and self.percdamp >= 0.0):
-            raise InvalidConfig(f"percdamp must be finite and >= 0, got {self.percdamp}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def _quantize_group(
     range factor (1.0 where no calibration ran, and always at 1 bit: the
     sign/magnitude form has no range to scale)."""
     if cfg.sqc_enabled and bits > 1:
-        return calibrate_group(block, bits, cfg.sqc_cfg)
+        return calibrate_group(block, bits, SqcConfig())
     return quantize_uniform(block, bits), 1.0
 
 
@@ -191,16 +189,16 @@ def quantize_layer(
 
     marks = [time.perf_counter()]
     # 1. Gram matrix and inverse factor, factored in the Gram matrix's buffer
-    hs = damp_and_invert(accumulate_hessian(calib), cfg.percdamp)
+    hs = damp_and_invert(accumulate_hessian(calib))
     marks.append(time.perf_counter())
     # 2. salience
     sal = salience_map(w, hs, beta)
     marks.append(time.perf_counter())
     # 3. width plan, and the exact outputs every divergence is taken against
     x_all = calib.stacked()
-    ref = kl_reference(x_all, w, cfg.kl_cfg)
+    ref = kl_reference(x_all, w, KlConfig())
     if cfg.sba_enabled:
-        plan = allocate_bits(w, x_all, sal, beta, cfg.bits, cfg.kl_cfg, ref=ref)
+        plan = allocate_bits(w, x_all, sal, beta, cfg.bits, ref.cfg, ref=ref)
     else:
         plan = BitPlan(
             bits=np.full(k, cfg.bits, dtype=np.int64), p_star=0, kl_curve=np.empty(0)

@@ -18,9 +18,10 @@ import scipy
 from fixtures import clustered_layer, identity_calib, random_calib, random_layer
 from slimquant.cli import BLAS_THREAD_VARS, build_parser, main
 from slimquant.packfmt import FLAG_BINARY_1BIT, read_packed, unpack
-from slimquant.pipeline import STAGES
+from slimquant.pipeline import STAGES, PipelineConfig, quantize_layer, reconstruct
 from slimquant.quant_core import dequantize, quantize_uniform
-from slimquant.tensor_store import read_tensor, write_tensor
+from slimquant.sba import KlConfig, kl_reference, output_kl, stride_subsample
+from slimquant.tensor_store import CalibrationSet, read_tensor, write_tensor
 
 
 def run(capsys, *argv):
@@ -95,6 +96,45 @@ def test_gen_calib_bad_cluster_value(tmp_path, capsys):
     assert not (tmp_path / "x.slmt").exists()
 
 
+CALIB_4 = ["gen", "calib", "--tokens", 4, "--channels", 4]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "weights", "--rows", -1, "--cols", 4],
+    ["gen", "weights", "--rows", 0, "--cols", 4],
+    ["gen", "weights", "--rows", 4, "--cols", 0],
+    ["gen", "calib", "--samples", 0, "--tokens", 4, "--channels", 4],
+    ["gen", "calib", "--tokens", 0, "--channels", 4],
+    ["gen", "calib", "--tokens", 4, "--channels", 0],
+    [*CALIB_4, "--outlier-channel", 9],
+    [*CALIB_4, "--outlier-channel", 4],
+    [*CALIB_4, "--outlier-channel", -1],
+    [*CALIB_4, "--cluster", "9:2:3.0"],
+    [*CALIB_4, "--cluster", "3:2:3.0"],
+    [*CALIB_4, "--cluster=-1:2:3.0"],
+    [*CALIB_4, "--cluster", "1:0:3.0"],
+    [*CALIB_4, "--cluster", "0:1:2.0", "--cluster", "1:4:2.0"],
+], ids=lambda argv: ",".join(str(a) for a in argv[1:]))
+def test_gen_rejects_out_of_range_arguments(tmp_path, capsys, argv):
+    out = tmp_path / "t.slmt"
+    code, stdout, err = run(capsys, *argv, "--out", out)
+    assert code == 1
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error[InvalidConfig]: ")
+    assert not out.exists()
+
+
+def test_gen_calib_accepts_the_last_channel(tmp_path, capsys):
+    out = tmp_path / "x.slmt"
+    code, _, _ = run(capsys, *CALIB_4, "--outlier-channel", 3, "--cluster", "2:2:3.0",
+                     "--out", out)
+    assert code == 0
+    base = np.random.default_rng(0).standard_normal((1, 4, 4))
+    base[..., 3] *= 100.0
+    base[..., 2:4] *= 3.0
+    assert np.array_equal(read_tensor(out), base.astype(np.float32))
+
+
 def test_quantize_writes_model_and_report(layer_files, tmp_path, capsys):
     wpath, xpath, w, x = layer_files
     out = tmp_path / "m.slmq"
@@ -104,13 +144,14 @@ def test_quantize_writes_model_and_report(layer_files, tmp_path, capsys):
     pm = read_packed(out)
     assert (pm.n, pm.m, pm.beta) == (16, 64, 16)
     report = json.loads((tmp_path / "m.slmq.json").read_text())
-    assert report["config"]["bits"] == 2
-    assert report["config"]["group_size"] == 16
-    assert report["config"]["gamma_lambda"] == 0.1
-    assert report["config"]["gamma_steps"] == 50
+    assert report["config"] == {"bits": 2, "group_size": 16, "sba": True, "sqc": True,
+                                "compensation": True, "threads": 1}
     assert report["shape"] == {"rows": 16, "channels": 64, "groups": 4}
     assert report["plan"]["bits"] == [int(b) for b in pm.widths]
     assert len(report["plan"]["kl_curve"]) == report["plan"]["evaluations"] == 3
+    # the curve is the width search's own, to the bit
+    res = quantize_layer(w, CalibrationSet([x]), PipelineConfig(beta=16, bits=2))
+    assert report["plan"]["kl_curve"] == res.plan.kl_curve.tolist()
     assert report["metrics"]["proxy_loss"] > 0.0
     assert report["metrics"]["file_bytes"] == out.stat().st_size
     assert len(report["gammas"]["per_group"]) == 4
@@ -141,20 +182,6 @@ def test_quantize_runs_are_byte_identical(layer_files, tmp_path, capsys):
     r1 = json.loads((tmp_path / "a.slmq.json").read_text())
     r2 = json.loads((tmp_path / "b.slmq.json").read_text())
     assert strip_timing(r1) == strip_timing(r2)
-
-
-def test_quantize_emit_curve(layer_files, tmp_path, capsys):
-    wpath, xpath, _, _ = layer_files
-    out = tmp_path / "m.slmq"
-    curve = tmp_path / "curve.csv"
-    code, _, _ = run(capsys, *quantize_args(wpath, xpath, out,
-                                            emit_curve=curve))
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(curve.read_text())))
-    report = json.loads((tmp_path / "m.slmq.json").read_text())
-    assert [int(r["p"]) for r in rows] == [0, 1, 2]
-    got = [float(r["kl"]) for r in rows]
-    assert got == report["plan"]["kl_curve"]
 
 
 def test_quantize_custom_report_path(layer_files, tmp_path, capsys):
@@ -219,30 +246,57 @@ def test_eval_matches_quantize_report(layer_files, tmp_path, capsys):
     assert hist.get("1", 0) == hist.get("3", 0)  # paired promote/demote
 
 
-@pytest.mark.parametrize("samples, max_tokens", [(1, 50), (2, 4096), (2, 50)])
-def test_eval_matches_quantize_report_on_strided_and_batched_rows(
-    layer_files, tmp_path, capsys, samples, max_tokens
-):
-    # eval scores on the rows quantize scored on: a strided subsample of
-    # the calibration rows, and the rows of every sample of a 3-D file
+@pytest.mark.parametrize("options", [
+    {"bits": 3},
+    {"no_sba": True},
+    {"no_sqc": True},
+    {"no_compensation": True},
+    {"bits": 3, "no_sba": True, "no_sqc": True, "no_compensation": True, "threads": 2},
+], ids=lambda options: "+".join(k if v is True else f"{k}={v}" for k, v in options.items()))
+@pytest.mark.parametrize("samples", [1, 2])
+def test_eval_matches_quantize_report_under_every_option(layer_files, tmp_path, capsys,
+                                                         options, samples):
+    # eval scores under the settings quantize scored under, whatever options
+    # quantize took, on a 2-D calibration file or a 3-D one of samples
     wpath, _, _, x = layer_files
     xpath = tmp_path / "x3.slmt"
     write_tensor(xpath, x.reshape(samples, -1, x.shape[1]))
     out = tmp_path / "m.slmq"
-    run(capsys, *quantize_args(wpath, xpath, out, kl_max_tokens=max_tokens))
+    assert run(capsys, *quantize_args(wpath, xpath, out, **options))[0] == 0
     report = json.loads((tmp_path / "m.slmq.json").read_text())
     code, stdout, _ = run(capsys, "eval", "--model", out, "--weights", wpath,
-                          "--calib", xpath, "--kl-max-tokens", max_tokens)
+                          "--calib", xpath)
+    assert code == 0
+    scored = json.loads(stdout)
+    for key in ("recon_mse", "proxy_loss", "recon_kl", "bits_per_weight"):
+        assert scored["metrics"][key] == report["metrics"][key]
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+def test_eval_matches_quantize_report_on_strided_and_batched_rows(tmp_path, capsys, samples):
+    # eval scores on the rows quantize scored on: past KlConfig().max_tokens
+    # calibration rows, a strided subsample of the rows of every sample
+    w, x = clustered_layer(5, n=16, m=256, t=4200)
+    assert len(x) > KlConfig().max_tokens
+    wpath, xpath, out = tmp_path / "w.slmt", tmp_path / "x.slmt", tmp_path / "m.slmq"
+    write_tensor(wpath, w)
+    write_tensor(xpath, x.reshape(samples, -1, x.shape[1]))
+    run(capsys, *quantize_args(wpath, xpath, out, group_size=64))
+    report = json.loads((tmp_path / "m.slmq.json").read_text())
+    code, stdout, _ = run(capsys, "eval", "--model", out, "--weights", wpath,
+                          "--calib", xpath)
     assert code == 0
     scored = json.loads(stdout)
     for key in ("recon_mse", "proxy_loss", "recon_kl"):
         assert scored["metrics"][key] == report["metrics"][key]
-    # a different subsample scores differently, so the stride was applied
-    _, unstrided, _ = run(capsys, "eval", "--model", out, "--weights", wpath,
-                          "--calib", xpath)
-    assert (json.loads(unstrided)["metrics"]["recon_kl"] == report["metrics"]["recon_kl"]) == (
-        max_tokens >= x.shape[0]
-    )
+    # the score is that of the strided rows, and every row scores differently,
+    # so the stride was applied
+    recon = reconstruct(unpack(read_packed(out))[0])
+    strided = stride_subsample(x, KlConfig().max_tokens)
+    assert len(strided) < len(x)
+    assert scored["metrics"]["recon_kl"] == output_kl(kl_reference(strided, w, KlConfig()), recon)
+    every_row = kl_reference(x, w, KlConfig(max_tokens=len(x)))
+    assert scored["metrics"]["recon_kl"] != output_kl(every_row, recon)
 
 
 def test_one_bit_groups_are_written_as_sign_magnitude(tmp_path, capsys):
@@ -288,12 +342,22 @@ def parser_flags(parser):
     return flags
 
 
+def subcommand(name):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
 def test_readme_cli_flags_exist():
+    # two-way: every flag the README's CLI section names exists, and every
+    # option of quantize, eval and inspect is named there
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
     assert named, "README's CLI section names no flags"
     assert sorted(named - parser_flags(build_parser())) == []
+    for command in ("quantize", "eval", "inspect"):
+        accepted = parser_flags(subcommand(command)) - {"-h", "--help"}
+        assert sorted(accepted - named) == [], command
 
 
 def test_eval_on_grid_weights_score_zero(tmp_path, capsys):
@@ -334,11 +398,12 @@ def test_inspect_identity_gram_channel_means(tmp_path, capsys):
     write_tensor(wpath, w)
     write_tensor(xpath, identity_calib(16))
     code, stdout, _ = run(capsys, "inspect", "--weights", wpath, "--calib",
-                          xpath, "--group-size", 4, "--percdamp", 1e-9)
+                          xpath, "--group-size", 4)
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(stdout)))
     channel = [float(r["value"]) for r in rows if r["kind"] == "channel_mean"]
-    expected = (w.astype(np.float64) ** 2).mean(axis=0)
+    # H = I, damped by 1% of its mean diagonal: every inverse diagonal is 1 / 1.01
+    expected = (w.astype(np.float64) ** 2).mean(axis=0) * 1.01 ** 2
     np.testing.assert_allclose(channel, expected, rtol=1e-6)
     groups = [float(r["value"]) for r in rows if r["kind"] == "group_mean"]
     np.testing.assert_allclose(
@@ -442,13 +507,8 @@ def test_quantize_report_times_stages_and_records_environment(layer_files, tmp_p
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("gamma_lambda", 0),
-    ("gamma_steps", 0),
-    ("kl_temperature", 0),
-    ("kl_max_tokens", 0),
-    ("percdamp", -3),
-    ("percdamp", "inf"),
-    ("percdamp", "nan"),
+    ("group_size", 0),
+    ("group_size", -8),
 ])
 def test_quantize_rejects_invalid_config(layer_files, tmp_path, capsys, flag, value):
     wpath, xpath, _, _ = layer_files
@@ -460,13 +520,26 @@ def test_quantize_rejects_invalid_config(layer_files, tmp_path, capsys, flag, va
     assert sorted(tmp_path.iterdir()) == sorted([wpath, xpath])
 
 
-def test_inspect_rejects_invalid_percdamp(layer_files, tmp_path, capsys):
+@pytest.mark.parametrize("command, flag", [
+    *[("quantize", flag) for flag in ("--percdamp", "--gamma-lambda", "--gamma-steps",
+                                      "--kl-temperature", "--kl-epsilon",
+                                      "--kl-max-tokens", "--emit-curve")],
+    *[("eval", flag) for flag in ("--percdamp", "--kl-temperature", "--kl-epsilon",
+                                  "--kl-max-tokens")],
+    ("inspect", "--percdamp"),
+])
+def test_fixed_settings_are_not_options(layer_files, tmp_path, capsys, command, flag):
+    # damping, divergence and gamma grid are fixed, so eval always scores
+    # under the settings quantize scored under
     wpath, xpath, _, _ = layer_files
-    out = tmp_path / "sal.csv"
-    code, stdout, err = run(capsys, "inspect", "--weights", wpath, "--calib", xpath,
-                            "--group-size", 16, "--percdamp", -1, "--out", out)
-    assert code == 1
-    assert stdout == ""
-    assert err.count("\n") == 1 and err.startswith("error[InvalidConfig]: ")
-    assert not out.exists()
-
+    inputs = ["--weights", wpath, "--calib", xpath]
+    argv = {
+        "quantize": quantize_args(wpath, xpath, tmp_path / "m.slmq"),
+        "eval": ["eval", "--model", tmp_path / "m.slmq", *inputs],
+        "inspect": ["inspect", *inputs, "--group-size", 16, "--out", tmp_path / "sal.csv"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in [*argv, flag, tmp_path / "value"]])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([wpath, xpath])
