@@ -17,6 +17,7 @@ from .pipeline import (
     proxy_loss,
     quantize_layer,
     reconstruct,
+    score,
 )
 from .quant_core import (
     GroupQuantParams,
@@ -77,6 +78,7 @@ __all__ = [
     "reconstruct",
     "salience_map",
     "salient_mask_3sigma",
+    "score",
     "unpack",
     "write_packed",
     "write_tensor",

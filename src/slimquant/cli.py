@@ -21,8 +21,7 @@ import scipy
 from .errors import InvalidConfig, ShapeMismatch, SlimQuantError
 from .kernel import dense_reference, packed_matmul
 from .packfmt import pack, packed_size_report, read_packed, unpack
-from .pipeline import PipelineConfig, proxy_loss, quantize_layer, reconstruct
-from .quant_core import block_mse
+from .pipeline import PipelineConfig, quantize_layer, reconstruct, score
 from .salience import (
     accumulate_hessian,
     damp_and_invert,
@@ -30,7 +29,7 @@ from .salience import (
     salience_map,
     salient_mask_3sigma,
 )
-from .sba import KlConfig, kl_reference, output_kl
+from .sba import KlConfig, kl_reference
 from .tensor_store import atomic_write, load_calibration, read_tensor, write_tensor
 
 
@@ -203,17 +202,17 @@ def cmd_eval(args) -> int:
     if w.shape != (pm.n, pm.m):
         raise ShapeMismatch(f"weights {w.shape} do not match packed model {(pm.n, pm.m)}")
     blocks, widths = unpack(pm)
-    recon = reconstruct(blocks)
     hs = damp_and_invert(accumulate_hessian(calib))
     ref = kl_reference(calib.stacked(), w, KlConfig())
+    loss, mse, kl = score(w, reconstruct(blocks), hs, ref)
     size = packed_size_report(pm)
     hist = Counter(int(b) for b in widths)
     report = {
         "shape": {"rows": pm.n, "channels": pm.m, "groups": pm.k},
         "metrics": {
-            "recon_mse": block_mse(w, recon),
-            "proxy_loss": proxy_loss(w, recon, hs),
-            "recon_kl": output_kl(ref, recon),
+            "recon_mse": mse,
+            "proxy_loss": loss,
+            "recon_kl": kl,
             "bits_per_weight": size.bits_per_weight,
         },
         "bit_histogram": {str(b): hist[b] for b in sorted(hist)},
@@ -226,6 +225,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    _check_sizes(**{"group-size": args.group_size})
     w = _load_weights(args.weights)
     calib = load_calibration(args.calib)
     hs = damp_and_invert(accumulate_hessian(calib))

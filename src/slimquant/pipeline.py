@@ -10,7 +10,8 @@ Order of operations for one weight matrix:
      requantize the group's columns left to right under them, spreading
      each column's rounding error onto the not-yet-quantized columns
      through the inverse factor
-  5. score the reconstruction against the original weights
+  5. score the reconstruction against the original weights (score, which
+     slimquant eval calls too)
 
 The error spreading mutates only a working copy; every reported metric
 compares against the caller's original matrix. The exact layer's output
@@ -50,7 +51,7 @@ from .salience import (
     salience_map,
     salient_mask_3sigma,  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 )
-from .sba import BitPlan, KlConfig, allocate_bits, kl_reference, output_kl
+from .sba import BitPlan, KlConfig, KlReference, allocate_bits, kl_reference, output_kl
 from .sba import stride_subsample  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 from .sqc import SqcConfig, calibrate_group
 from .tensor_store import CalibrationSet
@@ -116,6 +117,22 @@ def proxy_loss(w: np.ndarray, w_hat: np.ndarray, hs: HessianState) -> float:
     x = scipy.linalg.blas.dtrsm(1.0, hs.chol_inv, d.T, trans_a=1, overwrite_b=1)
     np.square(x, out=x)
     return float(x.sum())
+
+
+def score(
+    w: np.ndarray, recon: np.ndarray, hs: HessianState, ref: KlReference
+) -> tuple[float, float, float]:
+    """(proxy_loss, recon_mse, recon_kl) of the reconstruction recon of the
+    original weights w, under the Gram state hs and the divergence
+    reference ref. quantize_layer and slimquant eval both score here, so
+    eval reports what quantize scored.
+
+    hs is not read after the proxy loss: a caller that hands over its only
+    reference to it has the m x m inverse factor freed before the
+    divergence's products."""
+    loss = proxy_loss(w, recon, hs)
+    del hs
+    return loss, block_mse(w, recon), output_kl(ref, recon)
 
 
 def _quantize_group(
@@ -222,12 +239,13 @@ def quantize_layer(
         blocks.append(qb)
     del work  # scoring's temporaries reuse its memory
     marks.append(time.perf_counter())
-    # 5. score against the original weights
-    recon = reconstruct(blocks)
-    loss = proxy_loss(w, recon, hs)
-    del hs  # the inverse factor is not read after the proxy loss
-    mse = block_mse(w, recon)
-    kl = output_kl(ref, recon)
+    # 5. score against the original weights. score is handed the only
+    # reference to the Gram state, so it frees the m x m inverse factor
+    # after the proxy loss (held through the divergence, it raised
+    # quantize-wide's peak RSS by 13 MB)
+    handed = [hs]
+    del hs
+    loss, mse, kl = score(w, reconstruct(blocks), handed.pop(), ref)
     marks.append(time.perf_counter())
     return QuantizationResult(
         plan=plan,

@@ -272,6 +272,31 @@ def test_eval_matches_quantize_report_under_every_option(layer_files, tmp_path, 
         assert scored["metrics"][key] == report["metrics"][key]
 
 
+def test_eval_matches_quantize_report_on_a_small_uncompensated_layer(tmp_path, capsys):
+    # a read model's groups are Fortran-ordered and quantize's
+    # uncompensated ones C-ordered, and BLAS sums a product this small in
+    # another order for the other layout; every product widens the weights
+    # into a C-ordered buffer, so eval reports what quantize scored
+    wpath, xpath, out = tmp_path / "w.slmt", tmp_path / "x.slmt", tmp_path / "m.slmq"
+    run(capsys, "gen", "weights", "--rows", 16, "--cols", 256, "--seed", 1, "--out", wpath)
+    run(capsys, "gen", "calib", "--tokens", 32, "--channels", 256, "--seed", 2, "--out", xpath)
+    assert run(capsys, *quantize_args(wpath, xpath, out, group_size=64,
+                                      no_compensation=True))[0] == 0
+    report = json.loads((tmp_path / "m.slmq.json").read_text())
+    code, stdout, _ = run(capsys, "eval", "--model", out, "--weights", wpath,
+                          "--calib", xpath)
+    assert code == 0
+    scored = json.loads(stdout)
+    for key in ("recon_mse", "proxy_loss", "recon_kl"):
+        assert scored["metrics"][key] == report["metrics"][key]
+    recon = reconstruct(unpack(read_packed(out))[0])
+    assert recon.flags.f_contiguous and not recon.flags.c_contiguous
+    x = read_tensor(xpath).reshape(-1, 256)
+    ref = kl_reference(x, read_tensor(wpath), KlConfig())
+    got = [output_kl(ref, order(recon)) for order in (np.asfortranarray, np.ascontiguousarray)]
+    assert np.float64(got[0]).tobytes() == np.float64(got[1]).tobytes()
+
+
 @pytest.mark.parametrize("samples", [1, 2])
 def test_eval_matches_quantize_report_on_strided_and_batched_rows(tmp_path, capsys, samples):
     # eval scores on the rows quantize scored on: past KlConfig().max_tokens
@@ -506,14 +531,17 @@ def test_quantize_report_times_stages_and_records_environment(layer_files, tmp_p
     assert sorted(timing["blas_thread_env"]) == sorted(BLAS_THREAD_VARS)
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("group_size", 0),
-    ("group_size", -8),
-])
-def test_quantize_rejects_invalid_config(layer_files, tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("value", [0, -8])
+@pytest.mark.parametrize("command", ["quantize", "inspect"])
+def test_group_size_below_one_is_invalid_config(layer_files, tmp_path, capsys, command,
+                                                 value):
     wpath, xpath, _, _ = layer_files
-    out = tmp_path / "m.slmq"
-    code, stdout, err = run(capsys, *quantize_args(wpath, xpath, out, **{flag: value}))
+    argv = {
+        "quantize": quantize_args(wpath, xpath, tmp_path / "m.slmq", group_size=value),
+        "inspect": ["inspect", "--weights", wpath, "--calib", xpath, "--group-size", value,
+                    "--out", tmp_path / "sal.csv"],
+    }[command]
+    code, stdout, err = run(capsys, *argv)
     assert code == 1
     assert stdout == ""
     assert err.count("\n") == 1 and err.startswith("error[InvalidConfig]: ")

@@ -466,8 +466,8 @@ def base_files():
 
 # Property: every valid file has exactly one in-memory reading, so a
 # mutated file is either rejected or is the encoding of what it decodes to.
+# The examples are drawn under the derandomized profile of conftest.py.
 BASE_FILES = base_files()
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 
 
 # (offset, size) of every header field
@@ -482,13 +482,13 @@ def assert_rejected_or_canonical(raw):
     assert pm.to_bytes() == raw
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(st.sampled_from(BASE_FILES), st.data())
 def test_property_truncation(raw, data):
     assert_rejected_or_canonical(raw[: data.draw(st.integers(0, len(raw) - 1))])
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(st.sampled_from(BASE_FILES), st.data())
 def test_property_bit_flip(raw, data):
     bit = data.draw(st.integers(0, 8 * len(raw) - 1))
@@ -497,7 +497,7 @@ def test_property_bit_flip(raw, data):
     assert_rejected_or_canonical(bytes(mutated))
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(st.sampled_from(BASE_FILES), st.data())
 def test_property_header_overwrite(raw, data):
     start, size = data.draw(st.sampled_from(HEADER_FIELDS))

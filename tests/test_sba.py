@@ -28,11 +28,14 @@ from slimquant.quant_core import (
 from slimquant.salience import SalienceMap, salience_map
 from slimquant.sba import (
     _PRODUCT_ELEMENTS,
+    _TOKEN_OUTPUTS,
     BitPlan,
     KlConfig,
     allocate_bits,
     kl_reference,
     _outputs,
+    _spans,
+    _token_blocks,
     output_kl,
     stride_subsample,
 )
@@ -447,25 +450,85 @@ def test_wide_groups_match_full_array_scoring_closely():
     assert plan.p_star == int(np.argmin(want_curve))
 
 
-def test_search_holds_two_output_sized_arrays():
-    # the reference distribution and the running output are the only
-    # (t, n) arrays alive at once: no stored log of the reference and no
-    # separate update buffer
+def two_token_block_layer(t_rows):
+    """A 4096-row layer with 8-channel groups whose outputs over t_rows
+    token rows span two token blocks."""
     rng = np.random.default_rng(21)
-    n, m, beta, t = 2048, 32, 8, 1024
+    n, m, beta = 4096, 32, 8
     w = random_layer(rng, n, m)
-    x = random_calib(rng, t, m)
-    cfg = KlConfig()
+    x = random_calib(rng, t_rows, m)
     sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
-    tracemalloc.start()
-    try:
-        ref = kl_reference(x, w, cfg)
-        plan = allocate_bits(w, x, sal, beta, 2, cfg, ref=ref)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert plan.evaluations == m // beta // 2 + 1
-    assert peak < 2.5 * t * n * 8
+    return w, x, sal, beta
+
+
+def test_two_token_blocks_match_full_array_scoring():
+    # the search and a whole-layer score over two token blocks give the
+    # bits of one pass over the full arrays
+    w, x, sal, beta = two_token_block_layer(1032)
+    cfg = KlConfig()
+    ref = kl_reference(x, w, cfg)
+    assert [(r0, r1) for r0, r1, _ in _token_blocks(ref)] == [(0, 516), (516, 1032)]
+    w_hat = fake_quantize(w, [2] * 4, beta)
+    xs = x.astype(np.float64)
+    p = full_array_distributions(xs @ w.astype(np.float64).T, cfg)
+    want = full_array_kl(p, np.log(p), xs @ w_hat.astype(np.float64).T, cfg)
+    assert np.float64(output_kl(ref, w_hat)).tobytes() == np.float64(want).tobytes()
+    plan = allocate_bits(w, x, sal, beta, 2, cfg, ref=ref)
+    want_curve = full_array_curve(w, x, sal.group_mean, beta, 2, cfg)
+    assert plan.kl_curve.tobytes() == want_curve.tobytes()
+
+
+def test_search_and_score_hold_one_token_block_of_outputs():
+    # over two token blocks the width search and a whole-layer score each
+    # hold one block of outputs beside the reference distribution: no
+    # output array of all the rows and no float64 copy of the weights
+    w, x, sal, beta = two_token_block_layer(2 * _TOKEN_OUTPUTS // 4096)
+    t, n = x.shape[0], w.shape[0]
+    cfg = KlConfig()
+    ref = kl_reference(x, w, cfg)
+    assert len(list(_token_blocks(ref))) == 2
+    w_hat = fake_quantize(w, [2] * 4, beta)
+    calls = {
+        "allocate_bits": lambda: allocate_bits(w, x, sal, beta, 2, cfg, ref=ref),
+        "output_kl": lambda: output_kl(ref, w_hat),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * t * n * 8, name
+
+
+@pytest.mark.parametrize("total, size, align", [
+    (1, 4, 1), (2, 4, 1), (5, 4, 1), (7, 4, 1), (2048, 1024, 1), (2049, 1024, 1),
+    (4096, 1024, 8), (2504, 1024, 8), (1032, 1024, 8), (1030, 1024, 8), (9, 1024, 8),
+])
+def test_spans_cover_the_range_in_nearly_equal_aligned_runs(total, size, align):
+    spans = _spans(total, size, align)
+    assert len(spans) == math.ceil(total / size)
+    assert spans[0][0] == 0 and spans[-1][1] == total
+    assert all(a1 == b0 for (_, a1), (b0, _) in zip(spans, spans[1:]))
+    lengths = [b - a for a, b in spans]
+    assert all(a % align == 0 for a, _ in spans)
+    assert max(lengths) <= math.ceil(size / align) * align
+    assert min(lengths) >= 2 or total == 1  # no single-row product
+
+
+def test_scores_do_not_depend_on_the_weights_layout():
+    # products this small are where BLAS sums in another order for the
+    # other transpose flag; every product widens the weights into a
+    # C-ordered buffer, so a C and a Fortran copy score the same bits
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n, m, t = (int(v) for v in rng.integers(1, [40, 300, 64]))
+        w = random_layer(rng, n, m)
+        w_hat = w + rng.normal(0, 0.1, w.shape).astype(np.float32)
+        ref = kl_reference(random_calib(rng, t, m), w, KlConfig())
+        got = [output_kl(ref, order(w_hat)) for order in (np.ascontiguousarray, np.asfortranarray)]
+        assert np.float64(got[0]).tobytes() == np.float64(got[1]).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -211,6 +211,7 @@ def test_calibration_set_validates_channels():
 
 # Property: every valid file has exactly one in-memory reading, so a
 # mutated file is either rejected or is the encoding of what it decodes to.
+# The examples are drawn under the derandomized profile of conftest.py.
 BASE_TENSORS = [
     tensor_to_bytes(np.arange(6, dtype=np.float32).reshape(2, 3) - 2.5),
     tensor_to_bytes(np.zeros((0,), dtype=np.float32)),
@@ -218,7 +219,6 @@ BASE_TENSORS = [
     tensor_to_bytes(np.float32(-0.0)),
     tensor_to_bytes(np.linspace(-1e-40, 3e38, 4, dtype=np.float32).reshape(1, 2, 2)),
 ]
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 
 
 def header_fields(raw):
@@ -235,13 +235,13 @@ def assert_rejected_or_canonical(raw):
     assert tensor_to_bytes(arr) == raw
 
 
-@PROPERTY
+@settings(max_examples=200)
 @given(st.sampled_from(BASE_TENSORS), st.data())
 def test_property_truncation(raw, data):
     assert_rejected_or_canonical(raw[: data.draw(st.integers(0, len(raw) - 1))])
 
 
-@PROPERTY
+@settings(max_examples=200)
 @given(st.sampled_from(BASE_TENSORS), st.data())
 def test_property_bit_flip(raw, data):
     bit = data.draw(st.integers(0, 8 * len(raw) - 1))
@@ -250,7 +250,7 @@ def test_property_bit_flip(raw, data):
     assert_rejected_or_canonical(bytes(mutated))
 
 
-@PROPERTY
+@settings(max_examples=200)
 @given(st.sampled_from(BASE_TENSORS), st.data())
 def test_property_header_overwrite(raw, data):
     start, size = data.draw(st.sampled_from(header_fields(raw)))
