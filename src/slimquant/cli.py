@@ -26,10 +26,10 @@ from .salience import (
     accumulate_hessian,
     damp_and_invert,
     salience,
-    salience_map,
+    salience_means,
     salient_mask_3sigma,
 )
-from .sba import KlConfig, kl_reference
+from .sba import kl_reference
 from .tensor_store import atomic_write, load_calibration, read_tensor, write_tensor
 
 
@@ -82,8 +82,11 @@ def _check_sizes(**sizes: int) -> None:
 def cmd_gen_weights(args) -> int:
     _check_sizes(rows=args.rows, cols=args.cols)
     rng = np.random.default_rng(args.seed)
-    w = rng.standard_normal((args.rows, args.cols)) * args.amplitude
-    write_tensor(args.out, w.astype(np.float32))
+    # values past float32's range become infinite without numpy's warning;
+    # write_tensor rejects them with one NonFiniteValue error
+    with np.errstate(over="ignore"):
+        w = (rng.standard_normal((args.rows, args.cols)) * args.amplitude).astype(np.float32)
+    write_tensor(args.out, w)
     print(f"wrote {args.out} ({args.rows}x{args.cols})")
     return 0
 
@@ -104,18 +107,14 @@ def _parse_cluster(text: str, channels: int) -> tuple[int, int, float]:
 
 def cmd_gen_calib(args) -> int:
     _check_sizes(samples=args.samples, tokens=args.tokens, channels=args.channels)
-    if args.outlier_channel is not None and not 0 <= args.outlier_channel < args.channels:
-        raise InvalidConfig(
-            f"--outlier-channel must lie in [0, {args.channels}), got {args.outlier_channel}"
-        )
     clusters = [_parse_cluster(item, args.channels) for item in args.cluster or []]
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.samples, args.tokens, args.channels))
-    if args.outlier_channel is not None:
-        x[..., args.outlier_channel] *= args.outlier_scale
-    for start, width, scale in clusters:
-        x[..., start : start + width] *= scale
-    write_tensor(args.out, x.astype(np.float32))
+    with np.errstate(over="ignore"):  # as in cmd_gen_weights
+        for start, width, scale in clusters:
+            x[..., start : start + width] *= scale
+        x = x.astype(np.float32)
+    write_tensor(args.out, x)
     print(f"wrote {args.out} ({args.samples}x{args.tokens}x{args.channels})")
     return 0
 
@@ -203,7 +202,7 @@ def cmd_eval(args) -> int:
         raise ShapeMismatch(f"weights {w.shape} do not match packed model {(pm.n, pm.m)}")
     blocks, widths = unpack(pm)
     hs = damp_and_invert(accumulate_hessian(calib))
-    ref = kl_reference(calib.stacked(), w, KlConfig())
+    ref = kl_reference(calib.stacked(), w)
     loss, mse, kl = score(w, reconstruct(blocks), hs, ref)
     size = packed_size_report(pm)
     hist = Counter(int(b) for b in widths)
@@ -228,9 +227,8 @@ def cmd_inspect(args) -> int:
     _check_sizes(**{"group-size": args.group_size})
     w = _load_weights(args.weights)
     calib = load_calibration(args.calib)
-    hs = damp_and_invert(accumulate_hessian(calib))
-    sal = salience_map(w, hs, args.group_size)
-    delta = salience(w, hs)
+    delta = salience(w, damp_and_invert(accumulate_hessian(calib)))
+    sal = salience_means(delta, args.group_size)
     k = w.shape[1] // args.group_size
     lines = ["kind,index,value"]
     lines += [f"channel_mean,{j},{float(v)!r}" for j, v in enumerate(sal.channel_mean)]
@@ -293,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--samples", type=int, default=1)
     gc.add_argument("--tokens", type=int, required=True)
     gc.add_argument("--channels", type=int, required=True)
-    gc.add_argument("--outlier-channel", type=int, default=None)
-    gc.add_argument("--outlier-scale", type=float, default=100.0)
     gc.add_argument(
         "--cluster",
         action="append",

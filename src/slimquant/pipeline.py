@@ -65,9 +65,10 @@ STAGES = ("gram_and_inverse", "salience", "width_plan", "groups", "scoring")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The settings a caller chooses. The rest are fixed, as in the paper:
-    damp_and_invert's default damping, SqcConfig()'s gamma grid and
-    KlConfig()'s divergence."""
+    """The settings a caller chooses, the only ones quantize_layer has.
+    The rest are fixed, as in the paper: damp_and_invert's default
+    damping, the gamma grid of SqcConfig and the divergence of KlConfig,
+    neither of which takes a value."""
 
     beta: int = 128
     bits: int = 2  # average width target, 2 or 3
@@ -213,9 +214,9 @@ def quantize_layer(
     marks.append(time.perf_counter())
     # 3. width plan, and the exact outputs every divergence is taken against
     x_all = calib.stacked()
-    ref = kl_reference(x_all, w, KlConfig())
+    ref = kl_reference(x_all, w)
     if cfg.sba_enabled:
-        plan = allocate_bits(w, x_all, sal, beta, cfg.bits, ref.cfg, ref=ref)
+        plan = allocate_bits(w, x_all, sal, beta, cfg.bits, KlConfig(), ref=ref)
     else:
         plan = BitPlan(
             bits=np.full(k, cfg.bits, dtype=np.int64), p_star=0, kl_curve=np.empty(0)

@@ -127,18 +127,15 @@ def damp_and_invert(H: np.ndarray, percdamp: float = 0.01) -> HessianState:
     if not np.all(np.isfinite(H)):
         raise NotPositiveDefinite("Gram matrix has non-finite entries")
     m = H.shape[0]
-    # only the lower triangle is H; with zeros above it, U comes out
-    # upper-triangular (accumulate_hessian's are zero already)
-    for i in range(m - 1):
-        H[i, i + 1 :] = 0.0
     # Reversing the C-ordered buffer makes it P H P; its Fortran view is
     # P HT P, whose lower triangle is H's lower triangle reversed. LAPACK
-    # factors and inverts that view in place, and the zeros above its
-    # diagonal stay zero.
+    # factors and inverts that view in place. The factorization reads only
+    # the lower triangle and zeroes the one above it (clean=1), whatever H
+    # held there, so U comes out upper-triangular.
     _reverse_in_place(H.ravel())
     reversed_a = H.T
     reversed_a[np.diag_indices(m)] += damping
-    lower, info = scipy.linalg.lapack.dpotrf(reversed_a, lower=1, clean=0, overwrite_a=1)
+    lower, info = scipy.linalg.lapack.dpotrf(reversed_a, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise NotPositiveDefinite(f"damped Gram matrix is not PD (dpotrf info {info})")
     lower_inv, info = scipy.linalg.lapack.dtrtri(lower, lower=1, overwrite_c=1)
@@ -181,7 +178,12 @@ def salience(w: np.ndarray, hs: HessianState) -> np.ndarray:
 
 def salience_map(w: np.ndarray, hs: HessianState, beta: int) -> SalienceMap:
     """Per-group and per-channel means of the element salience."""
-    delta = salience(w, hs)
+    return salience_means(salience(w, hs), beta)
+
+
+def salience_means(delta: np.ndarray, beta: int) -> SalienceMap:
+    """Per-group and per-channel means of an element salience map delta
+    (n, m), in groups of beta channels."""
     n, m = delta.shape
     if beta < 1 or m % beta != 0:
         raise BadGroupSize(f"group size {beta} does not divide {m} channels")

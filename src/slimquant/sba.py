@@ -17,8 +17,8 @@ the same. The reference distribution is thus the only output-sized array
 either holds. Every divergence is taken against a KlReference, the exact
 layer's side, which kl_reference builds from the raw token rows: it
 checks them, takes at most KlConfig.max_tokens of them at a uniform stride,
-and keeps them in the dtype they came in. The reference carries the
-KlConfig every score against it uses.
+and keeps them in the dtype they came in. KlConfig holds the divergence's
+fixed settings, which every score reads.
 
 Every product with the token rows (the exact outputs, each block's first
 candidate and a whole-layer score) goes through _outputs, which widens
@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg.blas
@@ -65,19 +66,14 @@ _TOKEN_OUTPUTS = 1 << 22
 
 @dataclass(frozen=True)
 class KlConfig:
-    """Knobs for turning raw layer outputs into distributions."""
+    """The divergence's fixed settings, as in the paper: the softmax of the
+    raw outputs (temperature 1), floored at epsilon, over at most
+    max_tokens token rows at a uniform stride. KlConfig() takes no
+    arguments."""
 
-    temperature: float = 1.0
-    epsilon: float = 1e-8
-    max_tokens: int = 4096  # token rows used by the search, uniform stride
-
-    def __post_init__(self) -> None:
-        if not (self.temperature > 0.0 and math.isfinite(self.temperature)):
-            raise InvalidConfig(f"temperature must be finite and > 0, got {self.temperature}")
-        if not 0.0 < self.epsilon <= 1e-3:
-            raise InvalidConfig(f"epsilon must be in (0, 1e-3], got {self.epsilon}")
-        if self.max_tokens < 1:
-            raise InvalidConfig(f"max_tokens must be >= 1, got {self.max_tokens}")
+    temperature: ClassVar[float] = 1.0  # outputs are not divided by it
+    epsilon: ClassVar[float] = 1e-8
+    max_tokens: ClassVar[int] = 4096
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: == on arrays is ambiguous
@@ -103,27 +99,25 @@ def stride_subsample(x: np.ndarray, max_tokens: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)  # compared by identity: == on arrays is ambiguous
 class KlReference:
-    """The exact layer's side of an output divergence: the token rows, the
-    softmax distribution of the exact outputs over them, and the KlConfig
-    that distribution was taken under, which every score against it uses.
-    The rows are kept in the dtype they came in; every product widens them
-    to float64 a row block at a time (_outputs). The log of p is not
-    stored; each score takes it block by block. Built once per layer by
-    kl_reference, it serves the width search and the final score."""
+    """The exact layer's side of an output divergence: the token rows and
+    the softmax distribution of the exact outputs over them. The rows are
+    kept in the dtype they came in; every product widens them to float64 a
+    row block at a time (_outputs). The log of p is not stored; each score
+    takes it block by block. Built once per layer by kl_reference, it
+    serves the width search and the final score."""
 
-    xs: np.ndarray  # (t, m) token rows, at most cfg.max_tokens
+    xs: np.ndarray  # (t, m) token rows, at most KlConfig.max_tokens
     p: np.ndarray  # (t, n) float64
-    cfg: KlConfig
 
 
-def kl_reference(x: np.ndarray, w: np.ndarray, cfg: KlConfig) -> KlReference:
-    """Distributions under cfg of the exact outputs xs @ wT, where xs is at
-    most cfg.max_tokens of x's token rows at a uniform stride
-    (stride_subsample). The one check of a divergence's inputs: w must be
-    2-D with at least one row (ShapeMismatch), x 2-D over w's channels
-    (ShapeMismatch) with at least one row (InsufficientCalibration). The
-    rows are not converted: unstrided rows are x itself, strided ones a
-    compact copy."""
+def kl_reference(x: np.ndarray, w: np.ndarray, cfg: KlConfig = KlConfig()) -> KlReference:
+    """Distributions of the exact outputs xs @ wT, where xs is at most
+    KlConfig.max_tokens of x's token rows at a uniform stride
+    (stride_subsample). cfg is KlConfig(), the one value there is. The one
+    check of a divergence's inputs: w must be 2-D with at least one row
+    (ShapeMismatch), x 2-D over w's channels (ShapeMismatch) with at least
+    one row (InsufficientCalibration). The rows are not converted:
+    unstrided rows are x itself, strided ones a compact copy."""
     x, w = np.asarray(x), np.asarray(w)
     if w.ndim != 2 or w.shape[0] == 0:
         raise ShapeMismatch(f"weights must be 2-D with at least one row, got shape {w.shape}")
@@ -131,10 +125,10 @@ def kl_reference(x: np.ndarray, w: np.ndarray, cfg: KlConfig) -> KlReference:
         raise ShapeMismatch(f"activations {x.shape} do not match weights {w.shape}")
     if x.shape[0] == 0:
         raise InsufficientCalibration("no token rows to compare outputs on")
-    xs = stride_subsample(x, cfg.max_tokens)
+    xs = stride_subsample(x, KlConfig.max_tokens)
     p = _outputs(xs, w)
-    _row_distributions(p, cfg)
-    return KlReference(xs=xs, p=p, cfg=cfg)
+    _row_distributions(p)
+    return KlReference(xs=xs, p=p)
 
 
 def _spans(total: int, size: int, align: int = 1) -> list[tuple[int, int]]:
@@ -213,21 +207,21 @@ def _check_weights(ref: KlReference, w: np.ndarray) -> None:
         raise ShapeMismatch(f"weights {np.shape(w)} do not match the reference's {want}")
 
 
-def _row_distributions(y: np.ndarray, cfg: KlConfig, out: np.ndarray | None = None) -> None:
-    """Write each row's tempered softmax of y, floored at cfg.epsilon and
-    renormalized, into out, which defaults to y itself."""
+def _row_distributions(y: np.ndarray, out: np.ndarray | None = None) -> None:
+    """Write each row's softmax of y, floored at KlConfig.epsilon and
+    renormalized, into out, which defaults to y itself. The temperature is
+    1, so y is not divided by it."""
     q = y if out is None else out
-    np.divide(y, cfg.temperature, out=q)
-    q -= q.max(axis=1, keepdims=True)
+    np.subtract(y, y.max(axis=1, keepdims=True), out=q)
     np.exp(q, out=q)
     q /= q.sum(axis=1, keepdims=True)
-    np.maximum(q, cfg.epsilon, out=q)
+    np.maximum(q, KlConfig.epsilon, out=q)
     q /= q.sum(axis=1, keepdims=True)
 
 
 def _row_kl(ref: KlReference, r0: int, y: np.ndarray, out: np.ndarray) -> None:
-    """Write KL(ref.p[r0 + i] || softmax of y[i]) under ref.cfg into out[i]
-    for every row i of y; y is not written.
+    """Write KL(ref.p[r0 + i] || softmax of y[i]) into out[i] for every
+    row i of y; y is not written.
 
     The rows are taken in blocks of about _BLOCK_ELEMENTS elements through
     two reused buffers, one for the block of y's distributions and one for
@@ -241,7 +235,7 @@ def _row_kl(ref: KlReference, r0: int, y: np.ndarray, out: np.ndarray) -> None:
     for a in range(0, t, rows):
         b = min(a + rows, t)
         q, log_p, p = buf[: b - a], log_buf[: b - a], ref.p[r0 + a : r0 + b]
-        _row_distributions(y[a:b], ref.cfg, out=q)
+        _row_distributions(y[a:b], out=q)
         np.log(q, out=q)
         np.log(p, out=log_p)
         np.subtract(log_p, q, out=q)
@@ -252,10 +246,10 @@ def _row_kl(ref: KlReference, r0: int, y: np.ndarray, out: np.ndarray) -> None:
 def output_kl(ref: KlReference, w_hat: np.ndarray) -> float:
     """Mean over ref's token rows of KL(P || Q), where P is ref's
     distribution of the exact outputs and Q the softmax of the outputs of
-    w_hat, under ref.cfg. w_hat must have the shape of the weights ref was
-    built from (ShapeMismatch). The outputs are formed and scored one
-    token block at a time (_token_blocks), so p is the only (t, n) array
-    the score holds."""
+    w_hat. w_hat must have the shape of the weights ref was built from
+    (ShapeMismatch). The outputs are formed and scored one token block at
+    a time (_token_blocks), so p is the only (t, n) array the score
+    holds."""
     _check_weights(ref, w_hat)
     row_kl = np.empty(ref.p.shape[0])
     for r0, r1, y in _token_blocks(ref):
@@ -283,10 +277,10 @@ def allocate_bits(
     """Search all pairing counts p and return the divergence-minimizing plan.
 
     Divergences are measured against kl_reference of x's float32-rounded
-    token rows, which checks w and x and keeps at most cfg.max_tokens rows
-    at a uniform stride. A ref given must be that reference (x is then not
-    read): one built under another config is rejected (InvalidConfig), as
-    is one of another weight shape (ShapeMismatch).
+    token rows, which checks w and x and keeps at most KlConfig.max_tokens
+    rows at a uniform stride; cfg is KlConfig(), the one value there is. A
+    ref given must be that reference (x is then not read): one of another
+    weight shape is rejected (ShapeMismatch).
 
     Fake quantization here is quantize_uniform at each group's width:
     per-row min/max, or sign/magnitude at 1 bit. Range calibration and
@@ -312,9 +306,7 @@ def allocate_bits(
     if target_bits not in (2, 3):
         raise InvalidConfig(f"target width must be 2 or 3 bits, got {target_bits}")
     if ref is None:
-        ref = kl_reference(np.asarray(x, dtype=np.float32), w, cfg)
-    elif ref.cfg != cfg:
-        raise InvalidConfig(f"reference was built under {ref.cfg}, allocation asks for {cfg}")
+        ref = kl_reference(np.asarray(x, dtype=np.float32), w)
     _check_weights(ref, w)
     m = w.shape[1]
     if beta < 1 or m % beta != 0:

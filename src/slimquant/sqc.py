@@ -1,7 +1,8 @@
 """Quantizer range calibration by grid search.
 
 For one block, a shrink/grow factor gamma is applied to every row's
-min/max range before deriving scale and zero-point. The winning gamma
+min/max range before deriving scale and zero-point. The grid is fixed
+(SqcConfig): 101 gammas in [0.9, 1.1]. The winning gamma
 minimizes the total squared reconstruction error of the block. gamma = 1.0
 is always a candidate, so calibrated quantization can never lose to the
 plain min/max quantizer on this objective. The search runs at 2 to 4 bits:
@@ -20,6 +21,7 @@ the full float64 search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,20 +52,19 @@ _F32_SCALE_MAX = 2.0 ** 123
 
 @dataclass(frozen=True)
 class SqcConfig:
-    lambda_gamma: float = 0.1  # half-width of the gamma interval
-    n_gamma: int = 50  # grid holds 2 * n_gamma points, plus unity
+    """The gamma grid's fixed settings, as in the paper (gamma_grid).
+    SqcConfig() takes no arguments."""
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lambda_gamma < 1.0:
-            raise InvalidConfig(f"lambda_gamma must be in (0, 1), got {self.lambda_gamma}")
-        if self.n_gamma < 1:
-            raise InvalidConfig(f"n_gamma must be >= 1, got {self.n_gamma}")
+    lambda_gamma: ClassVar[float] = 0.1  # half-width of the gamma interval
+    n_gamma: ClassVar[int] = 50
 
 
-def gamma_grid(cfg: SqcConfig) -> np.ndarray:
-    """Candidate gammas: 2*n_gamma points spanning [1-lambda, 1+lambda]
-    endpoints included, plus forced unity."""
-    grid = np.linspace(1.0 - cfg.lambda_gamma, 1.0 + cfg.lambda_gamma, 2 * cfg.n_gamma)
+def gamma_grid() -> np.ndarray:
+    """Candidate gammas: 2 * SqcConfig.n_gamma points spanning
+    [1 - lambda_gamma, 1 + lambda_gamma], endpoints included, plus forced
+    unity."""
+    lam = SqcConfig.lambda_gamma
+    grid = np.linspace(1.0 - lam, 1.0 + lam, 2 * SqcConfig.n_gamma)
     return np.unique(np.append(grid, 1.0))
 
 
@@ -72,9 +73,9 @@ def calibrate_group(
 ) -> tuple[QuantizedBlock, float]:
     """Grid-search gamma for one block and quantize with the winner.
 
-    Returns the quantized block and the winning gamma. Ties prefer the
-    gamma closest to 1.0, then the smaller gamma. The loss of each
-    candidate is measured on the float32 dequantization actually deployed,
+    Returns the quantized block and the winning gamma; cfg is SqcConfig(),
+    the one value there is. Ties prefer the gamma closest to 1.0, then the
+    smaller gamma. The loss of each candidate is measured on the float32 dequantization actually deployed,
     so the winner's objective value is exactly the reconstruction error
     downstream consumers will see. Only the candidates that survive the
     float32 screen (_survivors) are scored exactly; the others provably
@@ -85,7 +86,7 @@ def calibrate_group(
     # a column slice of a wider matrix is copied once, so that every pass
     # over the grid reads contiguous rows
     block = np.ascontiguousarray(as_block(block))
-    grid = gamma_grid(cfg)
+    grid = gamma_grid()
     lo, hi = _row_range(block)
     scales, zeros = affine_params(lo[None, :], hi[None, :], bit_width, grid[:, None])
     kept = grid[_survivors(block, bit_width, scales, zeros)]

@@ -20,6 +20,7 @@ from slimquant.cli import BLAS_THREAD_VARS, build_parser, main
 from slimquant.packfmt import FLAG_BINARY_1BIT, read_packed, unpack
 from slimquant.pipeline import STAGES, PipelineConfig, quantize_layer, reconstruct
 from slimquant.quant_core import dequantize, quantize_uniform
+from slimquant.salience import salience
 from slimquant.sba import KlConfig, kl_reference, output_kl, stride_subsample
 from slimquant.tensor_store import CalibrationSet, read_tensor, write_tensor
 
@@ -73,10 +74,10 @@ def test_gen_weights_round_trip(tmp_path, capsys):
 
 
 def test_gen_calib_with_outlier_and_cluster(tmp_path, capsys):
+    # an outlier channel is a cluster one channel wide
     out = tmp_path / "x.slmt"
     code, _, _ = run(capsys, "gen", "calib", "--samples", 2, "--tokens", 16,
-                     "--channels", 8, "--outlier-channel", 5,
-                     "--outlier-scale", 100.0, "--cluster", "1:2:3.0",
+                     "--channels", 8, "--cluster", "5:1:100.0", "--cluster", "1:2:3.0",
                      "--seed", 7, "--out", out)
     assert code == 0
     x = read_tensor(out)
@@ -106,9 +107,6 @@ CALIB_4 = ["gen", "calib", "--tokens", 4, "--channels", 4]
     ["gen", "calib", "--samples", 0, "--tokens", 4, "--channels", 4],
     ["gen", "calib", "--tokens", 0, "--channels", 4],
     ["gen", "calib", "--tokens", 4, "--channels", 0],
-    [*CALIB_4, "--outlier-channel", 9],
-    [*CALIB_4, "--outlier-channel", 4],
-    [*CALIB_4, "--outlier-channel", -1],
     [*CALIB_4, "--cluster", "9:2:3.0"],
     [*CALIB_4, "--cluster", "3:2:3.0"],
     [*CALIB_4, "--cluster=-1:2:3.0"],
@@ -126,13 +124,28 @@ def test_gen_rejects_out_of_range_arguments(tmp_path, capsys, argv):
 
 def test_gen_calib_accepts_the_last_channel(tmp_path, capsys):
     out = tmp_path / "x.slmt"
-    code, _, _ = run(capsys, *CALIB_4, "--outlier-channel", 3, "--cluster", "2:2:3.0",
+    code, _, _ = run(capsys, *CALIB_4, "--cluster", "3:1:100.0", "--cluster", "2:2:3.0",
                      "--out", out)
     assert code == 0
     base = np.random.default_rng(0).standard_normal((1, 4, 4))
     base[..., 3] *= 100.0
     base[..., 2:4] *= 3.0
     assert np.array_equal(read_tensor(out), base.astype(np.float32))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["gen", "weights", "--rows", 4, "--cols", 4, "--amplitude", 1e39],
+    [*CALIB_4, "--cluster", "0:2:1e39"],
+], ids=lambda argv: argv[1])
+def test_gen_values_past_float32_are_one_error_line(tmp_path, capsys, argv):
+    # no numpy overflow warning comes before the error
+    out = tmp_path / "t.slmt"
+    code, stdout, err = run(capsys, *argv, "--out", out)
+    assert code == 1
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error[NonFiniteValue]: ")
+    assert not out.exists()
 
 
 def test_quantize_writes_model_and_report(layer_files, tmp_path, capsys):
@@ -292,17 +305,18 @@ def test_eval_matches_quantize_report_on_a_small_uncompensated_layer(tmp_path, c
     recon = reconstruct(unpack(read_packed(out))[0])
     assert recon.flags.f_contiguous and not recon.flags.c_contiguous
     x = read_tensor(xpath).reshape(-1, 256)
-    ref = kl_reference(x, read_tensor(wpath), KlConfig())
+    ref = kl_reference(x, read_tensor(wpath))
     got = [output_kl(ref, order(recon)) for order in (np.asfortranarray, np.ascontiguousarray)]
     assert np.float64(got[0]).tobytes() == np.float64(got[1]).tobytes()
 
 
 @pytest.mark.parametrize("samples", [1, 2])
-def test_eval_matches_quantize_report_on_strided_and_batched_rows(tmp_path, capsys, samples):
-    # eval scores on the rows quantize scored on: past KlConfig().max_tokens
+def test_eval_matches_quantize_report_on_strided_and_batched_rows(tmp_path, capsys, monkeypatch,
+                                                                  samples):
+    # eval scores on the rows quantize scored on: past KlConfig.max_tokens
     # calibration rows, a strided subsample of the rows of every sample
     w, x = clustered_layer(5, n=16, m=256, t=4200)
-    assert len(x) > KlConfig().max_tokens
+    assert len(x) > KlConfig.max_tokens
     wpath, xpath, out = tmp_path / "w.slmt", tmp_path / "x.slmt", tmp_path / "m.slmq"
     write_tensor(wpath, w)
     write_tensor(xpath, x.reshape(samples, -1, x.shape[1]))
@@ -317,10 +331,11 @@ def test_eval_matches_quantize_report_on_strided_and_batched_rows(tmp_path, caps
     # the score is that of the strided rows, and every row scores differently,
     # so the stride was applied
     recon = reconstruct(unpack(read_packed(out))[0])
-    strided = stride_subsample(x, KlConfig().max_tokens)
+    strided = stride_subsample(x, KlConfig.max_tokens)
     assert len(strided) < len(x)
-    assert scored["metrics"]["recon_kl"] == output_kl(kl_reference(strided, w, KlConfig()), recon)
-    every_row = kl_reference(x, w, KlConfig(max_tokens=len(x)))
+    assert scored["metrics"]["recon_kl"] == output_kl(kl_reference(strided, w), recon)
+    monkeypatch.setattr(KlConfig, "max_tokens", len(x))
+    every_row = kl_reference(x, w)
     assert scored["metrics"]["recon_kl"] != output_kl(every_row, recon)
 
 
@@ -455,6 +470,23 @@ def test_inspect_flags_injected_outlier(tmp_path, capsys):
                if r["kind"] == "channel_mean"]
     top = max(channel, key=lambda iv: iv[1])[0]
     assert top == 11
+
+
+def test_inspect_builds_the_salience_map_once(layer_files, tmp_path, capsys, monkeypatch):
+    # the means and the masks are read off one n x m map
+    wpath, xpath, _, _ = layer_files
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return salience(*args)
+
+    monkeypatch.setattr("slimquant.salience.salience", counted)
+    monkeypatch.setattr("slimquant.cli.salience", counted)
+    code, _, _ = run(capsys, "inspect", "--weights", wpath, "--calib", xpath,
+                     "--group-size", 16)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_matmul_both_paths(layer_files, tmp_path, capsys):

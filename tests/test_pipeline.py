@@ -217,7 +217,7 @@ def test_run_is_deterministic():
 
 
 @pytest.mark.parametrize("sba", [True, False])
-def test_recon_kl_is_output_kl_of_the_strided_rows(sba):
+def test_recon_kl_is_output_kl_of_the_strided_rows(monkeypatch, sba):
     # the final score reads the exact side from the reference the width
     # search built; it must be the score against a reference built afresh
     # from the strided rows of both samples, and not that of every row
@@ -225,10 +225,11 @@ def test_recon_kl_is_output_kl_of_the_strided_rows(sba):
     calib = CalibrationSet([x[:2100], x[2100:]])
     res = quantize_layer(w, calib, PipelineConfig(beta=64, bits=2, sba_enabled=sba))
     recon = reconstruct(res.blocks)
-    xs = stride_subsample(calib.stacked(), KlConfig().max_tokens)
+    xs = stride_subsample(calib.stacked(), KlConfig.max_tokens)
     assert len(xs) < len(x)
-    assert res.recon_kl == output_kl(kl_reference(xs, w, KlConfig()), recon)
-    every_row = kl_reference(x, w, KlConfig(max_tokens=len(x)))
+    assert res.recon_kl == output_kl(kl_reference(xs, w), recon)
+    monkeypatch.setattr(KlConfig, "max_tokens", len(x))
+    every_row = kl_reference(x, w)
     assert res.recon_kl != output_kl(every_row, recon)
 
 

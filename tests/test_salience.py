@@ -294,7 +294,8 @@ def test_gram_and_factor_peak_at_one_matrix():
 
 def test_asymmetric_gram_reads_lower_triangle():
     # the factor of an asymmetric H is the factor of the symmetric matrix
-    # that H's lower triangle and diagonal define, bit for bit
+    # that H's lower triangle and diagonal define, bit for bit, and is
+    # upper-triangular whatever H held above its diagonal
     rng = np.random.default_rng(23)
     cases = [np.array([[2.5]])]
     for m in (2, 7, 33, 96):
@@ -309,6 +310,7 @@ def test_asymmetric_gram_reads_lower_triangle():
         for percdamp in (0.01, 0.0):
             hs = damp_and_invert(H.copy(), percdamp)
             ref = damp_and_invert(lower.copy(), percdamp)
+            assert not np.tril(hs.chol_inv, -1).any()
             assert hs.damping == ref.damping
             assert hs.chol_inv.tobytes() == ref.chol_inv.tobytes()
             assert hs.H_inv_diag.tobytes() == ref.H_inv_diag.tobytes()

@@ -13,12 +13,7 @@ import pytest
 import scipy.special
 
 from fixtures import hessian_state, random_calib, random_layer
-from slimquant.errors import (
-    BadGroupSize,
-    InsufficientCalibration,
-    InvalidConfig,
-    ShapeMismatch,
-)
+from slimquant.errors import BadGroupSize, InsufficientCalibration, ShapeMismatch
 from slimquant.quant_core import (
     binarize_block,
     dequantize,
@@ -42,15 +37,15 @@ from slimquant.sba import (
 from slimquant.tensor_store import CalibrationSet
 
 
-def oracle_kl(x, w, w_hat, cfg):
+def oracle_kl(x, w, w_hat):
     """Independent divergence computation via scipy."""
     y = x.astype(np.float64) @ w.astype(np.float64).T
     z = x.astype(np.float64) @ w_hat.astype(np.float64).T
-    p = scipy.special.softmax(y / cfg.temperature, axis=1)
-    q = scipy.special.softmax(z / cfg.temperature, axis=1)
-    p = np.maximum(p, cfg.epsilon)
+    p = scipy.special.softmax(y, axis=1)
+    q = scipy.special.softmax(z, axis=1)
+    p = np.maximum(p, KlConfig.epsilon)
     p /= p.sum(axis=1, keepdims=True)
-    q = np.maximum(q, cfg.epsilon)
+    q = np.maximum(q, KlConfig.epsilon)
     q /= q.sum(axis=1, keepdims=True)
     return float(np.mean(np.sum(scipy.special.rel_entr(p, q), axis=1)))
 
@@ -86,10 +81,10 @@ def fake_quantize(w, bits, beta, one_bit=quantize_uniform):
     return w_hat
 
 
-def oracle_allocation(w, x, group_mean, beta, target, cfg):
+def oracle_allocation(w, x, group_mean, beta, target):
     """Exhaustive search scored with the scipy divergence."""
     plans = oracle_plans(group_mean, target)
-    curve = [oracle_kl(x, w, fake_quantize(w, bits, beta), cfg) for bits in plans]
+    curve = [oracle_kl(x, w, fake_quantize(w, bits, beta)) for bits in plans]
     best = int(np.argmin(curve))
     return plans, curve, best
 
@@ -98,7 +93,7 @@ def test_identical_outputs_give_zero():
     rng = np.random.default_rng(1)
     w = random_layer(rng, 4, 8)
     x = random_calib(rng, 6, 8)
-    assert output_kl(kl_reference(x, w, KlConfig()), w.copy()) == 0.0
+    assert output_kl(kl_reference(x, w), w.copy()) == 0.0
 
 
 def test_divergence_nonnegative():
@@ -107,7 +102,7 @@ def test_divergence_nonnegative():
         w = random_layer(rng, 3, 6)
         w_hat = w + rng.normal(0, 0.1, w.shape).astype(np.float32)
         x = random_calib(rng, 5, 6)
-        assert output_kl(kl_reference(x, w, KlConfig()), w_hat) >= 0.0
+        assert output_kl(kl_reference(x, w), w_hat) >= 0.0
 
 
 def test_two_way_closed_form():
@@ -116,37 +111,26 @@ def test_two_way_closed_form():
     w = np.array([[0.0], [math.log(3.0)]])
     w_hat = np.zeros((2, 1))
     expected = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
-    got = output_kl(kl_reference(x, w, KlConfig()), w_hat)
+    got = output_kl(kl_reference(x, w), w_hat)
     assert got == pytest.approx(expected, rel=1e-9)
     assert got == pytest.approx(0.13081, abs=1e-5)
 
 
 def test_matches_scipy_oracle():
     rng = np.random.default_rng(3)
-    cfg = KlConfig(temperature=1.7)
     for _ in range(25):
         w = random_layer(rng, 6, 10)
         w_hat = w + rng.normal(0, 0.2, w.shape).astype(np.float32)
         x = random_calib(rng, 12, 10)
-        assert output_kl(kl_reference(x, w, cfg), w_hat) == pytest.approx(
-            oracle_kl(x, w, w_hat, cfg), rel=1e-10)
-
-
-def test_temperature_flattens_divergence():
-    rng = np.random.default_rng(4)
-    w = random_layer(rng, 8, 16)
-    w_hat = w + rng.normal(0, 0.3, w.shape).astype(np.float32)
-    x = random_calib(rng, 10, 16)
-    hot = output_kl(kl_reference(x, w, KlConfig(temperature=10.0)), w_hat)
-    cold = output_kl(kl_reference(x, w, KlConfig(temperature=0.5)), w_hat)
-    assert hot < cold
+        assert output_kl(kl_reference(x, w), w_hat) == pytest.approx(
+            oracle_kl(x, w, w_hat), rel=1e-10)
 
 
 def test_epsilon_floor_keeps_logs_finite():
     x = np.array([[1.0]], dtype=np.float32)
     w = np.array([[0.0], [200.0]], dtype=np.float32)  # saturated softmax
     w_hat = np.array([[200.0], [0.0]], dtype=np.float32)
-    got = output_kl(kl_reference(x, w, KlConfig()), w_hat)
+    got = output_kl(kl_reference(x, w), w_hat)
     assert math.isfinite(got)
     assert got > 0.0
 
@@ -169,28 +153,16 @@ def test_kl_reference_rejects_malformed_inputs(case):
     malform, error = MALFORMED[case]
     w, x = malform(random_layer(rng, 2, 4), random_calib(rng, 3, 4))
     with pytest.raises(error):
-        kl_reference(x, w, KlConfig())
+        kl_reference(x, w)
 
 
 @pytest.mark.parametrize("shape", [(2, 5), (3, 4), (8,), (4, 2)],
                          ids=lambda shape: "x".join(map(str, shape)))
 def test_output_kl_rejects_other_weight_shapes(shape):
     rng = np.random.default_rng(5)
-    ref = kl_reference(random_calib(rng, 6, 4), random_layer(rng, 2, 4), KlConfig())
+    ref = kl_reference(random_calib(rng, 6, 4), random_layer(rng, 2, 4))
     with pytest.raises(ShapeMismatch):
         output_kl(ref, np.zeros(shape, dtype=np.float32))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        KlConfig(temperature=0.0)
-    with pytest.raises(ValueError):
-        KlConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        KlConfig(epsilon=0.01)
-    for max_tokens in (0, -5):
-        with pytest.raises(InvalidConfig):
-            KlConfig(max_tokens=max_tokens)
 
 
 def test_stride_subsample():
@@ -202,25 +174,25 @@ def test_stride_subsample():
 
 
 @pytest.mark.parametrize("t, max_tokens", [(10, 4), (10, 3), (9, 9), (9, 100), (7, 1)])
-def test_kl_reference_strides_its_rows(t, max_tokens):
+def test_kl_reference_strides_its_rows(monkeypatch, t, max_tokens):
+    monkeypatch.setattr(KlConfig, "max_tokens", max_tokens)
     rng = np.random.default_rng(t + max_tokens)
     w, x = random_layer(rng, 3, 4), random_calib(rng, t, 4)
-    cfg = KlConfig(max_tokens=max_tokens)
-    ref = kl_reference(x, w, cfg)
+    ref = kl_reference(x, w)
     assert np.array_equal(ref.xs, x[::math.ceil(t / max_tokens)])
     assert ref.xs.dtype == np.float32  # kept as given, not widened
     # unstrided rows are the caller's own; strided ones a compact copy
     # that does not keep the caller's rows alive
     assert np.shares_memory(ref.xs, x) == (t <= max_tokens)
     assert ref.xs.flags.c_contiguous
-    want = output_kl(kl_reference(x[::math.ceil(t / max_tokens)], w, cfg), w * 0.5)
+    want = output_kl(kl_reference(x[::math.ceil(t / max_tokens)], w), w * 0.5)
     assert output_kl(ref, w * 0.5) == want
 
 
 def test_references_and_plans_compare_by_identity():
     # == on dataclasses of arrays would raise numpy's ambiguous truth value
     w, x, sal = plan_inputs(3)
-    a, b = kl_reference(x, w, KlConfig()), kl_reference(x, w, KlConfig())
+    a, b = kl_reference(x, w), kl_reference(x, w)
     assert a == a and a != b
     plan = allocate_bits(w, x, sal, 8, 2, KlConfig(), ref=a)
     same = BitPlan(bits=plan.bits.copy(), p_star=plan.p_star, kl_curve=plan.kl_curve.copy())
@@ -270,7 +242,7 @@ def test_matches_exhaustive_oracle():
     for seed in range(12):
         w, x, sal = plan_inputs(seed + 60, n=6, m=48, beta=8, t=16)
         plan = allocate_bits(w, x, sal, 8, 2, cfg)
-        plans, curve, best = oracle_allocation(w, x, sal.group_mean, 8, 2, cfg)
+        plans, curve, best = oracle_allocation(w, x, sal.group_mean, 8, 2)
         assert plan.p_star == best
         np.testing.assert_allclose(plan.kl_curve, curve, rtol=1e-10)
         assert list(plan.bits) == plans[best]
@@ -284,36 +256,24 @@ def test_uniform_candidate_is_plain_fakequant():
     for g in range(6):
         sl = slice(g * 8, (g + 1) * 8)
         w_hat[:, sl] = dequantize(quantize_uniform(w[:, sl], 2))
-    want = output_kl(kl_reference(x, w, cfg), w_hat)
+    want = output_kl(kl_reference(x, w), w_hat)
     assert plan.kl_curve[0] == pytest.approx(want, rel=1e-12)
 
 
-def test_reference_reuse_changes_no_bits():
+def test_reference_reuse_changes_no_bits(monkeypatch):
     # a KlReference built once gives the same curve, to the bit, as the one
     # allocate_bits builds for itself, and no score writes it
     for seed, max_tokens in ((70, 4096), (71, 7)):
+        monkeypatch.setattr(KlConfig, "max_tokens", max_tokens)
         w, x, sal = plan_inputs(seed, t=20)
-        cfg = KlConfig(max_tokens=max_tokens)
-        ref = kl_reference(stride_subsample(x, max_tokens), w, cfg)
+        ref = kl_reference(stride_subsample(x, max_tokens), w)
         p_before = ref.p.copy()
-        own = allocate_bits(w, x, sal, 8, 2, cfg)
-        shared = allocate_bits(w, x, sal, 8, 2, cfg, ref=ref)
+        own = allocate_bits(w, x, sal, 8, 2, KlConfig())
+        shared = allocate_bits(w, x, sal, 8, 2, KlConfig(), ref=ref)
         assert own.kl_curve.tobytes() == shared.kl_curve.tobytes()
         assert np.array_equal(own.bits, shared.bits)
         output_kl(ref, fake_quantize(w, list(own.bits), 8))
         assert np.array_equal(ref.p, p_before)
-
-
-def test_reference_under_another_config_rejected():
-    w, x, sal = plan_inputs(72, t=20)
-    ref = kl_reference(x, w, KlConfig(temperature=2.0))
-    assert ref.cfg == KlConfig(temperature=2.0)
-    with pytest.raises(InvalidConfig):
-        allocate_bits(w, x, sal, 8, 2, KlConfig(), ref=ref)
-    with pytest.raises(InvalidConfig):
-        allocate_bits(w, x, sal, 8, 2, KlConfig(temperature=2.0, max_tokens=7), ref=ref)
-    with pytest.raises(ShapeMismatch):
-        allocate_bits(w[:4], x, sal, 8, 2, KlConfig(temperature=2.0), ref=ref)
 
 
 def test_monotone_salience_relabel_keeps_plan():
@@ -364,35 +324,34 @@ def test_incremental_search_matches_full_recompute():
     for w, x, sal, target in cases:
         plan = allocate_bits(w, x, sal, 8, target, cfg)
         plans = oracle_plans(sal.group_mean, target)
-        ref = kl_reference(stride_subsample(x, cfg.max_tokens), w, cfg)
+        ref = kl_reference(stride_subsample(x, KlConfig.max_tokens), w)
         curve = np.array([output_kl(ref, fake_quantize(w, bits, 8)) for bits in plans])
         np.testing.assert_allclose(plan.kl_curve, curve, rtol=1e-12, atol=0.0)
         assert plan.p_star == int(np.argmin(curve))
         assert list(plan.bits) == plans[plan.p_star]
 
 
-def full_array_distributions(y, cfg):
+def full_array_distributions(y):
     """The softmax of every row of y at once, floored and renormalized."""
-    q = y / cfg.temperature
-    q -= q.max(axis=1, keepdims=True)
+    q = y - y.max(axis=1, keepdims=True)
     np.exp(q, out=q)
     q /= q.sum(axis=1, keepdims=True)
-    np.maximum(q, cfg.epsilon, out=q)
+    np.maximum(q, KlConfig.epsilon, out=q)
     q /= q.sum(axis=1, keepdims=True)
     return q
 
 
-def full_array_kl(p, log_p, y, cfg):
+def full_array_kl(p, log_p, y):
     """Mean over rows of KL(p || softmax(y)), over the whole arrays."""
-    return float(((log_p - np.log(full_array_distributions(y, cfg))) * p).sum(axis=1).mean())
+    return float(((log_p - np.log(full_array_distributions(y))) * p).sum(axis=1).mean())
 
 
-def full_array_curve(w, x, group_mean, beta, target, cfg):
+def full_array_curve(w, x, group_mean, beta, target):
     """The width search's curve with every softmax and divergence taken
     over the whole (t, n) output, the layer output updated as the search
     updates it."""
-    xs = stride_subsample(x, cfg.max_tokens).astype(np.float64)
-    p = full_array_distributions(xs @ w.astype(np.float64).T, cfg)
+    xs = stride_subsample(x, KlConfig.max_tokens).astype(np.float64)
+    p = full_array_distributions(xs @ w.astype(np.float64).T)
     log_p = np.log(p)
 
     def fake(g, bits):
@@ -405,12 +364,14 @@ def full_array_curve(w, x, group_mean, beta, target, cfg):
     for bits in plans:
         for g in np.flatnonzero(bits != prev):
             y += xs[:, g * beta:(g + 1) * beta] @ (fake(g, bits[g]) - fake(g, prev[g])).T
-        curve.append(full_array_kl(p, log_p, y, cfg))
+        curve.append(full_array_kl(p, log_p, y))
         prev = bits
     return np.array(curve)
 
 
-@pytest.mark.parametrize("n, m, beta, t, temperature", [
+# scale divides the weights, and so the outputs: at 0.7 the softmax is
+# sharper than at 1
+@pytest.mark.parametrize("n, m, beta, t, scale", [
     (4096, 16, 4, 50, 1.0),  # 16 rows per block, a ragged last block of 2
     (70_000, 8, 4, 3, 1.0),  # rows longer than a block: one row per block
     (64, 32, 8, 200, 0.7),
@@ -418,20 +379,19 @@ def full_array_curve(w, x, group_mean, beta, target, cfg):
     # the accumulating update rounds as a separate product plus an add
     (1024, 512, 128, 200, 1.0),
 ])
-def test_row_blocks_match_full_array_scoring(n, m, beta, t, temperature):
+def test_row_blocks_match_full_array_scoring(n, m, beta, t, scale):
     rng = np.random.default_rng(n + t)
-    w = random_layer(rng, n, m)
+    w = random_layer(rng, n, m) / np.float32(scale)
     x = random_calib(rng, t, m)
-    cfg = KlConfig(temperature=temperature)
     w_hat = fake_quantize(w, [2] * (m // beta), beta)
     xs = x.astype(np.float64)
-    p = full_array_distributions(xs @ w.astype(np.float64).T, cfg)
-    want = full_array_kl(p, np.log(p), xs @ w_hat.astype(np.float64).T, cfg)
-    got = output_kl(kl_reference(x, w, cfg), w_hat)
+    p = full_array_distributions(xs @ w.astype(np.float64).T)
+    want = full_array_kl(p, np.log(p), xs @ w_hat.astype(np.float64).T)
+    got = output_kl(kl_reference(x, w), w_hat)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
-    plan = allocate_bits(w, x, sal, beta, 2, cfg)
-    want_curve = full_array_curve(w, x, sal.group_mean, beta, 2, cfg)
+    plan = allocate_bits(w, x, sal, beta, 2, KlConfig())
+    want_curve = full_array_curve(w, x, sal.group_mean, beta, 2)
     assert plan.kl_curve.tobytes() == want_curve.tobytes()
 
 
@@ -445,7 +405,7 @@ def test_wide_groups_match_full_array_scoring_closely():
     cfg = KlConfig()
     sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
     plan = allocate_bits(w, x, sal, beta, 2, cfg)
-    want_curve = full_array_curve(w, x, sal.group_mean, beta, 2, cfg)
+    want_curve = full_array_curve(w, x, sal.group_mean, beta, 2)
     np.testing.assert_allclose(plan.kl_curve, want_curve, rtol=1e-10, atol=0.0)
     assert plan.p_star == int(np.argmin(want_curve))
 
@@ -466,15 +426,15 @@ def test_two_token_blocks_match_full_array_scoring():
     # bits of one pass over the full arrays
     w, x, sal, beta = two_token_block_layer(1032)
     cfg = KlConfig()
-    ref = kl_reference(x, w, cfg)
+    ref = kl_reference(x, w)
     assert [(r0, r1) for r0, r1, _ in _token_blocks(ref)] == [(0, 516), (516, 1032)]
     w_hat = fake_quantize(w, [2] * 4, beta)
     xs = x.astype(np.float64)
-    p = full_array_distributions(xs @ w.astype(np.float64).T, cfg)
-    want = full_array_kl(p, np.log(p), xs @ w_hat.astype(np.float64).T, cfg)
+    p = full_array_distributions(xs @ w.astype(np.float64).T)
+    want = full_array_kl(p, np.log(p), xs @ w_hat.astype(np.float64).T)
     assert np.float64(output_kl(ref, w_hat)).tobytes() == np.float64(want).tobytes()
     plan = allocate_bits(w, x, sal, beta, 2, cfg, ref=ref)
-    want_curve = full_array_curve(w, x, sal.group_mean, beta, 2, cfg)
+    want_curve = full_array_curve(w, x, sal.group_mean, beta, 2)
     assert plan.kl_curve.tobytes() == want_curve.tobytes()
 
 
@@ -485,7 +445,7 @@ def test_search_and_score_hold_one_token_block_of_outputs():
     w, x, sal, beta = two_token_block_layer(2 * _TOKEN_OUTPUTS // 4096)
     t, n = x.shape[0], w.shape[0]
     cfg = KlConfig()
-    ref = kl_reference(x, w, cfg)
+    ref = kl_reference(x, w)
     assert len(list(_token_blocks(ref))) == 2
     w_hat = fake_quantize(w, [2] * 4, beta)
     calls = {
@@ -526,7 +486,7 @@ def test_scores_do_not_depend_on_the_weights_layout():
         n, m, t = (int(v) for v in rng.integers(1, [40, 300, 64]))
         w = random_layer(rng, n, m)
         w_hat = w + rng.normal(0, 0.1, w.shape).astype(np.float32)
-        ref = kl_reference(random_calib(rng, t, m), w, KlConfig())
+        ref = kl_reference(random_calib(rng, t, m), w)
         got = [output_kl(ref, order(w_hat)) for order in (np.ascontiguousarray, np.asfortranarray)]
         assert np.float64(got[0]).tobytes() == np.float64(got[1]).tobytes()
 
@@ -555,7 +515,7 @@ def test_products_make_no_float64_copy_of_the_rows():
     w_hat = fake_quantize(w, [2] * 8, 128)
     tracemalloc.start()
     try:
-        ref = kl_reference(x, w, KlConfig())
+        ref = kl_reference(x, w)
         output_kl(ref, w_hat)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -592,7 +552,7 @@ def test_one_bit_candidates_are_sign_magnitude():
         w, x, sal = plan_inputs(seed)
         plan = allocate_bits(w, x, sal, 8, 2, cfg)
         plans = oracle_plans(sal.group_mean, 2)
-        ref = kl_reference(x, w, cfg)
+        ref = kl_reference(x, w)
         signed = [output_kl(ref, fake_quantize(w, b, 8, sign_one_bit)) for b in plans]
         affine = [output_kl(ref, fake_quantize(w, b, 8, affine_one_bit)) for b in plans]
         np.testing.assert_allclose(plan.kl_curve, signed, rtol=1e-12, atol=0.0)
@@ -608,6 +568,9 @@ def test_allocation_input_validation():
         allocate_bits(w, x, sal, 7, 2, KlConfig())
     with pytest.raises(ShapeMismatch):
         allocate_bits(w[:, :40], x[:, :40], sal, 8, 2, KlConfig())
+    # a reference of another layer's weights
+    with pytest.raises(ShapeMismatch):
+        allocate_bits(w[:4], x, sal, 8, 2, KlConfig(), ref=kl_reference(x, w))
 
 
 @pytest.mark.parametrize("case", MALFORMED)
