@@ -20,11 +20,13 @@ checks them, takes at most KlConfig.max_tokens of them at a uniform stride,
 and keeps them in the dtype they came in. KlConfig holds the divergence's
 fixed settings, which every score reads.
 
-Every product with the token rows (the exact outputs, each block's first
-candidate and a whole-layer score) goes through _outputs, which widens
-the rows and the weights to float64 a block at a time into reused
-C-ordered buffers. No float64 copy of all the rows or of the whole layer
-is made, and no score depends on the weights' memory layout.
+Every layer output is formed one way: zeroed, then added to by
+_add_product, one accumulating dgemm per block of columns (a group in
+the width search, _COLUMNS channels in a whole-layer product). The dgemm
+wrapper widens each block of rows and weights into Fortran-ordered
+float64, so no float64 copy of all the rows or of the whole layer is
+made, and no score depends on the rows' dtype or the weights' memory
+layout.
 """
 
 from __future__ import annotations
@@ -46,15 +48,11 @@ from .salience import SalienceMap
 # as in sqc's slices: the block and its buffer stay in cache.
 _BLOCK_ELEMENTS = 65536
 
-# Elements of each float64 buffer _outputs widens token rows or weight
-# rows into (8 MiB): 256 rows at 4096 channels, 1024 at 1024. A block of
-# either makes 2^20 multiply-adds with each row of the other, more than
-# the about 1e6 up to which OpenBLAS takes a product to a kernel that sums
-# in another order than the whole product's.
-_PRODUCT_ELEMENTS = 1 << 20
-
-# Fewest weight rows per block of a product, so BLAS calls stay large.
-_WEIGHT_ROWS = 1024
+# Channels per block of a whole-layer product (_outputs), the benchmark's
+# group size: a block fits the BLAS library's K block, so its accumulating
+# dgemm rounds as its own product plus an add does (see allocate_bits),
+# and at 4096 weight rows its float64 copy is 4 MiB.
+_COLUMNS = 128
 
 # Outputs per token block (32 MiB of float64) of the width search and of
 # a whole-layer score, which form and score one block of layer outputs at
@@ -102,22 +100,22 @@ class KlReference:
     """The exact layer's side of an output divergence: the token rows and
     the softmax distribution of the exact outputs over them. The rows are
     kept in the dtype they came in; every product widens them to float64 a
-    row block at a time (_outputs). The log of p is not stored; each score
-    takes it block by block. Built once per layer by kl_reference, it
-    serves the width search and the final score."""
+    block of columns at a time (_add_product). The log of p is not stored;
+    each score takes it block by block. Built once per layer by
+    kl_reference, it serves the width search and the final score."""
 
     xs: np.ndarray  # (t, m) token rows, at most KlConfig.max_tokens
     p: np.ndarray  # (t, n) float64
 
 
-def kl_reference(x: np.ndarray, w: np.ndarray, cfg: KlConfig = KlConfig()) -> KlReference:
+def kl_reference(x: np.ndarray, w: np.ndarray) -> KlReference:
     """Distributions of the exact outputs xs @ wT, where xs is at most
     KlConfig.max_tokens of x's token rows at a uniform stride
-    (stride_subsample). cfg is KlConfig(), the one value there is. The one
-    check of a divergence's inputs: w must be 2-D with at least one row
-    (ShapeMismatch), x 2-D over w's channels (ShapeMismatch) with at least
-    one row (InsufficientCalibration). The rows are not converted:
-    unstrided rows are x itself, strided ones a compact copy."""
+    (stride_subsample). The one check of a divergence's inputs: w must be
+    2-D with at least one row (ShapeMismatch), x 2-D over w's channels
+    (ShapeMismatch) with at least one row (InsufficientCalibration). The
+    rows are not converted: unstrided rows are x itself, strided ones a
+    compact copy."""
     x, w = np.asarray(x), np.asarray(w)
     if w.ndim != 2 or w.shape[0] == 0:
         raise ShapeMismatch(f"weights must be 2-D with at least one row, got shape {w.shape}")
@@ -131,61 +129,33 @@ def kl_reference(x: np.ndarray, w: np.ndarray, cfg: KlConfig = KlConfig()) -> Kl
     return KlReference(xs=xs, p=p)
 
 
-def _spans(total: int, size: int, align: int = 1) -> list[tuple[int, int]]:
+def _spans(total: int, size: int) -> list[tuple[int, int]]:
     """[0, total) cut into ceil(total / size) runs of nearly equal length,
-    every cut at a multiple of align, which must not exceed size: no run
-    is longer than size rounded up to a multiple of align. With size >= 4
-    no run is a single row unless total is 1."""
-    units, count = -(-total // align), -(-total // size)
-    cuts = [align * (units * i // count) for i in range(count)] + [total]
+    none longer than size. With size >= 4 no run is a single row unless
+    total is 1."""
+    count = -(-total // size)
+    cuts = [total * i // count for i in range(count)] + [total]
     return list(zip(cuts, cuts[1:]))
 
 
-def _outputs(xs: np.ndarray, w, out: np.ndarray | None = None) -> np.ndarray:
-    """xs @ wT in float64, (t, n), for token rows xs (t, m) of any real
-    dtype and weights w of any real dtype and memory layout: an (n, m)
-    array, or a list of column blocks (n, m_g) that make one. Written into
-    out, a C-ordered (t, n) float64 array, if one is given.
+def _add_product(y: np.ndarray, rows: np.ndarray, w: np.ndarray) -> None:
+    """y += rows @ wT in place, for a C-ordered float64 y (t, n), token rows
+    (t, m) and weights (n, m), as one accumulating dgemm on yT, y's own
+    Fortran-ordered buffer. The wrapper copies each operand that is not
+    Fortran-ordered float64 into one that is, so the sum depends on
+    neither's dtype or memory layout."""
+    scipy.linalg.blas.dgemm(1.0, w, rows.T, beta=1.0, c=y.T, overwrite_c=1)
 
-    Both sides are widened into reused C-ordered float64 buffers: the
-    weights a block of whole rows at a time (at least _WEIGHT_ROWS rows),
-    the token rows a block of about _PRODUCT_ELEMENTS elements at a time
-    (at least 4 rows; no block is a single row, which numpy takes to
-    another routine). Weight blocks are cut at multiples of 8 rows, so
-    that a ragged edge, which OpenBLAS sums in another kernel, falls where
-    the whole product's does. Each pair's product is written straight into
-    its part of the result. Every product thus sees C-ordered float64
-    weights whatever w's layout, so no score depends on it.
 
-    The result equals one product of all rows and all weights widened at
-    once, C-ordered, to the bit, when n is a multiple of 8 or both sides
-    are one block. Measured on OpenBLAS 0.3.31 (AVX-512) over random
-    shapes with m from 512 to 2048, 320 on 2 BLAS threads and 120 on 1:
-    every shape with n a multiple of 8 (274) and every single-block shape
-    was equal. Where n is not a multiple of 8, more than a third of the
-    products over several blocks differed in the low bits of some outputs,
-    as a whole product's outputs can between BLAS thread counts."""
-    parts = w if isinstance(w, list) else [np.asarray(w)]
-    t, m = xs.shape
-    n = parts[0].shape[0]
-    y = np.empty((t, n)) if out is None else out
-    w_spans = _spans(n, max(_WEIGHT_ROWS, _PRODUCT_ELEMENTS // m), align=8)
-    x_spans = _spans(t, max(4, _PRODUCT_ELEMENTS // m))
-    w_buf = np.empty((max(b - a for a, b in w_spans), m))
-    x_buf = np.empty((max(b - a for a, b in x_spans), m))
-    widened = None  # the token rows x_buf holds
-    for c0, c1 in w_spans:
-        wb = w_buf[: c1 - c0]
-        col = 0
-        for part in parts:
-            np.copyto(wb[:, col : col + part.shape[1]], part[c0:c1])
-            col += part.shape[1]
-        for r0, r1 in x_spans:
-            xb = x_buf[: r1 - r0]
-            if widened != (r0, r1):
-                np.copyto(xb, xs[r0:r1])
-                widened = (r0, r1)
-            np.matmul(xb, wb.T, out=y[r0:r1, c0:c1])
+def _outputs(xs: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """xs @ wT in float64, (t, n), for token rows xs (t, m) and weights w
+    (n, m) of any real dtype and memory layout: zero plus the product of
+    each block of _COLUMNS channels, added left to right (_add_product).
+    Written into out, a C-ordered (t, n) float64 array, if one is given."""
+    y = np.empty((xs.shape[0], w.shape[0])) if out is None else out
+    y.fill(0.0)
+    for c0 in range(0, xs.shape[1], _COLUMNS):
+        _add_product(y, xs[:, c0 : c0 + _COLUMNS], w[:, c0 : c0 + _COLUMNS])
     return y
 
 
@@ -253,7 +223,7 @@ def output_kl(ref: KlReference, w_hat: np.ndarray) -> float:
     _check_weights(ref, w_hat)
     row_kl = np.empty(ref.p.shape[0])
     for r0, r1, y in _token_blocks(ref):
-        _row_kl(ref, r0, _outputs(ref.xs[r0:r1], w_hat, out=y), row_kl[r0:r1])
+        _row_kl(ref, r0, _outputs(ref.xs[r0:r1], np.asarray(w_hat), out=y), row_kl[r0:r1])
     return float(row_kl.mean())
 
 
@@ -288,19 +258,19 @@ def allocate_bits(
     influence the allocation.
 
     The quantized output Y = xs @ W_hat^T is formed one token block at a
-    time (_token_blocks). A block's Y is built for p = 0 and then updated
-    in place: from one candidate to the next only the groups whose width
-    changed contribute xs[:, g] @ (new_g - old_g)^T, which one dgemm adds
-    straight into Y. Each candidate's divergence of every row of the block
-    is kept, and the curve is the mean over all rows; no row's score
-    depends on how the rows are blocked. The curve matches a full
-    recompute per candidate up to float rounding (the summation order
-    differs), not bit for bit. While beta fits the BLAS library's K block,
-    the accumulating dgemm rounds as a separate product followed by an add
-    does, to the bit; past it, the library adds partial sums into Y and
-    the low bits move. On more than one BLAS thread the two forms can also
-    split the work differently at some shapes, and a few elements then
-    differ in their last bit.
+    time (_token_blocks). A block's Y starts at zero; the first candidate
+    adds every group's product xs[:, g] @ fake_gT, and from one candidate
+    to the next only the groups whose width changed add xs[:, g] @ (new_g -
+    old_g)^T, each by one accumulating dgemm (_add_product). Each
+    candidate's divergence of every row of the block is kept, and the curve
+    is the mean over all rows; no row's score depends on how the rows are
+    blocked. The curve matches a full recompute per candidate up to float
+    rounding (the summation order differs), not bit for bit. While beta
+    fits the BLAS library's K block, the accumulating dgemm rounds as a
+    separate product followed by an add does, to the bit; past it, the
+    library adds partial sums into Y and the low bits move. On more than
+    one BLAS thread the two forms can also split the work differently at
+    some shapes, and a few elements then differ in their last bit.
     """
     w = np.asarray(w, dtype=np.float32)
     if target_bits not in (2, 3):
@@ -317,8 +287,9 @@ def allocate_bits(
     xs = ref.xs
 
     # float32 decodes, widened to float64 where they are used. They are
-    # decoded from Fortran-ordered codes, so the difference of two is the
-    # Fortran-ordered operand dgemm takes without a transposing copy
+    # decoded from Fortran-ordered codes, so a decode, and the difference
+    # of two, is the Fortran-ordered operand dgemm takes without a
+    # transposing copy
     @functools.cache
     def fake_block(g: int, bits: int) -> np.ndarray:
         qb = quantize_uniform(w[:, g * beta : (g + 1) * beta], bits)
@@ -332,24 +303,19 @@ def allocate_bits(
         bits[high] = target_bits + 1
         candidates.append(bits)
 
-    first = [fake_block(g, int(b)) for g, b in enumerate(candidates[0])]
     row_kl = np.empty((len(candidates), xs.shape[0]))
     for r0, r1, y in _token_blocks(ref):
         rows = xs[r0:r1]
-        # the block's first candidate, widened from the cached decodes a
-        # block of weight rows at a time
-        _outputs(rows, first, out=y)
+        y.fill(0.0)
         prev = candidates[0]
+        for g, b in enumerate(prev):  # the first candidate, from zero
+            _add_product(y, rows[:, g * beta : (g + 1) * beta], fake_block(g, int(b)))
         for p, bits in enumerate(candidates):
             for g in map(int, np.flatnonzero(bits != prev)):
                 delta = np.subtract(
                     fake_block(g, int(bits[g])), fake_block(g, int(prev[g])), dtype=np.float64
                 )
-                # yT += delta @ group_rowsT in yT's own Fortran-ordered
-                # buffer; the wrapper copies the transposed slice, widened
-                # to float64, without transposing it
-                group_rows = rows[:, g * beta : (g + 1) * beta]
-                scipy.linalg.blas.dgemm(1.0, delta, group_rows.T, beta=1.0, c=y.T, overwrite_c=1)
+                _add_product(y, rows[:, g * beta : (g + 1) * beta], delta)
             _row_kl(ref, r0, y, row_kl[p, r0:r1])
             prev = bits
     kl_curve = row_kl.mean(axis=1)

@@ -18,7 +18,7 @@ from slimquant.kernel import dense_reference, matmul_tolerance, packed_matmul
 from slimquant.packfmt import from_bytes, pack, packed_size_report, unpack
 from slimquant.pipeline import PipelineConfig, quantize_layer, reconstruct, score
 from slimquant.salience import accumulate_hessian, damp_and_invert
-from slimquant.sba import KlConfig, kl_reference
+from slimquant.sba import kl_reference
 from slimquant.tensor_store import CalibrationSet
 
 
@@ -73,7 +73,7 @@ def test_quantize_pack_read_eval_and_serve(layer):
         # what slimquant eval computes from the read model
         blocks, widths = unpack(pm)
         hs = damp_and_invert(accumulate_hessian(calib))
-        ref = kl_reference(calib.stacked(), w, KlConfig())
+        ref = kl_reference(calib.stacked(), w)
         scored = score(w, reconstruct(blocks), hs, ref)
         x = calib.stacked()
         served, dense = packed_matmul(pm, x), dense_reference(pm, x)

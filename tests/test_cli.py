@@ -288,8 +288,9 @@ def test_eval_matches_quantize_report_under_every_option(layer_files, tmp_path, 
 def test_eval_matches_quantize_report_on_a_small_uncompensated_layer(tmp_path, capsys):
     # a read model's groups are Fortran-ordered and quantize's
     # uncompensated ones C-ordered, and BLAS sums a product this small in
-    # another order for the other layout; every product widens the weights
-    # into a C-ordered buffer, so eval reports what quantize scored
+    # another order for the other layout; the dgemm wrapper copies every
+    # block of weights into Fortran-ordered float64, so eval reports what
+    # quantize scored
     wpath, xpath, out = tmp_path / "w.slmt", tmp_path / "x.slmt", tmp_path / "m.slmq"
     run(capsys, "gen", "weights", "--rows", 16, "--cols", 256, "--seed", 1, "--out", wpath)
     run(capsys, "gen", "calib", "--tokens", 32, "--channels", 256, "--seed", 2, "--out", xpath)

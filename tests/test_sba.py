@@ -22,7 +22,7 @@ from slimquant.quant_core import (
 )
 from slimquant.salience import SalienceMap, salience_map
 from slimquant.sba import (
-    _PRODUCT_ELEMENTS,
+    _COLUMNS,
     _TOKEN_OUTPUTS,
     BitPlan,
     KlConfig,
@@ -331,6 +331,18 @@ def test_incremental_search_matches_full_recompute():
         assert list(plan.bits) == plans[plan.p_star]
 
 
+def column_sum(xs, w, width=_COLUMNS):
+    """xs @ wT in float64 as zero plus the numpy product of each block of
+    width channels, added left to right. The weights are Fortran-ordered,
+    as the dgemm wrapper hands them to BLAS, so that numpy takes small
+    products to the kernel dgemm takes them to."""
+    xs, w = xs.astype(np.float64), np.asfortranarray(w, dtype=np.float64)
+    y = np.zeros((xs.shape[0], w.shape[0]))
+    for c0 in range(0, xs.shape[1], width):
+        y += xs[:, c0:c0 + width] @ w[:, c0:c0 + width].T
+    return y
+
+
 def full_array_distributions(y):
     """The softmax of every row of y at once, floored and renormalized."""
     q = y - y.max(axis=1, keepdims=True)
@@ -348,10 +360,11 @@ def full_array_kl(p, log_p, y):
 
 def full_array_curve(w, x, group_mean, beta, target):
     """The width search's curve with every softmax and divergence taken
-    over the whole (t, n) output, the layer output updated as the search
-    updates it."""
+    over the whole (t, n) output, the layer output formed as the search
+    forms it: the first candidate one group of columns at a time, then
+    updated group by group."""
     xs = stride_subsample(x, KlConfig.max_tokens).astype(np.float64)
-    p = full_array_distributions(xs @ w.astype(np.float64).T)
+    p = full_array_distributions(column_sum(xs, w))
     log_p = np.log(p)
 
     def fake(g, bits):
@@ -359,7 +372,7 @@ def full_array_curve(w, x, group_mean, beta, target):
 
     plans = [np.array(b) for b in oracle_plans(group_mean, target)]
     prev = plans[0]
-    y = xs @ np.concatenate([fake(g, b) for g, b in enumerate(prev)], axis=1).T
+    y = column_sum(xs, np.concatenate([fake(g, b) for g, b in enumerate(prev)], axis=1), beta)
     curve = []
     for bits in plans:
         for g in np.flatnonzero(bits != prev):
@@ -384,9 +397,8 @@ def test_row_blocks_match_full_array_scoring(n, m, beta, t, scale):
     w = random_layer(rng, n, m) / np.float32(scale)
     x = random_calib(rng, t, m)
     w_hat = fake_quantize(w, [2] * (m // beta), beta)
-    xs = x.astype(np.float64)
-    p = full_array_distributions(xs @ w.astype(np.float64).T)
-    want = full_array_kl(p, np.log(p), xs @ w_hat.astype(np.float64).T)
+    p = full_array_distributions(column_sum(x, w))
+    want = full_array_kl(p, np.log(p), column_sum(x, w_hat))
     got = output_kl(kl_reference(x, w), w_hat)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
@@ -429,9 +441,8 @@ def test_two_token_blocks_match_full_array_scoring():
     ref = kl_reference(x, w)
     assert [(r0, r1) for r0, r1, _ in _token_blocks(ref)] == [(0, 516), (516, 1032)]
     w_hat = fake_quantize(w, [2] * 4, beta)
-    xs = x.astype(np.float64)
-    p = full_array_distributions(xs @ w.astype(np.float64).T)
-    want = full_array_kl(p, np.log(p), xs @ w_hat.astype(np.float64).T)
+    p = full_array_distributions(column_sum(x, w))
+    want = full_array_kl(p, np.log(p), column_sum(x, w_hat))
     assert np.float64(output_kl(ref, w_hat)).tobytes() == np.float64(want).tobytes()
     plan = allocate_bits(w, x, sal, beta, 2, cfg, ref=ref)
     want_curve = full_array_curve(w, x, sal.group_mean, beta, 2)
@@ -462,18 +473,14 @@ def test_search_and_score_hold_one_token_block_of_outputs():
         assert peak < 0.75 * t * n * 8, name
 
 
-@pytest.mark.parametrize("total, size, align", [
-    (1, 4, 1), (2, 4, 1), (5, 4, 1), (7, 4, 1), (2048, 1024, 1), (2049, 1024, 1),
-    (4096, 1024, 8), (2504, 1024, 8), (1032, 1024, 8), (1030, 1024, 8), (9, 1024, 8),
-])
-def test_spans_cover_the_range_in_nearly_equal_aligned_runs(total, size, align):
-    spans = _spans(total, size, align)
+@pytest.mark.parametrize("total, size", [(1, 4), (2, 4), (5, 4), (7, 4), (2048, 1024), (2049, 1024)])
+def test_spans_cover_the_range_in_nearly_equal_runs(total, size):
+    spans = _spans(total, size)
     assert len(spans) == math.ceil(total / size)
     assert spans[0][0] == 0 and spans[-1][1] == total
     assert all(a1 == b0 for (_, a1), (b0, _) in zip(spans, spans[1:]))
     lengths = [b - a for a, b in spans]
-    assert all(a % align == 0 for a, _ in spans)
-    assert max(lengths) <= math.ceil(size / align) * align
+    assert max(lengths) <= size
     assert min(lengths) >= 2 or total == 1  # no single-row product
 
 
@@ -493,21 +500,25 @@ def test_scores_do_not_depend_on_the_weights_layout():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("t", [1, 255, 256, 257, 2048])
-def test_row_blocked_product_matches_widened_product(t, dtype):
-    # rows widened a block at a time give the product of all rows widened
-    # at once, to the bit; a lone last row joins the block before it
-    m = 4096
-    assert _PRODUCT_ELEMENTS // m == 256  # the block, in rows
+def test_outputs_match_column_block_sum(t, dtype):
+    # a layer output is zero plus each block of _COLUMNS channels' product,
+    # to the bit, whatever the rows' dtype and the weights' layout; the
+    # last block of 4160 channels is ragged. numpy takes a single row to
+    # gemv, which sums in another order than gemm, so one row's sum is
+    # taken as the first row of two
+    m = 4160
+    assert m % _COLUMNS != 0
     rng = np.random.default_rng(t)
     w = random_layer(rng, 64, m)
     xs = rng.standard_normal((t, m)).astype(dtype)
-    want = xs.astype(np.float64) @ w.astype(np.float64).T
-    assert _outputs(xs, w).tobytes() == want.tobytes()
+    want = column_sum(np.concatenate([xs, xs]) if t == 1 else xs, w)[:t].tobytes()
+    for order in (np.ascontiguousarray, np.asfortranarray):
+        assert _outputs(xs, order(w)).tobytes() == want, order.__name__
 
 
 def test_products_make_no_float64_copy_of_the_rows():
     # the exact outputs and a whole-layer score widen float32 rows a block
-    # at a time: no (t, m) float64 array is allocated
+    # of columns at a time: no (t, m) float64 array is allocated
     rng = np.random.default_rng(22)
     t, m = 2048, 1024
     w = random_layer(rng, 64, m)
@@ -522,6 +533,31 @@ def test_products_make_no_float64_copy_of_the_rows():
         tracemalloc.stop()
     assert ref.xs is x
     assert peak < t * m * 8
+    # nor a float64 copy of the whole weights: beside what a call must hold
+    # (one block of outputs, and in the search its float32 decode of every
+    # group at both widths it takes), each allocates less than one
+    n = m = t = 1024
+    w = random_layer(rng, n, m)
+    x = random_calib(rng, t, m)
+    w_hat = fake_quantize(w, [2] * 8, 128)
+    ref = kl_reference(x, w)
+    sal = salience_map(w, hessian_state(CalibrationSet([x])), 128)
+    outputs, decodes = t * n * 8, 2 * n * m * 4
+    calls = {
+        "kl_reference": (lambda: kl_reference(x, w), outputs),
+        "output_kl": (lambda: output_kl(ref, w_hat), outputs),
+        "allocate_bits": (
+            lambda: allocate_bits(w, x, sal, 128, 2, KlConfig(), ref=ref), outputs + decodes
+        ),
+    }
+    for name, (call, held) in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < held + n * m * 8, name
 
 
 def test_evaluation_count_matches_group_count():
