@@ -261,7 +261,11 @@ def _load_activations(path: str) -> np.ndarray:
 def cmd_matmul(args) -> int:
     pm = read_packed(args.model)
     x = _load_activations(args.input)
-    y = dense_reference(pm, x) if args.dense else packed_matmul(pm, x)
+    # outputs past float32's range come out as inf or nan, which
+    # write_tensor refuses with one error line; numpy's warnings would add
+    # lines before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = dense_reference(pm, x) if args.dense else packed_matmul(pm, x)
     write_tensor(args.out, y)
     print(f"wrote {args.out} ({y.shape[0]}x{y.shape[1]})")
     return 0

@@ -63,10 +63,11 @@ class QuantizedBlock:
     params: GroupQuantParams
 
 
-def as_block(block: np.ndarray) -> np.ndarray:
-    """block as float64, checked to be 2-D and non-empty (ShapeMismatch):
-    every quantizer, at every width, takes its input through here."""
-    b = np.asarray(block, dtype=np.float64)
+def as_block(block: np.ndarray, dtype: type | None = np.float64) -> np.ndarray:
+    """block as float64 (or as dtype; None keeps its own), checked to be 2-D
+    and non-empty (ShapeMismatch): every quantizer, at every width, takes
+    its input through here."""
+    b = np.asarray(block, dtype=dtype)
     if b.ndim != 2 or b.size == 0:
         raise ShapeMismatch(f"block must be 2-D and non-empty, got shape {b.shape}")
     return b
@@ -130,8 +131,8 @@ def quantize_uniform(
 ) -> QuantizedBlock:
     """Quantize an n x beta block at bit_width bits, deriving its params
     (derive_params) unless explicit ones are supplied; the codes come from
-    encode."""
-    b = as_block(block)
+    encode, which widens the values itself, so the block is not copied."""
+    b = as_block(block, dtype=None)
     if params is None:
         params = derive_params(b, bit_width)
     elif params.bit_width != bit_width:
@@ -147,13 +148,19 @@ def quantize_uniform(
 def encode(
     w: np.ndarray, scale: np.ndarray, zero: np.ndarray, bit_width: int, binary: bool
 ) -> np.ndarray:
-    """uint8 codes of float64 values under float64 scales and zero-points
-    that broadcast against them: the sign rule, code = (w >= 0), under
-    binary params, else clamp(round(w / scale) + zero, 0, 2^N - 1). The one
-    quantizer rule, for a whole block or for a single column."""
+    """uint8 codes of values under float64 scales and zero-points that
+    broadcast against them: the sign rule, code = (w >= 0), under binary
+    params, else clamp(round(w / scale) + zero, 0, 2^N - 1), worked in one
+    float64 buffer (float32 values are widened exactly by the divide). The
+    one quantizer rule, for a whole block or for a single column."""
     if binary:
         return (w >= 0.0).astype(np.uint8)
-    return np.clip(np.rint(w / scale) + zero, 0, _max_code(bit_width)).astype(np.uint8)
+    q = np.empty(np.broadcast(w, scale, zero).shape)
+    np.divide(w, scale, out=q)
+    np.rint(q, out=q)
+    q += zero
+    np.clip(q, 0, _max_code(bit_width), out=q)
+    return q.astype(np.uint8)
 
 
 def _levels(codes: np.ndarray, zero: np.ndarray, binary: bool) -> np.ndarray:

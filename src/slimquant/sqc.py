@@ -8,14 +8,19 @@ is always a candidate, so calibrated quantization can never lose to the
 plain min/max quantizer on this objective. The search runs at 2 to 4 bits:
 1-bit groups take the sign/magnitude form, which has no range to scale.
 
-The grid is searched in two passes. A float32 screen scores every
-candidate cheaply, with a proven bound on its distance from the exact
-float64 total; only the candidates the bound cannot rule out are then
-scored exactly, by quantizing and dequantizing the block once each with
-quant_core's deployed quantizer, and the winner is picked among them by
-the same rule as before. No candidate that could win is ever dropped,
-ties included, so the gamma, codes, scales and zero-points are those of
-the full float64 search.
+The grid is searched in two passes. A step screen scores every candidate
+from where each weight's level steps: along the grid a row's scale never
+falls, so under one zero-point a weight's level (code minus zero-point) is
+a monotone step function of the candidate. The screen takes the levels at
+the ends of each row's candidates that share a zero-point from quant_core's
+encode, finds each step between them by searching the grid, and forms
+every candidate's row error in float64 from running sums, with a proven
+bound on its distance from the exact total. Only the candidates the bound
+cannot rule out are then scored exactly, by quantizing and dequantizing the
+block once each with quant_core's deployed quantizer, and the winner is
+picked among them by the same rule as before. No candidate that could win
+is ever dropped, ties included, so the gamma, codes, scales and zero-points
+are those of the full float64 search.
 """
 
 from __future__ import annotations
@@ -32,23 +37,20 @@ from .quant_core import (
     affine_params,
     as_block,
     dequantize,
+    encode,
     params_from_range,
     quantize_uniform,
 )
 
-# Elements per slice of rows in the float32 screen. The slice and its work
-# buffer (512 KiB together) stay in a 2 MiB L2 cache across all candidates.
-# On a 4096x128 block at 3 bits (a 2-vCPU Xeon, numpy 2.4, one thread) the
-# screen took 206 ms at 16384 elements, 140 ms at 65536 and 125 ms at
-# 131072; smaller slices pay numpy's per-call overhead instead.
+# Elements per slice of rows in the step screen, which bounds its
+# temporaries: the slice's endpoint levels and its (candidates, rows)
+# running sums.
 _SLICE_ELEMENTS = 65536
 
-# float32's smallest normal number, and a bound on the scales that keeps
-# every decode k * s (|k| <= 15) finite in float32: the screen runs only
-# where the block and its scales stay between them (_screen_totals).
-_F32_TINY = float(np.finfo(np.float32).tiny)  # 2^-126
-_F32_SCALE_MAX = 2.0 ** 123
-
+# Largest magnitude the screen takes, of a weight or of a decode
+# (2^bits - 1) s: every float32 decode stays finite and no float64 square
+# or sum can overflow.
+_SCREEN_MAX = 2.0 ** 120
 
 @dataclass(frozen=True)
 class SqcConfig:
@@ -78,7 +80,7 @@ def calibrate_group(
     smaller gamma. The loss of each candidate is measured on the float32 dequantization actually deployed,
     so the winner's objective value is exactly the reconstruction error
     downstream consumers will see. Only the candidates that survive the
-    float32 screen (_survivors) are scored exactly; the others provably
+    step screen (_survivors) are scored exactly; the others provably
     lose, so the winner is that of the full float64 search.
     """
     if bit_width < 2:
@@ -107,11 +109,11 @@ def calibrate_group(
 def _survivors(
     block: np.ndarray, bit_width: int, scales: np.ndarray, zeros: np.ndarray
 ) -> np.ndarray:
-    """Indices of the candidates whose exact total the float32 screen
-    cannot rule out. With A the screen's totals and E >= |A - T| their
-    bounds (_screen_totals), a candidate survives when A - E <= min(A + E):
-    the winner's exact total T is at most every other T, hence at most
-    every A + E, and so is every candidate tied with it. Blocks outside the
+    """Indices of the candidates whose exact total the step screen cannot
+    rule out. With A the screen's totals and E >= |A - T| their bounds
+    (_screen_totals), a candidate survives when A - E <= min(A + E): the
+    winner's exact total T is at most every other T, hence at most every
+    A + E, and so is every candidate tied with it. Blocks outside the
     bound's domain keep every candidate."""
     screen = _screen_totals(block, bit_width, scales, zeros)
     if screen is None:
@@ -123,116 +125,222 @@ def _survivors(
 def _screen_totals(
     block: np.ndarray, bit_width: int, scales: np.ndarray, zeros: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each candidate's total squared error from a float32 pass, A, and a
+    """Each candidate's total squared error from the step screen, A, and a
     bound E with |A - T| <= E, where T is the deployed quantizer's float64
     total: quantize_uniform, then dequantize, then the float64 residual
-    squared, summed per row and then over rows.
+    squared, summed per row and then over rows. scales and zeros are
+    (G, n), one row of parameters per candidate, in grid order.
 
-    The pass runs on the block and scales times 2^p, with p chosen to
-    bring the largest |b| into [1/2, 1), so that neither the squares nor
-    the sums leave float32's range, and its A and E are scaled back by
-    4^-p. Scaling by a power of two is exact in both passes, and so it
-    multiplies every T by 4^p, when every nonzero |b| and every scale, as
-    given and as scaled, is at least _F32_TINY and every scale at most
-    _F32_SCALE_MAX: the decodes k s are then normal float32 and the
-    float64 residuals and squares are normal too. Other blocks, and an
-    all-zero block, get None.
+    The screen runs where no row's scale falls from one candidate to the
+    next, where each row takes at most two adjacent zero-points, and where
+    every |b| and every (2^bits - 1) s is below _SCREEN_MAX = 2^120, so
+    that no float32 decode and no float64 square or sum overflows; other
+    blocks get None. The zero-point's argument gamma lo / s varies by
+    about 2^-23 relative along the grid, so on normal float32 scales a row
+    takes one zero-point or two adjacent ones; on rows with lo = -hi at
+    odd maxq it flips between the two from candidate to candidate.
 
-    The bound follows the standard rounding model (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, ch. 2-4): fl(x op y) =
-    (x op y)(1 + d) with |d| <= u, and a sum of k terms taken in any order
-    puts at most k - 1 roundings on each, so nothing here depends on how
-    numpy orders its sums. Take u = 2^-24, one row b with scale s, S1 =
-    sum |b|, S2 = sum b^2, R' the row's float32 loss, and let d and d' be
-    the float64 and float32 decodes of each element.
+    Levels. Under a fixed zero-point z a weight's level (code minus z) is
+    clip(rint(b / s), -z, maxq - z), maxq = 2^bits - 1, and float64
+    division by a growing s, rint and clip are all monotone, so along the
+    whole grid it moves one way in steps. For each row and each zero-point
+    it takes (a segment), the screen gets the levels at the grid's two ends
+    from encode, the deployed rule. It finds each unit step of the lower
+    zero-point's levels between them, the first candidate at which the
+    level reaches the next value, with encode (_step_index). Under the
+    upper zero-point z + 1 the levels are the same but one lower at the
+    lower one's top level and clipped at their own bottom, so its steps
+    are the lower one's, less the step to or from that top, plus the one
+    to or from its bottom, which is found the same way. Each candidate
+    then has, under its own zero-point, exactly the levels l the deployed
+    pass gives it.
 
-    * The float32 pass against the exact loss of its own decodes. It
-      rounds b to b(1 + e), |e| <= u, then rounds the residual, the square
-      and the row sum, so with y = fl32(b) - d', R' = sum y^2 (1 + t),
-      |t| <= g = (beta + 2)u / (1 - (beta + 2)u), plus at most
-      beta 2^-150 where a square falls below float32's normal range
-      (a float32 difference or sum that does so is exact). So sum y^2 <=
-      W = (R' + beta 2^-149) / (1 - g). With x = b - d',
-      |sum y^2 - sum x^2| <= 2u |x| |b| + u^2 S2 by Cauchy-Schwarz, and
-      |x| <= X = sqrt(W) + u sqrt(S2). The row is off by at most
-      g W + beta 2^-149 + 2u X sqrt(S2) + u^2 S2.
-    * Codes that differ between the passes. A code k gives the decode
-      fl32(k s) in both passes (|k| <= 15 and a float32 s make k s exact
-      in float64), so equal codes give equal decodes. The quotients lie
-      within 2^-53 |q| and (2u + u^2)|q| of q = b / s, so they round to
-      different codes only when a half-integer h lies between them:
-      |q - h| <= 2.01u |q|, and the codes are h -/+ 1/2. Then
-      (b - d')^2 - (b - d)^2 = (d - d')(2b - d - d'), with
-      |d - d'| <= s (1 + 31u) and |2b - d - d'| <= 2s |q - h| + 2u s |h|
-      <= 6.01u |b|, the decode rounding of both codes included. Each
-      element moves by at most 6.02u s |b|; 6.02u s S1 covers the row.
+    Row totals. With A = sum b l and C = sum l^2 kept as running sums over
+    the steps (C in exact integers), a candidate's row error with exact
+    decodes l s is Q = S2 - 2 s A + s^2 C, S2 = sum b^2. The bound follows
+    the standard rounding model (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 2-4): fl(x op y) = (x op y)(1 + d) +
+    e, |d| <= u = 2^-53, with e = 0 for sums and |e| <= 2^-1075 for
+    products that underflow; a sum of k terms taken in any order puts at
+    most k - 1 roundings on each, and gamma_k = k u / (1 - k u) <= k 2^-52,
+    so nothing here depends on how numpy orders its sums. Take one row of
+    beta weights b with scale s, and S1 = sum |b|.
 
-    E_rows sums both over rows. The float64 sums on both sides (the exact
-    pass's residual, square, row sum and total, and this pass's total)
-    add at most c (A + E_rows), c = (2n + beta + 2) 2^-52. The factor
-    1 + 2^-20 covers the float64 rounding of the bound's own evaluation
-    and of the comparison in _survivors while n and beta stay below 2^30.
+    * The screen's float64 sums. A is a sum of beta products b L (|L| <=
+      maxq) and of at most (maxq + 2) beta steps +-b (a row's second
+      zero-point takes the first one's steps, one less and one more per
+      weight), so its absolute terms sum to at most 2 (maxq + 1) S1, and no
+      term of Q sees more than K = (maxq + 3) beta + G + 4 roundings (the
+      endpoint dot product, the step sums, the running sum over G
+      candidates and Q's formula). So |Q^ - Q| <= K 2^-52 Z, with
+      Z = S2 + 4 (maxq + 1) s S1 + s^2 C.
+    * The float32 decode. The deployed decode of level l is
+      d = fl32(l s), within 2^-24 |l s| + 2^-150 of l s (2^-150 covers a
+      subnormal result). With x = b - l s and e = l s - d over the whole
+      block, the deployed total sum (x + e)^2 differs from sum Q by at
+      most 2 |e| |x| + |e|^2 (Cauchy-Schwarz), where |x|^2 = sum Q and,
+      by Minkowski, |e| <= P = 2^-24 sqrt(sum s^2 C) + 2^-150 sqrt(n beta).
+
+    Summed over rows, E64 = K 2^-52 sum Z and sum Q <= A + E64 +
+    c sum |Q^| give F = P (2 sqrt(sum Q) + P). The exact pass rounds the
+    residual, the square, the row sum and the total, at most
+    n + beta + 1 roundings on a nonnegative term, and the screen's total
+    over rows adds at most 3n more; both are covered by
+    c (sum |Q^| + E64 + F), c = (4n + beta + 2) 2^-52, and underflowing
+    products in either pass and in the bound by n (4 beta + 4) 2^-1074.
+    Adding 2^-50 (|A| + E) covers the rounding of A -/+ E in _survivors,
+    and the factor 1 + 2^-20 the float64 evaluation of the bound itself,
+    while n and beta stay below 2^30.
     """
     n, beta = block.shape
-    mag = np.abs(block)
-    top = mag.max()
-    if not 0.0 < top < np.inf:
-        return None
-    p = -int(np.frexp(top)[1])
-    low = np.min(mag, where=mag > 0.0, initial=top)
-    s_lo, s_hi = float(scales.min()), float(scales.max())
+    maxq = (1 << bit_width) - 1
     if (
-        min(low, np.ldexp(low, p), s_lo, np.ldexp(s_lo, p)) < _F32_TINY
-        or max(s_hi, np.ldexp(s_hi, p)) > _F32_SCALE_MAX
+        np.any(scales[1:] < scales[:-1])
+        or np.any(zeros.max(axis=0) - zeros.min(axis=0) > 1)
+        or not np.max([block.max(), -block.min(), maxq * scales.max()]) < _SCREEN_MAX
     ):
         return None
-    block = np.ldexp(block, p)
-    scales = np.ldexp(scales.astype(np.float64), p)
-    u = 2.0 ** -24
-    g = (beta + 2) * u / (1.0 - (beta + 2) * u)
-    under = beta * 2.0 ** -149
-    losses = _screen_row_losses(block, bit_width, scales, zeros).astype(np.float64)
-    s1 = np.abs(block).sum(axis=1)
-    s2 = np.einsum("ij,ij->i", block, block)
-    root_s2 = np.sqrt(s2)
-    w = (losses + under) / (1.0 - g)
-    x = np.sqrt(w) + u * root_s2
-    row_bound = g * w + under + 2.0 * u * x * root_s2 + u * u * s2 + 6.02 * u * scales * s1
-    approx = losses.sum(axis=1)
-    bound = row_bound.sum(axis=1)
-    bound += (2 * n + beta + 2) * 2.0 ** -52 * (approx + bound)
-    return np.ldexp(approx, -2 * p), np.ldexp(bound * (1.0 + 2.0 ** -20), -2 * p)
-
-
-def _screen_row_losses(
-    block: np.ndarray, bit_width: int, scales: np.ndarray, zeros: np.ndarray
-) -> np.ndarray:
-    """Per-row squared reconstruction error of the block under each
-    candidate's parameters, in float32, for the screen: scales/zeros are
-    (G, n), the result (G, n). The zero-point only moves the clip bounds,
-    since code - zero is clip(rint(w / scale), -zero, maxq - zero). Each
-    slice of rows is held transposed, so the per-row parameters run along
-    its contiguous axis and every ufunc makes long inner loops; the decode
-    needs no cast."""
-    n, beta = block.shape
-    scales = scales.astype(np.float32)
-    floor = -zeros.astype(np.float32)
-    ceil = floor + np.float32((1 << bit_width) - 1)
-    losses = np.empty(scales.shape, dtype=np.float32)
+    g = len(scales)
+    sums = np.zeros((4, g))
     rows = max(1, _SLICE_ELEMENTS // beta)
-    q = np.empty((beta, rows), dtype=np.float32)
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        b = np.ascontiguousarray(block[r0:r1].T, dtype=np.float32)
-        qv = q[:, : r1 - r0]
-        for i in range(len(scales)):
-            s = scales[i, r0:r1]
-            np.divide(b, s, out=qv)
-            np.rint(qv, out=qv)
-            np.maximum(qv, floor[i, r0:r1], out=qv)
-            np.minimum(qv, ceil[i, r0:r1], out=qv)
-            np.multiply(qv, s, out=qv)
-            np.subtract(b, qv, out=qv)
-            np.square(qv, out=qv)
-            np.add.reduce(qv, axis=0, out=losses[i, r0:r1])
-    return losses
+        sums += _slice_sums(block[r0:r1], bit_width, scales[:, r0:r1], zeros[:, r0:r1])
+    approx, magnitude, sc, ss1 = sums
+    s2 = np.einsum("ij,ij->", block, block)
+    e64 = ((maxq + 3) * beta + g + 4) * 2.0 ** -52 * (s2 + 4.0 * (maxq + 1) * ss1 + sc)
+    c = (4 * n + beta + 2) * 2.0 ** -52
+    p = 2.0 ** -24 * np.sqrt(sc) + 2.0 ** -150 * np.sqrt(n * beta)
+    q = np.maximum(approx + e64 + c * magnitude, 0.0)
+    rows_bound = e64 + p * (2.0 * np.sqrt(q) + p)
+    bound = rows_bound + c * (magnitude + rows_bound) + n * (4 * beta + 4) * 2.0 ** -1074
+    bound += 2.0 ** -50 * (np.abs(approx) + bound)
+    return approx, bound * (1.0 + 2.0 ** -20)
+
+
+def _slice_sums(
+    block: np.ndarray, bit_width: int, scales: np.ndarray, zeros: np.ndarray
+) -> np.ndarray:
+    """(4, G) sums over a slice of rows, per candidate: of the row errors
+    Q^, of their absolute values, of s^2 C and of s S1 (_screen_totals).
+    The running sums are held per segment: one per row and zero-point it
+    takes, the rows' lower zero-points first."""
+    G, (rows, beta) = len(scales), block.shape
+    maxq = (1 << bit_width) - 1
+    z_lo = zeros.min(axis=0)
+    two = np.flatnonzero(zeros.max(axis=0) != z_lo)
+    seg_row = np.concatenate([np.arange(rows), two])
+    z = np.concatenate([z_lo, z_lo[two] + 1]).astype(np.float64)
+    w = block[seg_row] if len(two) else block
+    s = scales[:, seg_row].astype(np.float64)
+    lev_a, lev_b = (
+        encode(w, s[i, :, None], z[:, None], bit_width, False) - z[:, None] for i in (0, -1)
+    )
+    # every unit step of the lower zero-point's levels: its weight,
+    # direction and the level it reaches
+    change = np.subtract(lev_b[:rows], lev_a[:rows], dtype=np.int8, casting="unsafe").ravel()
+    moves = np.flatnonzero(change)
+    count = np.abs(change[moves]).astype(np.intp)
+    cell = np.repeat(moves, count)
+    sign = np.sign(change[cell]).astype(np.float64)
+    nth = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count) + 1
+    target = lev_a.ravel()[cell] + sign * nth
+    seg = cell // beta
+    if len(two):
+        # the upper zero-point's levels are the lower one's, one lower at its
+        # top and clipped at its own bottom level: its steps are the lower
+        # one's, less the step to or from the top, plus the one to or from
+        # its bottom
+        upper = np.full(rows, -1)
+        upper[two] = rows + np.arange(len(two))
+        top = (upper[seg] >= 0) & (np.maximum(target, target - sign) == maxq - z[seg])
+        top = np.flatnonzero(top)
+        bottom = -z[rows:, None]
+        low = np.minimum(lev_a[rows:], lev_b[rows:])
+        high = np.maximum(lev_a[rows:], lev_b[rows:])
+        extra = np.flatnonzero((low == bottom) & (high > bottom)) + rows * beta
+        extra_sign = np.sign(lev_b.ravel()[extra] - lev_a.ravel()[extra])
+        cell = np.concatenate([cell, extra])
+        sign = np.concatenate([sign, extra_sign])
+        target = np.concatenate([target, -z[extra // beta] + (extra_sign > 0)])
+        seg = cell // beta
+    x = w.ravel()[cell]
+    at = _step_index(x, target, sign, s, seg, z, bit_width)
+    dc = sign * (2.0 * target - sign)
+    cells, dx = at * len(z) + seg, sign * x
+    if len(two):
+        cells = np.concatenate([cells, at[top] * len(z) + upper[seg[top]]])
+        dx = np.concatenate([dx, -dx[top]])
+        dc = np.concatenate([dc, -dc[top]])
+    # running sums over the grid, from the first candidate's dot products
+    # (bincount gives integers when there is no step)
+    a, c = (
+        np.bincount(cells, d, G * len(z)).astype(np.float64, copy=False).reshape(G, -1)
+        for d in (dx, dc)
+    )
+    if len(two):
+        a[:, rows:] += a[:, two]
+        c[:, rows:] += c[:, two]
+    a[0] += np.einsum("ij,ij->i", w, lev_a)
+    c[0] += np.einsum("ij,ij->i", lev_a, lev_a)
+    np.cumsum(a, axis=0, out=a)
+    np.cumsum(c, axis=0, out=c)
+    c *= s
+    c *= s
+    a *= -2.0 * s
+    a += np.einsum("ij,ij->i", w, w)
+    a += c
+    if len(two):
+        member = zeros[:, seg_row] == z
+        a *= member
+        c *= member
+    ss1 = s[:, :rows] @ np.abs(block).sum(axis=1)
+    return np.stack([a.sum(axis=1), np.abs(a).sum(axis=1), c.sum(axis=1), ss1])
+
+
+def _step_index(
+    x: np.ndarray,
+    target: np.ndarray,
+    sign: np.ndarray,
+    s: np.ndarray,
+    seg: np.ndarray,
+    z: np.ndarray,
+    bit_width: int,
+) -> np.ndarray:
+    """For each unit step, the first candidate whose level for weight x
+    under the scales s[:, seg] and zero-point z[seg] reaches target (at
+    the first candidate it has not, at the last it has). The level reaches
+    target where s passes x / (target - sign / 2), at which rint(x / s)
+    does; the scales of every row run nearly in proportion, so that
+    candidate is predicted from one reference row's scales and checked by
+    encode at it and the one before. Predictions that miss are bisected
+    from what the check found."""
+    G = len(s)
+    if not len(x):
+        return np.zeros(0, dtype=np.intp)
+    ref = np.argmax(s[-1] - s[0])
+    profile = (s[:, ref] - s[0, ref]) / (s[-1, ref] - s[0, ref])
+    s_0, s_1 = s[0, seg], s[-1, seg]
+    v = (x / (target - 0.5 * sign) - s_0) / (s_1 - s_0)
+    hi = np.clip(np.ceil(v * (G - 1)), 1, G - 1).astype(np.intp)
+    hi = np.minimum(hi + (profile[hi] < v), G - 1)
+    hi = np.maximum(hi - (profile[hi - 1] >= v), 1)
+    z = z[seg]
+    code = target + z
+
+    def reached(m, i=slice(None)):
+        return sign[i] * (encode(x[i], s[m, seg[i]], z[i], bit_width, False) - code[i]) >= 0.0
+
+    hit_lo, hit_hi = reached(hi - 1), reached(hi)
+    miss = np.flatnonzero(hit_lo | ~hit_hi)
+    # bracket each miss by what the check found, then bisect
+    lo = np.where(hit_lo[miss], 0, hi[miss])
+    up = np.where(hit_lo[miss], hi[miss] - 1, G - 1)
+    while np.any(up - lo > 1):
+        m = (lo + up) // 2
+        hit = reached(m, miss)
+        open_ = up - lo > 1
+        up = np.where(open_ & hit, m, up)
+        lo = np.where(open_ & ~hit, m, lo)
+    hi[miss] = up
+    return hi

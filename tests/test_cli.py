@@ -8,13 +8,17 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import slimquant
 from fixtures import clustered_layer, identity_calib, random_calib, random_layer
 from slimquant.cli import BLAS_THREAD_VARS, build_parser, main
 from slimquant.packfmt import FLAG_BINARY_1BIT, read_packed, unpack
@@ -536,6 +540,31 @@ def test_matmul_accepts_generated_probe_batches(layer_files, tmp_path, capsys):
                        "--out", y_path)
     assert code == 1
     assert "error[ShapeMismatch]" in err
+
+
+def test_matmul_overflow_prints_only_its_error_line(layer_files, tmp_path, capsys):
+    # outputs past float32's range are refused by write_tensor; in a fresh
+    # process, as from the shell, no numpy warning comes before the error
+    wpath, xpath, _, _ = layer_files
+    out = tmp_path / "m.slmq"
+    run(capsys, *quantize_args(wpath, xpath, out))
+    big = np.full((4, 64), 3e38, dtype=np.float32)
+    big[:, ::2] *= -1.0
+    probe, y_path = tmp_path / "big.slmt", tmp_path / "y.slmt"
+    write_tensor(probe, big)
+    src = str(Path(slimquant.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for dense in ([], ["--dense"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "slimquant.cli", "matmul", "--model", out,
+             "--input", probe, "--out", y_path, *dense],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            f"error[NonFiniteValue]: refusing to serialize non-finite values for {y_path}"
+        ]
+        assert not y_path.exists()
 
 
 def test_threads_flag_recorded_in_report(layer_files, tmp_path, capsys):

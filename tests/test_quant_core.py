@@ -444,3 +444,46 @@ def test_column_rule_matches_block_column(bits, binary):
         col = decode(codes, scale, zero, binary)
         assert col.dtype == np.float32
         assert col.tobytes() == deq[:, j].tobytes()
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+@pytest.mark.parametrize("inputs", ["random", "half-integer ties", "clip edges"])
+def test_encode_in_one_buffer_keeps_the_codes(bits, inputs):
+    # encode works in place in one float64 buffer; the codes are those of
+    # the expression it replaced, bit for bit, also on float32 values
+    rng = np.random.default_rng(17)
+    n, width, maxq = 64, 48, (1 << bits) - 1
+    scale = (rng.uniform(0.5, 2.0, size=(n, 1)) * 2.0 ** rng.integers(-30, 30, size=(n, 1)))
+    scale = scale.astype(np.float32).astype(np.float64)
+    zero = rng.integers(0, maxq + 1, size=(n, 1)).astype(np.float64)
+    k = rng.integers(-maxq - 3, maxq + 4, size=(n, width)).astype(np.float64)
+    if inputs == "random":
+        block = rng.standard_normal((n, width)) * scale * maxq
+    elif inputs == "half-integer ties":
+        block = (k + 0.5) * scale
+    else:  # on and around the first and last code, and far past them
+        edge = np.where(rng.random((n, width)) < 0.5, -zero, maxq - zero)
+        block = (edge + rng.choice([-3.0, -0.5, 0.0, 0.5, 3.0], size=(n, width))) * scale
+    for w in (block, block.astype(np.float32)):
+        old = np.clip(np.rint(w / scale) + zero, 0, maxq).astype(np.uint8)
+        assert encode(w, scale, zero, bits, False).tobytes() == old.tobytes()
+        # one column, with each row's parameters along it
+        col = encode(w[:, 3], scale[:, 0], zero[:, 0], bits, False)
+        assert col.tobytes() == old[:, 3].tobytes()
+
+
+def test_quantize_uniform_peaks_near_one_float64_block():
+    # the float32 block is encoded as given, without a float64 copy, and
+    # encode holds one float64 buffer: about 1.1 blocks of float64, where
+    # the widened copy and four temporaries came to 3.1
+    import tracemalloc
+
+    block = np.random.default_rng(18).standard_normal((1024, 128)).astype(np.float32)
+    quantize_uniform(block, 3)
+    tracemalloc.start()
+    try:
+        quantize_uniform(block, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * block.size * 8

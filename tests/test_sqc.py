@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import slimquant.sqc as sqc
 from slimquant.errors import InvalidConfig
@@ -10,6 +12,7 @@ from slimquant.quant_core import (
     affine_params,
     block_mse,
     dequantize,
+    encode,
     params_from_range,
     quantize_uniform,
 )
@@ -286,15 +289,52 @@ def test_calibration_matches_full_search():
     assert rescored >= 20  # near-ties the screen cannot split: scored exactly
 
 
-@pytest.mark.parametrize("magnitude, value", [(1.0, 1e-40), (1e30, 1e-10)])
-def test_block_outside_float32_normal_range_keeps_every_candidate(magnitude, value):
-    # no power of two brings both magnitudes into float32's normal range
-    block = np.random.default_rng(23).standard_normal((6, 16)) * magnitude
-    block[2, 5] = value
+def falling_scale_block():
+    """A Gaussian block with one row whose span puts its 2-bit scale at
+    float32's rounding edge: the scale rounds to 0 at the low gammas, where
+    quant_core gives it RANGE_FLOOR / 3, and to 2^-149 above, so it falls
+    along the grid."""
+    block = np.random.default_rng(23).standard_normal((6, 16))
+    block[2] = 0.0
+    block[2, 5] = 3.0 * 2.0 ** -150
+    return block
+
+
+@pytest.mark.parametrize("block", [
+    np.random.default_rng(23).standard_normal((6, 16)) * 1e37,  # |b| >= 2^120
+    falling_scale_block(),
+], ids=["magnitude-1e37", "falling-scale"])
+def test_block_outside_the_step_screen_keeps_every_candidate(block):
     scales, zeros = candidates(block, 2)
     assert sqc._screen_totals(block, 2, scales, zeros) is None
     assert len(sqc._survivors(block, 2, scales, zeros)) == len(scales)
     for bits in (2, 3, 4):
+        assert_matches_reference(block, bits)
+
+
+def test_row_with_three_zero_points_keeps_every_candidate():
+    # a row's zero-point takes at most two adjacent values on normal
+    # scales; the screen's segments rest on that, so a row that takes a
+    # third (possible only on subnormal float32 scales) gets None
+    block = np.random.default_rng(26).standard_normal((3, 8))
+    scales, zeros = candidates(block, 3)
+    assert sqc._screen_totals(block, 3, scales, zeros) is not None
+    zeros = zeros.copy()
+    zeros[:, 1] = np.repeat([2, 3, 4], [30, 40, 31])
+    assert sqc._screen_totals(block, 3, scales, zeros) is None
+
+
+@pytest.mark.parametrize("magnitude, value", [(1.0, 1e-40), (1e30, 1e-10)])
+def test_block_outside_float32_normal_range_is_screened(magnitude, value):
+    # the float32 screen kept every candidate here: no power of two brings
+    # both magnitudes into float32's normal range
+    block = np.random.default_rng(23).standard_normal((6, 16)) * magnitude
+    block[2, 5] = value
+    for bits in (2, 3, 4):
+        scales, zeros, exact = grid_case(block, bits)
+        approx, bound = sqc._screen_totals(block, bits, scales, zeros)
+        assert np.all(np.abs(approx - exact) <= bound)
+        assert len(sqc._survivors(block, bits, scales, zeros)) < len(scales)
         assert_matches_reference(block, bits)
 
 
@@ -307,3 +347,82 @@ def test_screen_leaves_at_most_two_candidates(rows):
         block = rng.standard_normal((rows, 128))
         scales, zeros = candidates(block, bits)
         assert len(sqc._survivors(block, bits, scales, zeros)) <= 2
+
+
+def count_encoded(monkeypatch):
+    """The number of elements the screen hands to encode, as it runs."""
+    seen = [0]
+
+    def counting(w, scale, zero, bit_width, binary):
+        seen[0] += np.broadcast(w, scale, zero).size
+        return encode(w, scale, zero, bit_width, binary)
+
+    monkeypatch.setattr(sqc, "encode", counting)
+    return seen
+
+
+@pytest.mark.parametrize("symmetric, per_weight", [(False, 4), (True, 8)])
+def test_screen_encodes_a_few_levels_per_weight(monkeypatch, symmetric, per_weight):
+    # a deterministic stand-in for a timing check: the float32 screen made
+    # 101 passes over the block. Rows with lo = -hi take two zero-points,
+    # flipping between them along the grid, and cost two ends each
+    rng = np.random.default_rng(27)
+    seen = count_encoded(monkeypatch)
+    for bits in (2, 3, 4):
+        block = rng.standard_normal((4096, 128))
+        if symmetric:
+            top = np.abs(block).max(axis=1)
+            block[:, 0], block[:, 1] = -top, top
+        scales, zeros = candidates(block, bits)
+        if symmetric:
+            assert np.mean(zeros.min(axis=0) != zeros.max(axis=0)) > 0.9
+        seen[0] = 0
+        sqc._survivors(block, bits, scales, zeros)
+        assert 0 < seen[0] <= per_weight * block.size
+
+
+ROW_KINDS = ["gaussian", "symmetric", "constant", "zero", "half-steps", "subnormal-scale"]
+
+
+@st.composite
+def screen_blocks(draw):
+    """A block of 1-64 rows of 1-32 weights at 1e-40 to 1e30, with rows
+    built to stress the screen's premises, and its width. Rows with
+    subnormal float32 scales step where the other rows' scales do not
+    predict, so the search falls back to bisection."""
+    n, beta, bits = draw(st.integers(1, 64)), draw(st.integers(1, 32)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.standard_normal((n, beta)) * 10.0 ** draw(st.floats(-40, 30))
+    kind = draw(st.sampled_from(ROW_KINDS + ["mixed"]))
+    kinds = rng.choice(ROW_KINDS, size=n) if kind == "mixed" else [kind] * n
+    index = draw(st.integers(0, len(gamma_grid()) - 1))
+    halves = on_half_steps(rng, block, bits, index) if beta >= 2 else block
+    for r, kind in enumerate(kinds):
+        if kind == "symmetric":  # lo = -hi: the zero-point flips along the grid
+            block[r, 0], block[r, -1] = -np.abs(block[r]).max(), np.abs(block[r]).max()
+        elif kind == "constant":
+            block[r] = block[r, 0]
+        elif kind == "zero":
+            block[r] = 0.0
+        elif kind == "half-steps":
+            block[r] = halves[r]
+        elif kind == "subnormal-scale":  # scales off the other rows' profile
+            block[r] *= 1e-42 / np.abs(block[r]).max(initial=1e-300)
+    return block, bits
+
+
+@settings(max_examples=300)
+@given(screen_blocks())
+def test_screen_bound_holds_on_stressed_rows(case):
+    block, bits = case
+    scales, zeros, exact = grid_case(block, bits)
+    keep = sqc._survivors(block, bits, scales, zeros)
+    assert set(np.flatnonzero(exact == exact.min())) <= set(keep)
+    screen = sqc._screen_totals(block, bits, scales, zeros)
+    if screen is None:
+        # only subnormal float32 scales can give a row three zero-points
+        assert scales.min() < np.finfo(np.float32).tiny
+        event("outside the screen")
+        return
+    approx, bound = screen
+    assert np.all(np.abs(approx - exact) <= bound)
