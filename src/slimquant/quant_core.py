@@ -5,7 +5,14 @@ Groups of 2 to 4 bits use the per-row affine map
     code = clamp(round(w / scale) + zero, 0, 2^N - 1)
     w'   = (code - zero) * scale
 
-with one (scale, zero) pair per output row inside an n x beta block.
+with one (scale, zero) pair per output row inside an n x beta block. A
+row's range [lo, hi] always includes 0; range calibration scales it by a
+factor gamma, which sets scale = fl32(gamma (hi - lo) / (2^N - 1)), while
+the zero-point comes from the unscaled range,
+
+    zero = clip(-round(lo / (hi - lo) * (2^N - 1)), 0, 2^N - 1)
+
+in float64 (0 on a row with hi = lo), so every gamma of a row shares it.
 Rounding is round-half-to-even everywhere, so results are platform-stable.
 1-bit groups use the sign/magnitude form instead: code = (w >= 0) and
 w' = alpha * (2 code - 1), with alpha the block's mean absolute value.
@@ -97,20 +104,21 @@ def params_from_range(
 def affine_params(
     lo: np.ndarray, hi: np.ndarray, bit_width: int, gamma: float | np.ndarray = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 scales and uint8 zero-points for ranges [lo, hi] scaled by
-    gamma. Elementwise, so a column of gammas against rows of lo/hi gives
-    one row of parameters per gamma, each exactly what params_from_range
-    returns for that gamma alone."""
+    """Float32 scales for ranges [lo, hi] scaled by gamma, and uint8
+    zero-points from the unscaled ranges, so one per range whatever gamma
+    is. Elementwise, so a column of gammas against rows of lo/hi gives one
+    row of scales per gamma and the one row of zero-points they share, each
+    exactly what params_from_range returns for that gamma alone."""
     maxq = _max_code(bit_width)
-    span = (hi - lo) * gamma
-    degenerate = span == 0.0
-    span = np.where(degenerate, np.maximum(np.abs(hi), 1.0) * RANGE_FLOOR, span)
+    width = hi - lo
+    degenerate = width == 0.0
+    span = np.where(degenerate, np.maximum(np.abs(hi), 1.0) * RANGE_FLOOR, width * gamma)
     scale = (span / maxq).astype(np.float32)
     # float32 underflow guard for subnormal spans
     scale = np.where(scale > 0.0, scale, np.float32(RANGE_FLOOR / maxq))
-    zero = -np.rint(gamma * lo / scale.astype(np.float64))
-    zero = np.where(degenerate, 0.0, zero)
-    zero = np.clip(zero, 0, maxq).astype(np.uint8)
+    # lo / (hi - lo) first, so that it is exactly -1/2 on rows with lo = -hi
+    ratio = np.divide(lo, width, out=np.zeros(np.shape(width)), where=~degenerate)
+    zero = np.clip(-np.rint(ratio * maxq), 0, maxq).astype(np.uint8)
     return scale, zero
 
 

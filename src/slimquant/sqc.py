@@ -9,18 +9,19 @@ plain min/max quantizer on this objective. The search runs at 2 to 4 bits:
 1-bit groups take the sign/magnitude form, which has no range to scale.
 
 The grid is searched in two passes. A step screen scores every candidate
-from where each weight's level steps: along the grid a row's scale never
-falls, so under one zero-point a weight's level (code minus zero-point) is
-a monotone step function of the candidate. The screen takes the levels at
-the ends of each row's candidates that share a zero-point from quant_core's
-encode, finds each step between them by searching the grid, and forms
-every candidate's row error in float64 from running sums, with a proven
-bound on its distance from the exact total. Only the candidates the bound
-cannot rule out are then scored exactly, by quantizing and dequantizing the
-block once each with quant_core's deployed quantizer, and the winner is
-picked among them by the same rule as before. No candidate that could win
-is ever dropped, ties included, so the gamma, codes, scales and zero-points
-are those of the full float64 search.
+from where each weight's level steps: every candidate of a row shares its
+zero-point, which quant_core takes from the unscaled range, and along the
+grid a row's scale never falls, so a weight's level (code minus
+zero-point) is a monotone step function of the candidate. The screen takes
+the levels at the grid's two ends from quant_core's encode, finds each
+step between them by searching the grid, and forms every candidate's row
+error in float64 from running sums, with a proven bound on its distance
+from the exact total. Only the candidates the bound cannot rule out are
+then scored exactly, by quantizing and dequantizing the block once each
+with quant_core's deployed quantizer, and the winner is picked among them
+by the same rule as before. No candidate that could win is ever dropped,
+ties included, so the gamma, codes, scales and zero-points are those of
+the full float64 search.
 """
 
 from __future__ import annotations
@@ -128,32 +129,23 @@ def _screen_totals(
     """Each candidate's total squared error from the step screen, A, and a
     bound E with |A - T| <= E, where T is the deployed quantizer's float64
     total: quantize_uniform, then dequantize, then the float64 residual
-    squared, summed per row and then over rows. scales and zeros are
-    (G, n), one row of parameters per candidate, in grid order.
+    squared, summed per row and then over rows. scales are (G, n), one row
+    per candidate in grid order, and every candidate takes the row of
+    zero-points zeros[0] (affine_params).
 
     The screen runs where no row's scale falls from one candidate to the
-    next, where each row takes at most two adjacent zero-points, and where
-    every |b| and every (2^bits - 1) s is below _SCREEN_MAX = 2^120, so
-    that no float32 decode and no float64 square or sum overflows; other
-    blocks get None. The zero-point's argument gamma lo / s varies by
-    about 2^-23 relative along the grid, so on normal float32 scales a row
-    takes one zero-point or two adjacent ones; on rows with lo = -hi at
-    odd maxq it flips between the two from candidate to candidate.
+    next and where every |b| and every (2^bits - 1) s is below
+    _SCREEN_MAX = 2^120, so that no float32 decode and no float64 square
+    or sum overflows; other blocks get None.
 
-    Levels. Under a fixed zero-point z a weight's level (code minus z) is
-    clip(rint(b / s), -z, maxq - z), maxq = 2^bits - 1, and float64
+    Levels. Under the row's zero-point z a weight's level (code minus z)
+    is clip(rint(b / s), -z, maxq - z), maxq = 2^bits - 1, and float64
     division by a growing s, rint and clip are all monotone, so along the
-    whole grid it moves one way in steps. For each row and each zero-point
-    it takes (a segment), the screen gets the levels at the grid's two ends
-    from encode, the deployed rule. It finds each unit step of the lower
-    zero-point's levels between them, the first candidate at which the
-    level reaches the next value, with encode (_step_index). Under the
-    upper zero-point z + 1 the levels are the same but one lower at the
-    lower one's top level and clipped at their own bottom, so its steps
-    are the lower one's, less the step to or from that top, plus the one
-    to or from its bottom, which is found the same way. Each candidate
-    then has, under its own zero-point, exactly the levels l the deployed
-    pass gives it.
+    whole grid it moves one way in steps. For each row the screen gets the
+    levels at the grid's two ends from encode, the deployed rule, and finds
+    each unit step between them, the first candidate at which the level
+    reaches the next value, with encode (_step_index). Each candidate then
+    has exactly the levels l the deployed pass gives it.
 
     Row totals. With A = sum b l and C = sum l^2 kept as running sums over
     the steps (C in exact integers), a candidate's row error with exact
@@ -167,12 +159,12 @@ def _screen_totals(
     beta weights b with scale s, and S1 = sum |b|.
 
     * The screen's float64 sums. A is a sum of beta products b L (|L| <=
-      maxq) and of at most (maxq + 2) beta steps +-b (a row's second
-      zero-point takes the first one's steps, one less and one more per
-      weight), so its absolute terms sum to at most 2 (maxq + 1) S1, and no
-      term of Q sees more than K = (maxq + 3) beta + G + 4 roundings (the
-      endpoint dot product, the step sums, the running sum over G
-      candidates and Q's formula). So |Q^ - Q| <= K 2^-52 Z, with
+      maxq) and of at most maxq beta steps +-b (one per level a weight
+      passes; the constants here allow (maxq + 2) beta), so its absolute
+      terms sum to at most 2 (maxq + 1) S1, and no term of Q sees more
+      than K = (maxq + 3) beta + G + 4 roundings (the endpoint dot
+      product, the step sums, the running sum over G candidates and Q's
+      formula). So |Q^ - Q| <= K 2^-52 Z, with
       Z = S2 + 4 (maxq + 1) s S1 + s^2 C.
     * The float32 decode. The deployed decode of level l is
       d = fl32(l s), within 2^-24 |l s| + 2^-150 of l s (2^-150 covers a
@@ -196,7 +188,6 @@ def _screen_totals(
     maxq = (1 << bit_width) - 1
     if (
         np.any(scales[1:] < scales[:-1])
-        or np.any(zeros.max(axis=0) - zeros.min(axis=0) > 1)
         or not np.max([block.max(), -block.min(), maxq * scales.max()]) < _SCREEN_MAX
     ):
         return None
@@ -223,78 +214,41 @@ def _slice_sums(
 ) -> np.ndarray:
     """(4, G) sums over a slice of rows, per candidate: of the row errors
     Q^, of their absolute values, of s^2 C and of s S1 (_screen_totals).
-    The running sums are held per segment: one per row and zero-point it
-    takes, the rows' lower zero-points first."""
+    The running sums are held per row."""
     G, (rows, beta) = len(scales), block.shape
-    maxq = (1 << bit_width) - 1
-    z_lo = zeros.min(axis=0)
-    two = np.flatnonzero(zeros.max(axis=0) != z_lo)
-    seg_row = np.concatenate([np.arange(rows), two])
-    z = np.concatenate([z_lo, z_lo[two] + 1]).astype(np.float64)
-    w = block[seg_row] if len(two) else block
-    s = scales[:, seg_row].astype(np.float64)
+    z = zeros[0].astype(np.float64)
+    s = scales.astype(np.float64)
     lev_a, lev_b = (
-        encode(w, s[i, :, None], z[:, None], bit_width, False) - z[:, None] for i in (0, -1)
+        encode(block, s[i, :, None], z[:, None], bit_width, False) - z[:, None] for i in (0, -1)
     )
-    # every unit step of the lower zero-point's levels: its weight,
-    # direction and the level it reaches
-    change = np.subtract(lev_b[:rows], lev_a[:rows], dtype=np.int8, casting="unsafe").ravel()
+    # every unit step of the levels: its weight, direction and the level it
+    # reaches
+    change = np.subtract(lev_b, lev_a, dtype=np.int8, casting="unsafe").ravel()
     moves = np.flatnonzero(change)
     count = np.abs(change[moves]).astype(np.intp)
     cell = np.repeat(moves, count)
     sign = np.sign(change[cell]).astype(np.float64)
     nth = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count) + 1
     target = lev_a.ravel()[cell] + sign * nth
-    seg = cell // beta
-    if len(two):
-        # the upper zero-point's levels are the lower one's, one lower at its
-        # top and clipped at its own bottom level: its steps are the lower
-        # one's, less the step to or from the top, plus the one to or from
-        # its bottom
-        upper = np.full(rows, -1)
-        upper[two] = rows + np.arange(len(two))
-        top = (upper[seg] >= 0) & (np.maximum(target, target - sign) == maxq - z[seg])
-        top = np.flatnonzero(top)
-        bottom = -z[rows:, None]
-        low = np.minimum(lev_a[rows:], lev_b[rows:])
-        high = np.maximum(lev_a[rows:], lev_b[rows:])
-        extra = np.flatnonzero((low == bottom) & (high > bottom)) + rows * beta
-        extra_sign = np.sign(lev_b.ravel()[extra] - lev_a.ravel()[extra])
-        cell = np.concatenate([cell, extra])
-        sign = np.concatenate([sign, extra_sign])
-        target = np.concatenate([target, -z[extra // beta] + (extra_sign > 0)])
-        seg = cell // beta
-    x = w.ravel()[cell]
-    at = _step_index(x, target, sign, s, seg, z, bit_width)
-    dc = sign * (2.0 * target - sign)
-    cells, dx = at * len(z) + seg, sign * x
-    if len(two):
-        cells = np.concatenate([cells, at[top] * len(z) + upper[seg[top]]])
-        dx = np.concatenate([dx, -dx[top]])
-        dc = np.concatenate([dc, -dc[top]])
+    row = cell // beta
+    x = block.ravel()[cell]
+    cells = _step_index(x, target, sign, s, row, z, bit_width) * rows + row
     # running sums over the grid, from the first candidate's dot products
     # (bincount gives integers when there is no step)
     a, c = (
-        np.bincount(cells, d, G * len(z)).astype(np.float64, copy=False).reshape(G, -1)
-        for d in (dx, dc)
+        np.bincount(cells, d, G * rows).astype(np.float64, copy=False).reshape(G, rows)
+        for d in (sign * x, sign * (2.0 * target - sign))
     )
-    if len(two):
-        a[:, rows:] += a[:, two]
-        c[:, rows:] += c[:, two]
-    a[0] += np.einsum("ij,ij->i", w, lev_a)
+    a[0] += np.einsum("ij,ij->i", block, lev_a)
     c[0] += np.einsum("ij,ij->i", lev_a, lev_a)
     np.cumsum(a, axis=0, out=a)
     np.cumsum(c, axis=0, out=c)
     c *= s
     c *= s
     a *= -2.0 * s
-    a += np.einsum("ij,ij->i", w, w)
+    a += np.einsum("ij,ij->i", block, block)
     a += c
-    if len(two):
-        member = zeros[:, seg_row] == z
-        a *= member
-        c *= member
-    ss1 = s[:, :rows] @ np.abs(block).sum(axis=1)
+    ss1 = s @ np.abs(block).sum(axis=1)
     return np.stack([a.sum(axis=1), np.abs(a).sum(axis=1), c.sum(axis=1), ss1])
 
 
@@ -303,12 +257,12 @@ def _step_index(
     target: np.ndarray,
     sign: np.ndarray,
     s: np.ndarray,
-    seg: np.ndarray,
+    row: np.ndarray,
     z: np.ndarray,
     bit_width: int,
 ) -> np.ndarray:
     """For each unit step, the first candidate whose level for weight x
-    under the scales s[:, seg] and zero-point z[seg] reaches target (at
+    under the scales s[:, row] and zero-point z[row] reaches target (at
     the first candidate it has not, at the last it has). The level reaches
     target where s passes x / (target - sign / 2), at which rint(x / s)
     does; the scales of every row run nearly in proportion, so that
@@ -320,16 +274,16 @@ def _step_index(
         return np.zeros(0, dtype=np.intp)
     ref = np.argmax(s[-1] - s[0])
     profile = (s[:, ref] - s[0, ref]) / (s[-1, ref] - s[0, ref])
-    s_0, s_1 = s[0, seg], s[-1, seg]
+    s_0, s_1 = s[0, row], s[-1, row]
     v = (x / (target - 0.5 * sign) - s_0) / (s_1 - s_0)
     hi = np.clip(np.ceil(v * (G - 1)), 1, G - 1).astype(np.intp)
     hi = np.minimum(hi + (profile[hi] < v), G - 1)
     hi = np.maximum(hi - (profile[hi - 1] >= v), 1)
-    z = z[seg]
+    z = z[row]
     code = target + z
 
     def reached(m, i=slice(None)):
-        return sign[i] * (encode(x[i], s[m, seg[i]], z[i], bit_width, False) - code[i]) >= 0.0
+        return sign[i] * (encode(x[i], s[m, row[i]], z[i], bit_width, False) - code[i]) >= 0.0
 
     hit_lo, hit_hi = reached(hi - 1), reached(hi)
     miss = np.flatnonzero(hit_lo | ~hit_hi)

@@ -6,6 +6,7 @@ as an exact mismatch.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from slimquant.quant_core import (
     RANGE_FLOOR,
     GroupQuantParams,
     QuantizedBlock,
+    _row_range,
+    affine_params,
     binarize_block,
     block_mse,
     decode,
@@ -24,7 +27,7 @@ from slimquant.quant_core import (
     params_from_range,
     quantize_uniform,
 )
-from slimquant.sqc import SqcConfig, calibrate_group
+from slimquant.sqc import SqcConfig, calibrate_group, gamma_grid
 
 
 def scalar_reference(block, bits):
@@ -56,7 +59,7 @@ def scalar_reference(block, bits):
         if degenerate:
             z = 0.0
         else:
-            z = float(np.clip(-np.rint(lo / float(scale)), 0, maxq))
+            z = float(np.clip(-np.rint(lo / span * maxq), 0, maxq))
         scales[i] = scale
         zeros[i] = np.uint8(z)
         for j, v in enumerate(row):
@@ -210,6 +213,36 @@ def test_gamma_keeps_zero_point_in_range():
             p = params_from_range(lo, hi, 2, gamma=gamma)
             assert p.zero.max() <= 3
             assert np.all(p.scale > 0.0)
+
+
+@pytest.mark.parametrize("bits", [2, 3, 4])
+def test_every_gamma_of_a_row_shares_its_zero_point(bits):
+    # the zero-point is clip(-rint(lo / (hi - lo) maxq), 0, maxq) of the
+    # unscaled range, so the float32 rounding of gamma's scale cannot move
+    # it, not even where the ratio is a half-integer or the scale subnormal
+    maxq = (1 << bits) - 1
+    rng = np.random.default_rng(40 + bits)
+    block = rng.standard_normal((40, 16))
+    top = np.abs(block[:10]).max(axis=1)
+    block[:10, 0], block[:10, 1] = -top, top  # lo = -hi
+    block[10:12] = 0.0
+    block[12:16] *= 1e-40 / np.abs(block[12:16]).max(axis=1, keepdims=True)
+    block[14:16, 0], block[14:16, 1] = -1e-40, 1e-40
+    lo, hi = _row_range(block)
+    grid = gamma_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # degenerate rows divide by nothing
+        scales, zeros = affine_params(lo[None, :], hi[None, :], bits, grid[:, None])
+        plain = params_from_range(lo, hi, bits).zero
+    assert np.all(zeros == plain)
+    for gamma in grid:
+        assert np.array_equal(params_from_range(lo, hi, bits, float(gamma)).zero, plain)
+    want = [0 if h == l else min(max(-round(l / (h - l) * maxq), 0), maxq) for l, h in zip(lo, hi)]
+    assert np.array_equal(plain, want)
+    assert np.all(plain[:10] == (maxq + 1) // 2)  # half to even: 2, 4 and 8
+    assert np.all(plain[14:16] == (maxq + 1) // 2)
+    assert np.all(plain[10:12] == 0)
+    assert np.all(scales[:, 12:16] < np.finfo(np.float32).tiny)
 
 
 def test_bit_width_bounds():

@@ -486,8 +486,9 @@ def test_spans_cover_the_range_in_nearly_equal_runs(total, size):
 
 def test_scores_do_not_depend_on_the_weights_layout():
     # products this small are where BLAS sums in another order for the
-    # other transpose flag; every product widens the weights into a
-    # C-ordered buffer, so a C and a Fortran copy score the same bits
+    # other transpose flag; the dgemm wrapper copies weights that are not
+    # Fortran-ordered float64 into a buffer that is, so a C and a Fortran
+    # copy score the same bits
     rng = np.random.default_rng(23)
     for _ in range(200):
         n, m, t = (int(v) for v in rng.integers(1, [40, 300, 64]))

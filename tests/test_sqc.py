@@ -236,7 +236,7 @@ def assert_matches_reference(block, bits):
     (sqc._SLICE_ELEMENTS, ((1100, 128),)),
 ])
 def test_sliced_screen_keeps_the_reference_winner(monkeypatch, slice_elements, shapes):
-    # the float32 screen is the one pass over slices of rows; no row count
+    # the step screen is the one pass over slices of rows; no row count
     # divides evenly into slices
     monkeypatch.setattr(sqc, "_SLICE_ELEMENTS", slice_elements)
     rng = np.random.default_rng(11)
@@ -247,6 +247,10 @@ def test_sliced_screen_keeps_the_reference_winner(monkeypatch, slice_elements, s
             if n > 2:
                 block[-1] = -1.5  # constant row
                 block[1] = np.abs(block[1])  # range pinned at zero from below
+                # every third row from the third has lo = -hi, where
+                # lo maxq / (hi - lo) is a half-integer
+                top = np.abs(block[2:-1:3]).max(axis=1)
+                block[2:-1:3, 0], block[2:-1:3, -1] = -top, top
             assert_matches_reference(block, bits)
 
 
@@ -312,18 +316,6 @@ def test_block_outside_the_step_screen_keeps_every_candidate(block):
         assert_matches_reference(block, bits)
 
 
-def test_row_with_three_zero_points_keeps_every_candidate():
-    # a row's zero-point takes at most two adjacent values on normal
-    # scales; the screen's segments rest on that, so a row that takes a
-    # third (possible only on subnormal float32 scales) gets None
-    block = np.random.default_rng(26).standard_normal((3, 8))
-    scales, zeros = candidates(block, 3)
-    assert sqc._screen_totals(block, 3, scales, zeros) is not None
-    zeros = zeros.copy()
-    zeros[:, 1] = np.repeat([2, 3, 4], [30, 40, 31])
-    assert sqc._screen_totals(block, 3, scales, zeros) is None
-
-
 @pytest.mark.parametrize("magnitude, value", [(1.0, 1e-40), (1e30, 1e-10)])
 def test_block_outside_float32_normal_range_is_screened(magnitude, value):
     # the float32 screen kept every candidate here: no power of two brings
@@ -361,11 +353,11 @@ def count_encoded(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("symmetric, per_weight", [(False, 4), (True, 8)])
-def test_screen_encodes_a_few_levels_per_weight(monkeypatch, symmetric, per_weight):
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_screen_encodes_a_few_levels_per_weight(monkeypatch, symmetric):
     # a deterministic stand-in for a timing check: the float32 screen made
-    # 101 passes over the block. Rows with lo = -hi take two zero-points,
-    # flipping between them along the grid, and cost two ends each
+    # 101 passes over the block. Rows with lo = -hi sit on a half-integer
+    # lo maxq / (hi - lo), and take one zero-point like every other row
     rng = np.random.default_rng(27)
     seen = count_encoded(monkeypatch)
     for bits in (2, 3, 4):
@@ -374,11 +366,10 @@ def test_screen_encodes_a_few_levels_per_weight(monkeypatch, symmetric, per_weig
             top = np.abs(block).max(axis=1)
             block[:, 0], block[:, 1] = -top, top
         scales, zeros = candidates(block, bits)
-        if symmetric:
-            assert np.mean(zeros.min(axis=0) != zeros.max(axis=0)) > 0.9
+        assert np.all(zeros == params_from_range(*_row_range(block), bits).zero)
         seen[0] = 0
         sqc._survivors(block, bits, scales, zeros)
-        assert 0 < seen[0] <= per_weight * block.size
+        assert 0 < seen[0] <= 4 * block.size
 
 
 ROW_KINDS = ["gaussian", "symmetric", "constant", "zero", "half-steps", "subnormal-scale"]
@@ -398,7 +389,7 @@ def screen_blocks(draw):
     index = draw(st.integers(0, len(gamma_grid()) - 1))
     halves = on_half_steps(rng, block, bits, index) if beta >= 2 else block
     for r, kind in enumerate(kinds):
-        if kind == "symmetric":  # lo = -hi: the zero-point flips along the grid
+        if kind == "symmetric":  # lo = -hi: lo maxq / (hi - lo) is a half-integer
             block[r, 0], block[r, -1] = -np.abs(block[r]).max(), np.abs(block[r]).max()
         elif kind == "constant":
             block[r] = block[r, 0]
@@ -420,7 +411,7 @@ def test_screen_bound_holds_on_stressed_rows(case):
     assert set(np.flatnonzero(exact == exact.min())) <= set(keep)
     screen = sqc._screen_totals(block, bits, scales, zeros)
     if screen is None:
-        # only subnormal float32 scales can give a row three zero-points
+        # only subnormal float32 scales can fall along the grid
         assert scales.min() < np.finfo(np.float32).tiny
         event("outside the screen")
         return
