@@ -134,13 +134,18 @@ def _pipeline_config(args) -> PipelineConfig:
 
 def cmd_quantize(args) -> int:
     start = time.perf_counter()
+    report_path = args.report or args.out + ".json"
+    if os.path.realpath(report_path) == os.path.realpath(args.out):
+        raise InvalidConfig(f"--report and --out name the same file, {args.out}")
     w = _load_weights(args.weights)
     calib = load_calibration(args.calib)
     cfg = _pipeline_config(args)
     result = quantize_layer(w, calib, cfg)
     n, m = w.shape
+    pack_start = time.perf_counter()
     pm = pack(result.blocks, n, m, cfg.beta, target_bits=cfg.bits)
     blob = pm.to_bytes()
+    pack_s = time.perf_counter() - pack_start
     size = packed_size_report(pm)
 
     gamma_hist = Counter(repr(float(g)) for g in result.gammas)
@@ -177,7 +182,7 @@ def cmd_quantize(args) -> int:
         },
         "timing": {
             "total_s": time.perf_counter() - start,
-            "stages": result.stage_s,
+            "stages": {**result.stage_s, "pack": pack_s},
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
@@ -185,7 +190,6 @@ def cmd_quantize(args) -> int:
         },
     }
 
-    report_path = args.report or args.out + ".json"
     _write_outputs([(args.out, blob), (report_path, _json(report))])
     print(f"wrote {args.out} ({size.bits_per_weight:.3f} bits/weight), report {report_path}")
     return 0

@@ -1,27 +1,22 @@
 """End-to-end layer quantization.
 
-Order of operations for one weight matrix:
-
-  1. build the damped activation Gram matrix and its inverse factor
-  2. compute the salience map
-  3. pick per-group bit widths (paired promote/demote search), or all-N
-  4. walk groups left to right: range-calibrated parameters (sign/magnitude
-     ones for 1-bit groups), then
-     requantize the group's columns left to right under them, spreading
-     each column's rounding error onto the not-yet-quantized columns
-     through the inverse factor
-  5. score the reconstruction against the original weights (score, which
-     slimquant eval calls too)
+quantize_layer runs the stages named in STAGES, in that order, each timed
+under its name in QuantizationResult.stage_s. Groups are quantized left to
+right: range calibration (the sign/magnitude form for 1-bit groups), then
+error compensation, which requantizes the group's columns left to right
+under those parameters and spreads each column's rounding error onto the
+not-yet-quantized columns through the inverse factor (GPTQ's column
+order). The two per-group stages are timed as sums over the groups.
 
 The error spreading mutates only a working copy; every reported metric
 compares against the caller's original matrix. The exact layer's output
-distributions are built once, in step 3, and serve both the width search
-and the final divergence score. Each step's wall time is reported in
-QuantizationResult.stage_s under the names in STAGES.
+distributions are built once, in the width search, and serve both the
+search and the final divergence score.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 
@@ -59,8 +54,16 @@ from .tensor_store import CalibrationSet
 # Columns per lazy batch of the in-group error spreading.
 _BATCH = 16
 
-# quantize_layer's steps, in order, as keys of QuantizationResult.stage_s.
-STAGES = ("gram_and_inverse", "salience", "width_plan", "groups", "scoring")
+# quantize_layer's stages, in order, as keys of QuantizationResult.stage_s.
+STAGES = (
+    "gram",
+    "damp_and_invert",
+    "salience",
+    "width_search",
+    "range_calibration",
+    "compensation",
+    "scoring",
+)
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ class QuantizationResult:
     recon_mse: float
     recon_kl: float
     gammas: np.ndarray  # (k,) float64, 1.0 where calibration was off
-    stage_s: dict[str, float]  # wall seconds per step, keyed by STAGES
+    stage_s: dict[str, float]  # wall seconds per stage, keyed by STAGES
 
 
 def reconstruct(blocks: list[QuantizedBlock]) -> np.ndarray:
@@ -136,15 +139,12 @@ def score(
     return loss, block_mse(w, recon), output_kl(ref, recon)
 
 
-def _quantize_group(
-    block: np.ndarray, bits: int, cfg: PipelineConfig
-) -> tuple[QuantizedBlock, float]:
-    """Quantize one group at its planned width; returns the block and its
-    range factor (1.0 where no calibration ran, and always at 1 bit: the
-    sign/magnitude form has no range to scale)."""
-    if cfg.sqc_enabled and bits > 1:
-        return calibrate_group(block, bits, SqcConfig())
-    return quantize_uniform(block, bits), 1.0
+@contextlib.contextmanager
+def _stage(stage_s: dict[str, float], name: str):
+    """Add the wall time of the with-block to stage_s[name]."""
+    start = time.perf_counter()
+    yield
+    stage_s[name] += time.perf_counter() - start
 
 
 def _compensate(
@@ -205,26 +205,27 @@ def quantize_layer(
     beta = cfg.beta
     k = m // beta
 
-    marks = [time.perf_counter()]
-    # 1. Gram matrix and inverse factor, factored in the Gram matrix's buffer
-    hs = damp_and_invert(accumulate_hessian(calib))
-    marks.append(time.perf_counter())
-    # 2. salience
-    sal = salience_map(w, hs, beta)
-    marks.append(time.perf_counter())
-    # 3. width plan, and the exact outputs every divergence is taken against
-    x_all = calib.stacked()
-    ref = kl_reference(x_all, w)
-    if cfg.sba_enabled:
-        plan = allocate_bits(w, x_all, sal, beta, cfg.bits, KlConfig(), ref=ref)
-    else:
-        plan = BitPlan(
-            bits=np.full(k, cfg.bits, dtype=np.int64), p_star=0, kl_curve=np.empty(0)
-        )
+    stage_s = dict.fromkeys(STAGES, 0.0)
+    with _stage(stage_s, "gram"):
+        H = accumulate_hessian(calib)
+    with _stage(stage_s, "damp_and_invert"):
+        hs = damp_and_invert(H)
+    # H's buffer now holds the inverse factor; no name but hs may keep it
+    del H
+    with _stage(stage_s, "salience"):
+        sal = salience_map(w, hs, beta)
+    with _stage(stage_s, "width_search"):
+        # the exact outputs every divergence is taken against
+        x_all = calib.stacked()
+        ref = kl_reference(x_all, w)
+        if cfg.sba_enabled:
+            plan = allocate_bits(w, x_all, sal, beta, cfg.bits, KlConfig(), ref=ref)
+        else:
+            plan = BitPlan(
+                bits=np.full(k, cfg.bits, dtype=np.int64), p_star=0, kl_curve=np.empty(0)
+            )
     # nothing after the plan reads x_all (ref keeps its own rows) or sal
     del x_all, sal
-    marks.append(time.perf_counter())
-    # 4. per group, left to right: quantize, then compensate
     work = w.astype(np.float64)
     blocks: list[QuantizedBlock] = []
     gammas = np.ones(k, dtype=np.float64)
@@ -234,20 +235,25 @@ def quantize_layer(
         # column is checked once, before anything reads it
         if not np.all(np.isfinite(work[:, lo:hi])):
             raise NonFiniteIntermediate(f"error spreading left non-finite values in group {g}")
-        qb, gammas[g] = _quantize_group(work[:, lo:hi], int(plan.bits[g]), cfg)
+        bits = int(plan.bits[g])
+        with _stage(stage_s, "range_calibration"):
+            # the sign/magnitude form of a 1-bit group has no range to scale
+            if cfg.sqc_enabled and bits > 1:
+                qb, gammas[g] = calibrate_group(work[:, lo:hi], bits, SqcConfig())
+            else:
+                qb = quantize_uniform(work[:, lo:hi], bits)
         if cfg.compensation_enabled:
-            qb = _compensate(work, qb, hs.chol_inv, lo, hi)
+            with _stage(stage_s, "compensation"):
+                qb = _compensate(work, qb, hs.chol_inv, lo, hi)
         blocks.append(qb)
     del work  # scoring's temporaries reuse its memory
-    marks.append(time.perf_counter())
-    # 5. score against the original weights. score is handed the only
-    # reference to the Gram state, so it frees the m x m inverse factor
-    # after the proxy loss (held through the divergence, it raised
-    # quantize-wide's peak RSS by 13 MB)
+    # score is handed the only reference to the Gram state, so it frees
+    # the m x m inverse factor after the proxy loss (held through the
+    # divergence, it raised quantize-wide's peak RSS by 13 MB)
     handed = [hs]
     del hs
-    loss, mse, kl = score(w, reconstruct(blocks), handed.pop(), ref)
-    marks.append(time.perf_counter())
+    with _stage(stage_s, "scoring"):
+        loss, mse, kl = score(w, reconstruct(blocks), handed.pop(), ref)
     return QuantizationResult(
         plan=plan,
         blocks=blocks,
@@ -255,5 +261,5 @@ def quantize_layer(
         recon_mse=mse,
         recon_kl=kl,
         gammas=gammas,
-        stage_s={name: b - a for name, a, b in zip(STAGES, marks, marks[1:])},
+        stage_s=stage_s,
     )

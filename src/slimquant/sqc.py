@@ -92,18 +92,15 @@ def calibrate_group(
     grid = gamma_grid()
     lo, hi = _row_range(block)
     scales, zeros = affine_params(lo[None, :], hi[None, :], bit_width, grid[:, None])
-    kept = grid[_survivors(block, bit_width, scales, zeros)]
-    totals = []
-    for i, gamma in enumerate(kept):
+    best_key = None
+    for gamma in grid[_survivors(block, bit_width, scales, zeros)]:
         qb = quantize_uniform(block, bit_width, params_from_range(lo, hi, bit_width, gamma))
         residual = block - dequantize(qb)
         np.square(residual, out=residual)
-        totals.append(residual.sum(axis=1).sum())
-        # keep only the winner so far; lexsort keys, last listed is primary:
-        # loss, then closeness to 1, then value
-        head = kept[: i + 1]
-        if np.lexsort((head, np.abs(head - 1.0), totals))[0] == i:
-            best = qb, float(gamma)
+        # loss, then closeness to 1, then value; only the winner so far is kept
+        key = (residual.sum(axis=1).sum(), abs(gamma - 1.0), gamma)
+        if best_key is None or key < best_key:
+            best_key, best = key, (qb, float(gamma))
     return best
 
 

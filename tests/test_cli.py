@@ -583,7 +583,7 @@ def test_quantize_report_times_stages_and_records_environment(layer_files, tmp_p
     code, _, _ = run(capsys, *quantize_args(wpath, xpath, out))
     assert code == 0
     timing = json.loads((tmp_path / "m.slmq.json").read_text())["timing"]
-    assert sorted(timing["stages"]) == sorted(STAGES)
+    assert sorted(timing["stages"]) == sorted([*STAGES, "pack"])
     assert sum(timing["stages"].values()) <= timing["total_s"]
     assert timing["numpy"] == np.__version__
     assert timing["scipy"] == scipy.__version__
@@ -591,6 +591,19 @@ def test_quantize_report_times_stages_and_records_environment(layer_files, tmp_p
     assert timing["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert timing["blas"]["name"] and timing["blas"]["version"]
     assert sorted(timing["blas_thread_env"]) == sorted(BLAS_THREAD_VARS)
+
+
+@pytest.mark.parametrize("report", ["m.slmq", "./m.slmq"])
+def test_report_naming_the_model_file_is_invalid_config(layer_files, tmp_path, capsys,
+                                                         monkeypatch, report):
+    # the report would overwrite the model it describes
+    wpath, xpath, _, _ = layer_files
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, *quantize_args(wpath, xpath, "m.slmq", report=report))
+    assert code == 1
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error[InvalidConfig]: ")
+    assert sorted(tmp_path.iterdir()) == sorted([wpath, xpath])
 
 
 @pytest.mark.parametrize("value", [0, -8])

@@ -1,5 +1,7 @@
 """Tests for the end-to-end layer quantization orchestration."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -235,9 +237,18 @@ def test_recon_kl_is_output_kl_of_the_strided_rows(monkeypatch, sba):
 
 def test_stage_times_cover_every_step():
     w, x = clustered_layer(4, n=16, m=256, t=512)
-    res = quantize_layer(w, CalibrationSet([x]), PipelineConfig(beta=64, bits=2))
-    assert tuple(res.stage_s) == STAGES
-    assert all(isinstance(v, float) and v >= 0.0 for v in res.stage_s.values())
+    for compensation in (True, False):
+        cfg = PipelineConfig(beta=64, bits=2, compensation_enabled=compensation)
+        start = time.perf_counter()
+        res = quantize_layer(w, CalibrationSet([x]), cfg)
+        wall = time.perf_counter() - start
+        assert tuple(res.stage_s) == STAGES
+        assert all(isinstance(v, float) and v >= 0.0 for v in res.stage_s.values())
+        if compensation:
+            assert res.stage_s["compensation"] > 0.0
+        else:
+            assert res.stage_s["compensation"] == 0.0
+        assert sum(res.stage_s.values()) <= wall
 
 
 def test_gammas_cover_groups_and_default_to_unity():
