@@ -2,9 +2,10 @@
 
 Quantizes standalone weight matrices against calibration activations:
 second-order salience ranks column groups, a paired promote/demote search
-assigns per-group bit widths around the average target, a range grid
-search calibrates each group's quantizer, and rounding error is spread
-onto unprocessed columns through the inverse activation Gram factor.
+assigns per-group bit widths around the average target, and one walk over
+each group's columns picks every row's range factor by its compensated
+loss while spreading rounding error onto unprocessed columns through the
+inverse activation Gram factor.
 Results serialize to a bit-exact packed format with a reference kernel.
 """
 
@@ -36,7 +37,7 @@ from .salience import (
     salient_mask_3sigma,
 )
 from .sba import BitPlan, KlConfig, KlReference, allocate_bits, kl_reference, output_kl
-from .sqc import SqcConfig, calibrate_group, gamma_grid
+from .sqc import SqcConfig, calibrate_group
 from .tensor_store import CalibrationSet, load_calibration, read_tensor, write_tensor
 
 __version__ = "0.1.0"
@@ -63,7 +64,6 @@ __all__ = [
     "damp_and_invert",
     "dense_reference",
     "dequantize",
-    "gamma_grid",
     "kl_reference",
     "load_calibration",
     "output_kl",

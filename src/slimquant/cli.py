@@ -51,6 +51,13 @@ def _load_weights(path: str) -> np.ndarray:
     return w
 
 
+def _check_channels(calib, m: int) -> None:
+    """Reject a calibration whose channels are not the weights' m, as
+    quantize_layer does, before any Gram matrix is formed."""
+    if calib.channels != m:
+        raise ShapeMismatch(f"calibration has {calib.channels} channels, weights {m}")
+
+
 def _write_outputs(outputs: list[tuple[str, bytes | str]]) -> None:
     """Write each output atomically, removing the ones already written on
     the first failure so a failed run never leaves partial artifacts."""
@@ -148,7 +155,6 @@ def cmd_quantize(args) -> int:
     pack_s = time.perf_counter() - pack_start
     size = packed_size_report(pm)
 
-    gamma_hist = Counter(repr(float(g)) for g in result.gammas)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {
         "config": {
@@ -166,10 +172,7 @@ def cmd_quantize(args) -> int:
             "evaluations": result.plan.evaluations,
             "kl_curve": result.plan.kl_curve.tolist(),
         },
-        "gammas": {
-            "per_group": result.gammas.tolist(),
-            "histogram": dict(sorted(gamma_hist.items())),
-        },
+        "gammas": {"per_group": result.gammas.tolist()},
         "metrics": {
             "proxy_loss": result.proxy_loss,
             "recon_mse": result.recon_mse,
@@ -204,6 +207,7 @@ def cmd_eval(args) -> int:
     calib = load_calibration(args.calib)
     if w.shape != (pm.n, pm.m):
         raise ShapeMismatch(f"weights {w.shape} do not match packed model {(pm.n, pm.m)}")
+    _check_channels(calib, pm.m)
     blocks, widths = unpack(pm)
     hs = damp_and_invert(accumulate_hessian(calib))
     ref = kl_reference(calib.stacked(), w)
@@ -231,6 +235,7 @@ def cmd_inspect(args) -> int:
     _check_sizes(**{"group-size": args.group_size})
     w = _load_weights(args.weights)
     calib = load_calibration(args.calib)
+    _check_channels(calib, w.shape[1])
     delta = salience(w, damp_and_invert(accumulate_hessian(calib)))
     sal = salience_means(delta, args.group_size)
     k = w.shape[1] // args.group_size

@@ -2,11 +2,13 @@
 
 quantize_layer runs the stages named in STAGES, in that order, each timed
 under its name in QuantizationResult.stage_s. Groups are quantized left to
-right: range calibration (the sign/magnitude form for 1-bit groups), then
-error compensation, which requantizes the group's columns left to right
-under those parameters and spreads each column's rounding error onto the
-not-yet-quantized columns through the inverse factor (GPTQ's column
-order). The two per-group stages are timed as sums over the groups.
+right, each by one walk over its columns in GPTQ's column order (sqc):
+range calibration picks each row's range factor by its compensated loss
+while the walk spreads each column's rounding error onto the group's later
+columns (calibrate_group; walk_group for 1-bit groups and with calibration
+off). Error compensation then spreads the group's error onto the later
+groups through the inverse factor, taking the walk's E from one triangular
+solve. The two per-group stages are timed as sums over the groups.
 
 The error spreading mutates only a working copy; every reported metric
 compares against the caller's original matrix. The exact layer's output
@@ -34,10 +36,8 @@ from .quant_core import (
     QuantizedBlock,
     binarize_block,  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
     block_mse,
-    decode,
     dequantize,
-    encode,
-    quantize_uniform,
+    quantize_uniform,  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 )
 from .salience import (
     HessianState,
@@ -48,11 +48,8 @@ from .salience import (
 )
 from .sba import BitPlan, KlConfig, KlReference, allocate_bits, kl_reference, output_kl
 from .sba import stride_subsample  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
-from .sqc import SqcConfig, calibrate_group
+from .sqc import SqcConfig, calibrate_group, walk_group
 from .tensor_store import CalibrationSet
-
-# Columns per lazy batch of the in-group error spreading.
-_BATCH = 16
 
 # quantize_layer's stages, in order, as keys of QuantizationResult.stage_s.
 STAGES = (
@@ -70,8 +67,8 @@ STAGES = (
 class PipelineConfig:
     """The settings a caller chooses, the only ones quantize_layer has.
     The rest are fixed, as in the paper: damp_and_invert's default
-    damping, the gamma grid of SqcConfig and the divergence of KlConfig,
-    neither of which takes a value."""
+    damping, the range factors of SqcConfig and the divergence of
+    KlConfig, neither of which takes a value."""
 
     beta: int = 128
     bits: int = 2  # average width target, 2 or 3
@@ -93,7 +90,7 @@ class QuantizationResult:
     proxy_loss: float
     recon_mse: float
     recon_kl: float
-    gammas: np.ndarray  # (k,) float64, 1.0 where calibration was off
+    gammas: np.ndarray  # (k,) float64, each group's mean row factor; 1.0 where calibration was off
     stage_s: dict[str, float]  # wall seconds per stage, keyed by STAGES
 
 
@@ -147,44 +144,15 @@ def _stage(stage_s: dict[str, float], name: str):
     stage_s[name] += time.perf_counter() - start
 
 
-def _compensate(
-    work: np.ndarray, qb: QuantizedBlock, u: np.ndarray, lo: int, hi: int
-) -> QuantizedBlock:
-    """Requantize columns [lo, hi) of work one at a time, left to right,
-    under the group's fixed parameters qb.params, and spread each column's
-    rounding error onto the columns right of it through the inverse factor
-    u (the GPTQ column order). Updates work right of the group in place and
-    returns the group's final block.
-
-    The group is worked on as a transposed copy, so each column is one
-    contiguous row. Each column's codes and decode come from quant_core's
-    encode and decode, the rule quantize_uniform and dequantize apply to a
-    whole block.
-    Inside a batch of _BATCH columns the error spreads by rank-1 updates;
-    the batch then reaches the rest of the group in one matmul (GPTQ's lazy
-    batch updates).
-    """
-    p = qb.params
-    cols = work[:, lo:hi].T.copy()
-    codes = np.empty(cols.shape, dtype=np.uint8)
-    err = np.empty_like(cols)
-    d = u.diagonal()[lo:hi]
-    scale64, scale32 = p.scale.astype(np.float64), p.scale.astype(np.float32)
-    zero64 = p.zero.astype(np.float64)
-    beta = hi - lo
-    for b0 in range(0, beta, _BATCH):
-        b1 = min(b0 + _BATCH, beta)
-        for j in range(b0, b1):
-            codes[j] = encode(cols[j], scale64, zero64, p.bit_width, p.binary)
-            err[j] = (cols[j] - decode(codes[j], scale32, p.zero, p.binary)) / d[j]
-            cols[j + 1 : b1] -= u[lo + j, lo + j + 1 : lo + b1, None] * err[j]
-        cols[b1:] -= u[lo + b0 : lo + b1, lo + b1 : hi].T @ err[b0:b1]
-    if not np.all(np.isfinite(err)):
-        raise NonFiniteIntermediate(
-            f"error spreading produced non-finite values at group {lo // beta}"
-        )
-    work[:, hi:] -= err.T @ u[lo:hi, hi:]
-    return QuantizedBlock(codes=codes.T, params=p)
+def _group_errors(w_g: np.ndarray, qb: QuantizedBlock, u_g: np.ndarray) -> np.ndarray:
+    """The walk's E for one group, (W_g - W_hat_g) U_gg^-1, from one
+    triangular solve: the walk's recurrence is W_g - W_hat_g = E U_gg,
+    with W_g the group's columns as the walk found them and U_gg the
+    group's diagonal block of the inverse factor."""
+    d = np.subtract(w_g, dequantize(qb))
+    # E U_gg = D is U_gg^T E^T = D^T; D^T of a C-ordered D is
+    # Fortran-ordered, so dtrsm solves it in place
+    return scipy.linalg.blas.dtrsm(1.0, u_g, d.T, trans_a=1, overwrite_b=1).T
 
 
 def quantize_layer(
@@ -236,17 +204,31 @@ def quantize_layer(
         if not np.all(np.isfinite(work[:, lo:hi])):
             raise NonFiniteIntermediate(f"error spreading left non-finite values in group {g}")
         bits = int(plan.bits[g])
+        u = hs.chol_inv[lo:hi, lo:hi] if cfg.compensation_enabled else None
         with _stage(stage_s, "range_calibration"):
             # the sign/magnitude form of a 1-bit group has no range to scale
             if cfg.sqc_enabled and bits > 1:
-                qb, gammas[g] = calibrate_group(work[:, lo:hi], bits, SqcConfig())
+                qb, gammas[g] = calibrate_group(work[:, lo:hi], bits, SqcConfig(), u)
             else:
-                qb = quantize_uniform(work[:, lo:hi], bits)
+                qb = walk_group(work[:, lo:hi], bits, u)
         if cfg.compensation_enabled:
             with _stage(stage_s, "compensation"):
-                qb = _compensate(work, qb, hs.chol_inv, lo, hi)
+                err = _group_errors(work[:, lo:hi], qb, u)
+                if not np.all(np.isfinite(err)):
+                    raise NonFiniteIntermediate(
+                        f"error spreading produced non-finite values at group {g}"
+                    )
+                # GPTQ's update of the later columns, on scipy's BLAS like
+                # every product of the walk: numpy's BLAS has its own worker
+                # thread, and alternating the two libraries' workers stalled
+                # the walk's products on two cores
+                work[:, hi:] -= scipy.linalg.blas.dgemm(
+                    1.0, hs.chol_inv[lo:hi, hi:], err.T, trans_a=1
+                ).T
         blocks.append(qb)
-    del work  # scoring's temporaries reuse its memory
+    # scoring's temporaries reuse work's memory, and u is a view into the
+    # inverse factor
+    del work, u
     # score is handed the only reference to the Gram state, so it frees
     # the m x m inverse factor after the proxy loss (held through the
     # divergence, it raised quantize-wide's peak RSS by 13 MB)

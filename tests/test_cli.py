@@ -20,6 +20,7 @@ import scipy
 
 import slimquant
 from fixtures import clustered_layer, identity_calib, random_calib, random_layer
+from slimquant import cli
 from slimquant.cli import BLAS_THREAD_VARS, build_parser, main
 from slimquant.packfmt import FLAG_BINARY_1BIT, read_packed, unpack
 from slimquant.pipeline import STAGES, PipelineConfig, quantize_layer, reconstruct
@@ -171,8 +172,7 @@ def test_quantize_writes_model_and_report(layer_files, tmp_path, capsys):
     assert report["plan"]["kl_curve"] == res.plan.kl_curve.tolist()
     assert report["metrics"]["proxy_loss"] > 0.0
     assert report["metrics"]["file_bytes"] == out.stat().st_size
-    assert len(report["gammas"]["per_group"]) == 4
-    assert sum(report["gammas"]["histogram"].values()) == 4
+    assert report["gammas"] == {"per_group": res.gammas.tolist()}
 
 
 def test_quantize_ablation_floor_reproduces_rtn(layer_files, tmp_path, capsys):
@@ -245,6 +245,27 @@ def test_quantize_empty_layer_fails_cleanly(tmp_path, capfd, rows, channels):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error[ShapeMismatch]: ")
     assert not (tmp_path / "m.slmq").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_mismatched_calibration_is_rejected_before_the_gram_matrix(
+    layer_files, tmp_path, capsys, monkeypatch, command
+):
+    wpath, xpath, _, _ = layer_files
+    model = tmp_path / "m.slmq"
+    assert run(capsys, *quantize_args(wpath, xpath, model))[0] == 0
+    wide = tmp_path / "wide.slmt"
+    write_tensor(wide, random_calib(np.random.default_rng(51), 32, 96))
+
+    def refused(calib):
+        raise AssertionError("the Gram matrix of a mismatched calibration was formed")
+
+    monkeypatch.setattr(cli, "accumulate_hessian", refused)
+    args = {"eval": ["--model", model], "inspect": ["--group-size", 16]}[command]
+    code, out, err = run(capsys, command, "--weights", wpath, "--calib", wide, *args)
+    assert code == 1
+    assert out == ""
+    assert err == "error[ShapeMismatch]: calibration has 96 channels, weights 64\n"
 
 
 def test_eval_matches_quantize_report(layer_files, tmp_path, capsys):

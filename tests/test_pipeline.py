@@ -38,6 +38,7 @@ from slimquant.quant_core import (
 from slimquant.salience import HessianState, accumulate_hessian, damp_and_invert
 from slimquant.sba import KlConfig, kl_reference, output_kl, stride_subsample
 from slimquant.sqc import SqcConfig, calibrate_group
+from slimquant.sqc import _walk as sqc_walk
 from slimquant.tensor_store import CalibrationSet
 
 
@@ -258,7 +259,7 @@ def test_gammas_cover_groups_and_default_to_unity():
     tuned = quantize_layer(w, calib, PipelineConfig(beta=16, bits=2,
                                                     sba_enabled=False))
     assert tuned.gammas.shape == (4,)
-    assert np.all((tuned.gammas >= 0.9) & (tuned.gammas <= 1.1))
+    assert np.all((tuned.gammas >= 0.65) & (tuned.gammas <= 1.05))
     plain = quantize_layer(w, calib, PipelineConfig(
         beta=16, bits=2, sba_enabled=False, sqc_enabled=False))
     assert np.all(plain.gammas == 1.0)
@@ -314,20 +315,20 @@ def test_identity_gram_columnwise_matches_blockwise():
     assert blockwise.proxy_loss == columnwise.proxy_loss
 
 
-def columnwise_reference(w, calib, cfg, plan_bits):
-    """The columnwise in-group loop written out one column at a time, with
-    its own requantization and float32 decode of each column: the blocks
-    quantize_layer should return for this plan."""
+def columnwise_reference(w, calib, cfg, blocks):
+    """The walk written out one column at a time under the parameters of
+    quantize_layer's blocks, with its own requantization and float32 decode
+    of each column and a rank-1 update of every later column of the group,
+    then the spread onto later groups. Returns the blocks quantize_layer
+    should return under those parameters, the Gram state, and per group
+    the columns the walk found and its E."""
     hs = hessian_state(calib)
     u = hs.chol_inv
     work = w.astype(np.float64)
-    blocks = []
-    for g, bits in enumerate(int(b) for b in plan_bits):
+    out, walked = [], []
+    for g, params in enumerate(qb.params for qb in blocks):
         lo, hi = g * cfg.beta, (g + 1) * cfg.beta
-        if bits == 1:
-            params = binarize_block(work[:, lo:hi].copy()).params
-        else:
-            params = calibrate_group(work[:, lo:hi].copy(), bits, SqcConfig())[0].params
+        found = work[:, lo:hi].copy()
         scale64 = params.scale.astype(np.float64)
         scale32 = params.scale.astype(np.float32)
         codes = np.empty((w.shape[0], cfg.beta), dtype=np.uint8)
@@ -340,13 +341,14 @@ def columnwise_reference(w, calib, cfg, plan_bits):
                 deq = (codes[:, j].astype(np.float32) * 2 - 1) * scale32
             else:
                 q = np.rint(col / scale64) + params.zero.astype(np.float64)
-                codes[:, j] = np.clip(q, 0, (1 << bits) - 1)
+                codes[:, j] = np.clip(q, 0, (1 << params.bit_width) - 1)
                 deq = (codes[:, j].astype(np.float32) - params.zero.astype(np.float32)) * scale32
             err[:, j] = (col - deq) / u[c, c]
             work[:, c + 1 : hi] -= np.outer(err[:, j], u[c, c + 1 : hi])
         work[:, hi:] -= err @ u[lo:hi, hi:]
-        blocks.append(QuantizedBlock(codes=codes, params=params))
-    return blocks, hs
+        out.append(QuantizedBlock(codes=codes, params=params))
+        walked.append((found, err))
+    return out, hs, walked
 
 
 def group_at_once_loss(w, calib, cfg, plan_bits):
@@ -372,12 +374,31 @@ def test_columnwise_matches_per_column_reference():
     for seed in range(3):
         w, x = clustered_layer(seed, n=32, m=256, t=512)
         calib = CalibrationSet([x])
-        cfg = PipelineConfig(beta=64, bits=2)
-        res = quantize_layer(w, calib, cfg)
-        assert res.plan.p_star >= 1  # some group runs at 1 bit
-        ref, hs = columnwise_reference(w, calib, cfg, res.plan.bits)
-        assert blocks_equal(res.blocks, ref)
-        assert res.proxy_loss == proxy_loss(w, reconstruct(ref), hs)
+        for sqc in (True, False):
+            cfg = PipelineConfig(beta=64, bits=2, sqc_enabled=sqc)
+            res = quantize_layer(w, calib, cfg)
+            assert res.plan.p_star >= 1  # some group runs at 1 bit
+            ref, hs, _ = columnwise_reference(w, calib, cfg, res.blocks)
+            assert blocks_equal(res.blocks, ref)
+            assert res.proxy_loss == proxy_loss(w, reconstruct(ref), hs)
+
+
+def test_solved_errors_are_the_walks():
+    # the spread onto later groups takes E from one triangular solve; it
+    # must be the E the walk formed column by column, and its rows' squares
+    # the losses the walk scored
+    w, x = clustered_layer(5, n=32, m=256, t=512)
+    calib = CalibrationSet([x])
+    cfg = PipelineConfig(beta=64, bits=2)
+    res = quantize_layer(w, calib, cfg)
+    ref, hs, walked = columnwise_reference(w, calib, cfg, res.blocks)
+    for g, (qb, (found, err)) in enumerate(zip(ref, walked)):
+        u = hs.chol_inv[g * 64:(g + 1) * 64, g * 64:(g + 1) * 64]
+        solved = pipeline._group_errors(found, qb, u)
+        assert np.linalg.norm(solved - err) <= 1e-12 * np.linalg.norm(err)
+        p = qb.params
+        _, loss = sqc_walk(found, p.scale[None], p.zero, p.bit_width, p.binary, u)
+        np.testing.assert_allclose(loss[0], (solved ** 2).sum(axis=1), rtol=1e-12)
 
 
 @pytest.mark.parametrize("row, col", [(0, 5), (3, 20)])

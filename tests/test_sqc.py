@@ -1,39 +1,95 @@
-"""Tests for gamma grid construction and per-group range calibration."""
+"""Tests for the group walk: per-row range calibration by compensated loss,
+and the walk under one parameter set."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
-from hypothesis import strategies as st
 
 import slimquant.sqc as sqc
+from fixtures import hessian_state, random_calib
 from slimquant.errors import InvalidConfig
 from slimquant.quant_core import (
     _row_range,
-    affine_params,
     block_mse,
+    derive_params,
     dequantize,
-    encode,
     params_from_range,
     quantize_uniform,
 )
-from slimquant.sqc import SqcConfig, calibrate_group, gamma_grid
+from slimquant.sqc import SqcConfig, calibrate_group, walk_group
+from slimquant.tensor_store import CalibrationSet
 
 
-def test_default_grid_has_101_points():
-    grid = gamma_grid()
-    assert len(grid) == 101
-    assert grid[0] == pytest.approx(0.9)
-    assert grid[-1] == pytest.approx(1.1)
-    assert 1.0 in grid
-    assert np.all(np.diff(grid) > 0.0)
+def inverse_factor(rng, beta, outliers=2):
+    """The inverse Gram factor U of beta channels, a few of them scaled up,
+    as the pipeline hands a group's diagonal block of it to the walk."""
+    x = random_calib(rng, 4 * beta, beta)
+    x[:, rng.choice(beta, outliers, replace=False)] *= 8.0
+    return hessian_state(CalibrationSet([x])).chol_inv
 
 
-def test_grid_dedupes_unity(monkeypatch):
-    # 2 * n_gamma points symmetric about 1.0 never hit it; unity is added once
-    monkeypatch.setattr(SqcConfig, "n_gamma", 2)
-    grid = gamma_grid()
-    assert len(grid) == 5
-    assert np.sum(grid == 1.0) == 1
+def walk_reference(block, params, u):
+    """The walk written out one column at a time: each column's codes and
+    float32 decode, its error over u's diagonal, and a rank-1 update of
+    every later column of the group. Returns the codes and E."""
+    work = np.array(block, dtype=np.float64)
+    n, beta = work.shape
+    maxq = (1 << params.bit_width) - 1
+    scale64, scale32 = params.scale.astype(np.float64), params.scale.astype(np.float32)
+    codes = np.empty((n, beta), dtype=np.uint8)
+    err = np.empty((n, beta))
+    for j in range(beta):
+        col = work[:, j]
+        if params.binary:
+            codes[:, j] = col >= 0.0
+            deq = (codes[:, j].astype(np.float32) * 2 - 1) * scale32
+        else:
+            q = np.rint(col / scale64) + params.zero.astype(np.float64)
+            codes[:, j] = np.clip(q, 0, maxq)
+            deq = (codes[:, j].astype(np.float32) - params.zero.astype(np.float32)) * scale32
+        err[:, j] = (col - deq) / u[j, j]
+        work[:, j + 1:] -= np.outer(err[:, j], u[j, j + 1:])
+    return codes, err
+
+
+def row_losses(err):
+    """||E_row||^2, summed over the columns in order, as the walk sums."""
+    loss = np.zeros(len(err))
+    for j in range(err.shape[1]):
+        loss += err[:, j] ** 2
+    return loss
+
+
+def reference_calibrate(block, bits, u):
+    """Per row: the coarse winner by (loss, closeness to 1, value), then the
+    best of it and its fine neighbours, each factor's loss from its own
+    walk of the whole block. Returns the codes, scales and factors, in
+    multiples of 1 / SqcConfig.step."""
+    step = SqcConfig.step
+    lo, hi = _row_range(block)
+    walks = {}
+    for k in range(min(SqcConfig.coarse) - 1, max(SqcConfig.coarse) + 2):
+        codes, err = walk_reference(block, params_from_range(lo, hi, bits, k / step), u)
+        walks[k] = codes, row_losses(err)
+
+    def best(candidates, r):
+        return min(candidates, key=lambda k: (walks[k][1][r], abs(k - step), k))
+
+    chosen = []
+    for r in range(len(block)):
+        winner = best(SqcConfig.coarse, r)
+        chosen.append(best([winner] + [winner + d for d in SqcConfig.fine], r))
+    codes = np.stack([walks[k][0][r] for r, k in enumerate(chosen)])
+    chosen = np.array(chosen)
+    return codes, params_from_range(lo, hi, bits, chosen / step).scale, chosen
+
+
+def assert_same_block(a, b):
+    assert np.array_equal(a.codes, b.codes)
+    assert np.array_equal(a.params.scale, b.params.scale)
+    assert np.array_equal(a.params.zero, b.params.zero)
+    assert a.params.binary == b.params.binary
 
 
 def test_on_grid_block_wins_with_unity():
@@ -66,23 +122,6 @@ def test_never_worse_than_plain_minmax():
     assert strict >= 50  # shrinking the range usually helps Gaussian data
 
 
-def test_winner_matches_grid_scan(monkeypatch):
-    monkeypatch.setattr(SqcConfig, "n_gamma", 10)
-    rng = np.random.default_rng(3)
-    block = rng.standard_normal((6, 24)).astype(np.float32)
-    qb, gamma = calibrate_group(block, 2, SqcConfig())
-    got = block_mse(block, dequantize(qb))
-    from slimquant.quant_core import _row_range, params_from_range
-
-    lo, hi = _row_range(block.astype(np.float64))
-    losses = []
-    for g in gamma_grid():
-        params = params_from_range(lo, hi, 2, gamma=float(g))
-        deq = dequantize(quantize_uniform(block.astype(np.float64), 2, params))
-        losses.append(block_mse(block, deq))
-    assert got == min(losses)
-
-
 def test_constant_block_ties_resolve_to_unity():
     block = np.full((3, 8), 4.0)
     qb, gamma = calibrate_group(block, 2, SqcConfig())
@@ -101,8 +140,7 @@ def test_scaling_block_by_two_keeps_winner():
 
 
 def test_codes_stay_in_range_for_grown_gamma(monkeypatch):
-    monkeypatch.setattr(SqcConfig, "lambda_gamma", 0.9)
-    monkeypatch.setattr(SqcConfig, "n_gamma", 40)
+    monkeypatch.setattr(SqcConfig, "coarse", (20, 30, 38))  # up to 1.95
     rng = np.random.default_rng(5)
     for bits in (2, 3, 4):
         block = (rng.standard_normal((4, 12)) * 5.0).astype(np.float32)
@@ -112,9 +150,9 @@ def test_codes_stay_in_range_for_grown_gamma(monkeypatch):
 
 
 def test_dominance_holds_in_deployed_float32():
-    # the objective is measured on the exact float32 decode, so the unity
-    # candidate ties the plain quantizer bit for bit and the winner can
-    # never come out behind, not even at the last ulp
+    # the objective is measured on the exact float32 decode, so factor 1
+    # ties the plain quantizer bit for bit and the winner can never come
+    # out behind, not even at the last ulp
     rng = np.random.default_rng(10)
     for bits in (2, 3, 4):
         for _ in range(30):
@@ -126,26 +164,6 @@ def test_dominance_holds_in_deployed_float32():
             assert tuned <= plain
 
 
-def reference_row_losses(block, bits, grid):
-    """One full quantize_uniform -> dequantize per gamma."""
-    lo, hi = _row_range(block)
-    losses = np.empty((len(grid), block.shape[0]))
-    for i, gamma in enumerate(grid):
-        params = params_from_range(lo, hi, bits, gamma=float(gamma))
-        deq = dequantize(quantize_uniform(block, bits, params)).astype(np.float64)
-        losses[i] = ((block - deq) ** 2).sum(axis=1)
-    return losses
-
-
-def reference_calibrate(block, bits):
-    """Winner by the reference losses: (quantized block, gamma)."""
-    grid = gamma_grid()
-    losses = reference_row_losses(block, bits, grid)
-    gamma = float(grid[np.lexsort((grid, np.abs(grid - 1.0), losses.sum(axis=1)))[0]])
-    lo, hi = _row_range(block)
-    return quantize_uniform(block, bits, params_from_range(lo, hi, bits, gamma)), gamma
-
-
 @pytest.mark.parametrize("bits", [0, 1])
 def test_widths_below_two_rejected(bits):
     # 1-bit groups take the sign/magnitude form, which has no range to scale
@@ -153,267 +171,117 @@ def test_widths_below_two_rejected(bits):
         calibrate_group(np.ones((2, 8)), bits, SqcConfig())
 
 
-def candidates(block, bits):
-    """Every candidate's scales and zero-points on the default grid."""
-    lo, hi = _row_range(block)
-    return affine_params(lo[None, :], hi[None, :], bits, gamma_grid()[:, None])
+def assert_matches_reference(compensated):
+    """calibrate_group against reference_calibrate on random blocks; ties
+    come from coarse values and from zero rows."""
+    rng = np.random.default_rng(22)
+    for trial in range(60):
+        bits = 2 + trial % 3
+        beta = (4, 8, 16, 40)[trial // 3 % 4]
+        block = rng.standard_normal((int(rng.integers(1, 24)), beta))
+        if trial % 4 == 1:
+            block = np.round(block * 2.0) / 2.0
+        elif trial % 4 == 2:
+            block[rng.random(block.shape) < 0.5] = 0.0
+        block *= 10.0 ** rng.uniform(-6, 6)
+        u = inverse_factor(rng, beta) if compensated else np.eye(beta)
+        qb, gamma = calibrate_group(block, bits, SqcConfig(), u if compensated else None)
+        codes, scale, factors = reference_calibrate(block, bits, u)
+        assert np.array_equal(qb.codes, codes)
+        assert np.array_equal(qb.params.scale, scale)
+        assert gamma == factors.mean() / SqcConfig.step
+        assert np.all((factors >= 13) & (factors <= 21))  # 0.65 to 1.05
 
 
-def grid_case(block, bits):
-    """Candidate parameters of a block and their exact float64 totals."""
-    scales, zeros = candidates(block, bits)
-    return scales, zeros, reference_row_losses(block, bits, gamma_grid()).sum(axis=1)
-
-
-def on_half_steps(rng, block, bits, index):
-    """Move every element but each row's min and max onto a half-integer
-    multiple of candidate index's scale inside the row's range, so the row
-    ranges, and with them every candidate's parameters, stay as they were."""
-    lo, hi = _row_range(block)
-    s = candidates(block, bits)[0][index].astype(np.float64)[:, None]
-    k_lo, k_hi = np.ceil(lo[:, None] / s - 0.5), np.floor(hi[:, None] / s - 0.5)
-    k = k_lo + np.floor(rng.random(block.shape) * (k_hi - k_lo + 1))
-    out = (k + 0.5) * s
-    out[:, 0], out[:, 1] = lo, hi
-    return out
-
-
-def edge_rows(block):
-    block = block.copy()
-    block[0] = 0.0
-    block[1] = block[1, 0]  # constant row
-    block[2] = np.abs(block[2])  # range pinned at zero from below
-    block[3] = -np.abs(block[3])  # and from above
-    return block
-
-
-@pytest.mark.parametrize("beta", [16, 128])
-@pytest.mark.parametrize("magnitude", [1e-30, 1e-12, 1.0, 1e12, 1e30])
-def test_screen_bound_holds_for_every_candidate(beta, magnitude):
-    rng = np.random.default_rng(20 + beta)
-    for bits in (2, 3, 4):
-        gaussian = rng.standard_normal((37, beta)) * magnitude
-        blocks = [gaussian, edge_rows(gaussian)]
-        blocks += [on_half_steps(rng, gaussian, bits, i) for i in (0, 30, 50, 77)]
-        for block in blocks:
-            scales, zeros, exact = grid_case(block, bits)
-            approx, bound = sqc._screen_totals(block, bits, scales, zeros)
-            assert np.all(np.isfinite(approx)) and np.all(np.isfinite(bound))
-            assert np.all(np.abs(approx - exact) <= bound)
-            # every candidate that can win survives the screen
-            keep = sqc._survivors(block, bits, scales, zeros)
-            assert set(np.flatnonzero(exact == exact.min())) <= set(keep)
-
-
-def test_screen_bound_holds_on_rows_rounded_by_half_an_ulp():
-    # where every element loses almost half a float32 ulp and a row has
-    # few elements, the screen's error comes closest to its bound (about
-    # a third of it here)
-    rng = np.random.default_rng(25)
-    for trial in range(400):
-        bits, beta = 2 + trial % 3, 1 + trial // 3 % 4
-        x = rng.standard_normal((1, beta)).astype(np.float32)
-        ulp = np.spacing(np.abs(x)).astype(np.float64)
-        block = x.astype(np.float64) + rng.choice([-0.499, 0.499], x.shape) * ulp
-        scales, zeros, exact = grid_case(block, bits)
-        approx, bound = sqc._screen_totals(block, bits, scales, zeros)
-        assert np.all(np.abs(approx - exact) <= bound)
-
-
-def assert_matches_reference(block, bits):
-    qb, gamma = calibrate_group(block, bits, SqcConfig())
-    ref_qb, ref_gamma = reference_calibrate(block, bits)
-    assert gamma == ref_gamma
-    assert np.array_equal(qb.codes, ref_qb.codes)
-    assert np.array_equal(qb.params.scale, ref_qb.params.scale)
-    assert np.array_equal(qb.params.zero, ref_qb.params.zero)
-
-
-@pytest.mark.parametrize("slice_elements, shapes", [
-    # slices of 4 rows at width 16 and 2 rows at width 32
-    (64, ((1, 16), (9, 16), (13, 32))),
-    # the default slice: 512 rows at width 128, so two full slices and 76 rows
-    (sqc._SLICE_ELEMENTS, ((1100, 128),)),
-])
-def test_sliced_screen_keeps_the_reference_winner(monkeypatch, slice_elements, shapes):
-    # the step screen is the one pass over slices of rows; no row count
-    # divides evenly into slices
-    monkeypatch.setattr(sqc, "_SLICE_ELEMENTS", slice_elements)
-    rng = np.random.default_rng(11)
-    for bits in (2, 3, 4):
-        for n, beta in shapes:
-            block = rng.standard_normal((n, beta)) * rng.uniform(0.01, 4.0)
-            block[n // 2] = 0.0
-            if n > 2:
-                block[-1] = -1.5  # constant row
-                block[1] = np.abs(block[1])  # range pinned at zero from below
-                # every third row from the third has lo = -hi, where
-                # lo maxq / (hi - lo) is a half-integer
-                top = np.abs(block[2:-1:3]).max(axis=1)
-                block[2:-1:3, 0], block[2:-1:3, -1] = -top, top
-            assert_matches_reference(block, bits)
-
-
-def near_tie(rng, bits, beta):
-    """A block whose two best candidates' exact totals differ by far less
-    than the screen's bound: a row that prefers the runner-up, scaled so
-    that it makes up the gap."""
-    base = rng.standard_normal((int(rng.integers(1, 6)), beta))
-    grid = gamma_grid()
-    _, _, totals = grid_case(base, bits)
-    first, second = np.lexsort((grid, np.abs(grid - 1.0), totals))[:2]
-    while True:
-        row = rng.standard_normal((1, beta))
-        _, _, losses = grid_case(row, bits)
-        if losses[first] > losses[second]:
-            break
-    alpha = np.sqrt((totals[second] - totals[first]) / (losses[first] - losses[second]))
-    return np.vstack([base, alpha * row])
+def test_winner_matches_grid_scan():
+    # without a factor each row's loss is its plain squared error
+    assert_matches_reference(compensated=False)
 
 
 def test_calibration_matches_full_search():
-    rng = np.random.default_rng(22)
-    for trial in range(480):
-        bits = 2 + trial % 3
-        beta = (4, 8, 16, 32)[trial // 3 % 4]
-        block = rng.standard_normal((int(rng.integers(1, 40)), beta))
-        if trial % 4 == 1:
-            block = np.round(block * 2.0) / 2.0  # coarse values, exact ties
-        elif trial % 4 == 2:
-            block[rng.random(block.shape) < 0.5] = 0.0
-        assert_matches_reference(block * 10.0 ** rng.uniform(-6, 6), bits)
-    rescored = 0
-    for trial in range(30):
-        bits, beta = 2 + trial % 3, (8, 16, 32)[trial // 3 % 3]
-        block = near_tie(rng, bits, beta)
-        scales, zeros, exact = grid_case(block, bits)
-        keep = sqc._survivors(block, bits, scales, zeros)
-        rescored += len(keep) >= 2 and len(set(exact[keep])) >= 2
-        assert_matches_reference(block, bits)
-    assert rescored >= 20  # near-ties the screen cannot split: scored exactly
+    # every factor a row can end on, walked one column at a time
+    assert_matches_reference(compensated=True)
 
 
-def falling_scale_block():
-    """A Gaussian block with one row whose span puts its 2-bit scale at
-    float32's rounding edge: the scale rounds to 0 at the low gammas, where
-    quant_core gives it RANGE_FLOOR / 3, and to 2^-149 above, so it falls
-    along the grid."""
-    block = np.random.default_rng(23).standard_normal((6, 16))
-    block[2] = 0.0
-    block[2, 5] = 3.0 * 2.0 ** -150
-    return block
-
-
-@pytest.mark.parametrize("block", [
-    np.random.default_rng(23).standard_normal((6, 16)) * 1e37,  # |b| >= 2^120
-    falling_scale_block(),
-], ids=["magnitude-1e37", "falling-scale"])
-def test_block_outside_the_step_screen_keeps_every_candidate(block):
-    scales, zeros = candidates(block, 2)
-    assert sqc._screen_totals(block, 2, scales, zeros) is None
-    assert len(sqc._survivors(block, 2, scales, zeros)) == len(scales)
+@pytest.mark.parametrize("compensated", [False, True])
+def test_each_row_is_no_worse_than_at_factor_one(compensated):
+    rng = np.random.default_rng(30)
     for bits in (2, 3, 4):
-        assert_matches_reference(block, bits)
+        block = rng.standard_normal((64, 128)) * rng.uniform(0.1, 3.0)
+        u = inverse_factor(rng, 128) if compensated else None
+        qb, _ = calibrate_group(block, bits, SqcConfig(), u)
+        plain = params_from_range(*_row_range(block), bits)
+        chosen = sqc._walk(block, qb.params.scale[None], qb.params.zero, bits, False, u)
+        at_one = sqc._walk(block, plain.scale[None], plain.zero, bits, False, u)
+        assert np.array_equal(chosen[0][0], qb.codes)
+        assert np.all(chosen[1] <= at_one[1])
+        assert np.sum(chosen[1] < at_one[1]) >= 32
 
 
-@pytest.mark.parametrize("magnitude, value", [(1.0, 1e-40), (1e30, 1e-10)])
-def test_block_outside_float32_normal_range_is_screened(magnitude, value):
-    # the float32 screen kept every candidate here: no power of two brings
-    # both magnitudes into float32's normal range
-    block = np.random.default_rng(23).standard_normal((6, 16)) * magnitude
-    block[2, 5] = value
+def test_identity_factor_is_no_factor():
+    rng = np.random.default_rng(31)
     for bits in (2, 3, 4):
-        scales, zeros, exact = grid_case(block, bits)
-        approx, bound = sqc._screen_totals(block, bits, scales, zeros)
-        assert np.all(np.abs(approx - exact) <= bound)
-        assert len(sqc._survivors(block, bits, scales, zeros)) < len(scales)
-        assert_matches_reference(block, bits)
+        block = rng.standard_normal((40, 32))
+        a, gamma_a = calibrate_group(block, bits, SqcConfig(), np.eye(32))
+        b, gamma_b = calibrate_group(block, bits, SqcConfig())
+        assert_same_block(a, b)
+        assert gamma_a == gamma_b
+    for bits in (1, 2, 3):
+        assert_same_block(walk_group(block, bits, np.eye(32)), walk_group(block, bits))
 
 
-@pytest.mark.parametrize("rows", [1024, 4096])
-def test_screen_leaves_at_most_two_candidates(rows):
-    # a deterministic stand-in for a timing check: each survivor costs one
-    # exact float64 pass over the block
-    rng = np.random.default_rng(24)
-    for bits in (2, 3, 4):
-        block = rng.standard_normal((rows, 128))
-        scales, zeros = candidates(block, bits)
-        assert len(sqc._survivors(block, bits, scales, zeros)) <= 2
+@pytest.mark.parametrize("pairs", [1, 7])
+def test_walk_is_the_same_at_every_slice_size(monkeypatch, pairs):
+    # each row is walked on its own, so the 100 rows around the boundary of
+    # the coarse pass's two default slices come out the same when they are
+    # walked alone in slices of 1 or 7 (candidate, row) pairs
+    boundary = sqc._SLICE // len(SqcConfig.coarse)
+    rng = np.random.default_rng(32)
+    block = rng.standard_normal((boundary + 100, 128))
+    block[boundary + 10] = 0.0
+    u = inverse_factor(rng, 128)
+    part = slice(boundary - 50, boundary + 50)
+    whole = {bits: calibrate_group(block, bits, SqcConfig(), u)[0] for bits in (2, 3)}
+    walked = {bits: walk_group(block, bits, u) for bits in (2, 3)}
+    monkeypatch.setattr(sqc, "_SLICE", pairs)
+    for bits in (2, 3):
+        for qb, again in (
+            (whole[bits], calibrate_group(block[part], bits, SqcConfig(), u)[0]),
+            (walked[bits], walk_group(block[part], bits, u)),
+        ):
+            assert np.array_equal(again.codes, qb.codes[part])
+            assert np.array_equal(again.params.scale, qb.params.scale[part])
+            assert np.array_equal(again.params.zero, qb.params.zero[part])
 
 
-def count_encoded(monkeypatch):
-    """The number of elements the screen hands to encode, as it runs."""
-    seen = [0]
-
-    def counting(w, scale, zero, bit_width, binary):
-        seen[0] += np.broadcast(w, scale, zero).size
-        return encode(w, scale, zero, bit_width, binary)
-
-    monkeypatch.setattr(sqc, "encode", counting)
-    return seen
-
-
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_screen_encodes_a_few_levels_per_weight(monkeypatch, symmetric):
-    # a deterministic stand-in for a timing check: the float32 screen made
-    # 101 passes over the block. Rows with lo = -hi sit on a half-integer
-    # lo maxq / (hi - lo), and take one zero-point like every other row
-    rng = np.random.default_rng(27)
-    seen = count_encoded(monkeypatch)
-    for bits in (2, 3, 4):
-        block = rng.standard_normal((4096, 128))
-        if symmetric:
-            top = np.abs(block).max(axis=1)
-            block[:, 0], block[:, 1] = -top, top
-        scales, zeros = candidates(block, bits)
-        assert np.all(zeros == params_from_range(*_row_range(block), bits).zero)
-        seen[0] = 0
-        sqc._survivors(block, bits, scales, zeros)
-        assert 0 < seen[0] <= 4 * block.size
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_one_candidate_walk_matches_per_column_reference(bits):
+    rng = np.random.default_rng(33 + bits)
+    for beta in (8, 40, 128):
+        block = rng.standard_normal((50, beta))
+        u = inverse_factor(rng, beta)
+        qb = walk_group(block, bits, u)
+        params = derive_params(block, bits)
+        codes, _ = walk_reference(block, params, u)
+        assert np.array_equal(qb.codes, codes)
+        assert_same_block(qb, type(qb)(codes, params))
 
 
-ROW_KINDS = ["gaussian", "symmetric", "constant", "zero", "half-steps", "subnormal-scale"]
-
-
-@st.composite
-def screen_blocks(draw):
-    """A block of 1-64 rows of 1-32 weights at 1e-40 to 1e30, with rows
-    built to stress the screen's premises, and its width. Rows with
-    subnormal float32 scales step where the other rows' scales do not
-    predict, so the search falls back to bisection."""
-    n, beta, bits = draw(st.integers(1, 64)), draw(st.integers(1, 32)), draw(st.integers(2, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    block = rng.standard_normal((n, beta)) * 10.0 ** draw(st.floats(-40, 30))
-    kind = draw(st.sampled_from(ROW_KINDS + ["mixed"]))
-    kinds = rng.choice(ROW_KINDS, size=n) if kind == "mixed" else [kind] * n
-    index = draw(st.integers(0, len(gamma_grid()) - 1))
-    halves = on_half_steps(rng, block, bits, index) if beta >= 2 else block
-    for r, kind in enumerate(kinds):
-        if kind == "symmetric":  # lo = -hi: lo maxq / (hi - lo) is a half-integer
-            block[r, 0], block[r, -1] = -np.abs(block[r]).max(), np.abs(block[r]).max()
-        elif kind == "constant":
-            block[r] = block[r, 0]
-        elif kind == "zero":
-            block[r] = 0.0
-        elif kind == "half-steps":
-            block[r] = halves[r]
-        elif kind == "subnormal-scale":  # scales off the other rows' profile
-            block[r] *= 1e-42 / np.abs(block[r]).max(initial=1e-300)
-    return block, bits
-
-
-@settings(max_examples=300)
-@given(screen_blocks())
-def test_screen_bound_holds_on_stressed_rows(case):
-    block, bits = case
-    scales, zeros, exact = grid_case(block, bits)
-    keep = sqc._survivors(block, bits, scales, zeros)
-    assert set(np.flatnonzero(exact == exact.min())) <= set(keep)
-    screen = sqc._screen_totals(block, bits, scales, zeros)
-    if screen is None:
-        # only subnormal float32 scales can fall along the grid
-        assert scales.min() < np.finfo(np.float32).tiny
-        event("outside the screen")
-        return
-    approx, bound = screen
-    assert np.all(np.abs(approx - exact) <= bound)
+@pytest.mark.parametrize("coarse", [SqcConfig.coarse, tuple(range(13, 21))])
+def test_walk_memory_is_bounded_by_the_slice(monkeypatch, coarse):
+    # the walk's float64 buffer over one slice's (candidate, row) pairs
+    # takes 4 MiB at 128 columns; it also holds the block's transpose (4
+    # MiB) and every candidate's codes in uint8. All 4096 rows stacked at
+    # once would take 16 MiB for the buffer under 4 candidates, and twice
+    # that under 8
+    monkeypatch.setattr(SqcConfig, "coarse", coarse)
+    rng = np.random.default_rng(34)
+    block = rng.standard_normal((4096, 128))
+    u = inverse_factor(rng, 128)
+    tracemalloc.start()
+    try:
+        calibrate_group(block, 3, SqcConfig(), u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * sqc._SLICE * 128 * 8

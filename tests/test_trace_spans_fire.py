@@ -26,6 +26,10 @@ DEAD = {
     "pipeline.binarize_block",
     "sba.binarize_block",
     "pipeline.stride_subsample",
+    "pipeline.quantize_uniform",
+    "sqc.quantize_uniform",
+    "sqc.dequantize",
+    "sqc.params_from_range",
 }
 
 
@@ -66,7 +70,7 @@ def test_every_trace_target_fires(monkeypatch, tmp_path):
     model, report = tmp_path / "m.slmq", tmp_path / "m.json"
     run_cli("quantize", "--weights", paths["w"], "--calib", paths["x"], "--out", model,
             "--report", report, "--group-size", 64)
-    # 1-bit groups take the pipeline's plain quantize_uniform path
+    # 1-bit groups take the walk under their one parameter set
     assert 1 in json.loads(report.read_text())["plan"]["bits"]
     run_cli("eval", "--model", model, "--weights", paths["w"], "--calib", paths["x"])
     for dense in ((), ("--dense",)):
