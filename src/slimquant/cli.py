@@ -21,7 +21,7 @@ import scipy
 from .errors import InvalidConfig, ShapeMismatch, SlimQuantError
 from .kernel import dense_reference, packed_matmul
 from .packfmt import pack, packed_size_report, read_packed, unpack
-from .pipeline import PipelineConfig, quantize_layer, reconstruct, score
+from .pipeline import PipelineConfig, check_layer, quantize_layer, reconstruct, score
 from .salience import (
     accumulate_hessian,
     damp_and_invert,
@@ -44,18 +44,16 @@ BLAS_THREAD_VARS = (
 )
 
 
-def _load_weights(path: str) -> np.ndarray:
-    w = read_tensor(path)
-    if w.ndim != 2:
-        raise ShapeMismatch(f"{path}: weights must be 2-D, got {w.ndim}-D")
-    return w
-
-
-def _check_channels(calib, m: int) -> None:
-    """Reject a calibration whose channels are not the weights' m, as
-    quantize_layer does, before any Gram matrix is formed."""
-    if calib.channels != m:
-        raise ShapeMismatch(f"calibration has {calib.channels} channels, weights {m}")
+def _check_paths(inputs: dict[str, str], outputs: dict[str, str]) -> None:
+    """Refuse, before anything is read, an output path that resolves to
+    one of the command's inputs or to another output: writing it would
+    destroy that file. Both dicts map an option to its path."""
+    seen = {os.path.realpath(path): flag for flag, path in inputs.items()}
+    for flag, path in outputs.items():
+        real = os.path.realpath(path)
+        if real in seen:
+            raise InvalidConfig(f"{flag} and {seen[real]} name the same file, {path}")
+        seen[real] = flag
 
 
 def _write_outputs(outputs: list[tuple[str, bytes | str]]) -> None:
@@ -142,9 +140,11 @@ def _pipeline_config(args) -> PipelineConfig:
 def cmd_quantize(args) -> int:
     start = time.perf_counter()
     report_path = args.report or args.out + ".json"
-    if os.path.realpath(report_path) == os.path.realpath(args.out):
-        raise InvalidConfig(f"--report and --out name the same file, {args.out}")
-    w = _load_weights(args.weights)
+    _check_paths(
+        {"--weights": args.weights, "--calib": args.calib},
+        {"--out": args.out, "--report": report_path},
+    )
+    w = read_tensor(args.weights)
     calib = load_calibration(args.calib)
     cfg = _pipeline_config(args)
     result = quantize_layer(w, calib, cfg)
@@ -203,11 +203,11 @@ def cmd_quantize(args) -> int:
 
 def cmd_eval(args) -> int:
     pm = read_packed(args.model)
-    w = _load_weights(args.weights)
+    w = read_tensor(args.weights)
     calib = load_calibration(args.calib)
     if w.shape != (pm.n, pm.m):
         raise ShapeMismatch(f"weights {w.shape} do not match packed model {(pm.n, pm.m)}")
-    _check_channels(calib, pm.m)
+    check_layer(w, calib, pm.beta)
     blocks, widths = unpack(pm)
     hs = damp_and_invert(accumulate_hessian(calib))
     ref = kl_reference(calib.stacked(), w)
@@ -232,10 +232,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _check_sizes(**{"group-size": args.group_size})
-    w = _load_weights(args.weights)
+    _check_paths(
+        {"--weights": args.weights, "--calib": args.calib},
+        {"--out": args.out} if args.out else {},
+    )
+    w = read_tensor(args.weights)
     calib = load_calibration(args.calib)
-    _check_channels(calib, w.shape[1])
+    check_layer(w, calib, args.group_size)
     delta = salience(w, damp_and_invert(accumulate_hessian(calib)))
     sal = salience_means(delta, args.group_size)
     k = w.shape[1] // args.group_size
@@ -268,6 +271,7 @@ def _load_activations(path: str) -> np.ndarray:
 
 
 def cmd_matmul(args) -> int:
+    _check_paths({"--model": args.model, "--input": args.input}, {"--out": args.out})
     pm = read_packed(args.model)
     x = _load_activations(args.input)
     # outputs past float32's range come out as inf or nan, which

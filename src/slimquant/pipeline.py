@@ -155,21 +155,32 @@ def _group_errors(w_g: np.ndarray, qb: QuantizedBlock, u_g: np.ndarray) -> np.nd
     return scipy.linalg.blas.dtrsm(1.0, u_g, d.T, trans_a=1, overwrite_b=1).T
 
 
-def quantize_layer(
-    w: np.ndarray, calib: CalibrationSet, cfg: PipelineConfig
-) -> QuantizationResult:
-    w = np.asarray(w, dtype=np.float32)
+def check_layer(w: np.ndarray, calib: CalibrationSet, beta: int) -> None:
+    """Reject a layer that groups of beta channels do not define; the
+    first failing check raises. quantize_layer, `slimquant eval` and
+    `slimquant inspect` all call it before any Gram matrix is formed."""
+    w = np.asarray(w)
+    if beta < 1:
+        raise InvalidConfig(f"group size must be >= 1, got {beta}")
     if w.ndim != 2:
         raise ShapeMismatch(f"weights must be 2-D, got shape {w.shape}")
     if w.size == 0:
         raise ShapeMismatch(f"weights need at least one row and one channel, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise NonFiniteValue("weight matrix contains NaN or infinity")
-    n, m = w.shape
-    if m % cfg.beta != 0:
-        raise BadGroupSize(f"group size {cfg.beta} does not divide {m} channels")
+    m = w.shape[1]
+    if m % beta != 0:
+        raise BadGroupSize(f"group size {beta} does not divide {m} channels")
     if calib.channels != m:
         raise ShapeMismatch(f"calibration has {calib.channels} channels, weights {m}")
+
+
+def quantize_layer(
+    w: np.ndarray, calib: CalibrationSet, cfg: PipelineConfig
+) -> QuantizationResult:
+    w = np.asarray(w, dtype=np.float32)
+    check_layer(w, calib, cfg.beta)
+    n, m = w.shape
     beta = cfg.beta
     k = m // beta
 

@@ -80,6 +80,9 @@ def accumulate_hessian(calib: CalibrationSet) -> np.ndarray:
     0.3.31)."""
     if not calib.samples or calib.token_count == 0:
         raise EmptyCalibration("need at least one token vector")
+    if calib.channels == 0:
+        # BLAS would reject the empty product with a line of its own on stderr
+        raise ShapeMismatch("calibration has no channels")
     acc = _lower_gram(calib.samples[0])
     for s in calib.samples[1:]:
         acc += _lower_gram(s)
@@ -116,8 +119,9 @@ def damp_and_invert(H: np.ndarray, percdamp: float = 0.01) -> HessianState:
     allocated.
     """
     H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ShapeMismatch(f"Gram matrix must be square, got {H.shape}")
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.size == 0:
+        # an empty one would reach LAPACK, which rejects it on stderr
+        raise ShapeMismatch(f"Gram matrix must be square and non-empty, got {H.shape}")
     if not (math.isfinite(percdamp) and percdamp >= 0.0):
         raise InvalidConfig(f"percdamp must be finite and >= 0, got {percdamp}")
     if not (H.dtype == np.float64 and H.flags.c_contiguous and H.flags.writeable):

@@ -44,8 +44,8 @@ from .quant_core import QuantizedBlock, dequantize, quantize_uniform
 from .quant_core import binarize_block  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 from .salience import SalienceMap
 
-# Elements per row block of the divergence scoring (512 KiB of float64),
-# as in sqc's slices: the block and its buffer stay in cache.
+# Elements per row block of the divergence scoring (512 KiB of float64):
+# small enough that the block and its buffer stay in cache.
 _BLOCK_ELEMENTS = 65536
 
 # Channels per block of a whole-layer product (_outputs), the benchmark's

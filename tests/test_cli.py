@@ -22,9 +22,9 @@ import slimquant
 from fixtures import clustered_layer, identity_calib, random_calib, random_layer
 from slimquant import cli
 from slimquant.cli import BLAS_THREAD_VARS, build_parser, main
-from slimquant.packfmt import FLAG_BINARY_1BIT, read_packed, unpack
+from slimquant.packfmt import FLAG_BINARY_1BIT, pack, read_packed, unpack, write_packed
 from slimquant.pipeline import STAGES, PipelineConfig, quantize_layer, reconstruct
-from slimquant.quant_core import dequantize, quantize_uniform
+from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize, quantize_uniform
 from slimquant.salience import salience
 from slimquant.sba import KlConfig, kl_reference, output_kl, stride_subsample
 from slimquant.tensor_store import CalibrationSet, read_tensor, write_tensor
@@ -266,6 +266,47 @@ def test_mismatched_calibration_is_rejected_before_the_gram_matrix(
     assert code == 1
     assert out == ""
     assert err == "error[ShapeMismatch]: calibration has 96 channels, weights 64\n"
+
+
+def layer_with_model(tmp_path, rows, channels, beta=16):
+    """Weights of shape (rows, channels), a matching 16-token calibration
+    and a packed model of that shape, built without the quantizer."""
+    block = QuantizedBlock(
+        codes=np.zeros((rows, beta), dtype=np.uint8),
+        params=GroupQuantParams(2, np.ones(rows, dtype=np.float32),
+                                np.zeros(rows, dtype=np.uint8)),
+    )
+    paths = tmp_path / "w.slmt", tmp_path / "x.slmt", tmp_path / "m.slmq"
+    write_tensor(paths[0], np.ones((rows, channels), dtype=np.float32))
+    write_tensor(paths[1], np.ones((16, channels), dtype=np.float32))
+    write_packed(pack([block] * (channels // beta), rows, channels, beta), paths[2])
+    return paths
+
+
+@pytest.mark.parametrize("command, rows, channels, group_size, error", [
+    *[pytest.param(c, 0, 64, 16, "ShapeMismatch", id=f"{c}-zero-rows") for c in ("eval", "inspect")],
+    *[pytest.param(c, 2, 0, 16, "ShapeMismatch", id=f"{c}-zero-channels") for c in ("eval", "inspect")],
+    # eval takes the model's group size, which divides its channels
+    pytest.param("inspect", 16, 64, 24, "BadGroupSize", id="inspect-group-size"),
+])
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_malformed_layer_is_rejected_before_the_gram_matrix(
+    tmp_path, capfd, monkeypatch, command, rows, channels, group_size, error
+):
+    # capfd, not capsys: BLAS writes its argument errors to the process's
+    # stderr, which capsys does not see
+    wpath, xpath, model = layer_with_model(tmp_path, rows, channels)
+
+    def refused(calib):
+        raise AssertionError("the Gram matrix of a malformed layer was formed")
+
+    monkeypatch.setattr(cli, "accumulate_hessian", refused)
+    args = {"eval": ["--model", model], "inspect": ["--group-size", group_size]}[command]
+    code = main([str(a) for a in [command, "--weights", wpath, "--calib", xpath, *args]])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error[{error}]: ")
 
 
 def test_eval_matches_quantize_report(layer_files, tmp_path, capsys):
@@ -625,6 +666,39 @@ def test_report_naming_the_model_file_is_invalid_config(layer_files, tmp_path, c
     assert stdout == ""
     assert err.count("\n") == 1 and err.startswith("error[InvalidConfig]: ")
     assert sorted(tmp_path.iterdir()) == sorted([wpath, xpath])
+
+
+@pytest.mark.parametrize("command, output, named", [
+    ("quantize", "--out", "x.slmt"),
+    ("quantize", "--out", "./w.slmt"),
+    ("quantize", "--report", "x.slmt"),
+    ("inspect", "--out", "w.slmt"),
+    ("inspect", "--out", "link.slmt"),
+    ("matmul", "--out", "probe.slmt"),
+    ("matmul", "--out", "m.slmq"),
+])
+def test_output_naming_an_input_is_invalid_config(layer_files, tmp_path, capsys, monkeypatch,
+                                                  command, output, named):
+    # writing the output would replace the input it names, here directly,
+    # through "./" or through a symlink to the calibration
+    wpath, xpath, _, x = layer_files
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *quantize_args(wpath, xpath, "m.slmq"))[0] == 0
+    write_tensor("probe.slmt", x[:4])
+    os.symlink("x.slmt", "link.slmt")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = {
+        "quantize": quantize_args("w.slmt", "x.slmt", "q.slmq", report="q.json"),
+        "inspect": ["inspect", "--weights", "w.slmt", "--calib", "x.slmt",
+                    "--group-size", 16, "--out", "sal.csv"],
+        "matmul": ["matmul", "--model", "m.slmq", "--input", "probe.slmt", "--out", "y.slmt"],
+    }[command]
+    argv[argv.index(output) + 1] = named
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error[InvalidConfig]: ")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("value", [0, -8])

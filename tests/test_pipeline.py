@@ -24,6 +24,7 @@ from slimquant.pipeline import (
     STAGES,
     PipelineConfig,
     QuantizationResult,
+    check_layer,
     proxy_loss,
     quantize_layer,
     reconstruct,
@@ -454,6 +455,28 @@ def test_input_validation():
         quantize_layer(bad, calib, PipelineConfig(beta=8, bits=2))
     with pytest.raises(ShapeMismatch):
         quantize_layer(w[0], calib, PipelineConfig(beta=8, bits=2))
+
+
+def test_check_layer_raises_the_first_failing_check():
+    # each case mends the previous one's first failure and keeps the rest,
+    # so every check is reached with all the later ones failing too
+    rng = np.random.default_rng(9)
+    w = random_layer(rng, 4, 32)
+    nan = w.copy()
+    nan[0, 0] = np.nan
+    wide = CalibrationSet([random_calib(rng, 8, 48)])
+    cases = [
+        (w[0], wide, 0, InvalidConfig, "group size must be >= 1"),
+        (w[0], wide, 7, ShapeMismatch, "must be 2-D"),
+        (w[:0], wide, 7, ShapeMismatch, "at least one row"),
+        (nan, wide, 7, NonFiniteValue, "NaN"),
+        (w, wide, 7, BadGroupSize, "does not divide"),
+        (w, wide, 8, ShapeMismatch, "calibration has 48 channels"),
+    ]
+    for weights, calib, beta, error, message in cases:
+        with pytest.raises(error, match=message):
+            check_layer(weights, calib, beta)
+    check_layer(w, CalibrationSet([random_calib(rng, 8, 32)]), 8)
 
 
 @pytest.mark.parametrize("rows, channels", [(0, 8), (8, 0)])

@@ -137,6 +137,17 @@ def test_empty_calibration_rejected():
         accumulate_hessian(CalibrationSet([np.zeros((0, 4), dtype=np.float32)]))
 
 
+@pytest.mark.filterwarnings("error")  # numpy's warnings on empty means fail the test
+def test_zero_channel_gram_is_rejected_before_blas(capfd):
+    # capfd, not capsys: BLAS and LAPACK write their argument errors to the
+    # process's stderr, which capsys does not see
+    with pytest.raises(ShapeMismatch):
+        accumulate_hessian(CalibrationSet([np.zeros((4, 0), dtype=np.float32)]))
+    with pytest.raises(ShapeMismatch):
+        damp_and_invert(np.zeros((0, 0)))
+    assert capfd.readouterr() == ("", "")
+
+
 def test_damping_is_proportional_to_mean_diagonal():
     H = np.eye(4)
     hs = damp_and_invert(H, percdamp=0.01)
