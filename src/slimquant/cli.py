@@ -30,7 +30,7 @@ from .salience import (
     salient_mask_3sigma,
 )
 from .sba import kl_reference
-from .tensor_store import atomic_write, load_calibration, read_tensor, write_tensor
+from .tensor_store import atomic_write, load_calibration, read_rows, read_tensor, write_tensor
 
 
 # Environment variables that set a BLAS thread count. The thread count can
@@ -210,7 +210,7 @@ def cmd_eval(args) -> int:
     check_layer(w, calib, pm.beta)
     blocks, widths = unpack(pm)
     hs = damp_and_invert(accumulate_hessian(calib))
-    ref = kl_reference(calib.stacked(), w)
+    ref = kl_reference(calib.rows, w)
     loss, mse, kl = score(w, reconstruct(blocks), hs, ref)
     size = packed_size_report(pm)
     hist = Counter(int(b) for b in widths)
@@ -260,20 +260,10 @@ def cmd_inspect(args) -> int:
 # ------------------------------------------------------------- matmul
 
 
-def _load_activations(path: str) -> np.ndarray:
-    """Read a 2-D activation matrix; 3-D sample batches flatten to rows."""
-    x = read_tensor(path)
-    if x.ndim == 3:
-        x = x.reshape(-1, x.shape[-1])
-    if x.ndim != 2:
-        raise ShapeMismatch(f"{path}: input must be 2-D or 3-D, got {x.ndim}-D")
-    return x
-
-
 def cmd_matmul(args) -> int:
     _check_paths({"--model": args.model, "--input": args.input}, {"--out": args.out})
     pm = read_packed(args.model)
-    x = _load_activations(args.input)
+    x = read_rows(args.input)
     # outputs past float32's range come out as inf or nan, which
     # write_tensor refuses with one error line; numpy's warnings would add
     # lines before it

@@ -171,8 +171,8 @@ def check_layer(w: np.ndarray, calib: CalibrationSet, beta: int) -> None:
     m = w.shape[1]
     if m % beta != 0:
         raise BadGroupSize(f"group size {beta} does not divide {m} channels")
-    if calib.channels != m:
-        raise ShapeMismatch(f"calibration has {calib.channels} channels, weights {m}")
+    if calib.rows.shape[1] != m:
+        raise ShapeMismatch(f"calibration has {calib.rows.shape[1]} channels, weights {m}")
 
 
 def quantize_layer(
@@ -195,16 +195,15 @@ def quantize_layer(
         sal = salience_map(w, hs, beta)
     with _stage(stage_s, "width_search"):
         # the exact outputs every divergence is taken against
-        x_all = calib.stacked()
-        ref = kl_reference(x_all, w)
+        ref = kl_reference(calib.rows, w)
         if cfg.sba_enabled:
-            plan = allocate_bits(w, x_all, sal, beta, cfg.bits, KlConfig(), ref=ref)
+            plan = allocate_bits(w, calib.rows, sal, beta, cfg.bits, KlConfig(), ref=ref)
         else:
             plan = BitPlan(
                 bits=np.full(k, cfg.bits, dtype=np.int64), p_star=0, kl_curve=np.empty(0)
             )
-    # nothing after the plan reads x_all (ref keeps its own rows) or sal
-    del x_all, sal
+    # nothing after the plan reads sal
+    del sal
     work = w.astype(np.float64)
     blocks: list[QuantizedBlock] = []
     gammas = np.ones(k, dtype=np.float64)

@@ -9,10 +9,11 @@ matrix H = mean over tokens of x xT. Channels that the calibration data
 drives hard get small inverse diagonals and therefore large salience.
 
 accumulate_hessian builds H's lower triangle with BLAS's symmetric rank-k
-update (dsyrk). The inverse itself is never formed: damp_and_invert
-computes its upper Cholesky factor (used by error compensation) from one
-Cholesky factorization and one triangular inversion, both run by LAPACK
-in H's own buffer, and reads d off that factor. It allocates no m x m
+update (dsyrk), summed over fixed blocks of the calibration rows. The
+inverse itself is never formed: damp_and_invert computes its upper
+Cholesky factor (used by error compensation) from one Cholesky
+factorization and one triangular inversion, both run by LAPACK in H's
+own buffer, and reads d off that factor. It allocates no m x m
 array: the Gram matrix becomes the factor.
 
 salience gives the element map; salience_map keeps only its group and
@@ -40,6 +41,10 @@ from .errors import (
 from .tensor_store import CalibrationSet
 
 DAMPING_FLOOR = 1e-8
+
+# Elements per row block of the Gram matrix's products (64 MiB once
+# widened to float64): 2048 rows at 4096 channels.
+_GRAM_BLOCK = 1 << 23
 
 # Elements per chunk of the in-place buffer reversal (512 KiB of float64).
 _REVERSE_CHUNK = 65536
@@ -72,28 +77,33 @@ def accumulate_hessian(calib: CalibrationSet) -> np.ndarray:
     diagonal; its strict upper triangle is zero (damp_and_invert reads only
     the lower one).
 
-    Each sample's x.T @ x is one dsyrk of the sample widened to float64:
-    the triangle numpy's x.T @ x computes, to the bit, without numpy's pass
-    that mirrors it. Later samples' products are added after, not
-    accumulated by dsyrk itself: accumulating moves the low bits once a
-    sample has more rows than the BLAS library's K block (384 on OpenBLAS
+    The rows are taken in fixed blocks of at most _GRAM_BLOCK elements, so
+    H depends on the rows alone and the block widened to float64 is the
+    stage's one transient beside two m x m arrays. Each block's x.T @ x is
+    one dsyrk: the triangle numpy's x.T @ x computes, to the bit, without
+    numpy's pass that mirrors it. Later blocks' products are added after,
+    not accumulated by dsyrk itself: accumulating moves the low bits once
+    a block has more rows than the BLAS library's K block (384 on OpenBLAS
     0.3.31)."""
-    if not calib.samples or calib.token_count == 0:
+    x = calib.rows
+    t, m = x.shape
+    if t == 0:
         raise EmptyCalibration("need at least one token vector")
-    if calib.channels == 0:
+    if m == 0:
         # BLAS would reject the empty product with a line of its own on stderr
         raise ShapeMismatch("calibration has no channels")
-    acc = _lower_gram(calib.samples[0])
-    for s in calib.samples[1:]:
-        acc += _lower_gram(s)
-    acc /= float(calib.token_count)
+    step = max(1, _GRAM_BLOCK // m)
+    acc = _lower_gram(x[:step])
+    for lo in range(step, t, step):
+        acc += _lower_gram(x[lo : lo + step])
+    acc /= float(t)
     return acc
 
 
-def _lower_gram(sample: np.ndarray) -> np.ndarray:
-    """x.T @ x of one sample widened to float64: C-ordered, its lower
+def _lower_gram(rows: np.ndarray) -> np.ndarray:
+    """x.T @ x of a block of rows widened to float64: C-ordered, its lower
     triangle and diagonal filled and zeros above."""
-    x = np.asarray(sample, dtype=np.float64)
+    x = np.asarray(rows, dtype=np.float64)
     if x.shape[1] == 1:
         # numpy takes one channel as a dot product, which sums in another
         # order than dsyrk

@@ -15,6 +15,10 @@ are never silently truncated. A nonzero reserved byte is rejected on read.
 
 Every file this package writes goes through atomic_write: a temporary
 file next to the target, renamed over it once complete.
+
+An activation file (calibration or matmul input) is read by read_rows
+alone: a 2-D tensor of token rows, or a 3-D tensor of samples whose rows
+are taken in order. A CalibrationSet holds those rows as one matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import contextlib
 import math
 import os
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,50 +126,44 @@ def tensor_from_bytes(raw: bytes, name: str = "<bytes>") -> np.ndarray:
     return arr
 
 
-@dataclass
 class CalibrationSet:
-    """Activation samples for one layer: each sample is t x m token rows."""
+    """Calibration activations for one layer, held as rows: one (T, m)
+    float32 matrix of token rows, which every stage reads.
 
-    samples: list[np.ndarray] = field(default_factory=list)
+    samples is a sequence of 2-D arrays of token rows over the same
+    channels. One float32 sample is held as given, not copied, so callers
+    must not write to it; several are stacked once, in order. Other dtypes
+    are rounded to float32 once, so every stage reads the same values."""
 
-    def __post_init__(self) -> None:
-        for s in self.samples:
-            if s.ndim != 2:
-                raise ShapeMismatch(f"calibration sample must be 2-D, got shape {s.shape}")
-        widths = {s.shape[1] for s in self.samples}
+    def __init__(self, samples) -> None:
+        samples = list(samples)
+        if not samples:
+            raise EmptyCalibration("calibration set has no samples")
+        for s in samples:
+            if not (isinstance(s, np.ndarray) and s.ndim == 2):
+                got = s.shape if isinstance(s, np.ndarray) else type(s).__name__
+                raise ShapeMismatch(f"calibration sample must be a 2-D array, got {got}")
+        widths = {s.shape[1] for s in samples}
         if len(widths) > 1:
             raise ShapeMismatch(f"calibration samples disagree on channel count: {sorted(widths)}")
+        if len(samples) == 1:
+            self.rows = np.asarray(samples[0], dtype=np.float32)
+        else:
+            self.rows = np.concatenate(samples, axis=0, dtype=np.float32)
 
-    @property
-    def channels(self) -> int:
-        if not self.samples:
-            raise EmptyCalibration("calibration set has no samples")
-        return self.samples[0].shape[1]
 
-    @property
-    def token_count(self) -> int:
-        return sum(s.shape[0] for s in self.samples)
-
-    def stacked(self) -> np.ndarray:
-        """All token rows as one (token_count, channels) float32 matrix.
-
-        A set of one float32 sample returns that sample itself, not a copy:
-        callers must not write to the result."""
-        if not self.samples:
-            raise EmptyCalibration("calibration set has no samples")
-        if len(self.samples) == 1:
-            return np.asarray(self.samples[0], dtype=np.float32)
-        return np.concatenate(self.samples, axis=0, dtype=np.float32)
+def read_rows(path: str) -> np.ndarray:
+    """The token rows of an activation file, (T, m) float32: a 2-D tensor
+    is its rows, and a 3-D tensor of s samples of t rows is reshaped to
+    s * t rows, a view."""
+    arr = read_tensor(path)
+    if arr.ndim == 3:
+        arr = arr.reshape(arr.shape[0] * arr.shape[1], arr.shape[2])
+    if arr.ndim != 2:
+        raise ShapeMismatch(f"{path}: activations must be 2-D or 3-D, got {arr.ndim}-D")
+    return arr
 
 
 def load_calibration(path: str) -> CalibrationSet:
-    """Load calibration activations from a tensor file.
-
-    A 2-D tensor is one sample; a 3-D tensor of shape (s, t, m) is s samples.
-    """
-    arr = read_tensor(path)
-    if arr.ndim == 2:
-        return CalibrationSet([arr])
-    if arr.ndim == 3:
-        return CalibrationSet([arr[i] for i in range(arr.shape[0])])
-    raise ShapeMismatch(f"{path}: calibration tensor must be 2-D or 3-D, got {arr.ndim}-D")
+    """The calibration set of an activation file's rows (read_rows)."""
+    return CalibrationSet([read_rows(path)])

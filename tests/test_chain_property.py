@@ -73,9 +73,9 @@ def test_quantize_pack_read_eval_and_serve(layer):
         # what slimquant eval computes from the read model
         blocks, widths = unpack(pm)
         hs = damp_and_invert(accumulate_hessian(calib))
-        ref = kl_reference(calib.stacked(), w)
+        ref = kl_reference(calib.rows, w)
         scored = score(w, reconstruct(blocks), hs, ref)
-        x = calib.stacked()
+        x = calib.rows
         served, dense = packed_matmul(pm, x), dense_reference(pm, x)
         tolerance = matmul_tolerance(pm, x)
     except SlimQuantError as exc:  # a rejected input; any other error fails

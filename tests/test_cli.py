@@ -406,6 +406,26 @@ def test_eval_matches_quantize_report_on_strided_and_batched_rows(tmp_path, caps
     assert scored["metrics"]["recon_kl"] != output_kl(every_row, recon)
 
 
+def test_2d_and_3d_calibration_files_of_the_same_rows_give_the_same_outputs(tmp_path, capsys):
+    # a 3-D file is read as its rows, so a file of 2 samples quantizes and
+    # scores as the 2-D file of the same rows: the Gram matrix is summed
+    # over fixed row blocks, not over samples
+    w, x = clustered_layer(6, n=16, m=256, t=1024)
+    wpath = tmp_path / "w.slmt"
+    write_tensor(wpath, w)
+    outputs = []
+    for name, rows in (("x2", x), ("x3", x.reshape(2, -1, x.shape[1]))):
+        xpath, out = tmp_path / f"{name}.slmt", tmp_path / f"{name}.slmq"
+        write_tensor(xpath, rows)
+        assert run(capsys, *quantize_args(wpath, xpath, out, group_size=64))[0] == 0
+        report = strip_timing(json.loads((tmp_path / f"{name}.slmq.json").read_text()))
+        code, stdout, _ = run(capsys, "eval", "--model", out, "--weights", wpath,
+                              "--calib", xpath)
+        assert code == 0
+        outputs.append((out.read_bytes(), json.dumps(report, sort_keys=True), stdout))
+    assert outputs[0] == outputs[1]
+
+
 def test_one_bit_groups_are_written_as_sign_magnitude(tmp_path, capsys):
     w, x = clustered_layer(0, n=16, m=256, t=512)
     wpath, xpath, out = tmp_path / "w.slmt", tmp_path / "x.slmt", tmp_path / "m.slmq"
@@ -597,11 +617,14 @@ def test_matmul_accepts_generated_probe_batches(layer_files, tmp_path, capsys):
 
     assert np.array_equal(y, packed_matmul(pm, flat))
     bad = tmp_path / "bad.slmt"
-    write_tensor(bad, np.zeros((2, 2, 2, 2), dtype=np.float32))
-    code, _, err = run(capsys, "matmul", "--model", out, "--input", bad,
-                       "--out", y_path)
-    assert code == 1
-    assert "error[ShapeMismatch]" in err
+    # a 4-D input, and a 3-D one of no channels, which no reshape to rows
+    # with an inferred row count can take
+    for shape in ((2, 2, 2, 2), (2, 2, 0)):
+        write_tensor(bad, np.zeros(shape, dtype=np.float32))
+        code, _, err = run(capsys, "matmul", "--model", out, "--input", bad,
+                           "--out", y_path)
+        assert code == 1
+        assert "error[ShapeMismatch]" in err
 
 
 def test_matmul_overflow_prints_only_its_error_line(layer_files, tmp_path, capsys):

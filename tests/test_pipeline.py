@@ -229,7 +229,7 @@ def test_recon_kl_is_output_kl_of_the_strided_rows(monkeypatch, sba):
     calib = CalibrationSet([x[:2100], x[2100:]])
     res = quantize_layer(w, calib, PipelineConfig(beta=64, bits=2, sba_enabled=sba))
     recon = reconstruct(res.blocks)
-    xs = stride_subsample(calib.stacked(), KlConfig.max_tokens)
+    xs = stride_subsample(calib.rows, KlConfig.max_tokens)
     assert len(xs) < len(x)
     assert res.recon_kl == output_kl(kl_reference(xs, w), recon)
     monkeypatch.setattr(KlConfig, "max_tokens", len(x))
@@ -425,7 +425,7 @@ def test_one_sample_calibration_is_not_copied_or_written():
     x = random_calib(rng, 128, 64)
     before = x.copy()
     calib = CalibrationSet([x])
-    assert calib.stacked() is x
+    assert calib.rows is x
     quantize_layer(w, calib, PipelineConfig(beta=16, bits=2))
     assert x.tobytes() == before.tobytes()
 

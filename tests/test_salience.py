@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from fixtures import identity_calib, random_calib
+from slimquant import salience as salience_module
 from slimquant.errors import (
     BadGroupSize,
     EmptyCalibration,
@@ -29,11 +30,17 @@ from slimquant.salience import (
 from slimquant.tensor_store import CalibrationSet
 
 
-def numpy_gram(samples):
-    """numpy's x.T @ x per sample, summed from the first product and
+def row_blocks(x, rows_per_block):
+    """x's rows rounded to float32, in blocks of rows_per_block rows."""
+    x = np.asarray(x, dtype=np.float32)
+    return [x[lo : lo + rows_per_block] for lo in range(0, len(x), rows_per_block)]
+
+
+def numpy_gram(blocks):
+    """numpy's x.T @ x per block, summed from the first product and
     divided by the token count: the exactly symmetric Gram matrix whose
     lower triangle accumulate_hessian must hold."""
-    xs = [np.asarray(s, dtype=np.float64) for s in samples]
+    xs = [np.asarray(b, dtype=np.float64) for b in blocks]
     acc = xs[0].T @ xs[0]
     for x in xs[1:]:
         acc += x.T @ x
@@ -84,50 +91,67 @@ def test_gram_matches_outer_product_loop():
 
 
 def test_gram_splits_across_samples():
+    # the same rows passed as 1, 2, 4 or 8 samples give the same bits
     rng = np.random.default_rng(8)
-    x = random_calib(rng, 30, 6)
+    x = random_calib(rng, 1000, 300)
     whole = accumulate_hessian(CalibrationSet([x]))
-    split = accumulate_hessian(CalibrationSet([x[:11], x[11:]]))
-    assert np.allclose(whole, split, rtol=1e-12, atol=1e-15)
+    for parts in (2, 4, 8):
+        split = accumulate_hessian(CalibrationSet(np.array_split(x, parts)))
+        assert split.tobytes() == whole.tobytes()
 
 
-def test_gram_bit_identical_to_sum_from_zero():
-    # starting from the first sample's product and dividing in place gives
+def test_gram_bit_identical_to_sum_from_zero(monkeypatch):
+    # starting from the first block's product and dividing in place gives
     # the same bits as summing onto a zero matrix and dividing after
     rng = np.random.default_rng(9)
     x = random_calib(rng, 40, 7)
-    for samples in ([x], [x[:0], x[:13], x[13:]]):
+    for rows_per_block in (40, 13):
+        monkeypatch.setattr(salience_module, "_GRAM_BLOCK", rows_per_block * 7)
         ref = np.zeros((7, 7))
-        for s in samples:
-            ref += s.astype(np.float64).T @ s.astype(np.float64)
+        for b in row_blocks(x, rows_per_block):
+            ref += b.astype(np.float64).T @ b.astype(np.float64)
         ref = ref / 40.0
-        H = accumulate_hessian(CalibrationSet(samples))
-        assert_lower_gram(H, ref)
+        assert_lower_gram(accumulate_hessian(CalibrationSet([x])), ref)
 
 
 @pytest.mark.parametrize("m", [1, 7, 1024])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n_samples", [1, 3])
-def test_gram_is_exactly_symmetric(m, dtype, n_samples):
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_gram_is_exactly_symmetric(monkeypatch, m, dtype, n_blocks):
     # the matrix the Gram stands for is numpy's exactly symmetric x.T @ x
-    # sum: its lower triangle, to the bit, is what damp_and_invert reads
-    rng = np.random.default_rng(m + n_samples)
-    samples = [rng.standard_normal((24, m)).astype(dtype) for _ in range(n_samples)]
-    assert_lower_gram(accumulate_hessian(CalibrationSet(samples)), numpy_gram(samples))
-    # non-contiguous views: every third token row of every other channel
-    wide = rng.standard_normal((72, 2 * m)).astype(dtype)
-    views = [wide[i::3, ::2] for i in range(n_samples)]
-    assert not views[0].flags.c_contiguous
-    assert_lower_gram(accumulate_hessian(CalibrationSet(views)), numpy_gram(views))
+    # sum over the same row blocks: its lower triangle, to the bit, is what
+    # damp_and_invert reads; float64 rows are rounded to float32 first
+    monkeypatch.setattr(salience_module, "_GRAM_BLOCK", 24 * m)
+    rng = np.random.default_rng(m + n_blocks)
+    x = rng.standard_normal((24 * n_blocks, m)).astype(dtype)
+    assert_lower_gram(accumulate_hessian(CalibrationSet([x])), numpy_gram(row_blocks(x, 24)))
+    # a non-contiguous view: every third token row of every other channel
+    wide = rng.standard_normal((72 * n_blocks, 2 * m)).astype(dtype)
+    view = wide[::3, ::2]
+    assert not view.flags.c_contiguous
+    assert_lower_gram(accumulate_hessian(CalibrationSet([view])),
+                      numpy_gram(row_blocks(view, 24)))
 
 
-def test_gram_adds_each_sample_product():
-    # each sample's product is made on its own and then added: letting
+def test_gram_adds_each_block_product(monkeypatch):
+    # each block's product is made on its own and then added: letting
     # dsyrk accumulate into the running sum (beta = 1) moves the low bits
-    # once a sample has more rows than OpenBLAS's K block (384)
-    rng = np.random.default_rng(29)
-    samples = [random_calib(rng, 1024, 512) for _ in range(3)]
-    assert_lower_gram(accumulate_hessian(CalibrationSet(samples)), numpy_gram(samples))
+    # once a block has more rows than OpenBLAS's K block (384)
+    monkeypatch.setattr(salience_module, "_GRAM_BLOCK", 1024 * 512)
+    x = random_calib(np.random.default_rng(29), 3072, 512)
+    assert_lower_gram(accumulate_hessian(CalibrationSet([x])), numpy_gram(row_blocks(x, 1024)))
+
+
+def test_gram_blocks_are_the_stage_transient(monkeypatch):
+    # with several blocks, the stage holds the running sum, one block's
+    # product and one block widened to float64 (and under 4 KiB of Python
+    # objects), however many rows there are: a tenth of the rows widened
+    t, m, rows_per_block = 4096, 64, 16
+    monkeypatch.setattr(salience_module, "_GRAM_BLOCK", rows_per_block * m)
+    calib = CalibrationSet([random_calib(np.random.default_rng(33), t, m)])
+    _, peak = traced_peak(accumulate_hessian, calib)
+    assert peak < 2 * m * m * 8 + rows_per_block * m * 8 + 4096
+    assert t * m * 8 > 10 * peak
 
 
 def test_empty_calibration_rejected():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from slimquant import tensor_store
 from slimquant.errors import (
     BadMagic,
+    EmptyCalibration,
     IoFailure,
     NonFiniteValue,
     ShapeMismatch,
@@ -20,6 +21,7 @@ from slimquant.errors import (
 from slimquant.tensor_store import (
     CalibrationSet,
     load_calibration,
+    read_rows,
     read_tensor,
     tensor_from_bytes,
     tensor_to_bytes,
@@ -178,21 +180,20 @@ def test_load_calibration_2d(tmp_path):
     path = tmp_path / "c.slmt"
     write_tensor(path, x)
     cs = load_calibration(path)
-    assert len(cs.samples) == 1
-    assert cs.channels == 5
-    assert cs.token_count == 8
-    assert np.array_equal(cs.stacked(), x)
+    assert cs.rows.shape == (8, 5) and cs.rows.dtype == np.float32
+    assert np.array_equal(cs.rows, x)
 
 
 def test_load_calibration_3d(tmp_path):
+    # the samples' rows in order, as a view of the file's one array
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 8, 5)).astype(np.float32)
     path = tmp_path / "c3.slmt"
     write_tensor(path, x)
     cs = load_calibration(path)
-    assert len(cs.samples) == 3
-    assert cs.token_count == 24
-    assert np.array_equal(cs.stacked(), x.reshape(24, 5))
+    assert np.array_equal(cs.rows, x.reshape(24, 5))
+    assert cs.rows.base is not None and cs.rows.base.shape == (3, 8, 5)
+    assert np.array_equal(read_rows(path), cs.rows)
 
 
 def test_load_calibration_rejects_1d(tmp_path):
@@ -202,11 +203,40 @@ def test_load_calibration_rejects_1d(tmp_path):
         load_calibration(path)
 
 
+def test_calibration_set_stacks_samples_once_and_rounds_other_dtypes():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 4))
+    b = rng.standard_normal((2, 4)).astype(np.float32)
+    rows = CalibrationSet([a, b]).rows
+    assert rows.dtype == np.float32 and rows.flags.c_contiguous
+    assert np.array_equal(rows, np.vstack([a.astype(np.float32), b]))
+    one = CalibrationSet([a]).rows
+    assert one.dtype == np.float32
+    assert np.array_equal(one, a.astype(np.float32))
+
+
 def test_calibration_set_validates_channels():
     a = np.ones((2, 4), dtype=np.float32)
     b = np.ones((2, 5), dtype=np.float32)
     with pytest.raises(ShapeMismatch):
         CalibrationSet(samples=[a, b])
+
+
+@pytest.mark.parametrize("samples, error", [
+    pytest.param([[[1.0, 2.0]]], ShapeMismatch, id="nested-list"),
+    pytest.param([[[1.0], [1.0, 2.0]]], ShapeMismatch, id="ragged-list"),
+    pytest.param([np.float32(1.0)], ShapeMismatch, id="scalar"),
+    pytest.param([np.ones((), dtype=np.float32)], ShapeMismatch, id="0-d"),
+    pytest.param([np.ones(3, dtype=np.float32)], ShapeMismatch, id="1-d"),
+    pytest.param([np.ones((2, 3, 4), dtype=np.float32)], ShapeMismatch, id="3-d"),
+    pytest.param([np.ones((2, 3), dtype=np.float32), np.ones(3, dtype=np.float32)],
+                 ShapeMismatch, id="second-1-d"),
+    pytest.param([], EmptyCalibration, id="empty"),
+])
+def test_malformed_calibration_set_is_a_slimquant_error(samples, error):
+    # disagreeing channel counts: test_calibration_set_validates_channels
+    with pytest.raises(error):
+        CalibrationSet(samples)
 
 
 # Property: every valid file has exactly one in-memory reading, so a
