@@ -23,7 +23,6 @@ from .pipeline import (
 from .quant_core import (
     GroupQuantParams,
     QuantizedBlock,
-    binarize_block,
     block_mse,
     dequantize,
     quantize_uniform,
@@ -58,7 +57,6 @@ __all__ = [
     "SqcConfig",
     "accumulate_hessian",
     "allocate_bits",
-    "binarize_block",
     "block_mse",
     "calibrate_group",
     "damp_and_invert",

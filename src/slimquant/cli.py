@@ -137,6 +137,13 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
+def _blas(show_config) -> dict:
+    """Name and version of the BLAS a library was built with. numpy and
+    scipy each load their own; quantize's products run on scipy's."""
+    blas = show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def cmd_quantize(args) -> int:
     start = time.perf_counter()
     report_path = args.report or args.out + ".json"
@@ -155,7 +162,6 @@ def cmd_quantize(args) -> int:
     pack_s = time.perf_counter() - pack_start
     size = packed_size_report(pm)
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {
         "config": {
             "bits": cfg.bits,
@@ -188,7 +194,7 @@ def cmd_quantize(args) -> int:
             "stages": {**result.stage_s, "pack": pack_s},
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas": {"numpy": _blas(np.show_config), "scipy": _blas(scipy.show_config)},
             "blas_thread_env": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
         },
     }

@@ -154,17 +154,15 @@ class PackedModel:
         )
 
 
-def pack(blocks: list, n: int, m: int, beta: int, target_bits: int | None = None) -> PackedModel:
+def pack(blocks: list, n: int, m: int, beta: int, target_bits: int) -> PackedModel:
     """Check a list of QuantizedBlock against an n x m layer in groups of
-    beta, and copy it once into a PackedModel. target_bits defaults to the
-    mean width, rounded."""
+    beta, and copy it once into a PackedModel whose header records the
+    average width target target_bits (a u8)."""
     if beta < 1 or m % beta != 0:
         raise InconsistentPlan(f"group size {beta} does not divide {m} channels")
     k = m // beta
     if len(blocks) != k:
         raise InconsistentPlan(f"{len(blocks)} blocks for {k} groups")
-    if target_bits is None:
-        target_bits = round(sum(b.params.bit_width for b in blocks) / k) if k else 0
     if not 0 <= target_bits <= 255:
         raise InconsistentPlan(f"target width {target_bits} does not fit the header's u8")
 

@@ -93,11 +93,9 @@ def _row_range(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def params_from_range(
-    lo: np.ndarray, hi: np.ndarray, bit_width: int, gamma: float = 1.0
-) -> GroupQuantParams:
-    """Affine params for per-row ranges [lo, hi], optionally shrunk/grown by gamma."""
-    scale, zero = affine_params(lo, hi, bit_width, gamma)
+def params_from_range(lo: np.ndarray, hi: np.ndarray, bit_width: int) -> GroupQuantParams:
+    """Affine params for per-row ranges [lo, hi], unscaled (gamma = 1)."""
+    scale, zero = affine_params(lo, hi, bit_width)
     return GroupQuantParams(bit_width=bit_width, scale=scale, zero=zero)
 
 
@@ -108,7 +106,7 @@ def affine_params(
     zero-points from the unscaled ranges, so one per range whatever gamma
     is. Elementwise, so a column of gammas against rows of lo/hi gives one
     row of scales per gamma and the one row of zero-points they share, each
-    exactly what params_from_range returns for that gamma alone."""
+    exactly what it returns for that gamma alone."""
     maxq = _max_code(bit_width)
     width = hi - lo
     degenerate = width == 0.0
@@ -134,19 +132,12 @@ def derive_params(block: np.ndarray, bit_width: int) -> GroupQuantParams:
     return params_from_range(lo, hi, bit_width)
 
 
-def quantize_uniform(
-    block: np.ndarray, bit_width: int, params: GroupQuantParams | None = None
-) -> QuantizedBlock:
-    """Quantize an n x beta block at bit_width bits, deriving its params
-    (derive_params) unless explicit ones are supplied; the codes come from
-    encode, which widens the values itself, so the block is not copied."""
+def quantize_uniform(block: np.ndarray, bit_width: int) -> QuantizedBlock:
+    """Quantize an n x beta block at bit_width bits under its own per-row
+    params (derive_params); the codes come from encode, which widens the
+    values itself, so the block is not copied."""
     b = as_block(block, dtype=None)
-    if params is None:
-        params = derive_params(b, bit_width)
-    elif params.bit_width != bit_width:
-        raise ShapeMismatch(
-            f"params are {params.bit_width}-bit, requested {bit_width}-bit"
-        )
+    params = derive_params(b, bit_width)
     scale = params.scale.astype(np.float64)[:, None]
     zero = params.zero.astype(np.float64)[:, None]
     codes = encode(b, scale, zero, bit_width, params.binary)

@@ -83,8 +83,8 @@ def accumulate_hessian(calib: CalibrationSet) -> np.ndarray:
     one dsyrk: the triangle numpy's x.T @ x computes, to the bit, without
     numpy's pass that mirrors it. Later blocks' products are added after,
     not accumulated by dsyrk itself: accumulating moves the low bits once
-    a block has more rows than the BLAS library's K block (384 on OpenBLAS
-    0.3.31)."""
+    a block has more rows than the BLAS library's K block (384 on scipy's
+    OpenBLAS 0.3.30)."""
     x = calib.rows
     t, m = x.shape
     if t == 0:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from slimquant.quant_core import GroupQuantParams, QuantizedBlock
+from slimquant.quant_core import GroupQuantParams, QuantizedBlock, encode
 from slimquant.salience import accumulate_hessian, damp_and_invert
 
 
@@ -52,6 +52,15 @@ def clustered_layer(seed, n=64, m=512, t=1024, n_clusters=3, base=0.08,
         w[:, start:start + width] *= w_boost
         x[:, start:start + width] *= x_boost
     return w.astype(np.float32), x.astype(np.float32)
+
+
+def encode_block(block, params):
+    """The block under explicit params, coded by the package's one rule
+    (quant_core.encode)."""
+    scale = params.scale.astype(np.float64)[:, None]
+    zero = params.zero.astype(np.float64)[:, None]
+    codes = encode(np.asarray(block), scale, zero, params.bit_width, params.binary)
+    return QuantizedBlock(codes=codes, params=params)
 
 
 def random_blocks(rng, n, m, beta, widths=None, binary=False):

@@ -279,7 +279,7 @@ def layer_with_model(tmp_path, rows, channels, beta=16):
     paths = tmp_path / "w.slmt", tmp_path / "x.slmt", tmp_path / "m.slmq"
     write_tensor(paths[0], np.ones((rows, channels), dtype=np.float32))
     write_tensor(paths[1], np.ones((16, channels), dtype=np.float32))
-    write_packed(pack([block] * (channels // beta), rows, channels, beta), paths[2])
+    write_packed(pack([block] * (channels // beta), rows, channels, beta, target_bits=2), paths[2])
     return paths
 
 
@@ -672,9 +672,12 @@ def test_quantize_report_times_stages_and_records_environment(layer_files, tmp_p
     assert sum(timing["stages"].values()) <= timing["total_s"]
     assert timing["numpy"] == np.__version__
     assert timing["scipy"] == scipy.__version__
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert timing["blas"] == {"name": blas["name"], "version": blas["version"]}
-    assert timing["blas"]["name"] and timing["blas"]["version"]
+    # quantize's products run on scipy's BLAS, which need not be numpy's
+    for lib, config in (("numpy", np.show_config), ("scipy", scipy.show_config)):
+        blas = config(mode="dicts")["Build Dependencies"]["blas"]
+        assert timing["blas"][lib] == {"name": blas["name"], "version": blas["version"]}
+        assert blas["name"] and blas["version"]
+    assert sorted(timing["blas"]) == ["numpy", "scipy"]
     assert sorted(timing["blas_thread_env"]) == sorted(BLAS_THREAD_VARS)
 
 

@@ -16,7 +16,7 @@ from slimquant.tensor_store import CalibrationSet
 def test_identity_probe_returns_weight_columns():
     rng = np.random.default_rng(1)
     blocks, _ = random_blocks(rng, 8, 32, 8)
-    pm = pack(blocks, 8, 32, 8)
+    pm = pack(blocks, 8, 32, 8, target_bits=2)
     y = packed_matmul(pm, np.eye(32, dtype=np.float32))
     w = np.concatenate([dequantize(b) for b in blocks], axis=1)
     assert np.array_equal(y, w.T)
@@ -29,7 +29,7 @@ def test_matches_dense_reference_within_budget():
         beta = int(rng.choice([4, 8, 16]))
         k = int(rng.integers(1, 6))
         blocks, _ = random_blocks(rng, n, k * beta, beta)
-        pm = pack(blocks, n, k * beta, beta)
+        pm = pack(blocks, n, k * beta, beta, target_bits=2)
         x = random_calib(rng, int(rng.integers(1, 12)), k * beta)
         got = packed_matmul(pm, x)
         ref = dense_reference(pm, x)
@@ -40,7 +40,7 @@ def test_matches_dense_reference_within_budget():
 def test_single_group_equals_plain_gemm():
     rng = np.random.default_rng(3)
     blocks, _ = random_blocks(rng, 6, 8, 8)
-    pm = pack(blocks, 6, 8, 8)
+    pm = pack(blocks, 6, 8, 8, target_bits=2)
     x = random_calib(rng, 5, 8)
     qb = pm.group_block(0)
     levels = qb.codes.astype(np.float32) - qb.params.zero.astype(np.float32)[:, None]
@@ -93,14 +93,14 @@ def test_group_kinds_at_every_token_count(case, beta, monkeypatch):
     n, kinds = 12, GROUP_KIND_CASES[case]
     m = beta * len(kinds)
     blocks = group_kinds_blocks(rng, n, beta, kinds)
-    pm = pack(blocks, n, m, beta)
+    pm = pack(blocks, n, m, beta, target_bits=2)
     w = np.concatenate([dequantize(b) for b in blocks], axis=1)
     # the same model with every affine group's codes at its zero-points
     at_zero = [
         QuantizedBlock(codes=np.repeat(b.params.zero[:, None], beta, axis=1), params=b.params)
         for b in blocks if not b.params.binary
     ]
-    pm_zero = pack(at_zero, n, beta * len(at_zero), beta)
+    pm_zero = pack(at_zero, n, beta * len(at_zero), beta, target_bits=2)
     for chunk_groups in CHUNK_GROUPS:
         set_chunk_groups(monkeypatch, chunk_groups, n, beta)
         for t in (1, beta - 1, beta, 2 * beta):
@@ -121,7 +121,7 @@ def test_decode_form_adds_one_product_per_chunk(chunk_groups, monkeypatch):
     rng = np.random.default_rng(10)
     n, beta, k = 12, 8, 7
     blocks, _ = random_blocks(rng, n, k * beta, beta, binary=True)
-    pm = pack(blocks, n, k * beta, beta)
+    pm = pack(blocks, n, k * beta, beta, target_bits=2)
     set_chunk_groups(monkeypatch, chunk_groups, n, beta)
     per_chunk = max(1, kernel._CHUNK_ELEMENTS // (n * beta))
     for t in (beta, 2 * beta):
@@ -139,7 +139,7 @@ def test_zero_codes_at_zero_point_give_zero_output():
     zero = np.full(n, 2, dtype=np.uint8)
     params = GroupQuantParams(2, np.ones(n, dtype=np.float32), zero)
     codes = np.full((n, beta), 2, dtype=np.uint8)  # everything at the zero
-    pm = pack([QuantizedBlock(codes=codes, params=params)], n, beta, beta)
+    pm = pack([QuantizedBlock(codes=codes, params=params)], n, beta, beta, target_bits=2)
     x = np.random.default_rng(4).standard_normal((3, beta)).astype(np.float32)
     assert np.array_equal(packed_matmul(pm, x), np.zeros((3, n), np.float32))
 
@@ -149,7 +149,7 @@ def test_empty_token_batch():
     rng = np.random.default_rng(5)
     for n, k, t in [(4, 2, 0), (4, 0, 8), (4, 0, 16), (0, 2, 8), (0, 2, 16)]:
         blocks, _ = random_blocks(rng, n, k * 8, 8)
-        pm = pack(blocks, n, k * 8, 8)
+        pm = pack(blocks, n, k * 8, 8, target_bits=2)
         x = random_calib(rng, t, k * 8)
         y = packed_matmul(pm, x)
         assert y.dtype == np.float32
@@ -172,7 +172,7 @@ def test_budget_holds_on_all_positive_inputs_at_m_4096():
         scale = rng.uniform(0.5, 2.0, size=n).astype(np.float32)
         params = GroupQuantParams(bits, scale, np.zeros(n, dtype=np.uint8), binary=bits == 1)
         blocks.append(QuantizedBlock(codes=codes, params=params))
-    pm = pack(blocks, n, k * beta, beta)
+    pm = pack(blocks, n, k * beta, beta, target_bits=2)
     w = np.concatenate(
         [int_levels(b) * b.params.scale.astype(np.float64)[:, None] for b in pm.blocks], axis=1
     )
@@ -191,7 +191,7 @@ def test_budget_holds_on_all_positive_inputs_at_m_4096():
 def test_linearity_within_budget():
     rng = np.random.default_rng(6)
     blocks, _ = random_blocks(rng, 8, 32, 16)
-    pm = pack(blocks, 8, 32, 16)
+    pm = pack(blocks, 8, 32, 16, target_bits=2)
     x1 = random_calib(rng, 6, 32)
     x2 = random_calib(rng, 6, 32)
     combined = packed_matmul(pm, 2.0 * x1 + x2)
@@ -215,7 +215,7 @@ def test_pipeline_output_flows_through_kernel():
 def test_input_shape_validation():
     rng = np.random.default_rng(8)
     blocks, _ = random_blocks(rng, 4, 16, 8)
-    pm = pack(blocks, 4, 16, 8)
+    pm = pack(blocks, 4, 16, 8, target_bits=2)
     with pytest.raises(ShapeMismatch):
         packed_matmul(pm, np.zeros((3, 15), dtype=np.float32))
     with pytest.raises(ShapeMismatch):

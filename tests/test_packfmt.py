@@ -81,7 +81,7 @@ def test_round_trip_random_models():
         k = int(rng.integers(1, 6))
         binary = bool(rng.integers(0, 2))
         blocks, widths = random_blocks(rng, n, k * beta, beta, binary=binary)
-        pm = pack(blocks, n, k * beta, beta)
+        pm = pack(blocks, n, k * beta, beta, target_bits=2)
         back = from_bytes(pm.to_bytes())
         assert back.n == n and back.m == k * beta and back.beta == beta
         assert back.flags == pm.flags
@@ -115,7 +115,7 @@ def test_round_trip_preserves_decode():
 def test_binary_flag_round_trips():
     rng = np.random.default_rng(3)
     blocks, _ = random_blocks(rng, 4, 32, 8, widths=[1, 2, 1, 3], binary=True)
-    pm = pack(blocks, 4, 32, 8)
+    pm = pack(blocks, 4, 32, 8, target_bits=2)
     assert pm.binary_1bit
     back = from_bytes(pm.to_bytes())
     assert back.binary_1bit
@@ -128,7 +128,7 @@ def test_binary_flag_round_trips():
 def test_offsets_use_padded_group_lengths():
     rng = np.random.default_rng(4)
     blocks, _ = random_blocks(rng, 8, 48, 16, widths=[2, 3, 1])
-    pm = pack(blocks, 8, 48, 16)
+    pm = pack(blocks, 8, 48, 16, target_bits=2)
     # n=8: a column holds 8*width bits, padded to one 32-bit word
     offsets = _layout(8, 16, pm.widths)[1]
     assert offsets == [0, 16 * 32, 32 * 32, 48 * 32]
@@ -195,7 +195,7 @@ def test_group_block_is_the_stored_block():
 
 
 def test_empty_model_round_trips():
-    pm = pack([], 4, 0, 16)
+    pm = pack([], 4, 0, 16, target_bits=2)
     back = from_bytes(pm.to_bytes())
     assert back.k == 0
     blocks, widths = unpack(back)
@@ -245,8 +245,8 @@ def test_undefined_flag_bits_rejected():
 def test_binary_flag_without_one_bit_group_rejected():
     rng = np.random.default_rng(12)
     blocks, _ = random_blocks(rng, 4, 16, 8, widths=[2, 3])
-    for raw in (pack(blocks, 4, 16, 8).to_bytes(), pack([], 4, 0, 16).to_bytes()):
-        tampered = bytearray(raw)
+    for pm in (pack(blocks, 4, 16, 8, target_bits=2), pack([], 4, 0, 16, target_bits=2)):
+        tampered = bytearray(pm.to_bytes())
         struct.pack_into("<H", tampered, 6, 0x0001)
         with pytest.raises(InconsistentPlan):
             from_bytes(bytes(tampered))
@@ -305,7 +305,7 @@ def test_tampered_bit_codes_change_the_file_length():
     # so flipping a stored width changes the length the file must have
     rng = np.random.default_rng(11)
     blocks, _ = random_blocks(rng, 16, 32, 16, widths=[1, 2])
-    raw = bytearray(pack(blocks, 16, 32, 16).to_bytes())
+    raw = bytearray(pack(blocks, 16, 32, 16, target_bits=2).to_bytes())
     start, _ = sections_of(raw)[0]
     raw[start] ^= 0x02  # group 0: 1 bit -> 3 bits
     with pytest.raises(TruncatedPayload):
@@ -341,11 +341,11 @@ def test_pack_validates_block_count_and_shapes():
     rng = np.random.default_rng(5)
     blocks, _ = random_blocks(rng, 4, 32, 8)
     with pytest.raises(InconsistentPlan):
-        pack(blocks[:-1], 4, 32, 8)
+        pack(blocks[:-1], 4, 32, 8, target_bits=2)
     with pytest.raises(InconsistentPlan):
-        pack(blocks, 4, 32, 7)
+        pack(blocks, 4, 32, 7, target_bits=2)
     with pytest.raises(InconsistentPlan):
-        pack(blocks, 8, 32, 8)  # n disagrees with code shapes
+        pack(blocks, 8, 32, 8, target_bits=2)  # n disagrees with code shapes
 
 
 def test_pack_validates_code_and_zero_ranges():
@@ -353,34 +353,34 @@ def test_pack_validates_code_and_zero_ranges():
     params = GroupQuantParams(2, np.ones(2, dtype=np.float32),
                               np.zeros(2, dtype=np.uint8))
     with pytest.raises(InconsistentPlan):
-        pack([QuantizedBlock(codes=codes, params=params)], 2, 4, 4)
+        pack([QuantizedBlock(codes=codes, params=params)], 2, 4, 4, target_bits=2)
     params_bad_zero = GroupQuantParams(2, np.ones(2, dtype=np.float32),
                                        np.full(2, 9, dtype=np.uint8))
     ok_codes = np.zeros((2, 4), dtype=np.uint8)
     with pytest.raises(InconsistentPlan):
-        pack([QuantizedBlock(codes=ok_codes, params=params_bad_zero)], 2, 4, 4)
+        pack([QuantizedBlock(codes=ok_codes, params=params_bad_zero)], 2, 4, 4, target_bits=2)
     # values that a uint8 copy would wrap into range
     for bad in (-1, 256):
         wrapped = np.zeros((2, 4), dtype=np.int64)
         wrapped[1, 2] = bad
         with pytest.raises(InconsistentPlan):
-            pack([QuantizedBlock(codes=wrapped, params=params)], 2, 4, 4)
+            pack([QuantizedBlock(codes=wrapped, params=params)], 2, 4, 4, target_bits=2)
         with pytest.raises(InconsistentPlan):
             pack([QuantizedBlock(codes=ok_codes, params=GroupQuantParams(
-                2, np.ones(2, dtype=np.float32), wrapped[1, 1:3]))], 2, 4, 4)
+                2, np.ones(2, dtype=np.float32), wrapped[1, 1:3]))], 2, 4, 4, target_bits=2)
     # values that a uint8 copy would truncate to an integer
     for bad in (2.7, 1.5, np.nan):
         fractional = np.zeros((2, 4))
         fractional[1, 3] = bad
         with pytest.raises(InconsistentPlan):
-            pack([QuantizedBlock(codes=fractional, params=params)], 2, 4, 4)
+            pack([QuantizedBlock(codes=fractional, params=params)], 2, 4, 4, target_bits=2)
         with pytest.raises(InconsistentPlan):
             pack([QuantizedBlock(codes=ok_codes, params=GroupQuantParams(
-                2, np.ones(2, dtype=np.float32), fractional[1, 2:]))], 2, 4, 4)
+                2, np.ones(2, dtype=np.float32), fractional[1, 2:]))], 2, 4, 4, target_bits=2)
     # integral floats are accepted as codes and zero-points
     whole = np.full((2, 4), 3.0)
     pm = pack([QuantizedBlock(codes=whole, params=GroupQuantParams(
-        2, np.ones(2, dtype=np.float32), whole[0, :2]))], 2, 4, 4)
+        2, np.ones(2, dtype=np.float32), whole[0, :2]))], 2, 4, 4, target_bits=2)
     assert np.array_equal(pm.blocks[0].codes, whole)
 
 
@@ -389,7 +389,7 @@ def test_pack_validates_scale_finiteness():
     params = GroupQuantParams(2, np.array([1.0, np.inf], dtype=np.float32),
                               np.zeros(2, dtype=np.uint8))
     with pytest.raises(InconsistentPlan):
-        pack([QuantizedBlock(codes=codes, params=params)], 2, 4, 4)
+        pack([QuantizedBlock(codes=codes, params=params)], 2, 4, 4, target_bits=2)
 
 
 def test_pack_rejects_mixed_one_bit_modes():
@@ -397,7 +397,7 @@ def test_pack_rejects_mixed_one_bit_modes():
     a, _ = random_blocks(rng, 2, 4, 4, widths=[1], binary=True)
     b, _ = random_blocks(rng, 2, 4, 4, widths=[1], binary=False)
     with pytest.raises(InconsistentPlan):
-        pack([a[0], b[0]], 2, 8, 4)
+        pack([a[0], b[0]], 2, 8, 4, target_bits=2)
 
 
 def test_pack_rejects_target_bits_beyond_u8():
@@ -412,7 +412,7 @@ def test_pack_rejects_target_bits_beyond_u8():
 def test_size_report_uniform_two_bit():
     rng = np.random.default_rng(8)
     blocks, _ = random_blocks(rng, 16, 64, 16, widths=[2, 2, 2, 2])
-    pm = pack(blocks, 16, 64, 16)
+    pm = pack(blocks, 16, 64, 16, target_bits=2)
     report = packed_size_report(pm)
     assert report.bits_per_weight == 2.0
     assert report.payload_bits == 2 * 16 * 64
@@ -423,7 +423,7 @@ def test_size_report_uniform_two_bit():
 def test_size_report_balanced_mixed_plan():
     rng = np.random.default_rng(9)
     blocks, _ = random_blocks(rng, 8, 48, 16, widths=[1, 2, 3])
-    pm = pack(blocks, 8, 48, 16)
+    pm = pack(blocks, 8, 48, 16, target_bits=2)
     report = packed_size_report(pm)
     assert report.bits_per_weight == 2.0  # (1+2+3)/3 at equal group sizes
     assert report.padding_bits > 0  # n=8 leaves slack in every word
@@ -440,7 +440,7 @@ def test_size_report_accounts_for_every_bit():
         widths[0] = 1
         blocks, widths = random_blocks(rng, n, k * beta, beta, widths=widths,
                                        binary=trial % 2 == 1)
-        pm = pack(blocks, n, k * beta, beta)
+        pm = pack(blocks, n, k * beta, beta, target_bits=2)
         assert pm.binary_1bit == (trial % 2 == 1)
         report = packed_size_report(pm)
         assert report.payload_bits == int(
@@ -457,10 +457,10 @@ def base_files():
     binary, _ = random_blocks(rng, 3, 12, 4, widths=[1, 2, 1], binary=True)
     long_rows, _ = random_blocks(rng, 33, 8, 4, widths=[4, 1])
     return [
-        pack(mixed, 5, 16, 4).to_bytes(),
-        pack(binary, 3, 12, 4).to_bytes(),
-        pack(long_rows, 33, 8, 4).to_bytes(),
-        pack([], 4, 0, 16).to_bytes(),
+        pack(mixed, 5, 16, 4, target_bits=2).to_bytes(),
+        pack(binary, 3, 12, 4, target_bits=2).to_bytes(),
+        pack(long_rows, 33, 8, 4, target_bits=2).to_bytes(),
+        pack([], 4, 0, 16, target_bits=2).to_bytes(),
     ]
 
 

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fixtures import encode_block
 from slimquant.errors import InconsistentPlan, InvalidConfig, ShapeMismatch
 from slimquant.quant_core import (
     RANGE_FLOOR,
@@ -159,48 +160,21 @@ def test_requantize_is_idempotent():
             assert np.array_equal(qb.codes, again.codes)
 
 
-def test_explicit_params_are_respected():
-    block = np.array([[0.0, 0.9, 2.1, 3.0]], dtype=np.float32)
-    params = GroupQuantParams(
-        bit_width=2,
-        scale=np.array([1.0], dtype=np.float32),
-        zero=np.array([0], dtype=np.uint8),
-    )
-    qb = quantize_uniform(block, 2, params=params)
-    assert qb.params is params
-    assert np.array_equal(qb.codes, [[0, 1, 2, 3]])
-
-
-def test_explicit_params_width_must_match():
-    params = GroupQuantParams(
-        bit_width=3,
-        scale=np.ones(1, dtype=np.float32),
-        zero=np.zeros(1, dtype=np.uint8),
-    )
-    with pytest.raises(ShapeMismatch):
-        quantize_uniform(np.zeros((1, 4), dtype=np.float32), 2, params=params)
-
-
 def test_clamp_applies_with_narrow_params():
     # params cover [0, 3] but the data reaches 9: codes must clamp at maxq
-    params = GroupQuantParams(
-        bit_width=2,
-        scale=np.array([1.0], dtype=np.float32),
-        zero=np.array([0], dtype=np.uint8),
-    )
     block = np.array([[-4.0, 9.0]], dtype=np.float32)
-    qb = quantize_uniform(block, 2, params=params)
-    assert np.array_equal(qb.codes, [[0, 3]])
+    codes = encode(block, np.ones((1, 1)), np.zeros((1, 1)), 2, binary=False)
+    assert np.array_equal(codes, [[0, 3]])
 
 
 def test_gamma_shrinks_scale():
     lo = np.array([0.0])
     hi = np.array([3.0])
-    full = params_from_range(lo, hi, 2, gamma=1.0)
-    tight = params_from_range(lo, hi, 2, gamma=0.5)
-    assert full.scale[0] == np.float32(1.0)
-    assert tight.scale[0] == np.float32(0.5)
-    assert tight.zero[0] == 0
+    full, full_zero = affine_params(lo, hi, 2, 1.0)
+    tight, tight_zero = affine_params(lo, hi, 2, 0.5)
+    assert full[0] == np.float32(1.0)
+    assert tight[0] == np.float32(0.5)
+    assert full_zero[0] == tight_zero[0] == 0
 
 
 def test_gamma_keeps_zero_point_in_range():
@@ -210,9 +184,9 @@ def test_gamma_keeps_zero_point_in_range():
         lo = np.minimum(block.min(axis=1), 0.0).astype(np.float64)
         hi = np.maximum(block.max(axis=1), 0.0).astype(np.float64)
         for gamma in (0.9, 1.0, 1.1):
-            p = params_from_range(lo, hi, 2, gamma=gamma)
-            assert p.zero.max() <= 3
-            assert np.all(p.scale > 0.0)
+            scale, zero = affine_params(lo, hi, 2, gamma)
+            assert zero.max() <= 3
+            assert np.all(scale > 0.0)
 
 
 @pytest.mark.parametrize("bits", [2, 3, 4])
@@ -236,7 +210,7 @@ def test_every_gamma_of_a_row_shares_its_zero_point(bits):
         plain = params_from_range(lo, hi, bits).zero
     assert np.all(zeros == plain)
     for gamma in grid:
-        assert np.array_equal(params_from_range(lo, hi, bits, float(gamma)).zero, plain)
+        assert np.array_equal(affine_params(lo, hi, bits, float(gamma))[1], plain)
     want = [0 if h == l else min(max(-round(l / (h - l) * maxq), 0), maxq) for l, h in zip(lo, hi)]
     assert np.array_equal(plain, want)
     assert np.all(plain[:10] == (maxq + 1) // 2)  # half to even: 2, 4 and 8
@@ -354,7 +328,7 @@ def test_one_bit_affine_differs_from_binary():
     # it keeps only the 2, and loses the sign of the -1
     block = np.array([[-1.0, 0.1, 0.2, 2.0]], dtype=np.float32)
     lo, hi = np.array([-1.0]), np.array([2.0])
-    affine = quantize_uniform(block, 1, params_from_range(lo, hi, 1))
+    affine = encode_block(block, params_from_range(lo, hi, 1))
     assert np.array_equal(dequantize(affine), [[0.0, 0.0, 0.0, 3.0]])
     qb = quantize_uniform(block, 1)
     assert qb.params.binary
@@ -376,13 +350,12 @@ def test_quantize_uniform_one_bit_is_binarize_block():
 
 
 def test_binary_params_take_sign_rule():
-    # explicit sign params: rounding 0.1 / alpha and 0.2 / alpha would give
-    # code 0, which decodes to -alpha; the sign rule keeps their sign
+    # sign params: rounding 0.1 / alpha and 0.2 / alpha would give code 0,
+    # which decodes to -alpha; the sign rule keeps their sign
     block = np.array([[-1.0, 0.1, 0.2, 2.0]], dtype=np.float32)
-    params = binarize_block(block).params
-    qb = quantize_uniform(block, 1, params=params)
-    assert qb.params is params
-    assert np.array_equal(qb.codes, [[0, 1, 1, 1]])
+    alpha = binarize_block(block).params.scale.astype(np.float64)[:, None]
+    codes = encode(block, alpha, np.zeros((1, 1)), 1, binary=True)
+    assert np.array_equal(codes, [[0, 1, 1, 1]])
 
 
 def test_binary_params_only_at_one_bit():
@@ -461,7 +434,7 @@ def test_column_rule_matches_block_column(bits, binary):
     block[:, 3] = -0.0
     block[:, 4] = (2 * maxq + 3.0) * s[:, 0]  # clamped at the top code
     block[:, 5] = -(2 * maxq + 3.0) * s[:, 0]  # and at code 0
-    qb = quantize_uniform(block, bits, GroupQuantParams(bits, scale, zero, binary=binary))
+    qb = encode_block(block, GroupQuantParams(bits, scale, zero, binary=binary))
     deq = dequantize(qb)
     assert np.all(qb.codes[:, 4] == (1 if binary else maxq))
     assert np.all(qb.codes[:, 5] == 0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from fixtures import hessian_state, random_calib, random_layer
+from fixtures import encode_block, hessian_state, random_calib, random_layer
 from slimquant.errors import BadGroupSize, InsufficientCalibration, ShapeMismatch
 from slimquant.quant_core import (
     binarize_block,
@@ -580,7 +580,7 @@ def affine_one_bit(block, bits):
     """The zero-inclusive min/max grid at 1 bit, which the search does not use."""
     b = np.asarray(block, dtype=np.float64)
     lo, hi = np.minimum(b.min(axis=1), 0.0), np.maximum(b.max(axis=1), 0.0)
-    return quantize_uniform(b, bits, params_from_range(lo, hi, bits))
+    return encode_block(b, params_from_range(lo, hi, bits))
 
 
 def test_one_bit_candidates_are_sign_magnitude():

@@ -10,7 +10,9 @@ import slimquant.sqc as sqc
 from fixtures import hessian_state, random_calib
 from slimquant.errors import InvalidConfig
 from slimquant.quant_core import (
+    GroupQuantParams,
     _row_range,
+    affine_params,
     block_mse,
     derive_params,
     dequantize,
@@ -70,7 +72,8 @@ def reference_calibrate(block, bits, u):
     lo, hi = _row_range(block)
     walks = {}
     for k in range(min(SqcConfig.coarse) - 1, max(SqcConfig.coarse) + 2):
-        codes, err = walk_reference(block, params_from_range(lo, hi, bits, k / step), u)
+        params = GroupQuantParams(bits, *affine_params(lo, hi, bits, k / step))
+        codes, err = walk_reference(block, params, u)
         walks[k] = codes, row_losses(err)
 
     def best(candidates, r):
@@ -82,7 +85,7 @@ def reference_calibrate(block, bits, u):
         chosen.append(best([winner] + [winner + d for d in SqcConfig.fine], r))
     codes = np.stack([walks[k][0][r] for r, k in enumerate(chosen)])
     chosen = np.array(chosen)
-    return codes, params_from_range(lo, hi, bits, chosen / step).scale, chosen
+    return codes, affine_params(lo, hi, bits, chosen / step)[0], chosen
 
 
 def assert_same_block(a, b):
