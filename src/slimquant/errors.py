@@ -41,10 +41,6 @@ class EmptyCalibration(SlimQuantError):
     """Calibration set holds no token vectors."""
 
 
-class InsufficientCalibration(SlimQuantError):
-    """Too few calibration tokens to evaluate the objective."""
-
-
 class BadGroupSize(SlimQuantError):
     """Group width does not evenly divide the number of input channels."""
 

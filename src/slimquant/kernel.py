@@ -3,7 +3,7 @@
 packed_matmul has two forms and picks one from the batch's token count t
 alone. Below beta tokens its scale-after form keeps the affine map out of
 the weight decode: per group, left to right, the codes become their
-signed integer levels in int8 (code - zero, or 2 code - 1 in the
+signed integer levels in int8 (code - zero, or 2 code - 1 at 1 bit, the
 sign/magnitude form), the activations multiply those levels in float32,
 and the row scales are applied to the product, which is then added into
 the output. From beta tokens on its decode form decodes runs of
@@ -50,7 +50,9 @@ def packed_matmul(pm: PackedModel, x: np.ndarray) -> np.ndarray:
     """x @ W^T for the model's decoded weights W, accumulated in float32:
     in chunks of decoded groups from beta tokens on, below that group by
     group as (x_g @ L_g^T) * scale_g, with L_g the group's integer levels.
-    A group whose codes all sit at their zero-points adds exactly 0."""
+    A group of 2 to 4 bits whose codes all sit at their zero-points adds
+    exactly 0; a 1-bit group has no zero level, its codes decode to
+    +-scale."""
     x = _check_input(pm, x)
     out = np.zeros((x.shape[0], pm.n), dtype=np.float32)
     if x.shape[0] >= pm.beta:
@@ -78,7 +80,7 @@ def _decode_chunks(pm: PackedModel, x: np.ndarray, out: np.ndarray) -> None:
         for j, qb in enumerate(run):
             p = qb.params
             cols = buf[:, j * pm.beta : (j + 1) * pm.beta]
-            decode(qb.codes, p.scale[:, None], p.zero[:, None], p.binary, out=cols)
+            decode(qb.codes, p.scale[:, None], p.zero[:, None], p.bit_width, out=cols)
         width = len(run) * pm.beta
         out += x[:, g0 * pm.beta : g0 * pm.beta + width] @ buf[:, :width].T
 

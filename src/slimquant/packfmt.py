@@ -4,8 +4,8 @@ File layout (SLMQ, all little-endian):
 
     magic    4 bytes  b"SLMQ"
     version  u16      currently 2
-    flags    u16      bit 0: 1-bit groups are sign/magnitude; it needs a
-                      1-bit group, and every other bit is zero
+    flags    u16      bit 0: set exactly when some group is 1-bit; every
+                      other bit is zero
     n        u32      output rows
     m        u32      input channels
     beta     u32      group width
@@ -24,7 +24,12 @@ bits to a 32-bit word. No section carries its length: the header fixes k
 and the bit-code row, and the widths then fix every other section's size,
 so a file is exactly as long as they imply (_layout). Padding bits,
 reserved bytes and undefined flag bits are always zero and nonzero ones
-are rejected on read, which keeps the encoding injective.
+are rejected on read, as is a flag bit 0 that disagrees with the widths,
+which keeps the encoding injective.
+
+A group's width fixes its decode rule: 2 to 4 bits are affine, 1 bit is
+sign/magnitude (quant_core). A 1-bit group's zero-point row is stored
+like any other and round-trips, but decode never reads it.
 """
 
 from __future__ import annotations
@@ -100,9 +105,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _frozen_block(codes, scale, zero, width: int, binary: bool) -> QuantizedBlock:
+def _frozen_block(codes, scale, zero, width: int) -> QuantizedBlock:
     """One group of a PackedModel, its arrays marked read-only."""
-    params = GroupQuantParams(width, _readonly(scale), _readonly(zero), binary)
+    params = GroupQuantParams(width, _readonly(scale), _readonly(zero))
     return QuantizedBlock(codes=_readonly(codes), params=params)
 
 
@@ -129,12 +134,8 @@ class PackedModel:
         return _readonly(np.array([b.params.bit_width for b in self.blocks], dtype=np.int64))
 
     @property
-    def binary_1bit(self) -> bool:
-        return any(b.params.binary for b in self.blocks)
-
-    @property
     def flags(self) -> int:
-        return FLAG_BINARY_1BIT if self.binary_1bit else 0
+        return FLAG_BINARY_1BIT if np.any(self.widths == 1) else 0
 
     def group_block(self, g: int) -> QuantizedBlock:
         return self.blocks[g]
@@ -166,10 +167,6 @@ def pack(blocks: list, n: int, m: int, beta: int, target_bits: int) -> PackedMod
     if not 0 <= target_bits <= 255:
         raise InconsistentPlan(f"target width {target_bits} does not fit the header's u8")
 
-    binary_flags = {b.params.binary for b in blocks if b.params.bit_width == 1}
-    if len(binary_flags) > 1:
-        raise InconsistentPlan("1-bit groups mix sign/magnitude and affine modes")
-
     checked = []
     for g, b in enumerate(blocks):
         width = b.params.bit_width
@@ -188,7 +185,7 @@ def pack(blocks: list, n: int, m: int, beta: int, target_bits: int) -> PackedMod
             raise InconsistentPlan(f"group {g} has non-finite scales")
         codes = np.array(b.codes, dtype=np.uint8, order="F")
         zero = np.array(b.params.zero, dtype=np.uint8)
-        checked.append(_frozen_block(codes, scale, zero, width, b.params.binary))
+        checked.append(_frozen_block(codes, scale, zero, width))
     return PackedModel(n=n, m=m, beta=beta, target_bits=target_bits, blocks=tuple(checked))
 
 
@@ -224,9 +221,8 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
     _, scales_at, zeros_at, weights_at, end = itertools.accumulate(sizes, initial=_HEADER.size)
     if len(raw) != end:
         raise TruncatedPayload(f"{name}: {len(raw)} bytes, header and bit widths imply {end}")
-    binary = bool(flags & FLAG_BINARY_1BIT)
-    if binary and not np.any(widths == 1):
-        raise InconsistentPlan(f"{name}: sign/magnitude flag set with no 1-bit group")
+    if bool(flags & FLAG_BINARY_1BIT) != bool(np.any(widths == 1)):
+        raise InconsistentPlan(f"{name}: flag bit 0 must be set exactly when a group is 1-bit")
 
     scales = np.frombuffer(raw, dtype="<f4", count=k * n, offset=scales_at)
     scales = _readonly(scales.reshape(k, n).astype(np.float32))
@@ -241,7 +237,7 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
         zero = _readonly(unpack_fields(row, 1, n, width, f"{name}: zero-point group {g}"))[0]
         group = view[weights_at + offsets[g] // 8 : weights_at + offsets[g + 1] // 8]
         codes = _readonly(unpack_fields(group, beta, n, width, f"{name}: weight group {g}")).T
-        blocks.append(_frozen_block(codes, scales[g], zero, width, binary and width == 1))
+        blocks.append(_frozen_block(codes, scales[g], zero, width))
     return PackedModel(n=n, m=m, beta=beta, target_bits=target_bits, blocks=tuple(blocks))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentPlan, InvalidConfig, ShapeMismatch
+from .errors import InvalidConfig, ShapeMismatch
 
 # Smallest usable row range. Rows whose extended range collapses to zero
 # (all-zero rows) get this floor so the affine map stays well defined.
@@ -41,26 +41,20 @@ def _max_code(bit_width: int) -> int:
 
 @dataclass(frozen=True)
 class GroupQuantParams:
-    """Per-row affine parameters for one block.
-
-    binary marks sign/magnitude blocks: codes {0,1} decode to scale*(2c - 1)
-    instead of the affine map. Only 1-bit blocks can be binary.
-    """
+    """Per-row parameters for one block: the affine map's scale and
+    zero-point at 2 to 4 bits; at 1 bit the sign/magnitude form's alpha
+    as the scale, its codes {0, 1} decoding to scale * (2 code - 1), and a
+    zero-point that is stored but never read."""
 
     bit_width: int
     scale: np.ndarray  # (n,) float32, > 0
     zero: np.ndarray  # (n,) uint8, in [0, 2^N - 1]
-    binary: bool = False
 
     def __post_init__(self) -> None:
         _max_code(self.bit_width)
         if self.scale.shape != self.zero.shape:
             raise ShapeMismatch(
                 f"scale shape {self.scale.shape} != zero shape {self.zero.shape}"
-            )
-        if self.binary and self.bit_width != 1:
-            raise InconsistentPlan(
-                f"sign/magnitude form is only defined at 1 bit, not {self.bit_width}"
             )
 
 
@@ -127,7 +121,7 @@ def derive_params(block: np.ndarray, bit_width: int) -> GroupQuantParams:
     block = as_block(block)
     if bit_width == 1:
         n, alpha = block.shape[0], np.float32(np.abs(block).mean())
-        return GroupQuantParams(1, np.full(n, alpha), np.zeros(n, dtype=np.uint8), binary=True)
+        return GroupQuantParams(1, np.full(n, alpha), np.zeros(n, dtype=np.uint8))
     lo, hi = _row_range(block)
     return params_from_range(lo, hi, bit_width)
 
@@ -140,19 +134,17 @@ def quantize_uniform(block: np.ndarray, bit_width: int) -> QuantizedBlock:
     params = derive_params(b, bit_width)
     scale = params.scale.astype(np.float64)[:, None]
     zero = params.zero.astype(np.float64)[:, None]
-    codes = encode(b, scale, zero, bit_width, params.binary)
+    codes = encode(b, scale, zero, bit_width)
     return QuantizedBlock(codes=codes, params=params)
 
 
-def encode(
-    w: np.ndarray, scale: np.ndarray, zero: np.ndarray, bit_width: int, binary: bool
-) -> np.ndarray:
+def encode(w: np.ndarray, scale: np.ndarray, zero: np.ndarray, bit_width: int) -> np.ndarray:
     """uint8 codes of values under float64 scales and zero-points that
-    broadcast against them: the sign rule, code = (w >= 0), under binary
-    params, else clamp(round(w / scale) + zero, 0, 2^N - 1), worked in one
+    broadcast against them: the sign rule, code = (w >= 0), at 1 bit,
+    else clamp(round(w / scale) + zero, 0, 2^N - 1), worked in one
     float64 buffer (float32 values are widened exactly by the divide). The
     one quantizer rule, for a whole block or for a single column."""
-    if binary:
+    if bit_width == 1:
         return (w >= 0.0).astype(np.uint8)
     q = np.empty(np.broadcast(w, scale, zero).shape)
     np.divide(w, scale, out=q)
@@ -162,11 +154,11 @@ def encode(
     return q.astype(np.uint8)
 
 
-def _levels(codes: np.ndarray, zero: np.ndarray, binary: bool) -> np.ndarray:
+def _levels(codes: np.ndarray, zero: np.ndarray, bit_width: int) -> np.ndarray:
     """Integer levels of codes, int8 in their layout: code - zero, or
-    2 code - 1 in the sign/magnitude form. Exact, because codes and
+    2 code - 1 at 1 bit, the sign/magnitude form. Exact, because codes and
     zero-points are at most 15."""
-    if binary:
+    if bit_width == 1:
         levels = np.multiply(codes, 2, dtype=np.int8, casting="unsafe")
         levels -= 1
         return levels
@@ -177,13 +169,13 @@ def decode(
     codes: np.ndarray,
     scale: np.ndarray,
     zero: np.ndarray,
-    binary: bool,
+    bit_width: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """float32 decode of codes: their integer levels times float32 scales
     that broadcast against them, in one float32 buffer, a new one or out
     (float32, the codes' shape, any layout), which is returned."""
-    levels = _levels(codes, zero, binary)
+    levels = _levels(codes, zero, bit_width)
     if out is None:
         out = levels.astype(np.float32)
     else:
@@ -194,13 +186,13 @@ def decode(
 
 def int_levels(qb: QuantizedBlock) -> np.ndarray:
     """The block's integer levels (_levels), one zero-point per row."""
-    return _levels(qb.codes, qb.params.zero[:, None], qb.params.binary)
+    return _levels(qb.codes, qb.params.zero[:, None], qb.params.bit_width)
 
 
 def dequantize(qb: QuantizedBlock) -> np.ndarray:
     """Decode a block back to float32 (decode), one scale per row."""
     p = qb.params
-    return decode(qb.codes, p.scale.astype(np.float32)[:, None], p.zero[:, None], p.binary)
+    return decode(qb.codes, p.scale.astype(np.float32)[:, None], p.zero[:, None], p.bit_width)
 
 
 def binarize_block(block: np.ndarray) -> QuantizedBlock:

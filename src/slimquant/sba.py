@@ -39,7 +39,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.linalg.blas
 
-from .errors import BadGroupSize, InsufficientCalibration, InvalidConfig, ShapeMismatch
+from .errors import BadGroupSize, EmptyCalibration, InvalidConfig, ShapeMismatch
 from .quant_core import QuantizedBlock, dequantize, quantize_uniform
 from .quant_core import binarize_block  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 from .salience import SalienceMap
@@ -113,7 +113,7 @@ def kl_reference(x: np.ndarray, w: np.ndarray) -> KlReference:
     KlConfig.max_tokens of x's token rows at a uniform stride
     (stride_subsample). The one check of a divergence's inputs: w must be
     2-D with at least one row (ShapeMismatch), x 2-D over w's channels
-    (ShapeMismatch) with at least one row (InsufficientCalibration). The
+    (ShapeMismatch) with at least one row (EmptyCalibration). The
     rows are not converted: unstrided rows are x itself, strided ones a
     compact copy."""
     x, w = np.asarray(x), np.asarray(w)
@@ -122,7 +122,7 @@ def kl_reference(x: np.ndarray, w: np.ndarray) -> KlReference:
     if x.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeMismatch(f"activations {x.shape} do not match weights {w.shape}")
     if x.shape[0] == 0:
-        raise InsufficientCalibration("no token rows to compare outputs on")
+        raise EmptyCalibration("no token rows to compare outputs on")
     xs = stride_subsample(x, KlConfig.max_tokens)
     p = _outputs(xs, w)
     _row_distributions(p)

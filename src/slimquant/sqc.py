@@ -87,7 +87,7 @@ def calibrate_group(
 
     def walk(factors):
         scale = affine_params(lo, hi, bit_width, factors / SqcConfig.step)[0]
-        return _walk(block, scale, zero, bit_width, False, u)
+        return _walk(block, scale, zero, bit_width, u)
 
     factors = np.repeat(np.array(SqcConfig.coarse)[:, None], len(block), axis=1)
     codes, loss = walk(factors)
@@ -112,7 +112,7 @@ def walk_group(block: np.ndarray, bit_width: int, u: np.ndarray | None = None) -
     block = as_block(block)
     out = np.empty(block.shape, dtype=np.uint8)  # first, as in calibrate_group
     p = derive_params(block, bit_width)
-    out[...] = _walk(block, p.scale[None], p.zero, bit_width, p.binary, u)[0][0]
+    out[...] = _walk(block, p.scale[None], p.zero, bit_width, u)[0][0]
     return QuantizedBlock(out, p)
 
 
@@ -130,7 +130,6 @@ def _walk(
     scale: np.ndarray,
     zero: np.ndarray,
     bit_width: int,
-    binary: bool,
     u: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Codes (C, n, beta) and losses ||E_row||^2 (C, n) of the n x beta
@@ -170,8 +169,8 @@ def _walk(
             for j in range(b0, b1):
                 if j > b0:
                     dgemv(-1.0, cols[b0:j].T, u[b0:j, j], beta=1.0, y=cols[j], overwrite_y=1)
-                q[j] = encode(cols[j], scale64, zero64, bit_width, binary)
-                cols[j] -= decode(q[j], scale32, zero8, binary)
+                q[j] = encode(cols[j], scale64, zero64, bit_width)
+                cols[j] -= decode(q[j], scale32, zero8, bit_width)
                 cols[j] /= diag[j]
             if b1 < beta:
                 # cols[b1:] -= u[b0:b1, b1:]^T times the batch's errors, as

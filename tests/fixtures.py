@@ -59,12 +59,13 @@ def encode_block(block, params):
     (quant_core.encode)."""
     scale = params.scale.astype(np.float64)[:, None]
     zero = params.zero.astype(np.float64)[:, None]
-    codes = encode(np.asarray(block), scale, zero, params.bit_width, params.binary)
+    codes = encode(np.asarray(block), scale, zero, params.bit_width)
     return QuantizedBlock(codes=codes, params=params)
 
 
-def random_blocks(rng, n, m, beta, widths=None, binary=False):
-    """Hand-built list of quantized blocks with valid codes and params."""
+def random_blocks(rng, n, m, beta, widths=None):
+    """Hand-built list of quantized blocks with valid codes and params; a
+    1-bit block's zero-point row is drawn too, though decode never reads it."""
     k = m // beta
     if widths is None:
         widths = rng.integers(1, 5, size=k)
@@ -74,11 +75,7 @@ def random_blocks(rng, n, m, beta, widths=None, binary=False):
         maxq = (1 << bits) - 1
         codes = rng.integers(0, maxq + 1, size=(n, beta)).astype(np.uint8)
         scale = (rng.uniform(0.01, 2.0, size=n)).astype(np.float32)
-        if binary and bits == 1:
-            params = GroupQuantParams(1, scale, np.zeros(n, dtype=np.uint8),
-                                      binary=True)
-        else:
-            zero = rng.integers(0, maxq + 1, size=n).astype(np.uint8)
-            params = GroupQuantParams(bits, scale, zero)
+        zero = rng.integers(0, maxq + 1, size=n).astype(np.uint8)
+        params = GroupQuantParams(bits, scale, zero)
         blocks.append(QuantizedBlock(codes=codes, params=params))
     return blocks, np.asarray(widths, dtype=np.int64)

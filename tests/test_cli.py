@@ -309,6 +309,16 @@ def test_malformed_layer_is_rejected_before_the_gram_matrix(
     assert err.count("\n") == 1 and err.startswith(f"error[{error}]: ")
 
 
+@pytest.mark.parametrize("shape", [(5, 64), (4, 48)], ids=["rows", "channels"])
+def test_eval_weights_of_another_shape_are_shape_mismatch(tmp_path, capsys, shape):
+    wpath, xpath, model = layer_with_model(tmp_path, 4, 64)
+    write_tensor(wpath, np.ones(shape, dtype=np.float32))
+    code, out, err = run(capsys, "eval", "--model", model, "--weights", wpath, "--calib", xpath)
+    assert code == 1
+    assert out == ""
+    assert err == f"error[ShapeMismatch]: weights {shape} do not match packed model (4, 64)\n"
+
+
 def test_eval_matches_quantize_report(layer_files, tmp_path, capsys):
     wpath, xpath, _, _ = layer_files
     out = tmp_path / "m.slmq"
@@ -439,7 +449,10 @@ def test_one_bit_groups_are_written_as_sign_magnitude(tmp_path, capsys):
     assert int.from_bytes(raw[6:8], "little") == FLAG_BINARY_1BIT  # header flags field
     pm = read_packed(out)
     for qb, bits in zip(pm.blocks, report["plan"]["bits"]):
-        assert qb.params.binary == (bits == 1)
+        assert qb.params.bit_width == bits
+        if bits == 1:  # every weight decodes to plus or minus its row's alpha
+            alpha = np.broadcast_to(qb.params.scale[:, None], qb.codes.shape)
+            assert np.array_equal(np.abs(dequantize(qb)), alpha)
     code, stdout, _ = run(capsys, "eval", "--model", out, "--weights", wpath,
                           "--calib", xpath)
     assert code == 0

@@ -48,28 +48,26 @@ def test_single_group_equals_plain_gemm():
 
 
 def group_kinds_blocks(rng, n, beta, kinds):
-    """One block per (bits, kind): kind "sign" is the sign/magnitude form,
-    "low" and "high" put every zero-point at 0 or at maxq, "random" draws
-    them."""
+    """One block per (bits, kind): "low" and "high" put every zero-point at
+    0 or at maxq, "random" draws them. A 1-bit block is sign/magnitude
+    whatever its zero-points; the quantizer's have them at 0."""
     blocks = []
     for bits, kind in kinds:
         maxq = (1 << bits) - 1
         codes = rng.integers(0, maxq + 1, size=(n, beta)).astype(np.uint8)
         scale = rng.uniform(0.01, 2.0, size=n).astype(np.float32)
         zero = {
-            "sign": np.zeros(n),
             "low": np.zeros(n),
             "high": np.full(n, maxq),
             "random": rng.integers(0, maxq + 1, size=n),
         }[kind].astype(np.uint8)
-        params = GroupQuantParams(bits, scale, zero, binary=kind == "sign")
+        params = GroupQuantParams(bits, scale, zero)
         blocks.append(QuantizedBlock(codes=codes, params=params))
     return blocks
 
 
 GROUP_KIND_CASES = {
-    "sign_magnitude": [(1, "sign"), (2, "random"), (1, "sign"), (4, "high")],
-    "affine_1bit": [(1, "random"), (1, "low"), (1, "high"), (3, "random")],
+    "sign_magnitude": [(1, "low"), (2, "random"), (1, "random"), (4, "high")],
     "zero_points_at_0": [(1, "low"), (2, "low"), (3, "low"), (4, "low")],
     "zero_points_at_maxq": [(1, "high"), (2, "high"), (3, "high"), (4, "high")],
 }
@@ -95,10 +93,11 @@ def test_group_kinds_at_every_token_count(case, beta, monkeypatch):
     blocks = group_kinds_blocks(rng, n, beta, kinds)
     pm = pack(blocks, n, m, beta, target_bits=2)
     w = np.concatenate([dequantize(b) for b in blocks], axis=1)
-    # the same model with every affine group's codes at its zero-points
+    # the same model with every affine (2- to 4-bit) group's codes at its
+    # zero-points
     at_zero = [
         QuantizedBlock(codes=np.repeat(b.params.zero[:, None], beta, axis=1), params=b.params)
-        for b in blocks if not b.params.binary
+        for b in blocks if b.params.bit_width > 1
     ]
     pm_zero = pack(at_zero, n, beta * len(at_zero), beta, target_bits=2)
     for chunk_groups in CHUNK_GROUPS:
@@ -120,7 +119,7 @@ def test_decode_form_adds_one_product_per_chunk(chunk_groups, monkeypatch):
     # product per run added into the output in order
     rng = np.random.default_rng(10)
     n, beta, k = 12, 8, 7
-    blocks, _ = random_blocks(rng, n, k * beta, beta, binary=True)
+    blocks, _ = random_blocks(rng, n, k * beta, beta)
     pm = pack(blocks, n, k * beta, beta, target_bits=2)
     set_chunk_groups(monkeypatch, chunk_groups, n, beta)
     per_chunk = max(1, kernel._CHUNK_ELEMENTS // (n * beta))
@@ -170,7 +169,7 @@ def test_budget_holds_on_all_positive_inputs_at_m_4096():
         maxq = (1 << bits) - 1
         codes = rng.integers(1, maxq + 1, size=(n, beta)).astype(np.uint8)
         scale = rng.uniform(0.5, 2.0, size=n).astype(np.float32)
-        params = GroupQuantParams(bits, scale, np.zeros(n, dtype=np.uint8), binary=bits == 1)
+        params = GroupQuantParams(bits, scale, np.zeros(n, dtype=np.uint8))
         blocks.append(QuantizedBlock(codes=codes, params=params))
     pm = pack(blocks, n, k * beta, beta, target_bits=2)
     w = np.concatenate(

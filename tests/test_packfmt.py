@@ -26,6 +26,7 @@ from slimquant.errors import (
     UnsupportedVersion,
 )
 from slimquant.packfmt import (
+    FLAG_BINARY_1BIT,
     PackedModel,
     _layout,
     from_bytes,
@@ -41,7 +42,7 @@ from slimquant.pipeline import PipelineConfig, quantize_layer, reconstruct
 from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize
 from slimquant.tensor_store import CalibrationSet
 
-GOLDEN_SHA256 = "2216c29c00fa8a597132e73bbf20d4640ff682aec2d90b4c6e168e13d4cca168"
+GOLDEN_SHA256 = "1060f6626a51f4b78c0187b1c0c82817f0cf305a89952be2cbd90b3d0d77eade"
 
 
 def sections_of(raw):
@@ -79,18 +80,16 @@ def test_round_trip_random_models():
         n = int(rng.integers(1, 33))
         beta = int(rng.choice([4, 8, 16]))
         k = int(rng.integers(1, 6))
-        binary = bool(rng.integers(0, 2))
-        blocks, widths = random_blocks(rng, n, k * beta, beta, binary=binary)
+        blocks, widths = random_blocks(rng, n, k * beta, beta)
         pm = pack(blocks, n, k * beta, beta, target_bits=2)
         back = from_bytes(pm.to_bytes())
         assert back.n == n and back.m == k * beta and back.beta == beta
-        assert back.flags == pm.flags
+        assert back.flags == pm.flags == (FLAG_BINARY_1BIT if 1 in widths else 0)
         assert back.target_bits == pm.target_bits
         assert np.array_equal(back.widths, widths)
         assert len(back.blocks) == len(pm.blocks) == k
         for a, b in zip(back.blocks, pm.blocks):
             assert a.params.bit_width == b.params.bit_width
-            assert a.params.binary == b.params.binary
             assert np.array_equal(a.params.scale, b.params.scale)
             assert np.array_equal(a.params.zero, b.params.zero)
             assert np.array_equal(a.codes, b.codes)
@@ -109,20 +108,23 @@ def test_round_trip_preserves_decode():
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.params.scale, b.params.scale)
         assert np.array_equal(a.params.zero, b.params.zero)
-        assert a.params.binary == b.params.binary
 
 
 def test_binary_flag_round_trips():
+    # flag bit 0 follows the widths; a 1-bit group's zero-point row
+    # round-trips, and it decodes to +-scale whatever that row holds
     rng = np.random.default_rng(3)
-    blocks, _ = random_blocks(rng, 4, 32, 8, widths=[1, 2, 1, 3], binary=True)
+    blocks, _ = random_blocks(rng, 4, 32, 8, widths=[1, 2, 1, 3])
     pm = pack(blocks, 4, 32, 8, target_bits=2)
-    assert pm.binary_1bit
+    assert pm.flags == FLAG_BINARY_1BIT
     back = from_bytes(pm.to_bytes())
-    assert back.binary_1bit
+    assert back.flags == FLAG_BINARY_1BIT
     got, _ = unpack(back)
-    assert got[0].params.binary and got[2].params.binary
-    assert not got[1].params.binary
-    assert np.array_equal(dequantize(got[0]), dequantize(blocks[0]))
+    for g in (0, 2):
+        assert np.array_equal(got[g].params.zero, blocks[g].params.zero)
+        scale = blocks[g].params.scale[:, None]
+        want = np.where(blocks[g].codes == 1, scale, -scale)
+        assert np.array_equal(dequantize(got[g]), want)
 
 
 def test_offsets_use_padded_group_lengths():
@@ -252,6 +254,16 @@ def test_binary_flag_without_one_bit_group_rejected():
             from_bytes(bytes(tampered))
 
 
+def test_one_bit_group_without_binary_flag_rejected():
+    # a 1-bit group always decodes as sign/magnitude, so a file whose flag
+    # bit 0 is clear has no reading
+    raw = bytearray(golden_model().to_bytes())
+    assert int.from_bytes(raw[6:8], "little") == FLAG_BINARY_1BIT
+    struct.pack_into("<H", raw, 6, 0)
+    with pytest.raises(InconsistentPlan):
+        from_bytes(bytes(raw))
+
+
 def test_truncation_rejected_everywhere():
     raw = golden_model().to_bytes()
     with pytest.raises(TruncatedPayload):
@@ -346,6 +358,13 @@ def test_pack_validates_block_count_and_shapes():
         pack(blocks, 4, 32, 7, target_bits=2)
     with pytest.raises(InconsistentPlan):
         pack(blocks, 8, 32, 8, target_bits=2)  # n disagrees with code shapes
+    # a scale and a zero-point per row: rows of another length, or not 1-D
+    codes = np.zeros((2, 4), dtype=np.uint8)
+    for shape in ((1,), (3,), (2, 1)):
+        params = GroupQuantParams(2, np.ones(shape, dtype=np.float32),
+                                  np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(InconsistentPlan, match="not per-row of length 2"):
+            pack([QuantizedBlock(codes=codes, params=params)], 2, 4, 4, target_bits=2)
 
 
 def test_pack_validates_code_and_zero_ranges():
@@ -392,14 +411,6 @@ def test_pack_validates_scale_finiteness():
         pack([QuantizedBlock(codes=codes, params=params)], 2, 4, 4, target_bits=2)
 
 
-def test_pack_rejects_mixed_one_bit_modes():
-    rng = np.random.default_rng(6)
-    a, _ = random_blocks(rng, 2, 4, 4, widths=[1], binary=True)
-    b, _ = random_blocks(rng, 2, 4, 4, widths=[1], binary=False)
-    with pytest.raises(InconsistentPlan):
-        pack([a[0], b[0]], 2, 8, 4, target_bits=2)
-
-
 def test_pack_rejects_target_bits_beyond_u8():
     rng = np.random.default_rng(7)
     blocks, _ = random_blocks(rng, 4, 32, 8)
@@ -438,10 +449,9 @@ def test_size_report_accounts_for_every_bit():
         k = int(rng.integers(1, 7))
         widths = rng.integers(1, 5, size=k)
         widths[0] = 1
-        blocks, widths = random_blocks(rng, n, k * beta, beta, widths=widths,
-                                       binary=trial % 2 == 1)
+        blocks, widths = random_blocks(rng, n, k * beta, beta, widths=widths)
         pm = pack(blocks, n, k * beta, beta, target_bits=2)
-        assert pm.binary_1bit == (trial % 2 == 1)
+        assert pm.flags == FLAG_BINARY_1BIT
         report = packed_size_report(pm)
         assert report.payload_bits == int(
             sum(n * beta * int(w) for w in widths))
@@ -450,15 +460,15 @@ def test_size_report_accounts_for_every_bit():
 
 
 def base_files():
-    """Small valid files: widths 1-4 mixed, the 1-bit binary flag, n not a
+    """Small valid files: widths 1-4 mixed, two 1-bit groups, n not a
     multiple of 32 (with rows spanning two words), and k = 0."""
     rng = np.random.default_rng(99)
     mixed, _ = random_blocks(rng, 5, 16, 4, widths=[1, 2, 3, 4])
-    binary, _ = random_blocks(rng, 3, 12, 4, widths=[1, 2, 1], binary=True)
+    one_bit, _ = random_blocks(rng, 3, 12, 4, widths=[1, 2, 1])
     long_rows, _ = random_blocks(rng, 33, 8, 4, widths=[4, 1])
     return [
         pack(mixed, 5, 16, 4, target_bits=2).to_bytes(),
-        pack(binary, 3, 12, 4, target_bits=2).to_bytes(),
+        pack(one_bit, 3, 12, 4, target_bits=2).to_bytes(),
         pack(long_rows, 33, 8, 4, target_bits=2).to_bytes(),
         pack([], 4, 0, 16, target_bits=2).to_bytes(),
     ]

@@ -53,7 +53,7 @@ def blocks_equal(a, b):
             return False
         if not np.array_equal(qa.params.zero, qb.params.zero):
             return False
-        if qa.params.binary != qb.params.binary:
+        if qa.params.bit_width != qb.params.bit_width:
             return False
     return True
 
@@ -112,6 +112,20 @@ def test_metrics_reference_original_weights():
     assert res.recon_mse == block_mse(w, recon)
     hs = hessian_state(calib)
     assert res.proxy_loss == proxy_loss(w, recon, hs)
+
+
+def test_proxy_loss_rejects_mismatched_shapes():
+    rng = np.random.default_rng(5)
+    w = random_layer(rng, 4, 8)
+    hs = hessian_state(CalibrationSet([random_calib(rng, 16, 8)]))
+    with pytest.raises(ShapeMismatch, match="weight shapes differ"):
+        proxy_loss(w, w[:3], hs)
+    # weights whose channels, or whose rank, do not fit the factor
+    narrow = hessian_state(CalibrationSet([random_calib(rng, 16, 6)]))
+    with pytest.raises(ShapeMismatch, match="Gram matrix of 6 channels"):
+        proxy_loss(w, w.copy(), narrow)
+    with pytest.raises(ShapeMismatch, match="Gram matrix of 8 channels"):
+        proxy_loss(w[0], w[0].copy(), hs)
 
 
 def test_proxy_loss_zero_for_exact_reconstruction():
@@ -277,7 +291,6 @@ def test_one_bit_groups_take_sign_form(sqc, compensation):
     assert res.plan.p_star >= 1  # fixture reliably demotes at least one group
     for g, (qb, bits) in enumerate(zip(res.blocks, res.plan.bits)):
         assert qb.params.bit_width == int(bits)
-        assert qb.params.binary == (bits == 1)
         if bits == 1:
             assert np.all(qb.params.zero == 0)
             assert np.all(qb.params.scale == qb.params.scale[0])  # one shared alpha
@@ -337,7 +350,7 @@ def columnwise_reference(w, calib, cfg, blocks):
         for j in range(cfg.beta):
             c = lo + j
             col = work[:, c].copy()
-            if params.binary:
+            if params.bit_width == 1:
                 codes[:, j] = col >= 0.0
                 deq = (codes[:, j].astype(np.float32) * 2 - 1) * scale32
             else:
@@ -398,7 +411,7 @@ def test_solved_errors_are_the_walks():
         solved = pipeline._group_errors(found, qb, u)
         assert np.linalg.norm(solved - err) <= 1e-12 * np.linalg.norm(err)
         p = qb.params
-        _, loss = sqc_walk(found, p.scale[None], p.zero, p.bit_width, p.binary, u)
+        _, loss = sqc_walk(found, p.scale[None], p.zero, p.bit_width, u)
         np.testing.assert_allclose(loss[0], (solved ** 2).sum(axis=1), rtol=1e-12)
 
 

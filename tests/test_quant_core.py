@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fixtures import encode_block
-from slimquant.errors import InconsistentPlan, InvalidConfig, ShapeMismatch
+from slimquant.errors import InvalidConfig, ShapeMismatch
 from slimquant.quant_core import (
     RANGE_FLOOR,
     GroupQuantParams,
@@ -130,7 +130,6 @@ def test_invariants_hold_on_random_blocks():
             assert qb.codes.max() <= maxq
             assert np.all(qb.params.scale > 0.0)
             assert qb.params.zero.max() <= maxq
-            assert qb.params.binary == (bits == 1)
             deq = dequantize(qb).astype(np.float64)
             if bits == 1:
                 # every weight keeps its sign at the shared magnitude
@@ -163,7 +162,7 @@ def test_requantize_is_idempotent():
 def test_clamp_applies_with_narrow_params():
     # params cover [0, 3] but the data reaches 9: codes must clamp at maxq
     block = np.array([[-4.0, 9.0]], dtype=np.float32)
-    codes = encode(block, np.ones((1, 1)), np.zeros((1, 1)), 2, binary=False)
+    codes = encode(block, np.ones((1, 1)), np.zeros((1, 1)), 2)
     assert np.array_equal(codes, [[0, 3]])
 
 
@@ -291,7 +290,6 @@ def test_binarize_sign_flip_mirrors_signs():
 def test_binarize_block_decodes_to_signed_magnitude():
     block = np.array([[0.5, -1.5], [2.0, -2.0]], dtype=np.float32)
     qb = binarize_block(block)
-    assert qb.params.binary
     assert qb.params.bit_width == 1
     assert np.array_equal(qb.codes, [[1, 0], [1, 0]])
     alpha = np.float32(1.5)
@@ -323,21 +321,6 @@ def test_block_mse_shape_mismatch():
         block_mse(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
-def test_one_bit_affine_differs_from_binary():
-    # the zero-inclusive affine grid's two 1-bit levels are 0 and 3 here:
-    # it keeps only the 2, and loses the sign of the -1
-    block = np.array([[-1.0, 0.1, 0.2, 2.0]], dtype=np.float32)
-    lo, hi = np.array([-1.0]), np.array([2.0])
-    affine = encode_block(block, params_from_range(lo, hi, 1))
-    assert np.array_equal(dequantize(affine), [[0.0, 0.0, 0.0, 3.0]])
-    qb = quantize_uniform(block, 1)
-    assert qb.params.binary
-    alpha = np.float32(np.mean(np.abs(block.astype(np.float64))))
-    assert qb.params.scale[0] == alpha
-    assert np.array_equal(qb.codes, [[0, 1, 1, 1]])
-    assert np.array_equal(dequantize(qb), [[-alpha, alpha, alpha, alpha]])
-
-
 def test_quantize_uniform_one_bit_is_binarize_block():
     rng = np.random.default_rng(14)
     for _ in range(30):
@@ -346,24 +329,17 @@ def test_quantize_uniform_one_bit_is_binarize_block():
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.params.scale, b.params.scale)
         assert np.array_equal(a.params.zero, b.params.zero)
-        assert a.params.binary and b.params.binary
 
 
 def test_binary_params_take_sign_rule():
-    # sign params: rounding 0.1 / alpha and 0.2 / alpha would give code 0,
-    # which decodes to -alpha; the sign rule keeps their sign
+    # at 1 bit: rounding 0.1 / alpha and 0.2 / alpha would give code 0,
+    # which decodes to -alpha; the sign rule keeps their sign, whatever
+    # the zero-point
     block = np.array([[-1.0, 0.1, 0.2, 2.0]], dtype=np.float32)
     alpha = binarize_block(block).params.scale.astype(np.float64)[:, None]
-    codes = encode(block, alpha, np.zeros((1, 1)), 1, binary=True)
-    assert np.array_equal(codes, [[0, 1, 1, 1]])
-
-
-def test_binary_params_only_at_one_bit():
-    scale, zero = np.ones(2, dtype=np.float32), np.zeros(2, dtype=np.uint8)
-    assert GroupQuantParams(1, scale, zero, binary=True).binary
-    for bits in (2, 3, 4):
-        with pytest.raises(InconsistentPlan):
-            GroupQuantParams(bits, scale, zero, binary=True)
+    for zero in (0.0, 1.0):
+        codes = encode(block, alpha, np.full((1, 1), zero), 1)
+        assert np.array_equal(codes, [[0, 1, 1, 1]])
 
 
 def test_derive_params_float32_scale():
@@ -379,28 +355,29 @@ def three_step_decode(qb):
     array."""
     codes = qb.codes.astype(np.float32)
     scale = qb.params.scale.astype(np.float32)[:, None]
-    if qb.params.binary:
+    if qb.params.bit_width == 1:
         return (codes * np.float32(2.0) - np.float32(1.0)) * scale
     return (codes - qb.params.zero.astype(np.float32)[:, None]) * scale
 
 
-@pytest.mark.parametrize("bits, binary", [(1, True), (1, False), (2, False), (3, False), (4, False)])
-def test_dequantize_bytes_match_three_step_decode(bits, binary):
+# sign: the width's form is sign/magnitude, whose decode never reads the
+# zero-points; they are drawn at every width all the same
+@pytest.mark.parametrize("bits, sign", [(1, True), (2, False), (3, False), (4, False)])
+def test_dequantize_bytes_match_three_step_decode(bits, sign):
     rng = np.random.default_rng(15)
     n, width, maxq = 64, 48, (1 << bits) - 1
     codes = rng.integers(0, maxq + 1, size=(n, width)).astype(np.uint8)
     codes[0] = maxq
     codes[1] = 0
     scale = (rng.uniform(0.5, 2.0, size=n) * 2.0 ** rng.integers(-30, 30, size=n)).astype(np.float32)
-    zero = np.zeros(n, dtype=np.uint8)
-    if not binary:
-        zero = rng.integers(0, maxq + 1, size=n).astype(np.uint8)
-        zero[2:4] = (0, maxq)
-    params = GroupQuantParams(bits, scale, zero, binary=binary)
+    zero = rng.integers(0, maxq + 1, size=n).astype(np.uint8)
+    zero[2:4] = (0, maxq)
+    params = GroupQuantParams(bits, scale, zero)
     # row-major as quantize_uniform returns, column-major as a PackedModel holds
     for layout in (codes, np.asfortranarray(codes)):
         qb = QuantizedBlock(codes=layout, params=params)
         got, ref = dequantize(qb), three_step_decode(qb)
+        assert (np.abs(got) == scale[:, None]).all() == sign
         assert got.dtype == ref.dtype == np.float32
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
@@ -408,23 +385,21 @@ def test_dequantize_bytes_match_three_step_decode(bits, binary):
         # chunked decode writes it; the columns around it are not touched
         buf = np.full((n, 3 * width), np.nan, dtype=np.float32, order="F")
         cols = buf[:, width : 2 * width]
-        back = decode(layout, scale[:, None], params.zero[:, None], binary, out=cols)
+        back = decode(layout, scale[:, None], params.zero[:, None], bits, out=cols)
         assert back is cols
         assert cols.tobytes() == got.tobytes()
         assert np.isnan(buf[:, :width]).all() and np.isnan(buf[:, 2 * width :]).all()
 
 
-@pytest.mark.parametrize("bits, binary", [(1, True), (1, False), (2, False), (3, False), (4, False)])
-def test_column_rule_matches_block_column(bits, binary):
+@pytest.mark.parametrize("bits, sign", [(1, True), (2, False), (3, False), (4, False)])
+def test_column_rule_matches_block_column(bits, sign):
     # the error compensation encodes and decodes one column at a time, with
     # each row's parameters along the column
     rng = np.random.default_rng(16)
     n, width, maxq = 32, 12, (1 << bits) - 1
     scale = (rng.uniform(0.5, 2.0, size=n) * 2.0 ** rng.integers(-20, 20, size=n)).astype(np.float32)
-    zero = np.zeros(n, dtype=np.uint8)
-    if not binary:
-        zero = rng.integers(0, maxq + 1, size=n).astype(np.uint8)
-        zero[:2] = (0, maxq)
+    zero = rng.integers(0, maxq + 1, size=n).astype(np.uint8)
+    zero[:2] = (0, maxq)
     s = scale.astype(np.float64)[:, None]
     k = rng.integers(-maxq - 2, maxq + 3, size=(n, width)).astype(np.float64)
     block = (k + rng.uniform(-0.5, 0.5, size=(n, width))) * s
@@ -434,20 +409,23 @@ def test_column_rule_matches_block_column(bits, binary):
     block[:, 3] = -0.0
     block[:, 4] = (2 * maxq + 3.0) * s[:, 0]  # clamped at the top code
     block[:, 5] = -(2 * maxq + 3.0) * s[:, 0]  # and at code 0
-    qb = encode_block(block, GroupQuantParams(bits, scale, zero, binary=binary))
+    qb = encode_block(block, GroupQuantParams(bits, scale, zero))
     deq = dequantize(qb)
-    assert np.all(qb.codes[:, 4] == (1 if binary else maxq))
+    assert np.all(qb.codes[:, 4] == maxq)
     assert np.all(qb.codes[:, 5] == 0)
-    if not binary:
+    if sign:
+        # the sign rule: code 1 exactly where the value is >= 0
+        assert np.array_equal(qb.codes, (block >= 0.0).astype(np.uint8))
+    else:
         # clamped codes aside, a half-way value keeps an even level
         level = qb.codes[:, :2].astype(np.int64) - zero[:, None]
         inside = (qb.codes[:, :2] > 0) & (qb.codes[:, :2] < maxq)
         assert np.all(level[inside] % 2 == 0)
     for j in range(width):
-        codes = encode(block[:, j], s[:, 0], zero.astype(np.float64), bits, binary)
+        codes = encode(block[:, j], s[:, 0], zero.astype(np.float64), bits)
         assert codes.dtype == np.uint8
         assert np.array_equal(codes, qb.codes[:, j])
-        col = decode(codes, scale, zero, binary)
+        col = decode(codes, scale, zero, bits)
         assert col.dtype == np.float32
         assert col.tobytes() == deq[:, j].tobytes()
 
@@ -456,7 +434,8 @@ def test_column_rule_matches_block_column(bits, binary):
 @pytest.mark.parametrize("inputs", ["random", "half-integer ties", "clip edges"])
 def test_encode_in_one_buffer_keeps_the_codes(bits, inputs):
     # encode works in place in one float64 buffer; the codes are those of
-    # the expression it replaced, bit for bit, also on float32 values
+    # the expression it replaced, bit for bit, also on float32 values (at
+    # 1 bit, those of the sign rule)
     rng = np.random.default_rng(17)
     n, width, maxq = 64, 48, (1 << bits) - 1
     scale = (rng.uniform(0.5, 2.0, size=(n, 1)) * 2.0 ** rng.integers(-30, 30, size=(n, 1)))
@@ -472,9 +451,11 @@ def test_encode_in_one_buffer_keeps_the_codes(bits, inputs):
         block = (edge + rng.choice([-3.0, -0.5, 0.0, 0.5, 3.0], size=(n, width))) * scale
     for w in (block, block.astype(np.float32)):
         old = np.clip(np.rint(w / scale) + zero, 0, maxq).astype(np.uint8)
-        assert encode(w, scale, zero, bits, False).tobytes() == old.tobytes()
+        if bits == 1:
+            old = (w >= 0.0).astype(np.uint8)
+        assert encode(w, scale, zero, bits).tobytes() == old.tobytes()
         # one column, with each row's parameters along it
-        col = encode(w[:, 3], scale[:, 0], zero[:, 0], bits, False)
+        col = encode(w[:, 3], scale[:, 0], zero[:, 0], bits)
         assert col.tobytes() == old[:, 3].tobytes()
 
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from fixtures import encode_block, hessian_state, random_calib, random_layer
-from slimquant.errors import BadGroupSize, InsufficientCalibration, ShapeMismatch
+from fixtures import hessian_state, random_calib, random_layer
+from slimquant.errors import BadGroupSize, EmptyCalibration, ShapeMismatch
 from slimquant.quant_core import (
     binarize_block,
     dequantize,
@@ -68,14 +68,14 @@ def oracle_plans(group_mean, target):
     return plans
 
 
-def fake_quantize(w, bits, beta, one_bit=quantize_uniform):
-    """Plain quantize_uniform fake quantization per group; 1-bit groups go
-    through one_bit instead."""
+def fake_quantize(w, bits, beta, one_bit=None):
+    """Plain quantize_uniform fake quantization per group; 1-bit groups are
+    decoded by one_bit instead when it is given."""
     w_hat = np.empty_like(w, dtype=np.float32)
     for g, b in enumerate(bits):
         sl = slice(g * beta, (g + 1) * beta)
-        if b == 1:
-            w_hat[:, sl] = dequantize(one_bit(w[:, sl], 1))
+        if b == 1 and one_bit is not None:
+            w_hat[:, sl] = one_bit(w[:, sl])
         else:
             w_hat[:, sl] = dequantize(quantize_uniform(w[:, sl], b))
     return w_hat
@@ -141,7 +141,7 @@ MALFORMED = {
     "0d-activations": (lambda w, x: (w, x[0, 0]), ShapeMismatch),
     "1d-activations": (lambda w, x: (w, x[:, 0]), ShapeMismatch),
     "wrong-channel-count": (lambda w, x: (w, x[:, :-1]), ShapeMismatch),
-    "no-token-rows": (lambda w, x: (w, x[:0]), InsufficientCalibration),
+    "no-token-rows": (lambda w, x: (w, x[:0]), EmptyCalibration),
     "1d-weights": (lambda w, x: (w[0], x), ShapeMismatch),
     "no-weight-rows": (lambda w, x: (w[:0], x), ShapeMismatch),
 }
@@ -572,15 +572,18 @@ def test_evaluation_count_matches_group_count():
     assert len(plan.kl_curve) == 17
 
 
-def sign_one_bit(block, bits):
-    return binarize_block(block)
+def sign_one_bit(block):
+    return dequantize(binarize_block(block))
 
 
-def affine_one_bit(block, bits):
-    """The zero-inclusive min/max grid at 1 bit, which the search does not use."""
+def affine_one_bit(block):
+    """The zero-inclusive min/max grid at 1 bit, decoded: a form the search
+    does not use and the package has no rule for."""
     b = np.asarray(block, dtype=np.float64)
     lo, hi = np.minimum(b.min(axis=1), 0.0), np.maximum(b.max(axis=1), 0.0)
-    return encode_block(b, params_from_range(lo, hi, bits))
+    p = params_from_range(lo, hi, 1)
+    s, z = p.scale.astype(np.float64)[:, None], p.zero.astype(np.float64)[:, None]
+    return ((np.clip(np.rint(b / s) + z, 0, 1) - z) * s).astype(np.float32)
 
 
 def test_one_bit_candidates_are_sign_magnitude():

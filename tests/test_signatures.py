@@ -1,19 +1,30 @@
-"""The quantizer's and the packer's parameters are the ones pinned here.
+"""The quantizer's and the packer's parameters, and the data model, are the
+ones pinned here.
 
 quantize_uniform derives a block's params itself, params_from_range gives
 the unscaled (gamma = 1) params, and pack is told the average width target
 that the file's header records: range calibration, the only caller that
 scales a range, calls affine_params, and every caller of pack knows its
-target. A parameter that only tests pass goes against ROADMAP aim 2
-("delete any knob that has no measured effect").
+target. A group's params are its width, scales and zero-points, and the
+width alone picks the rule encode and decode apply (sign/magnitude at
+1 bit, affine above). A parameter that only tests pass goes against
+ROADMAP aim 2 ("delete any knob that has no measured effect"), and a
+second mode beside the width against its "keep one code path per stage".
 """
 
+import dataclasses
 import inspect
 
 import pytest
 
 from slimquant.packfmt import pack
-from slimquant.quant_core import params_from_range, quantize_uniform
+from slimquant.quant_core import (
+    GroupQuantParams,
+    decode,
+    encode,
+    params_from_range,
+    quantize_uniform,
+)
 
 ADVICE = "ROADMAP aim 2: delete any knob that has no measured effect"
 
@@ -22,6 +33,12 @@ SIGNATURES = {
     quantize_uniform: ["block", "bit_width"],
     params_from_range: ["lo", "hi", "bit_width"],
     pack: ["blocks", "n", "m", "beta", "target_bits"],
+}
+
+# the one quantizer rule: function -> the parameters it takes
+RULE = {
+    encode: ["w", "scale", "zero", "bit_width"],
+    decode: ["codes", "scale", "zero", "bit_width", "out"],
 }
 
 
@@ -34,3 +51,13 @@ def test_every_parameter_is_required():
     for fn in SIGNATURES:
         for p in inspect.signature(fn).parameters.values():
             assert p.default is inspect.Parameter.empty, f"{fn.__name__}.{p.name}"
+
+
+@pytest.mark.parametrize("fn", RULE, ids=lambda fn: fn.__name__)
+def test_rule_takes_only_the_pinned_parameters(fn):
+    assert list(inspect.signature(fn).parameters) == RULE[fn], ADVICE
+
+
+def test_group_params_are_width_scale_and_zero():
+    fields = [f.name for f in dataclasses.fields(GroupQuantParams)]
+    assert fields == ["bit_width", "scale", "zero"], ADVICE

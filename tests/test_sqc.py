@@ -43,7 +43,7 @@ def walk_reference(block, params, u):
     err = np.empty((n, beta))
     for j in range(beta):
         col = work[:, j]
-        if params.binary:
+        if params.bit_width == 1:
             codes[:, j] = col >= 0.0
             deq = (codes[:, j].astype(np.float32) * 2 - 1) * scale32
         else:
@@ -92,7 +92,7 @@ def assert_same_block(a, b):
     assert np.array_equal(a.codes, b.codes)
     assert np.array_equal(a.params.scale, b.params.scale)
     assert np.array_equal(a.params.zero, b.params.zero)
-    assert a.params.binary == b.params.binary
+    assert a.params.bit_width == b.params.bit_width
 
 
 def test_on_grid_block_wins_with_unity():
@@ -214,8 +214,8 @@ def test_each_row_is_no_worse_than_at_factor_one(compensated):
         u = inverse_factor(rng, 128) if compensated else None
         qb, _ = calibrate_group(block, bits, SqcConfig(), u)
         plain = params_from_range(*_row_range(block), bits)
-        chosen = sqc._walk(block, qb.params.scale[None], qb.params.zero, bits, False, u)
-        at_one = sqc._walk(block, plain.scale[None], plain.zero, bits, False, u)
+        chosen = sqc._walk(block, qb.params.scale[None], qb.params.zero, bits, u)
+        at_one = sqc._walk(block, plain.scale[None], plain.zero, bits, u)
         assert np.array_equal(chosen[0][0], qb.codes)
         assert np.all(chosen[1] <= at_one[1])
         assert np.sum(chosen[1] < at_one[1]) >= 32
