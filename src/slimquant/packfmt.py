@@ -3,33 +3,39 @@
 File layout (SLMQ, all little-endian):
 
     magic    4 bytes  b"SLMQ"
-    version  u16      currently 2
-    flags    u16      bit 0: set exactly when some group is 1-bit; every
-                      other bit is zero
+    version  u16      currently 3
+    flags    u16      reserved, zero
     n        u32      output rows
     m        u32      input channels
     beta     u32      group width
     N        u8       average bit-width target
     reserved 3 bytes  zero
     sections, back to back, in order:
-        bit_codes      one row of k = m / beta 2-bit fields, value = width - 1
-        scales         k*n float32, group-major then row
-        zeros_stream   per group: one row of n zero-points at the group's width
+        group_codes    one row of k = m / beta 3-bit fields: bits 0-1 hold
+                       width - 1, bit 2 marks a shared group
+        scales         float32, group-major then row: n per group, or one
+                       for a shared group
+        zeros_stream   per group: one row of n zero-points at the group's
+                       width, or of one for a shared group
         weights_stream per group: beta rows, one per column, of n codes at
                        the group's width
 
-Every packed section is written by one rule: rows of fixed-width fields,
-LSB-first, bytes in ascending address order, each row padded with zero
-bits to a 32-bit word. No section carries its length: the header fixes k
-and the bit-code row, and the widths then fix every other section's size,
-so a file is exactly as long as they imply (_layout). Padding bits,
-reserved bytes and undefined flag bits are always zero and nonzero ones
-are rejected on read, as is a flag bit 0 that disagrees with the widths,
-which keeps the encoding injective.
+A group is shared when it has at least 2 rows and they all hold one
+float32 scale (bitwise) and one zero-point; the file stores that pair
+once, and reading expands it to every row. Every packed section is written
+by one rule: rows of fixed-width fields, LSB-first, bytes in ascending
+address order, each row padded with zero bits to a 32-bit word. No section
+carries its length: the header fixes k and the group-code row, and the
+codes then fix every other section's size, so a file is exactly as long as
+they imply (_layout). Padding bits, reserved bytes and flag bits are always
+zero and nonzero ones are rejected on read, as is a shared bit that
+disagrees with the rows it stands for (one on a group of fewer than 2 rows,
+or none on a group whose rows share both values), which keeps the encoding
+injective.
 
 A group's width fixes its decode rule: 2 to 4 bits are affine, 1 bit is
-sign/magnitude (quant_core). A 1-bit group's zero-point row is stored
-like any other and round-trips, but decode never reads it.
+sign/magnitude (quant_core). A 1-bit group's zero-points are stored like
+any other and round-trip, but decode never reads them.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ from .quant_core import GroupQuantParams, QuantizedBlock
 from .tensor_store import atomic_write, read_file
 
 MAGIC = b"SLMQ"
-VERSION = 2
-FLAG_BINARY_1BIT = 1
+VERSION = 3
+_SHARED = 4  # group-code bit 2
 _HEADER = struct.Struct("<4sHHIIIB3s")
 _RESERVED = bytes(3)
 WORD_BITS = 32
@@ -87,22 +93,28 @@ def unpack_fields(raw, rows: int, count: int, width: int, what: str) -> np.ndarr
     return values
 
 
-def _layout(n: int, beta: int, widths) -> tuple[list[int], list[int], tuple[int, ...]]:
-    """Words in one padded row of n fields at each group's width (a
-    group's zero-points are one such row, its codes beta of them), the
-    k + 1 bit offsets of the groups in the weight stream, and the byte
-    length of each of the four sections, in file order. Python integers,
-    so a hostile header cannot overflow them."""
+def _layout(n: int, beta: int, widths, shared) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """Words in each group's zero-point row (n fields at its width, or one
+    for a shared group), the k + 1 bit offsets of the groups in the weight
+    stream (beta padded rows of n codes each), and the byte length of each
+    of the four sections, in file order. Python integers, so a hostile
+    header cannot overflow them."""
     k = len(widths)
-    words = [_row_words(n, int(w)) for w in widths]
-    offsets = [0, *itertools.accumulate(beta * WORD_BITS * c for c in words)]
-    sizes = (4 * _row_words(k, 2), 4 * k * n, 4 * sum(words), offsets[-1] // 8)
-    return words, offsets, sizes
+    rows = [1 if s else n for s in shared]
+    zero_words = [_row_words(r, int(w)) for r, w in zip(rows, widths)]
+    offsets = [0, *itertools.accumulate(beta * WORD_BITS * _row_words(n, int(w)) for w in widths)]
+    sizes = (4 * _row_words(k, 3), 4 * sum(rows), 4 * sum(zero_words), offsets[-1] // 8)
+    return zero_words, offsets, sizes
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _is_shared(params: GroupQuantParams) -> bool:
+    bits, zero = np.asarray(params.scale, dtype="<f4").view("<u4"), params.zero
+    return len(bits) >= 2 and bool(np.all(bits == bits[0]) and np.all(zero == zero[0]))
 
 
 def _frozen_block(codes, scale, zero, width: int) -> QuantizedBlock:
@@ -133,23 +145,27 @@ class PackedModel:
         """(k,) int64 in [1, 4], read-only."""
         return _readonly(np.array([b.params.bit_width for b in self.blocks], dtype=np.int64))
 
-    @property
-    def flags(self) -> int:
-        return FLAG_BINARY_1BIT if np.any(self.widths == 1) else 0
+    @cached_property
+    def shared(self) -> np.ndarray:
+        """(k,) bool, read-only: the groups of at least 2 rows whose rows
+        all hold one float32 scale, bitwise, and one zero-point."""
+        return _readonly(np.array([_is_shared(b.params) for b in self.blocks], dtype=bool))
 
     def group_block(self, g: int) -> QuantizedBlock:
         return self.blocks[g]
 
     def to_bytes(self) -> bytes:
         header = _HEADER.pack(
-            MAGIC, VERSION, self.flags, self.n, self.m, self.beta, self.target_bits, _RESERVED
+            MAGIC, VERSION, 0, self.n, self.m, self.beta, self.target_bits, _RESERVED
         )
+        # a shared group's scale and zero-point rows are their first entry
+        params = [(b.params, 1 if s else self.n) for b, s in zip(self.blocks, self.shared)]
         return b"".join(
             [
                 header,
-                pack_fields(self.widths[None, :] - 1, 2),
-                *(b.params.scale.astype("<f4").tobytes() for b in self.blocks),
-                *(pack_fields(b.params.zero[None, :], b.params.bit_width) for b in self.blocks),
+                pack_fields(self.widths[None, :] - 1 + _SHARED * self.shared, 3),
+                *(p.scale[:r].astype("<f4").tobytes() for p, r in params),
+                *(pack_fields(p.zero[None, :r], p.bit_width) for p, r in params),
                 *(pack_fields(b.codes.T, b.params.bit_width) for b in self.blocks),
             ]
         )
@@ -200,45 +216,52 @@ def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:
     magic, version, flags, n, m, beta, target_bits, reserved = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise BadMagic(f"{name}: expected {MAGIC!r}, found {magic!r}")
-    if version != VERSION or flags & ~FLAG_BINARY_1BIT or reserved != _RESERVED:
+    if version != VERSION or flags or reserved != _RESERVED:
         raise UnsupportedVersion(
             f"{name}: version {version}, flags {flags:#06x}, reserved bytes {reserved.hex()}; "
-            f"this build reads version {VERSION}, flag bit 0 only and 000000"
+            f"this build reads version {VERSION} with flags 0 and 000000"
         )
     if beta < 1 or m % beta != 0:
         raise InconsistentPlan(f"{name}: group size {beta} does not divide {m}")
     k = m // beta
 
-    # the bit-code row first: it bounds k by the file's size before
-    # anything is sized by k, and its widths size every other section
+    # the group-code row first: it bounds k by the file's size before
+    # anything is sized by k, and its codes size every other section
     view = memoryview(raw)
-    code_end = _HEADER.size + 4 * _row_words(k, 2)
+    code_end = _HEADER.size + 4 * _row_words(k, 3)
     if len(raw) < code_end:
-        raise TruncatedPayload(f"{name}: bit-code row of {k} groups cut off")
-    bit_codes = view[_HEADER.size : code_end]
-    widths = unpack_fields(bit_codes, 1, k, 2, f"{name}: bit codes")[0].astype(np.int64) + 1
-    words, offsets, sizes = _layout(n, beta, widths)
+        raise TruncatedPayload(f"{name}: group-code row of {k} groups cut off")
+    group_codes = unpack_fields(view[_HEADER.size : code_end], 1, k, 3, f"{name}: group codes")[0]
+    widths = (group_codes & 3).astype(np.int64) + 1
+    shared = (group_codes & _SHARED).astype(bool)
+    zero_words, offsets, sizes = _layout(n, beta, widths, shared)
     _, scales_at, zeros_at, weights_at, end = itertools.accumulate(sizes, initial=_HEADER.size)
     if len(raw) != end:
-        raise TruncatedPayload(f"{name}: {len(raw)} bytes, header and bit widths imply {end}")
-    if bool(flags & FLAG_BINARY_1BIT) != bool(np.any(widths == 1)):
-        raise InconsistentPlan(f"{name}: flag bit 0 must be set exactly when a group is 1-bit")
+        raise TruncatedPayload(f"{name}: {len(raw)} bytes, header and group codes imply {end}")
 
-    scales = np.frombuffer(raw, dtype="<f4", count=k * n, offset=scales_at)
-    scales = _readonly(scales.reshape(k, n).astype(np.float32))
+    scales = np.frombuffer(raw, dtype="<f4", count=sizes[1] // 4, offset=scales_at)
     if not np.all(np.isfinite(scales)):
         raise CodeOutOfRange(f"{name}: non-finite scale")
 
     blocks = []
     for g in range(k):
-        width = int(widths[g])
-        row = view[zeros_at : zeros_at + 4 * words[g]]
-        zeros_at += 4 * words[g]
-        zero = _readonly(unpack_fields(row, 1, n, width, f"{name}: zero-point group {g}"))[0]
+        width, rows = int(widths[g]), 1 if shared[g] else n
+        scale = scales[:rows].astype(np.float32)
+        scales = scales[rows:]
+        row = view[zeros_at : zeros_at + 4 * zero_words[g]]
+        zeros_at += 4 * zero_words[g]
+        zero = _readonly(unpack_fields(row, 1, rows, width, f"{name}: zero-point group {g}"))[0]
+        if shared[g]:
+            scale, zero = np.full(n, scale[0]), np.full(n, zero[0])
         group = view[weights_at + offsets[g] // 8 : weights_at + offsets[g + 1] // 8]
         codes = _readonly(unpack_fields(group, beta, n, width, f"{name}: weight group {g}")).T
-        blocks.append(_frozen_block(codes, scales[g], zero, width))
-    return PackedModel(n=n, m=m, beta=beta, target_bits=target_bits, blocks=tuple(blocks))
+        blocks.append(_frozen_block(codes, scale, zero, width))
+    pm = PackedModel(n=n, m=m, beta=beta, target_bits=target_bits, blocks=tuple(blocks))
+    misread = np.flatnonzero(pm.shared != shared)
+    if misread.size:
+        raise InconsistentPlan(f"{name}: group {misread[0]}'s shared bit disagrees with its "
+                               f"{n} rows' scales and zero-points")
+    return pm
 
 
 def write_packed(pm: PackedModel, path: str) -> None:
@@ -253,7 +276,7 @@ def read_packed(path: str) -> PackedModel:
 class SizeReport:
     payload_bits: int  # code bits, padding excluded
     padding_bits: int
-    metadata_bits: int  # header, bit codes, scales, zeros
+    metadata_bits: int  # header, group codes, scales, zeros
     bits_per_weight: float
 
     @property
@@ -263,7 +286,7 @@ class SizeReport:
 
 def packed_size_report(pm: PackedModel) -> SizeReport:
     payload = int(sum(pm.n * pm.beta * int(w) for w in pm.widths))
-    sizes = _layout(pm.n, pm.beta, pm.widths)[2]
+    sizes = _layout(pm.n, pm.beta, pm.widths, pm.shared)[2]
     stream = 8 * sizes[-1]
     # the header and every section but the weight stream
     metadata_bytes = _HEADER.size + sum(sizes[:-1])

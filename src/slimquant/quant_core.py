@@ -44,7 +44,8 @@ class GroupQuantParams:
     """Per-row parameters for one block: the affine map's scale and
     zero-point at 2 to 4 bits; at 1 bit the sign/magnitude form's alpha
     as the scale, its codes {0, 1} decoding to scale * (2 code - 1), and a
-    zero-point that is stored but never read."""
+    zero-point that is never read (a .slmq file stores it once per row
+    unless every row holds the same scale and zero-point)."""
 
     bit_width: int
     scale: np.ndarray  # (n,) float32, > 0

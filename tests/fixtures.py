@@ -63,9 +63,11 @@ def encode_block(block, params):
     return QuantizedBlock(codes=codes, params=params)
 
 
-def random_blocks(rng, n, m, beta, widths=None):
-    """Hand-built list of quantized blocks with valid codes and params; a
-    1-bit block's zero-point row is drawn too, though decode never reads it."""
+def random_blocks(rng, n, m, beta, widths=None, shared=()):
+    """Hand-built list of quantized blocks with valid codes and params. A
+    block's scale and zero-point are drawn per row, or once for all its
+    rows if its index is in shared. A 1-bit block's zero-points are drawn
+    too, though decode never reads them."""
     k = m // beta
     if widths is None:
         widths = rng.integers(1, 5, size=k)
@@ -73,9 +75,10 @@ def random_blocks(rng, n, m, beta, widths=None):
     for g in range(k):
         bits = int(widths[g])
         maxq = (1 << bits) - 1
+        rows = 1 if g in shared else n
         codes = rng.integers(0, maxq + 1, size=(n, beta)).astype(np.uint8)
-        scale = (rng.uniform(0.01, 2.0, size=n)).astype(np.float32)
-        zero = rng.integers(0, maxq + 1, size=n).astype(np.uint8)
+        scale = np.resize(rng.uniform(0.01, 2.0, size=rows).astype(np.float32), n)
+        zero = np.resize(rng.integers(0, maxq + 1, size=rows).astype(np.uint8), n)
         params = GroupQuantParams(bits, scale, zero)
         blocks.append(QuantizedBlock(codes=codes, params=params))
     return blocks, np.asarray(widths, dtype=np.int64)

@@ -22,7 +22,7 @@ import slimquant
 from fixtures import clustered_layer, identity_calib, random_calib, random_layer
 from slimquant import cli
 from slimquant.cli import BLAS_THREAD_VARS, build_parser, main
-from slimquant.packfmt import FLAG_BINARY_1BIT, pack, read_packed, unpack, write_packed
+from slimquant.packfmt import _layout, pack, read_packed, unpack, unpack_fields, write_packed
 from slimquant.pipeline import STAGES, PipelineConfig, quantize_layer, reconstruct
 from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize, quantize_uniform
 from slimquant.salience import salience
@@ -445,8 +445,6 @@ def test_one_bit_groups_are_written_as_sign_magnitude(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "m.slmq.json").read_text())
     assert 1 in report["plan"]["bits"]
-    raw = out.read_bytes()
-    assert int.from_bytes(raw[6:8], "little") == FLAG_BINARY_1BIT  # header flags field
     pm = read_packed(out)
     for qb, bits in zip(pm.blocks, report["plan"]["bits"]):
         assert qb.params.bit_width == bits
@@ -459,6 +457,33 @@ def test_one_bit_groups_are_written_as_sign_magnitude(tmp_path, capsys):
     scored = json.loads(stdout)
     for key in ("recon_mse", "proxy_loss", "recon_kl", "bits_per_weight"):
         assert scored["metrics"][key] == report["metrics"][key]
+
+
+def test_one_bit_groups_are_written_shared(tmp_path, capsys):
+    # a 1-bit group has one magnitude and no zero level, so the file stores
+    # its scale and zero-point once; per-row magnitudes would cost each
+    # 1024-row group 4,216 more bytes
+    w, x = clustered_layer(0, n=16, m=256, t=512)
+    wpath, xpath, out = tmp_path / "w.slmt", tmp_path / "x.slmt", tmp_path / "m.slmq"
+    write_tensor(wpath, w)
+    write_tensor(xpath, x)
+    code, _, _ = run(capsys, *quantize_args(wpath, xpath, out, group_size=32, bits=2))
+    assert code == 0
+    bits = np.array(json.loads((tmp_path / "m.slmq.json").read_text())["plan"]["bits"])
+    one_bit = bits == 1
+    assert one_bit.any()
+    raw = out.read_bytes()
+    group_codes = unpack_fields(raw[24:28], 1, len(bits), 3, "group codes")[0]
+    assert np.array_equal(group_codes & 3, bits - 1)
+    assert np.all(group_codes[one_bit] & 4)  # the shared bit
+    pm = read_packed(out)
+    assert np.array_equal(pm.shared, one_bit)
+    # the scales section: one value per shared group, n per other group
+    assert _layout(pm.n, pm.beta, pm.widths, pm.shared)[2][1] == 4 * (
+        one_bit.sum() + pm.n * (~one_bit).sum())
+    for qb in (qb for qb, one in zip(pm.blocks, one_bit) if one):
+        assert np.all(qb.params.scale == qb.params.scale[0])
+        assert not qb.params.zero.any()
 
 
 def test_binarize_flag_is_a_usage_error(layer_files, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Tests for the packed matmul reference kernel."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +158,24 @@ def test_empty_token_batch():
         assert np.array_equal(y, np.zeros((t, n), dtype=np.float32))
         assert np.array_equal(dense_reference(pm, x), y)
         assert 0.0 <= matmul_tolerance(pm, x) < 1e-30
+
+
+def test_budget_is_infinite_from_2_to_the_23_channels():
+    # (m + 1) 2^-24 passes 1/2 at m = 2^23, where the error bound stops
+    # holding; a layer of no rows and a batch of no tokens make that m
+    # without a large array
+    for m, finite in ((2**23 - 1, True), (2**23, False)):
+        params = GroupQuantParams(2, np.zeros(0, dtype=np.float32), np.zeros(0, dtype=np.uint8))
+        block = QuantizedBlock(codes=np.zeros((0, m), dtype=np.uint8), params=params)
+        tracemalloc.start()
+        try:
+            pm = pack([block], 0, m, m, target_bits=2)
+            bound = matmul_tolerance(pm, np.zeros((0, m), dtype=np.float32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(bound) == finite
+        assert peak < 64 * 1024
 
 
 def test_budget_holds_on_all_positive_inputs_at_m_4096():

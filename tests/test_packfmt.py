@@ -26,7 +26,6 @@ from slimquant.errors import (
     UnsupportedVersion,
 )
 from slimquant.packfmt import (
-    FLAG_BINARY_1BIT,
     PackedModel,
     _layout,
     from_bytes,
@@ -42,14 +41,17 @@ from slimquant.pipeline import PipelineConfig, quantize_layer, reconstruct
 from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize
 from slimquant.tensor_store import CalibrationSet
 
-GOLDEN_SHA256 = "1060f6626a51f4b78c0187b1c0c82817f0cf305a89952be2cbd90b3d0d77eade"
+GOLDEN_SHA256 = "0287f475ce796cfe6601fa691df4691bdff3b02a21d8d0bff7beeccf93b5701d"
+# the same model in version 2, which differs in the version, the flags and
+# the group-code row (test_version_two_file_rejected)
+GOLDEN_V2_SHA256 = "1060f6626a51f4b78c0187b1c0c82817f0cf305a89952be2cbd90b3d0d77eade"
 
 
 def sections_of(raw):
     """(start, length) of each of the four sections of a valid file, in
     file order, as its header and bit widths imply them."""
     pm = from_bytes(raw)
-    sizes = _layout(pm.n, pm.beta, pm.widths)[2]
+    sizes = _layout(pm.n, pm.beta, pm.widths, pm.shared)[2]
     return list(zip(itertools.accumulate(sizes, initial=24), sizes))
 
 
@@ -60,10 +62,11 @@ def golden_model():
 
 
 def test_bit_code_hand_example():
-    # widths [3,2,1,2] -> codes [2,1,0,1] -> LSB-first 2-bit fields 0x46
-    raw = pack_fields(np.array([[3, 2, 1, 2]]) - 1, 2)
-    assert raw[0] == 0x46
-    assert unpack_fields(raw, 1, 4, 2, "bit codes").tolist() == [[2, 1, 0, 1]]
+    # widths [3,2,1,2] with group 2 shared -> group codes [2,1,4,1] ->
+    # LSB-first 3-bit fields 010 100 001 100 -> 0x30A in one padded word
+    raw = pack_fields(np.array([[2, 1, 4, 1]]), 3)
+    assert raw == bytes([0x0A, 0x03, 0x00, 0x00])
+    assert unpack_fields(raw, 1, 4, 3, "group codes").tolist() == [[2, 1, 4, 1]]
 
 
 def test_column_hand_example():
@@ -84,7 +87,7 @@ def test_round_trip_random_models():
         pm = pack(blocks, n, k * beta, beta, target_bits=2)
         back = from_bytes(pm.to_bytes())
         assert back.n == n and back.m == k * beta and back.beta == beta
-        assert back.flags == pm.flags == (FLAG_BINARY_1BIT if 1 in widths else 0)
+        assert np.array_equal(back.shared, pm.shared)
         assert back.target_bits == pm.target_bits
         assert np.array_equal(back.widths, widths)
         assert len(back.blocks) == len(pm.blocks) == k
@@ -110,16 +113,14 @@ def test_round_trip_preserves_decode():
         assert np.array_equal(a.params.zero, b.params.zero)
 
 
-def test_binary_flag_round_trips():
-    # flag bit 0 follows the widths; a 1-bit group's zero-point row
-    # round-trips, and it decodes to +-scale whatever that row holds
+def test_one_bit_groups_round_trip():
+    # a 1-bit group's per-row scales and zero-points round-trip, and it
+    # decodes to +-scale whatever its zero-points hold
     rng = np.random.default_rng(3)
     blocks, _ = random_blocks(rng, 4, 32, 8, widths=[1, 2, 1, 3])
     pm = pack(blocks, 4, 32, 8, target_bits=2)
-    assert pm.flags == FLAG_BINARY_1BIT
-    back = from_bytes(pm.to_bytes())
-    assert back.flags == FLAG_BINARY_1BIT
-    got, _ = unpack(back)
+    assert not pm.shared.any()
+    got, _ = unpack(from_bytes(pm.to_bytes()))
     for g in (0, 2):
         assert np.array_equal(got[g].params.zero, blocks[g].params.zero)
         scale = blocks[g].params.scale[:, None]
@@ -132,7 +133,7 @@ def test_offsets_use_padded_group_lengths():
     blocks, _ = random_blocks(rng, 8, 48, 16, widths=[2, 3, 1])
     pm = pack(blocks, 8, 48, 16, target_bits=2)
     # n=8: a column holds 8*width bits, padded to one 32-bit word
-    offsets = _layout(8, 16, pm.widths)[1]
+    offsets = _layout(8, 16, pm.widths, pm.shared)[1]
     assert offsets == [0, 16 * 32, 32 * 32, 48 * 32]
     raw = pm.to_bytes()
     weights = sections_of(raw)[3]
@@ -161,7 +162,7 @@ def test_writer_is_injective_on_codes():
 def model_arrays(pm):
     for b in pm.blocks:
         yield from (b.codes, b.params.scale, b.params.zero)
-    yield pm.widths
+    yield from (pm.widths, pm.shared)
 
 
 @pytest.mark.parametrize("source", ["pack", "from_bytes"])
@@ -236,32 +237,19 @@ def test_nonzero_reserved_header_bytes_rejected():
 
 
 def test_undefined_flag_bits_rejected():
-    raw = golden_model().to_bytes()
-    for flags in (0x0002, 0x8000, 0x0003):
-        tampered = bytearray(raw)
-        struct.pack_into("<H", tampered, 6, flags)
-        with pytest.raises(UnsupportedVersion):
-            from_bytes(bytes(tampered))
-
-
-def test_binary_flag_without_one_bit_group_rejected():
+    # all 16 flag bits are reserved, bit 0 included: the widths already say
+    # which groups are 1-bit
     rng = np.random.default_rng(12)
     blocks, _ = random_blocks(rng, 4, 16, 8, widths=[2, 3])
-    for pm in (pack(blocks, 4, 16, 8, target_bits=2), pack([], 4, 0, 16, target_bits=2)):
-        tampered = bytearray(pm.to_bytes())
-        struct.pack_into("<H", tampered, 6, 0x0001)
-        with pytest.raises(InconsistentPlan):
-            from_bytes(bytes(tampered))
-
-
-def test_one_bit_group_without_binary_flag_rejected():
-    # a 1-bit group always decodes as sign/magnitude, so a file whose flag
-    # bit 0 is clear has no reading
-    raw = bytearray(golden_model().to_bytes())
-    assert int.from_bytes(raw[6:8], "little") == FLAG_BINARY_1BIT
-    struct.pack_into("<H", raw, 6, 0)
-    with pytest.raises(InconsistentPlan):
-        from_bytes(bytes(raw))
+    for pm in (golden_model(), pack(blocks, 4, 16, 8, target_bits=2),
+               pack([], 4, 0, 16, target_bits=2)):
+        raw = pm.to_bytes()
+        assert raw[6:8] == bytes(2)
+        for flags in (0x0001, 0x0002, 0x8000, 0x0003):
+            tampered = bytearray(raw)
+            struct.pack_into("<H", tampered, 6, flags)
+            with pytest.raises(UnsupportedVersion):
+                from_bytes(bytes(tampered))
 
 
 def test_truncation_rejected_everywhere():
@@ -290,6 +278,77 @@ def test_version_one_file_rejected():
     struct.pack_into("<H", raw, 4, 1)
     with pytest.raises(UnsupportedVersion):
         from_bytes(bytes(raw))
+
+
+def test_version_two_file_rejected():
+    # version 2 set flag bit 0 when a group was 1-bit and stored widths as
+    # 2-bit fields; without shared groups its other sections match version
+    # 3's. The file rebuilt here is the golden model's version-2 encoding.
+    pm = golden_model()
+    raw = bytearray(pm.to_bytes())
+    struct.pack_into("<HH", raw, 4, 2, 1)
+    raw[24:28] = pack_fields(pm.widths[None, :] - 1, 2)
+    assert hashlib.sha256(raw).hexdigest() == GOLDEN_V2_SHA256
+    with pytest.raises(UnsupportedVersion):
+        from_bytes(bytes(raw))
+
+
+def shared_model(n=6):
+    """Widths 1, 3, 1, 2 in groups of 4; groups 0 and 1 share one scale
+    and zero-point across their rows."""
+    rng = np.random.default_rng(31)
+    blocks, _ = random_blocks(rng, n, 16, 4, widths=[1, 3, 1, 2], shared=(0, 1))
+    return pack(blocks, n, 16, 4, target_bits=2)
+
+
+def encoded_as(pm, shared):
+    """pm's encoding with the groups in the (k,) bool shared marked shared,
+    whatever their rows hold."""
+    pm = PackedModel(n=pm.n, m=pm.m, beta=pm.beta, target_bits=pm.target_bits,
+                     blocks=pm.blocks)
+    pm.__dict__["shared"] = np.array(shared)  # set before the cached property runs
+    return pm.to_bytes()
+
+
+def test_shared_groups_round_trip():
+    pm = shared_model()
+    assert pm.shared.tolist() == [True, True, False, False]
+    raw = pm.to_bytes()
+    back = from_bytes(raw)
+    assert back.to_bytes() == raw
+    assert back.shared.tolist() == pm.shared.tolist()
+    for a, b in zip(back.blocks, pm.blocks):
+        assert a.params.scale.shape == a.params.zero.shape == (6,)
+        assert a.params.scale.dtype == np.float32 and a.params.zero.dtype == np.uint8
+        assert np.array_equal(a.params.scale, b.params.scale)
+        assert np.array_equal(a.params.zero, b.params.zero)
+        assert np.array_equal(a.codes, b.codes)
+    # each shared group stores 1 scale, not 6; at n = 6 its zero row is one
+    # word either way
+    assert len(raw) == len(encoded_as(pm, [False] * 4)) - 2 * 4 * 5
+
+
+def test_unshared_group_whose_rows_share_both_values_rejected():
+    pm = shared_model()
+    for g in (0, 1):
+        marks = pm.shared.copy()
+        marks[g] = False
+        with pytest.raises(InconsistentPlan, match=f"group {g}'s shared bit"):
+            from_bytes(encoded_as(pm, marks))
+
+
+def test_shared_bit_on_fewer_than_two_rows_rejected():
+    # one row takes one scale and one zero word either way, so only the bit
+    # tells the two encodings apart
+    pm = shared_model(n=1)
+    assert not pm.shared.any()
+    for g in range(pm.k):
+        marks = np.zeros(pm.k, dtype=bool)
+        marks[g] = True
+        raw = encoded_as(pm, marks)
+        assert len(raw) == len(pm.to_bytes())
+        with pytest.raises(InconsistentPlan, match=f"group {g}'s shared bit"):
+            from_bytes(raw)
 
 
 @pytest.mark.parametrize("field, value", [("m", 2**32 - 1), ("n", 2**32 - 1)])
@@ -438,7 +497,7 @@ def test_size_report_balanced_mixed_plan():
     report = packed_size_report(pm)
     assert report.bits_per_weight == 2.0  # (1+2+3)/3 at equal group sizes
     assert report.padding_bits > 0  # n=8 leaves slack in every word
-    assert report.payload_bits + report.padding_bits == _layout(8, 16, pm.widths)[1][-1]
+    assert report.payload_bits + report.padding_bits == _layout(8, 16, pm.widths, pm.shared)[1][-1]
 
 
 def test_size_report_accounts_for_every_bit():
@@ -447,21 +506,22 @@ def test_size_report_accounts_for_every_bit():
         n = int(rng.integers(1, 20))
         beta = int(rng.choice([4, 8]))
         k = int(rng.integers(1, 7))
-        widths = rng.integers(1, 5, size=k)
-        widths[0] = 1
-        blocks, widths = random_blocks(rng, n, k * beta, beta, widths=widths)
+        shared = set(np.flatnonzero(rng.integers(0, 2, size=k)).tolist())
+        blocks, widths = random_blocks(rng, n, k * beta, beta, shared=shared)
         pm = pack(blocks, n, k * beta, beta, target_bits=2)
-        assert pm.flags == FLAG_BINARY_1BIT
+        assert set(np.flatnonzero(pm.shared).tolist()) == (shared if n >= 2 else set())
         report = packed_size_report(pm)
         assert report.payload_bits == int(
             sum(n * beta * int(w) for w in widths))
-        assert report.metadata_bits == 8 * len(pm.to_bytes()) - _layout(n, beta, widths)[1][-1]
+        stream_bits = _layout(n, beta, widths, pm.shared)[1][-1]
+        assert report.metadata_bits == 8 * len(pm.to_bytes()) - stream_bits
         assert report.total_bits == 8 * len(pm.to_bytes())
 
 
 def base_files():
     """Small valid files: widths 1-4 mixed, two 1-bit groups, n not a
-    multiple of 32 (with rows spanning two words), and k = 0."""
+    multiple of 32 (with rows spanning two words), shared groups at
+    widths 1 and 3, and k = 0."""
     rng = np.random.default_rng(99)
     mixed, _ = random_blocks(rng, 5, 16, 4, widths=[1, 2, 3, 4])
     one_bit, _ = random_blocks(rng, 3, 12, 4, widths=[1, 2, 1])
@@ -470,6 +530,7 @@ def base_files():
         pack(mixed, 5, 16, 4, target_bits=2).to_bytes(),
         pack(one_bit, 3, 12, 4, target_bits=2).to_bytes(),
         pack(long_rows, 33, 8, 4, target_bits=2).to_bytes(),
+        shared_model().to_bytes(),
         pack([], 4, 0, 16, target_bits=2).to_bytes(),
     ]
 

@@ -1,5 +1,6 @@
 """Tests for the raw float32 tensor container and calibration loading."""
 
+import os
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from slimquant.errors import (
 )
 from slimquant.tensor_store import (
     CalibrationSet,
+    atomic_write,
     load_calibration,
     read_rows,
     read_tensor,
@@ -172,6 +174,25 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
         write_tensor(path, np.zeros((64,), dtype=np.float32))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.slmt"]
+
+
+def test_failed_rename_raises_its_own_error_and_keeps_previous_file(tmp_path, monkeypatch):
+    # only an OSError becomes IoFailure; anything else, such as an
+    # interrupt, propagates as it is, and the temporary still goes
+    path = tmp_path / "t.slmt"
+    write_tensor(path, np.ones((64,), dtype=np.float32))
+    before = path.read_bytes()
+    interrupted = RuntimeError("interrupted")
+
+    def replace(src, dst):
+        raise interrupted
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(RuntimeError) as exc:
+        atomic_write(path, b"other bytes")
+    assert exc.value is interrupted
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_load_calibration_2d(tmp_path):
