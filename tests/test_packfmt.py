@@ -239,13 +239,24 @@ def test_nonzero_reserved_header_bytes_rejected():
 def test_undefined_flag_bits_rejected():
     # all 16 flag bits are reserved, bit 0 included: the widths already say
     # which groups are 1-bit
+    raw = golden_model().to_bytes()
+    assert raw[6:8] == bytes(2)
+    for flags in (0x0001, 0x0002, 0x8000, 0x0003):
+        tampered = bytearray(raw)
+        struct.pack_into("<H", tampered, 6, flags)
+        with pytest.raises(UnsupportedVersion):
+            from_bytes(bytes(tampered))
+
+
+def test_binary_flag_without_one_bit_group_rejected():
+    # flag bit 0, which version 2 set when a group was 1-bit, is reserved
+    # like the rest, also on files that have no 1-bit group at all
     rng = np.random.default_rng(12)
     blocks, _ = random_blocks(rng, 4, 16, 8, widths=[2, 3])
-    for pm in (golden_model(), pack(blocks, 4, 16, 8, target_bits=2),
-               pack([], 4, 0, 16, target_bits=2)):
+    for pm in (pack(blocks, 4, 16, 8, target_bits=2), pack([], 4, 0, 16, target_bits=2)):
         raw = pm.to_bytes()
         assert raw[6:8] == bytes(2)
-        for flags in (0x0001, 0x0002, 0x8000, 0x0003):
+        for flags in (0x0001, 0x0003):
             tampered = bytearray(raw)
             struct.pack_into("<H", tampered, 6, flags)
             with pytest.raises(UnsupportedVersion):
