@@ -13,9 +13,11 @@ scale-after form makes two extra passes over the t x n product (the scale
 and the addition), where the decode form makes one extra pass over the
 n x beta weights (the scale), so the decode form gains as t grows past
 about beta / 2. On a 1024 x 4096 layer in groups of 128 (2 vCPUs,
-OpenBLAS) the forms tie at 32 tokens; at beta = 128 tokens the decode
-form is about 1.25x faster and at 256 about 1.4x, while at 1 and 8 tokens
-the scale-after form is ahead. One row's output can therefore differ in
+OpenBLAS) a call takes 1.1 ms in the scale-after form against 2.8 ms in
+the decode form at 1 token and 2.9 against 3.5 ms at 8; the forms tie at
+about 32 tokens (4.5 against 4.1 ms), and at beta = 128 tokens the decode
+form is about 1.4x faster (6.8 against 9.3 ms) and at 256 about 1.6x
+(10.0 against 16.2 ms). One row's output can therefore differ in
 its low bits between a batch below beta tokens and one at or above it;
 both stay within matmul_tolerance of the oracle. dense_reference is the
 deliberately boring oracle: dequantize everything, one dense multiply.

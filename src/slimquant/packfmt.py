@@ -27,7 +27,10 @@ by one rule: rows of fixed-width fields, LSB-first, bytes in ascending
 address order, each row padded with zero bits to a 32-bit word. No section
 carries its length: the header fixes k and the group-code row, and the
 codes then fix every other section's size, so a file is exactly as long as
-they imply (_layout). Padding bits, reserved bytes and flag bits are always
+they imply (_layout). The codec works on whole bytes, never on one byte
+per bit: at 2 and 4 bits no field straddles a byte and at 3 bits 8 fields
+fill 3 bytes, so shifts and masks place each such run one field per byte
+of a word (_SPREAD). Padding bits, reserved bytes and flag bits are always
 zero and nonzero ones are rejected on read, as is a shared bit that
 disagrees with the rows it stands for (one on a group of fewer than 2 rows,
 or none on a group whose rows share both values), which keeps the encoding
@@ -64,32 +67,91 @@ def _row_words(count: int, width: int) -> int:
     return -(-count * width // WORD_BITS)
 
 
+# Width -> (word, fields, bytes, steps) of a run of fields of 2 to 4 bits,
+# the fewest fields that fill whole bytes. Unpacked, a run's fields sit one
+# per byte of one little-endian word. Starting from the packed run in the
+# word's low bytes, each step word = (word | word << shift) & mask moves the
+# upper half of every piece of fields up to its place; packing takes the
+# steps back, with >>.
+_SPREAD = {
+    2: ("<u4", 4, 1, ((12, 0x000F000F), (6, 0x03030303))),
+    3: ("<u8", 8, 3, ((20, 0x00000FFF00000FFF), (10, 0x003F003F003F003F), (5, 0x0707070707070707))),
+    4: ("<u2", 2, 1, ((4, 0x0F0F),)),
+}
+
+
+def _tail_fields(count: int, width: int, start: int):
+    """(field, byte, shift) of the fields from start on, each field's
+    lowest bit at bit `shift` of byte `byte` of its row; a field with
+    shift + width > 8 runs on into the next byte."""
+    for j in range(start, count):
+        yield (j, *divmod(j * width, 8))
+
+
+def _pack_rows(values: np.ndarray, width: int) -> np.ndarray:
+    """pack_fields as a (rows, 4 * words) uint8 array."""
+    v = np.ascontiguousarray(values, dtype=np.uint8)
+    rows, count = v.shape
+    out = np.zeros((rows, 4 * _row_words(count, width)), dtype=np.uint8)
+    if width == 1:
+        out[:, : -(-count // 8)] = np.packbits(v, axis=1, bitorder="little")
+        return out
+    word, per_run, run_bytes, steps = _SPREAD[width]
+    runs = count // per_run
+    if runs:
+        fields = v[:, : runs * per_run].view(word)
+        acc = fields | fields >> steps[-1][0]
+        for shift, mask in reversed(steps[:-1]):
+            acc &= mask
+            acc |= acc >> shift
+        # the packed run is the low run_bytes bytes of each word
+        packed = out[:, : runs * run_bytes].reshape(rows, runs, run_bytes)
+        for byte in range(run_bytes):
+            np.copyto(packed[:, :, byte], acc, casting="unsafe")
+            if byte + 1 < run_bytes:
+                acc >>= 8
+    for j, byte, shift in _tail_fields(count, width, runs * per_run):
+        out[:, byte] |= v[:, j] << shift
+        if shift + width > 8:
+            out[:, byte + 1] |= v[:, j] >> (8 - shift)
+    return out
+
+
 def pack_fields(values: np.ndarray, width: int) -> bytes:
     """Rows of `width`-bit fields, LSB-first, each row zero-padded to a
     32-bit word. values is (rows, count) with entries below 2**width."""
-    v = np.asarray(values, dtype=np.uint8)
-    rows, count = v.shape
-    words = _row_words(count, width)
-    bits = np.zeros((rows, words * WORD_BITS), dtype=np.uint8)
-    fields = bits[:, : count * width].reshape(rows, count, width)  # a view into bits
-    for i in range(width):
-        fields[:, :, i] = (v >> i) & 1
-    return np.packbits(bits, axis=1, bitorder="little").tobytes()
+    return _pack_rows(values, width).tobytes()
 
 
 def unpack_fields(raw, rows: int, count: int, width: int, what: str) -> np.ndarray:
-    """Inverse of pack_fields: (rows, count) uint8. raw must hold exactly
-    rows padded rows; a nonzero padding bit raises CodeOutOfRange."""
-    words = _row_words(count, width)
-    bits = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(rows, 4 * words), axis=1, bitorder="little"
-    )
-    if bits[:, count * width :].any():
+    """Inverse of pack_fields: (rows, count) uint8, which owns its memory.
+    raw must hold exactly rows padded rows; a nonzero padding bit raises
+    CodeOutOfRange."""
+    b = np.frombuffer(raw, dtype=np.uint8).reshape(rows, 4 * _row_words(count, width))
+    used, spare = divmod(count * width, 8)
+    if b[:, used + (spare > 0) :].any() or (spare and (b[:, used] >> spare).any()):
         raise CodeOutOfRange(f"nonzero padding bits in {what}")
-    fields = bits[:, : count * width].reshape(rows, count, width)
-    values = np.zeros((rows, count), dtype=np.uint8)
-    for i in range(width):
-        values |= fields[:, :, i] << i
+    if width == 1:
+        return np.unpackbits(b, axis=1, count=count, bitorder="little")
+    values = np.empty((rows, count), dtype=np.uint8)
+    word, per_run, run_bytes, steps = _SPREAD[width]
+    runs = count // per_run
+    if runs:
+        fields = values[:, : runs * per_run].view(word)
+        # each run's packed bytes into the low bytes of its word
+        packed = b[:, : runs * run_bytes].reshape(rows, runs, run_bytes)
+        np.copyto(fields, packed[:, :, -1])
+        for byte in range(run_bytes - 2, -1, -1):
+            fields <<= 8
+            fields |= packed[:, :, byte]
+        for shift, mask in steps:
+            fields |= fields << shift
+            fields &= mask
+    for j, byte, shift in _tail_fields(count, width, runs * per_run):
+        field = b[:, byte] >> shift
+        if shift + width > 8:
+            field |= b[:, byte + 1] << (8 - shift)
+        values[:, j] = field & ((1 << width) - 1)
     return values
 
 
@@ -163,10 +225,10 @@ class PackedModel:
         return b"".join(
             [
                 header,
-                pack_fields(self.widths[None, :] - 1 + _SHARED * self.shared, 3),
-                *(p.scale[:r].astype("<f4").tobytes() for p, r in params),
-                *(pack_fields(p.zero[None, :r], p.bit_width) for p, r in params),
-                *(pack_fields(b.codes.T, b.params.bit_width) for b in self.blocks),
+                _pack_rows(self.widths[None, :] - 1 + _SHARED * self.shared, 3),
+                *(np.asarray(p.scale[:r], dtype="<f4") for p, r in params),
+                *(_pack_rows(p.zero[None, :r], p.bit_width) for p, r in params),
+                *(_pack_rows(b.codes.T, b.params.bit_width) for b in self.blocks),
             ]
         )
 

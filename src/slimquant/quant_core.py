@@ -157,13 +157,16 @@ def encode(w: np.ndarray, scale: np.ndarray, zero: np.ndarray, bit_width: int) -
 
 def _levels(codes: np.ndarray, zero: np.ndarray, bit_width: int) -> np.ndarray:
     """Integer levels of codes, int8 in their layout: code - zero, or
-    2 code - 1 at 1 bit, the sign/magnitude form. Exact, because codes and
-    zero-points are at most 15."""
+    2 code - 1 at 1 bit, the sign/magnitude form. Worked in uint8 and read
+    as int8, which is exact: codes and zero-points are at most 15, and a
+    difference of at most 15 either way wraps mod 256 to its two's
+    complement."""
     if bit_width == 1:
-        levels = np.multiply(codes, 2, dtype=np.int8, casting="unsafe")
+        levels = np.multiply(codes, 2, dtype=np.uint8, casting="unsafe")
         levels -= 1
-        return levels
-    return np.subtract(codes, zero, dtype=np.int8, casting="unsafe")
+    else:
+        levels = np.subtract(codes, zero, dtype=np.uint8, casting="unsafe")
+    return levels.view(np.int8)
 
 
 def decode(

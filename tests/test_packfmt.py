@@ -5,9 +5,13 @@ class, the size accounting, and a frozen golden digest so any byte-level
 drift in the writer is caught immediately.
 """
 
+import ast
 import hashlib
+import inspect
 import itertools
 import struct
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -26,8 +30,10 @@ from slimquant.errors import (
     UnsupportedVersion,
 )
 from slimquant.packfmt import (
+    WORD_BITS,
     PackedModel,
     _layout,
+    _row_words,
     from_bytes,
     pack,
     pack_fields,
@@ -59,6 +65,76 @@ def golden_model():
     rng = np.random.default_rng(424242)
     blocks, _ = random_blocks(rng, n=8, m=64, beta=16, widths=[1, 2, 3, 2])
     return pack(blocks, 8, 64, 16, target_bits=2)
+
+
+def reference_pack_fields(values, width):
+    """pack_fields through one byte per bit: the oracle of the codec."""
+    v = np.asarray(values, dtype=np.uint8)
+    rows, count = v.shape
+    words = _row_words(count, width)
+    bits = np.zeros((rows, words * WORD_BITS), dtype=np.uint8)
+    fields = bits[:, : count * width].reshape(rows, count, width)  # a view into bits
+    for i in range(width):
+        fields[:, :, i] = (v >> i) & 1
+    return np.packbits(bits, axis=1, bitorder="little").tobytes()
+
+
+def reference_unpack_fields(raw, rows, count, width, what):
+    """unpack_fields through one byte per bit: the oracle of the codec."""
+    words = _row_words(count, width)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(rows, 4 * words), axis=1, bitorder="little"
+    )
+    if bits[:, count * width :].any():
+        raise CodeOutOfRange(f"nonzero padding bits in {what}")
+    fields = bits[:, : count * width].reshape(rows, count, width)
+    values = np.zeros((rows, count), dtype=np.uint8)
+    for i in range(width):
+        values |= fields[:, :, i] << i
+    return values
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_codec_matches_bit_per_byte_oracle(width):
+    # every count of fields up to 70 (runs of 8 3-bit fields in 3 bytes,
+    # with 9 fields the last run reaching past the first word) and a
+    # 1024-field row, on 1 to 4 rows, read back into arrays that own their
+    # memory; then each padding bit of each row set alone, which both
+    # codecs refuse
+    rng = np.random.default_rng(width)
+    for rows, count in itertools.product(range(1, 5), [*range(1, 71), 1024]):
+        values = rng.integers(0, 1 << width, size=(rows, count), dtype=np.uint8)
+        raw = reference_pack_fields(values, width)
+        assert pack_fields(values, width) == raw
+        got = unpack_fields(raw, rows, count, width, "row")
+        assert got.dtype == np.uint8 and got.flags.owndata and np.array_equal(got, values)
+        row_bits = 8 * len(raw) // rows
+        for row, bit in itertools.product(range(rows), range(count * width, row_bits)):
+            mutated = bytearray(raw)
+            at = row * row_bits + bit
+            mutated[at // 8] ^= 1 << (at % 8)
+            for unpack_with in (unpack_fields, reference_unpack_fields):
+                with pytest.raises(CodeOutOfRange):
+                    unpack_with(bytes(mutated), rows, count, width, "row")
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_codec_peak_memory_is_bounded(width):
+    # a 128 x 1024 group: with one byte per bit the codec peaked at 4, 5
+    # and 6 times the field bytes at widths 2, 3 and 4
+    rows, count = 128, 1024
+    values = np.random.default_rng(width).integers(0, 1 << width, size=(rows, count),
+                                                   dtype=np.uint8)
+    raw = pack_fields(values, width)
+    for run in (lambda: pack_fields(values, width),
+                lambda: unpack_fields(raw, rows, count, width, "group")):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * rows * count
 
 
 def test_bit_code_hand_example():
@@ -532,17 +608,20 @@ def test_size_report_accounts_for_every_bit():
 def base_files():
     """Small valid files: widths 1-4 mixed, two 1-bit groups, n not a
     multiple of 32 (with rows spanning two words), shared groups at
-    widths 1 and 3, and k = 0."""
+    widths 1 and 3, k = 0, and one row, where a group's shared bit changes
+    no section's size."""
     rng = np.random.default_rng(99)
     mixed, _ = random_blocks(rng, 5, 16, 4, widths=[1, 2, 3, 4])
     one_bit, _ = random_blocks(rng, 3, 12, 4, widths=[1, 2, 1])
     long_rows, _ = random_blocks(rng, 33, 8, 4, widths=[4, 1])
+    one_row, _ = random_blocks(rng, 1, 4, 1, widths=[3, 1, 2, 4])
     return [
         pack(mixed, 5, 16, 4, target_bits=2).to_bytes(),
         pack(one_bit, 3, 12, 4, target_bits=2).to_bytes(),
         pack(long_rows, 33, 8, 4, target_bits=2).to_bytes(),
         shared_model().to_bytes(),
         pack([], 4, 0, 16, target_bits=2).to_bytes(),
+        pack(one_row, 1, 4, 1, target_bits=2).to_bytes(),
     ]
 
 
@@ -586,3 +665,38 @@ def test_property_header_overwrite(raw, data):
     mutated = bytearray(raw)
     mutated[start : start + size] = data.draw(st.binary(min_size=size, max_size=size))
     assert_rejected_or_canonical(bytes(mutated))
+
+
+def raise_lines(fn):
+    """Line numbers of fn's raise statements."""
+    lines, start = inspect.getsourcelines(fn)
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    return {start + node.lineno - 1 for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+
+
+def test_properties_reach_every_rejection():
+    # the three properties' examples, under a line tracer (there is no
+    # coverage tool), run every raise of the reader: a rejection no mutated
+    # file reaches is a rejection no property tests
+    watched = {f.__code__: f for f in (from_bytes, unpack_fields)}
+    ran = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code, frame.f_lineno))
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code in watched else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        for prop in (test_property_truncation, test_property_bit_flip,
+                     test_property_header_overwrite):
+            prop()
+    finally:
+        sys.settrace(previous)
+    missed = [f"{f.__name__}:{n}" for code, f in watched.items() for n in sorted(raise_lines(f))
+              if (code, n) not in ran]
+    assert not missed

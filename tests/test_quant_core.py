@@ -17,6 +17,7 @@ from slimquant.quant_core import (
     RANGE_FLOOR,
     GroupQuantParams,
     QuantizedBlock,
+    _levels,
     _row_range,
     affine_params,
     binarize_block,
@@ -428,6 +429,24 @@ def test_column_rule_matches_block_column(bits, sign):
         col = decode(codes, scale, zero, bits)
         assert col.dtype == np.float32
         assert col.tobytes() == deq[:, j].tobytes()
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_levels_are_exact_for_every_code_and_zero_point(bits):
+    # row i holds zero-point i and column j code j, so the block holds every
+    # pair; levels are int8 code - zero, or 2 code - 1 at 1 bit whatever the
+    # zero-point, both in the (n, beta) column-major layout of a packed
+    # group and one column at a time, as the error compensation decodes
+    maxq = (1 << bits) - 1
+    zero = np.arange(maxq + 1, dtype=np.uint8)
+    codes = np.asfortranarray(np.tile(zero, (maxq + 1, 1)))
+    want = 2 * codes.astype(np.int64) - 1 if bits == 1 else codes - zero[:, None].astype(np.int64)
+    got = _levels(codes, zero[:, None], bits)
+    assert got.dtype == np.int8 and got.flags.f_contiguous
+    assert np.array_equal(got, want)
+    for j in range(maxq + 1):
+        col = _levels(codes[:, j], zero, bits)
+        assert col.dtype == np.int8 and np.array_equal(col, want[:, j])
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])
