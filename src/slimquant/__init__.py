@@ -11,7 +11,7 @@ Results serialize to a bit-exact packed format with a reference kernel.
 
 from .errors import SlimQuantError
 from .kernel import dense_reference, packed_matmul
-from .packfmt import PackedModel, pack, packed_size_report, read_packed, unpack, write_packed
+from .packfmt import PackedModel, pack, packed_size_report, read_packed, write_packed
 from .pipeline import (
     PipelineConfig,
     QuantizationResult,
@@ -35,8 +35,8 @@ from .salience import (
     salience_map,
     salient_mask_3sigma,
 )
-from .sba import BitPlan, KlConfig, KlReference, allocate_bits, kl_reference, output_kl
-from .sqc import SqcConfig, calibrate_group
+from .sba import BitPlan, KlReference, allocate_bits, kl_reference, output_kl
+from .sqc import calibrate_group
 from .tensor_store import CalibrationSet, load_calibration, read_tensor, write_tensor
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "CalibrationSet",
     "GroupQuantParams",
     "HessianState",
-    "KlConfig",
     "KlReference",
     "PackedModel",
     "PipelineConfig",
@@ -54,7 +53,6 @@ __all__ = [
     "QuantizedBlock",
     "SalienceMap",
     "SlimQuantError",
-    "SqcConfig",
     "accumulate_hessian",
     "allocate_bits",
     "block_mse",
@@ -77,7 +75,6 @@ __all__ = [
     "salience_map",
     "salient_mask_3sigma",
     "score",
-    "unpack",
     "write_packed",
     "write_tensor",
     "__version__",

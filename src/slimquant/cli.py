@@ -20,7 +20,7 @@ import scipy
 
 from .errors import InvalidConfig, ShapeMismatch, SlimQuantError
 from .kernel import dense_reference, packed_matmul
-from .packfmt import pack, packed_size_report, read_packed, unpack
+from .packfmt import pack, packed_size_report, read_packed
 from .pipeline import PipelineConfig, check_layer, quantize_layer, reconstruct, score
 from .salience import (
     accumulate_hessian,
@@ -214,12 +214,11 @@ def cmd_eval(args) -> int:
     if w.shape != (pm.n, pm.m):
         raise ShapeMismatch(f"weights {w.shape} do not match packed model {(pm.n, pm.m)}")
     check_layer(w, calib, pm.beta)
-    blocks, widths = unpack(pm)
     hs = damp_and_invert(accumulate_hessian(calib))
     ref = kl_reference(calib.rows, w)
-    loss, mse, kl = score(w, reconstruct(blocks), hs, ref)
+    loss, mse, kl = score(w, reconstruct(pm.blocks), hs, ref)
     size = packed_size_report(pm)
-    hist = Counter(int(b) for b in widths)
+    hist = Counter(int(b) for b in pm.widths)
     report = {
         "shape": {"rows": pm.n, "channels": pm.m, "groups": pm.k},
         "metrics": {

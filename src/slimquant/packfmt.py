@@ -88,8 +88,10 @@ def _tail_fields(count: int, width: int, start: int):
         yield (j, *divmod(j * width, 8))
 
 
-def _pack_rows(values: np.ndarray, width: int) -> np.ndarray:
-    """pack_fields as a (rows, 4 * words) uint8 array."""
+def pack_fields(values: np.ndarray, width: int) -> np.ndarray:
+    """Rows of `width`-bit fields, LSB-first, each row zero-padded to a
+    32-bit word, as a (rows, 4 * words) uint8 array. values is (rows,
+    count) with entries below 2**width."""
     v = np.ascontiguousarray(values, dtype=np.uint8)
     rows, count = v.shape
     out = np.zeros((rows, 4 * _row_words(count, width)), dtype=np.uint8)
@@ -115,12 +117,6 @@ def _pack_rows(values: np.ndarray, width: int) -> np.ndarray:
         if shift + width > 8:
             out[:, byte + 1] |= v[:, j] >> (8 - shift)
     return out
-
-
-def pack_fields(values: np.ndarray, width: int) -> bytes:
-    """Rows of `width`-bit fields, LSB-first, each row zero-padded to a
-    32-bit word. values is (rows, count) with entries below 2**width."""
-    return _pack_rows(values, width).tobytes()
 
 
 def unpack_fields(raw, rows: int, count: int, width: int, what: str) -> np.ndarray:
@@ -225,10 +221,10 @@ class PackedModel:
         return b"".join(
             [
                 header,
-                _pack_rows(self.widths[None, :] - 1 + _SHARED * self.shared, 3),
+                pack_fields(self.widths[None, :] - 1 + _SHARED * self.shared, 3),
                 *(np.asarray(p.scale[:r], dtype="<f4") for p, r in params),
-                *(_pack_rows(p.zero[None, :r], p.bit_width) for p, r in params),
-                *(_pack_rows(b.codes.T, b.params.bit_width) for b in self.blocks),
+                *(pack_fields(p.zero[None, :r], p.bit_width) for p, r in params),
+                *(pack_fields(b.codes.T, b.params.bit_width) for b in self.blocks),
             ]
         )
 
@@ -265,11 +261,6 @@ def pack(blocks: list, n: int, m: int, beta: int, target_bits: int) -> PackedMod
         zero = np.array(b.params.zero, dtype=np.uint8)
         checked.append(_frozen_block(codes, scale, zero, width))
     return PackedModel(n=n, m=m, beta=beta, target_bits=target_bits, blocks=tuple(checked))
-
-
-def unpack(pm: PackedModel) -> tuple[list[QuantizedBlock], np.ndarray]:
-    """Blocks and their bit widths, exactly as packed (read-only)."""
-    return list(pm.blocks), pm.widths
 
 
 def from_bytes(raw: bytes, name: str = "<bytes>") -> PackedModel:

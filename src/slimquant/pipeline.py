@@ -46,9 +46,9 @@ from .salience import (
     salience_map,
     salient_mask_3sigma,  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 )
-from .sba import BitPlan, KlConfig, KlReference, allocate_bits, kl_reference, output_kl
+from .sba import BitPlan, KlReference, allocate_bits, kl_reference, output_kl
 from .sba import stride_subsample  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
-from .sqc import SqcConfig, calibrate_group, walk_group
+from .sqc import calibrate_group, walk_group
 from .tensor_store import CalibrationSet
 
 # quantize_layer's stages, in order, as keys of QuantizationResult.stage_s.
@@ -67,8 +67,8 @@ STAGES = (
 class PipelineConfig:
     """The settings a caller chooses, the only ones quantize_layer has.
     The rest are fixed, as in the paper: damp_and_invert's default
-    damping, the range factors of SqcConfig and the divergence of
-    KlConfig, neither of which takes a value."""
+    damping, the range factors sqc.STEP, COARSE and FINE, and the
+    divergence's sba.EPSILON and MAX_TOKENS."""
 
     beta: int = 128
     bits: int = 2  # average width target, 2 or 3
@@ -190,7 +190,7 @@ def quantize_layer(
         # the exact outputs every divergence is taken against
         ref = kl_reference(calib.rows, w)
         if cfg.sba_enabled:
-            plan = allocate_bits(w, calib.rows, sal, beta, cfg.bits, KlConfig(), ref=ref)
+            plan = allocate_bits(w, ref, sal, beta, cfg.bits)
         else:
             plan = BitPlan(
                 bits=np.full(k, cfg.bits, dtype=np.int64), p_star=0, kl_curve=np.empty(0)
@@ -209,7 +209,7 @@ def quantize_layer(
         with _stage(stage_s, "range_calibration"):
             # the sign/magnitude form of a 1-bit group has no range to scale
             if cfg.sqc_enabled and bits > 1:
-                qb, gammas[g] = calibrate_group(work[:, lo:hi], bits, SqcConfig(), u)
+                qb, gammas[g] = calibrate_group(work[:, lo:hi], bits, u)
             else:
                 qb = walk_group(work[:, lo:hi], bits, u)
         if cfg.compensation_enabled:

@@ -16,9 +16,10 @@ divergence, before it forms the next block, and a whole-layer score does
 the same. The reference distribution is thus the only output-sized array
 either holds. Every divergence is taken against a KlReference, the exact
 layer's side, which kl_reference builds from the raw token rows: it
-checks them, takes at most KlConfig.max_tokens of them at a uniform stride,
-and keeps them in the dtype they came in. KlConfig holds the divergence's
-fixed settings, which every score reads.
+checks them, takes at most MAX_TOKENS of them at a uniform stride, and
+keeps them in the dtype they came in. The divergence's settings are
+fixed module constants, as in the paper: the softmax of the raw outputs
+(temperature 1, outputs are not divided), floored at EPSILON.
 
 Every layer output is formed one way: zeroed, then added to by
 _add_product, one accumulating dgemm per block of columns (a group in
@@ -34,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 import scipy.linalg.blas
@@ -61,17 +61,11 @@ _COLUMNS = 128
 # much on 64 token rows as on 2048 (1024 x 128 weights, 2 BLAS threads).
 _TOKEN_OUTPUTS = 1 << 22
 
+# Floor of every softmax probability, applied before renormalizing.
+EPSILON = 1e-8
 
-@dataclass(frozen=True)
-class KlConfig:
-    """The divergence's fixed settings, as in the paper: the softmax of the
-    raw outputs (temperature 1), floored at epsilon, over at most
-    max_tokens token rows at a uniform stride. KlConfig() takes no
-    arguments."""
-
-    temperature: ClassVar[float] = 1.0  # outputs are not divided by it
-    epsilon: ClassVar[float] = 1e-8
-    max_tokens: ClassVar[int] = 4096
+# Most token rows a divergence is taken over, at a uniform stride.
+MAX_TOKENS = 4096
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: == on arrays is ambiguous
@@ -104,13 +98,13 @@ class KlReference:
     each score takes it block by block. Built once per layer by
     kl_reference, it serves the width search and the final score."""
 
-    xs: np.ndarray  # (t, m) token rows, at most KlConfig.max_tokens
+    xs: np.ndarray  # (t, m) token rows, at most MAX_TOKENS
     p: np.ndarray  # (t, n) float64
 
 
 def kl_reference(x: np.ndarray, w: np.ndarray) -> KlReference:
     """Distributions of the exact outputs xs @ wT, where xs is at most
-    KlConfig.max_tokens of x's token rows at a uniform stride
+    MAX_TOKENS of x's token rows at a uniform stride
     (stride_subsample). The one check of a divergence's inputs: w must be
     2-D with at least one row (ShapeMismatch), x 2-D over w's channels
     (ShapeMismatch) with at least one row (EmptyCalibration). The
@@ -123,7 +117,7 @@ def kl_reference(x: np.ndarray, w: np.ndarray) -> KlReference:
         raise ShapeMismatch(f"activations {x.shape} do not match weights {w.shape}")
     if x.shape[0] == 0:
         raise EmptyCalibration("no token rows to compare outputs on")
-    xs = stride_subsample(x, KlConfig.max_tokens)
+    xs = stride_subsample(x, MAX_TOKENS)
     p = _outputs(xs, w)
     _row_distributions(p)
     return KlReference(xs=xs, p=p)
@@ -178,14 +172,14 @@ def _check_weights(ref: KlReference, w: np.ndarray) -> None:
 
 
 def _row_distributions(y: np.ndarray, out: np.ndarray | None = None) -> None:
-    """Write each row's softmax of y, floored at KlConfig.epsilon and
+    """Write each row's softmax of y, floored at EPSILON and
     renormalized, into out, which defaults to y itself. The temperature is
     1, so y is not divided by it."""
     q = y if out is None else out
     np.subtract(y, y.max(axis=1, keepdims=True), out=q)
     np.exp(q, out=q)
     q /= q.sum(axis=1, keepdims=True)
-    np.maximum(q, KlConfig.epsilon, out=q)
+    np.maximum(q, EPSILON, out=q)
     q /= q.sum(axis=1, keepdims=True)
 
 
@@ -235,22 +229,13 @@ def _ranked_sets(group_mean: np.ndarray, p: int) -> tuple[list[int], list[int]]:
 
 
 def allocate_bits(
-    w: np.ndarray,
-    x: np.ndarray,
-    sal: SalienceMap,
-    beta: int,
-    target_bits: int,
-    cfg: KlConfig,
-    *,
-    ref: KlReference | None = None,
+    w: np.ndarray, ref: KlReference, sal: SalienceMap, beta: int, target_bits: int
 ) -> BitPlan:
     """Search all pairing counts p and return the divergence-minimizing plan.
 
-    Divergences are measured against kl_reference of x's float32-rounded
-    token rows, which checks w and x and keeps at most KlConfig.max_tokens
-    rows at a uniform stride; cfg is KlConfig(), the one value there is. A
-    ref given must be that reference (x is then not read): one of another
-    weight shape is rejected (ShapeMismatch).
+    Divergences are measured against ref, the kl_reference of the layer's
+    token rows and w, which checked both; a ref built from weights of
+    another shape is rejected (ShapeMismatch).
 
     Fake quantization here is quantize_uniform at each group's width:
     per-row min/max, or sign/magnitude at 1 bit. Range calibration and
@@ -275,8 +260,6 @@ def allocate_bits(
     w = np.asarray(w, dtype=np.float32)
     if target_bits not in (2, 3):
         raise InvalidConfig(f"target width must be 2 or 3 bits, got {target_bits}")
-    if ref is None:
-        ref = kl_reference(np.asarray(x, dtype=np.float32), w)
     _check_weights(ref, w)
     m = w.shape[1]
     if beta < 1 or m % beta != 0:

@@ -13,17 +13,14 @@ under which a row's loss is its plain squared error.
 Range calibration (SQC) scales each row's min/max range by a factor and
 keeps, per row, the factor of least loss with the walk's codes under it:
 rows do not interact inside a group, and the .slmq file stores a scale
-and zero-point per row. The factors (SqcConfig) are a coarse pass, then
-a fine one around each row's winner; factor 1 is among them, so no row
-loses to plain min/max. This is a gradient-free stand-in for OmniQuant's
+and zero-point per row. The factors, in multiples of 1 / STEP, are a
+coarse pass (COARSE), then a fine one at offsets FINE around each row's
+winner; factor 1 is among them, so no row loses to plain min/max. This is a gradient-free stand-in for OmniQuant's
 learned clipping (arXiv 2308.13137). Groups that are not calibrated take
 the same walk under their one parameter set (walk_group).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dgemv
@@ -50,29 +47,23 @@ _BATCH = 16
 # buffer (4 MiB at 128 columns): 1024 rows under each of 4 candidates.
 _SLICE = 4096
 
-
-@dataclass(frozen=True)
-class SqcConfig:
-    """The range factors' fixed grid, in multiples of 1 / step: a coarse
-    pass, then a fine pass at the given offsets from each row's coarse
-    winner, so a row ends on a factor in [0.65, 1.05]. SqcConfig() takes
-    no arguments."""
-
-    step: ClassVar[int] = 20
-    coarse: ClassVar[tuple[int, ...]] = (14, 16, 18, 20)  # 0.7, 0.8, 0.9, 1.0
-    fine: ClassVar[tuple[int, ...]] = (-1, 1)
+# The range factors' fixed grid, in multiples of 1 / STEP: a coarse pass,
+# then a fine pass at the FINE offsets from each row's coarse winner, so a
+# row ends on a factor in [0.65, 1.05].
+STEP = 20
+COARSE = (14, 16, 18, 20)  # 0.7, 0.8, 0.9, 1.0
+FINE = (-1, 1)
 
 
 def calibrate_group(
-    block: np.ndarray, bit_width: int, cfg: SqcConfig, u: np.ndarray | None = None
+    block: np.ndarray, bit_width: int, u: np.ndarray | None = None
 ) -> tuple[QuantizedBlock, float]:
     """Walk one group under each row's range factors and keep, per row,
     the factor of least loss ||E_row||^2, with its codes and float32 scale.
 
-    Returns the block and the mean of its rows' factors; cfg is
-    SqcConfig(), the one value there is. u is the group's diagonal block
-    of the inverse factor U, None for the identity. Ties go to the factor
-    closest to 1, then to the smaller one."""
+    Returns the block and the mean of its rows' factors. u is the group's
+    diagonal block of the inverse factor U, None for the identity. Ties go
+    to the factor closest to 1, then to the smaller one."""
     if bit_width < 2:
         raise InvalidConfig(f"range calibration needs a width of 2 to 4 bits, got {bit_width}")
     block = as_block(block)
@@ -86,24 +77,24 @@ def calibrate_group(
     rows = np.arange(len(block))
 
     def walk(factors):
-        scale = affine_params(lo, hi, bit_width, factors / SqcConfig.step)[0]
+        scale = affine_params(lo, hi, bit_width, factors / STEP)[0]
         return _walk(block, scale, zero, bit_width, u)
 
-    factors = np.repeat(np.array(SqcConfig.coarse)[:, None], len(block), axis=1)
+    factors = np.repeat(np.array(COARSE)[:, None], len(block), axis=1)
     codes, loss = walk(factors)
     best = _best(factors, loss)
     winner = factors[best, rows]
-    near = winner + np.array(SqcConfig.fine)[:, None]
+    near = winner + np.array(FINE)[:, None]
     near_codes, near_loss = walk(near)
     factors = np.vstack([winner[None], near])
     codes = np.concatenate([codes[best, rows][None], near_codes])
     loss = np.vstack([loss[best, rows][None], near_loss])
     best = _best(factors, loss)
     chosen = factors[best, rows]
-    scale = affine_params(lo, hi, bit_width, chosen / SqcConfig.step)[0]
+    scale = affine_params(lo, hi, bit_width, chosen / STEP)[0]
     out[...] = codes[best, rows]
     qb = QuantizedBlock(out, GroupQuantParams(bit_width, scale, zero))
-    return qb, float(chosen.mean() / SqcConfig.step)
+    return qb, float(chosen.mean() / STEP)
 
 
 def walk_group(block: np.ndarray, bit_width: int, u: np.ndarray | None = None) -> QuantizedBlock:
@@ -120,8 +111,7 @@ def _best(factors: np.ndarray, loss: np.ndarray) -> np.ndarray:
     """Per row (column of the (candidates, rows) arrays), the index of the
     candidate of least loss; ties go to the factor closest to 1, then to
     the smaller one."""
-    step = SqcConfig.step
-    closeness = 2 * np.abs(factors - step) + (factors > step)
+    closeness = 2 * np.abs(factors - STEP) + (factors > STEP)
     return np.lexsort((closeness, loss), axis=0)[0]
 
 

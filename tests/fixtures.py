@@ -6,6 +6,11 @@ values against specific RNG draws.
 
 from __future__ import annotations
 
+import ast
+import inspect
+import sys
+import textwrap
+
 import numpy as np
 
 from slimquant.quant_core import GroupQuantParams, QuantizedBlock, encode
@@ -82,3 +87,35 @@ def random_blocks(rng, n, m, beta, widths=None, shared=()):
         params = GroupQuantParams(bits, scale, zero)
         blocks.append(QuantizedBlock(codes=codes, params=params))
     return blocks, np.asarray(widths, dtype=np.int64)
+
+
+def raise_lines(fn):
+    """Line numbers of fn's raise statements."""
+    lines, start = inspect.getsourcelines(fn)
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    return {start + node.lineno - 1 for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+
+
+def missed_raises(fns, run):
+    """Each raise statement of the functions fns that run() does not
+    execute, as name:line, seen by a line tracer (there is no coverage
+    tool)."""
+    watched = {f.__code__: f for f in fns}
+    ran = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code, frame.f_lineno))
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code in watched else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return [f"{f.__name__}:{n}" for code, f in watched.items() for n in sorted(raise_lines(f))
+            if (code, n) not in ran]

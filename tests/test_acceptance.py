@@ -17,7 +17,7 @@ import pytest
 from fixtures import clustered_layer, random_blocks, random_calib, random_layer
 from slimquant.cli import main as cli_main
 from slimquant.kernel import dense_reference, matmul_tolerance, packed_matmul
-from slimquant.packfmt import from_bytes, pack, unpack
+from slimquant.packfmt import from_bytes, pack
 from slimquant.pipeline import PipelineConfig, proxy_loss, quantize_layer
 from slimquant.quant_core import (
     GroupQuantParams,
@@ -27,8 +27,8 @@ from slimquant.quant_core import (
     quantize_uniform,
 )
 from slimquant.salience import accumulate_hessian, damp_and_invert, salience_map
-from slimquant.sba import KlConfig, allocate_bits, output_kl
-from slimquant.sqc import SqcConfig, calibrate_group
+from slimquant.sba import EPSILON, allocate_bits, kl_reference, output_kl
+from slimquant.sqc import calibrate_group
 from slimquant.tensor_store import CalibrationSet, write_tensor
 
 STRICT_SQC_WINS = 500  # frozen: measured strict-improvement count, criterion 4
@@ -67,7 +67,7 @@ def test_acceptance_1_format_soundness(capsys):
             )
         pm = pack(blocks, n, m, beta, target_bits=target)
         back = from_bytes(pm.to_bytes())
-        got, widths_back = unpack(back)
+        got, widths_back = back.blocks, back.widths
         assert np.array_equal(widths_back, widths)
         for a, b in zip(got, blocks):
             assert np.array_equal(a.codes, b.codes)
@@ -99,7 +99,7 @@ def test_acceptance_2_bit_budget_conservation(capsys):
         x = random_calib(rng, t, m)
         hs = damp_and_invert(accumulate_hessian(CalibrationSet([x])))
         sal = salience_map(w, hs, beta)
-        plan = allocate_bits(w, x, sal, beta, target, KlConfig())
+        plan = allocate_bits(w, kl_reference(x, w), sal, beta, target)
         assert plan.bits.sum() == target * k
         assert float(plan.bits.mean()) == float(target)
         assert np.sum(plan.bits == target - 1) == np.sum(plan.bits == target + 1)
@@ -115,19 +115,18 @@ def test_acceptance_2_bit_budget_conservation(capsys):
 def test_acceptance_3_allocation_matches_exhaustive_search(capsys):
     import scipy.special
 
-    def oracle_kl(x, w, w_hat, cfg):
+    def oracle_kl(x, w, w_hat):
         y = x.astype(np.float64) @ w.astype(np.float64).T
         z = x.astype(np.float64) @ w_hat.astype(np.float64).T
-        p = scipy.special.softmax(y / cfg.temperature, axis=1)
-        q = scipy.special.softmax(z / cfg.temperature, axis=1)
-        p = np.maximum(p, cfg.epsilon)
+        p = scipy.special.softmax(y, axis=1)
+        q = scipy.special.softmax(z, axis=1)
+        p = np.maximum(p, EPSILON)
         p /= p.sum(axis=1, keepdims=True)
-        q = np.maximum(q, cfg.epsilon)
+        q = np.maximum(q, EPSILON)
         q /= q.sum(axis=1, keepdims=True)
         return float(np.mean(np.sum(scipy.special.rel_entr(p, q), axis=1)))
 
     start = time.perf_counter()
-    cfg = KlConfig()
     for seed in range(100):
         rng = np.random.default_rng(30_000 + seed)
         k = int(rng.integers(2, 9))
@@ -137,7 +136,7 @@ def test_acceptance_3_allocation_matches_exhaustive_search(capsys):
         x = random_calib(rng, t, m)
         hs = damp_and_invert(accumulate_hessian(CalibrationSet([x])))
         sal = salience_map(w, hs, beta)
-        plan = allocate_bits(w, x, sal, beta, 2, cfg)
+        plan = allocate_bits(w, kl_reference(x, w), sal, beta, 2)
 
         curve = []
         for p in range(k // 2 + 1):
@@ -154,7 +153,7 @@ def test_acceptance_3_allocation_matches_exhaustive_search(capsys):
             for g in range(k):
                 sl = slice(g * beta, (g + 1) * beta)
                 w_hat[:, sl] = dequantize(quantize_uniform(w[:, sl], bits[g]))
-            curve.append(oracle_kl(x, w, w_hat, cfg))
+            curve.append(oracle_kl(x, w, w_hat))
         assert plan.p_star == int(np.argmin(curve))
         np.testing.assert_allclose(plan.kl_curve, curve, rtol=1e-10)
     elapsed = time.perf_counter() - start
@@ -174,7 +173,7 @@ def test_acceptance_4_calibration_dominance(capsys):
         block = (rng.standard_normal((16, 64)) * rng.uniform(0.1, 3.0)).astype(
             np.float32
         )
-        qb, _ = calibrate_group(block, 2, SqcConfig())
+        qb, _ = calibrate_group(block, 2)
         tuned = block_mse(block, dequantize(qb))
         plain = block_mse(block, dequantize(quantize_uniform(block, 2)))
         dominated += tuned <= plain
@@ -243,7 +242,7 @@ def test_acceptance_7_search_cost(capsys):
     x = random_calib(rng, 16, m)
     hs = damp_and_invert(accumulate_hessian(CalibrationSet([x])))
     sal = salience_map(w, hs, beta)
-    plan = allocate_bits(w, x, sal, beta, 2, KlConfig())
+    plan = allocate_bits(w, kl_reference(x, w), sal, beta, 2)
     verdict(
         capsys, 7, plan.evaluations == 17,
         f"m=4096, group size 128: search evaluated {plan.evaluations} "

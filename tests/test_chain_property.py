@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from slimquant.errors import SlimQuantError
 from slimquant.kernel import dense_reference, matmul_tolerance, packed_matmul
-from slimquant.packfmt import from_bytes, pack, packed_size_report, unpack
+from slimquant.packfmt import from_bytes, pack, packed_size_report
 from slimquant.pipeline import PipelineConfig, quantize_layer, reconstruct, score
 from slimquant.salience import accumulate_hessian, damp_and_invert
 from slimquant.sba import kl_reference
@@ -71,10 +71,9 @@ def test_quantize_pack_read_eval_and_serve(layer):
         raw = pack(result.blocks, n, m, cfg.beta, target_bits=cfg.bits).to_bytes()
         pm = from_bytes(raw)
         # what slimquant eval computes from the read model
-        blocks, widths = unpack(pm)
         hs = damp_and_invert(accumulate_hessian(calib))
         ref = kl_reference(calib.rows, w)
-        scored = score(w, reconstruct(blocks), hs, ref)
+        scored = score(w, reconstruct(pm.blocks), hs, ref)
         x = calib.rows
         served, dense = packed_matmul(pm, x), dense_reference(pm, x)
         tolerance = matmul_tolerance(pm, x)
@@ -83,8 +82,8 @@ def test_quantize_pack_read_eval_and_serve(layer):
         return
     assert pm.to_bytes() == raw
     k = m // cfg.beta
-    assert np.array_equal(widths, result.plan.bits)
-    assert int(widths.sum()) == cfg.bits * k
+    assert np.array_equal(pm.widths, result.plan.bits)
+    assert int(pm.widths.sum()) == cfg.bits * k
     assert packed_size_report(pm).payload_bits == n * m * cfg.bits
     assert bits_of(scored) == bits_of((result.proxy_loss, result.recon_mse, result.recon_kl))
     assert np.abs(served.astype(np.float64) - dense).max() <= tolerance

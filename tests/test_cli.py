@@ -20,13 +20,13 @@ import scipy
 
 import slimquant
 from fixtures import clustered_layer, identity_calib, random_calib, random_layer
-from slimquant import cli
+from slimquant import cli, sba
 from slimquant.cli import BLAS_THREAD_VARS, build_parser, main
-from slimquant.packfmt import _layout, pack, read_packed, unpack, unpack_fields, write_packed
+from slimquant.packfmt import _layout, pack, read_packed, unpack_fields, write_packed
 from slimquant.pipeline import STAGES, PipelineConfig, quantize_layer, reconstruct
 from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize, quantize_uniform
 from slimquant.salience import salience
-from slimquant.sba import KlConfig, kl_reference, output_kl, stride_subsample
+from slimquant.sba import kl_reference, output_kl, stride_subsample
 from slimquant.tensor_store import CalibrationSet, read_tensor, write_tensor
 
 
@@ -181,9 +181,9 @@ def test_quantize_ablation_floor_reproduces_rtn(layer_files, tmp_path, capsys):
     code, _, _ = run(capsys, *quantize_args(
         wpath, xpath, out, no_sba=True, no_sqc=True, no_compensation=True))
     assert code == 0
-    blocks, widths = unpack(read_packed(out))
-    assert np.all(widths == 2)
-    for g, qb in enumerate(blocks):
+    pm = read_packed(out)
+    assert np.all(pm.widths == 2)
+    for g, qb in enumerate(pm.blocks):
         ref = quantize_uniform(w[:, g * 16:(g + 1) * 16], 2)
         assert np.array_equal(qb.codes, ref.codes)
         assert np.array_equal(qb.params.scale, ref.params.scale)
@@ -379,7 +379,7 @@ def test_eval_matches_quantize_report_on_a_small_uncompensated_layer(tmp_path, c
     scored = json.loads(stdout)
     for key in ("recon_mse", "proxy_loss", "recon_kl"):
         assert scored["metrics"][key] == report["metrics"][key]
-    recon = reconstruct(unpack(read_packed(out))[0])
+    recon = reconstruct(read_packed(out).blocks)
     assert recon.flags.f_contiguous and not recon.flags.c_contiguous
     x = read_tensor(xpath).reshape(-1, 256)
     ref = kl_reference(x, read_tensor(wpath))
@@ -390,10 +390,10 @@ def test_eval_matches_quantize_report_on_a_small_uncompensated_layer(tmp_path, c
 @pytest.mark.parametrize("samples", [1, 2])
 def test_eval_matches_quantize_report_on_strided_and_batched_rows(tmp_path, capsys, monkeypatch,
                                                                   samples):
-    # eval scores on the rows quantize scored on: past KlConfig.max_tokens
+    # eval scores on the rows quantize scored on: past sba.MAX_TOKENS
     # calibration rows, a strided subsample of the rows of every sample
     w, x = clustered_layer(5, n=16, m=256, t=4200)
-    assert len(x) > KlConfig.max_tokens
+    assert len(x) > sba.MAX_TOKENS
     wpath, xpath, out = tmp_path / "w.slmt", tmp_path / "x.slmt", tmp_path / "m.slmq"
     write_tensor(wpath, w)
     write_tensor(xpath, x.reshape(samples, -1, x.shape[1]))
@@ -407,11 +407,11 @@ def test_eval_matches_quantize_report_on_strided_and_batched_rows(tmp_path, caps
         assert scored["metrics"][key] == report["metrics"][key]
     # the score is that of the strided rows, and every row scores differently,
     # so the stride was applied
-    recon = reconstruct(unpack(read_packed(out))[0])
-    strided = stride_subsample(x, KlConfig.max_tokens)
+    recon = reconstruct(read_packed(out).blocks)
+    strided = stride_subsample(x, sba.MAX_TOKENS)
     assert len(strided) < len(x)
     assert scored["metrics"]["recon_kl"] == output_kl(kl_reference(strided, w), recon)
-    monkeypatch.setattr(KlConfig, "max_tokens", len(x))
+    monkeypatch.setattr(sba, "MAX_TOKENS", len(x))
     every_row = kl_reference(x, w)
     assert scored["metrics"]["recon_kl"] != output_kl(every_row, recon)
 

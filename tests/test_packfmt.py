@@ -5,13 +5,9 @@ class, the size accounting, and a frozen golden digest so any byte-level
 drift in the writer is caught immediately.
 """
 
-import ast
 import hashlib
-import inspect
 import itertools
 import struct
-import sys
-import textwrap
 import tracemalloc
 
 import numpy as np
@@ -19,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import random_blocks, random_calib, random_layer
+from fixtures import missed_raises, random_blocks, random_calib, random_layer
 from slimquant.errors import (
     BadMagic,
     CodeOutOfRange,
@@ -39,7 +35,6 @@ from slimquant.packfmt import (
     pack_fields,
     packed_size_report,
     read_packed,
-    unpack,
     unpack_fields,
     write_packed,
 )
@@ -105,7 +100,7 @@ def test_codec_matches_bit_per_byte_oracle(width):
     for rows, count in itertools.product(range(1, 5), [*range(1, 71), 1024]):
         values = rng.integers(0, 1 << width, size=(rows, count), dtype=np.uint8)
         raw = reference_pack_fields(values, width)
-        assert pack_fields(values, width) == raw
+        assert pack_fields(values, width).tobytes() == raw
         got = unpack_fields(raw, rows, count, width, "row")
         assert got.dtype == np.uint8 and got.flags.owndata and np.array_equal(got, values)
         row_bits = 8 * len(raw) // rows
@@ -141,7 +136,7 @@ def test_bit_code_hand_example():
     # widths [3,2,1,2] with group 2 shared -> group codes [2,1,4,1] ->
     # LSB-first 3-bit fields 010 100 001 100 -> 0x30A in one padded word
     raw = pack_fields(np.array([[2, 1, 4, 1]]), 3)
-    assert raw == bytes([0x0A, 0x03, 0x00, 0x00])
+    assert raw.tolist() == [[0x0A, 0x03, 0x00, 0x00]]
     assert unpack_fields(raw, 1, 4, 3, "group codes").tolist() == [[2, 1, 4, 1]]
 
 
@@ -149,7 +144,7 @@ def test_column_hand_example():
     # one 2-bit column [0,1,2,3] packs to 0xE4 inside one zero-padded word
     codes = np.array([[0], [1], [2], [3]], dtype=np.uint8)
     raw = pack_fields(codes.T, 2)
-    assert raw == bytes([0xE4, 0x00, 0x00, 0x00])
+    assert raw.tolist() == [[0xE4, 0x00, 0x00, 0x00]]
     assert np.array_equal(unpack_fields(raw, 1, 4, 2, "column").T, codes)
 
 
@@ -180,10 +175,10 @@ def test_round_trip_preserves_decode():
     calib = CalibrationSet([random_calib(rng, 256, 128)])
     res = quantize_layer(w, calib, PipelineConfig(beta=32, bits=2))
     pm = pack(res.blocks, 16, 128, 32, target_bits=2)
-    blocks, widths = unpack(from_bytes(pm.to_bytes()))
-    assert np.array_equal(widths, res.plan.bits)
-    assert np.array_equal(reconstruct(blocks), reconstruct(res.blocks))
-    for a, b in zip(blocks, res.blocks):
+    back = from_bytes(pm.to_bytes())
+    assert np.array_equal(back.widths, res.plan.bits)
+    assert np.array_equal(reconstruct(back.blocks), reconstruct(res.blocks))
+    for a, b in zip(back.blocks, res.blocks):
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.params.scale, b.params.scale)
         assert np.array_equal(a.params.zero, b.params.zero)
@@ -196,7 +191,7 @@ def test_one_bit_groups_round_trip():
     blocks, _ = random_blocks(rng, 4, 32, 8, widths=[1, 2, 1, 3])
     pm = pack(blocks, 4, 32, 8, target_bits=2)
     assert not pm.shared.any()
-    got, _ = unpack(from_bytes(pm.to_bytes()))
+    got = from_bytes(pm.to_bytes()).blocks
     for g in (0, 2):
         assert np.array_equal(got[g].params.zero, blocks[g].params.zero)
         scale = blocks[g].params.scale[:, None]
@@ -277,8 +272,7 @@ def test_empty_model_round_trips():
     pm = pack([], 4, 0, 16, target_bits=2)
     back = from_bytes(pm.to_bytes())
     assert back.k == 0
-    blocks, widths = unpack(back)
-    assert blocks == [] and len(widths) == 0
+    assert back.blocks == () and len(back.widths) == 0
 
 
 def test_write_read_files(tmp_path):
@@ -374,7 +368,7 @@ def test_version_two_file_rejected():
     pm = golden_model()
     raw = bytearray(pm.to_bytes())
     struct.pack_into("<HH", raw, 4, 2, 1)
-    raw[24:28] = pack_fields(pm.widths[None, :] - 1, 2)
+    raw[24:28] = pack_fields(pm.widths[None, :] - 1, 2).tobytes()
     assert hashlib.sha256(raw).hexdigest() == GOLDEN_V2_SHA256
     with pytest.raises(UnsupportedVersion):
         from_bytes(bytes(raw))
@@ -667,36 +661,12 @@ def test_property_header_overwrite(raw, data):
     assert_rejected_or_canonical(bytes(mutated))
 
 
-def raise_lines(fn):
-    """Line numbers of fn's raise statements."""
-    lines, start = inspect.getsourcelines(fn)
-    tree = ast.parse(textwrap.dedent("".join(lines)))
-    return {start + node.lineno - 1 for node in ast.walk(tree) if isinstance(node, ast.Raise)}
-
-
 def test_properties_reach_every_rejection():
-    # the three properties' examples, under a line tracer (there is no
-    # coverage tool), run every raise of the reader: a rejection no mutated
-    # file reaches is a rejection no property tests
-    watched = {f.__code__: f for f in (from_bytes, unpack_fields)}
-    ran = set()
-
-    def line(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code, frame.f_lineno))
-        return line
-
-    def call(frame, event, arg):
-        return line if frame.f_code in watched else None
-
-    previous = sys.gettrace()
-    sys.settrace(call)
-    try:
+    # the three properties' examples run every raise of the reader: a
+    # rejection no mutated file reaches is a rejection no property tests
+    def properties():
         for prop in (test_property_truncation, test_property_bit_flip,
                      test_property_header_overwrite):
             prop()
-    finally:
-        sys.settrace(previous)
-    missed = [f"{f.__name__}:{n}" for code, f in watched.items() for n in sorted(raise_lines(f))
-              if (code, n) not in ran]
-    assert not missed
+
+    assert not missed_raises((from_bytes, unpack_fields), properties)

@@ -12,7 +12,7 @@ from fixtures import (
     random_calib,
     random_layer,
 )
-from slimquant import pipeline
+from slimquant import pipeline, sba
 from slimquant.errors import (
     BadGroupSize,
     InvalidConfig,
@@ -37,8 +37,8 @@ from slimquant.quant_core import (
     quantize_uniform,
 )
 from slimquant.salience import HessianState, accumulate_hessian, damp_and_invert
-from slimquant.sba import KlConfig, kl_reference, output_kl, stride_subsample
-from slimquant.sqc import SqcConfig, calibrate_group
+from slimquant.sba import kl_reference, output_kl, stride_subsample
+from slimquant.sqc import calibrate_group
 from slimquant.sqc import _walk as sqc_walk
 from slimquant.tensor_store import CalibrationSet
 
@@ -234,19 +234,19 @@ def test_run_is_deterministic():
     assert np.array_equal(a.plan.bits, b.plan.bits)
 
 
-@pytest.mark.parametrize("sba", [True, False])
-def test_recon_kl_is_output_kl_of_the_strided_rows(monkeypatch, sba):
+@pytest.mark.parametrize("sba_enabled", [True, False])
+def test_recon_kl_is_output_kl_of_the_strided_rows(monkeypatch, sba_enabled):
     # the final score reads the exact side from the reference the width
     # search built; it must be the score against a reference built afresh
     # from the strided rows of both samples, and not that of every row
     w, x = clustered_layer(3, n=16, m=256, t=4200)
     calib = CalibrationSet([x[:2100], x[2100:]])
-    res = quantize_layer(w, calib, PipelineConfig(beta=64, bits=2, sba_enabled=sba))
+    res = quantize_layer(w, calib, PipelineConfig(beta=64, bits=2, sba_enabled=sba_enabled))
     recon = reconstruct(res.blocks)
-    xs = stride_subsample(calib.rows, KlConfig.max_tokens)
+    xs = stride_subsample(calib.rows, sba.MAX_TOKENS)
     assert len(xs) < len(x)
     assert res.recon_kl == output_kl(kl_reference(xs, w), recon)
-    monkeypatch.setattr(KlConfig, "max_tokens", len(x))
+    monkeypatch.setattr(sba, "MAX_TOKENS", len(x))
     every_row = kl_reference(x, w)
     assert res.recon_kl != output_kl(every_row, recon)
 
@@ -375,7 +375,7 @@ def group_at_once_loss(w, calib, cfg, plan_bits):
     for g, bits in enumerate(int(b) for b in plan_bits):
         lo, hi = g * cfg.beta, (g + 1) * cfg.beta
         if cfg.sqc_enabled and bits > 1:
-            qb = calibrate_group(work[:, lo:hi].copy(), bits, SqcConfig())[0]
+            qb = calibrate_group(work[:, lo:hi].copy(), bits)[0]
         else:
             qb = quantize_uniform(work[:, lo:hi], bits)
         err = (work[:, lo:hi] - dequantize(qb)) / np.diag(u)[lo:hi]

@@ -29,7 +29,7 @@ from slimquant.quant_core import (
     params_from_range,
     quantize_uniform,
 )
-from slimquant.sqc import SqcConfig, calibrate_group
+from slimquant.sqc import STEP, calibrate_group
 
 
 def scalar_reference(block, bits):
@@ -203,7 +203,7 @@ def test_every_gamma_of_a_row_shares_its_zero_point(bits):
     block[12:16] *= 1e-40 / np.abs(block[12:16]).max(axis=1, keepdims=True)
     block[14:16, 0], block[14:16, 1] = -1e-40, 1e-40
     lo, hi = _row_range(block)
-    grid = np.arange(13, 22) / SqcConfig.step  # every factor a row can end on
+    grid = np.arange(13, 22) / STEP  # every factor a row can end on
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # degenerate rows divide by nothing
         scales, zeros = affine_params(lo[None, :], hi[None, :], bits, grid[:, None])
@@ -244,7 +244,7 @@ def test_malformed_blocks_and_widths_raise_typed_errors(shape, bits, error):
         quantize_uniform(block, bits)
     if bits != 1:  # range calibration rejects 1 bit for its width alone
         with pytest.raises(error):
-            calibrate_group(block, bits, SqcConfig())
+            calibrate_group(block, bits)
     if error is InvalidConfig:
         with pytest.raises(error):
             GroupQuantParams(bits, np.ones(2, dtype=np.float32), np.zeros(2, dtype=np.uint8))

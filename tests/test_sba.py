@@ -13,6 +13,7 @@ import pytest
 import scipy.special
 
 from fixtures import hessian_state, random_calib, random_layer
+from slimquant import sba
 from slimquant.errors import BadGroupSize, EmptyCalibration, ShapeMismatch
 from slimquant.quant_core import (
     binarize_block,
@@ -25,7 +26,6 @@ from slimquant.sba import (
     _COLUMNS,
     _TOKEN_OUTPUTS,
     BitPlan,
-    KlConfig,
     allocate_bits,
     kl_reference,
     _outputs,
@@ -43,9 +43,9 @@ def oracle_kl(x, w, w_hat):
     z = x.astype(np.float64) @ w_hat.astype(np.float64).T
     p = scipy.special.softmax(y, axis=1)
     q = scipy.special.softmax(z, axis=1)
-    p = np.maximum(p, KlConfig.epsilon)
+    p = np.maximum(p, sba.EPSILON)
     p /= p.sum(axis=1, keepdims=True)
-    q = np.maximum(q, KlConfig.epsilon)
+    q = np.maximum(q, sba.EPSILON)
     q /= q.sum(axis=1, keepdims=True)
     return float(np.mean(np.sum(scipy.special.rel_entr(p, q), axis=1)))
 
@@ -175,7 +175,7 @@ def test_stride_subsample():
 
 @pytest.mark.parametrize("t, max_tokens", [(10, 4), (10, 3), (9, 9), (9, 100), (7, 1)])
 def test_kl_reference_strides_its_rows(monkeypatch, t, max_tokens):
-    monkeypatch.setattr(KlConfig, "max_tokens", max_tokens)
+    monkeypatch.setattr(sba, "MAX_TOKENS", max_tokens)
     rng = np.random.default_rng(t + max_tokens)
     w, x = random_layer(rng, 3, 4), random_calib(rng, t, 4)
     ref = kl_reference(x, w)
@@ -194,7 +194,7 @@ def test_references_and_plans_compare_by_identity():
     w, x, sal = plan_inputs(3)
     a, b = kl_reference(x, w), kl_reference(x, w)
     assert a == a and a != b
-    plan = allocate_bits(w, x, sal, 8, 2, KlConfig(), ref=a)
+    plan = allocate_bits(w, a, sal, 8, 2)
     same = BitPlan(bits=plan.bits.copy(), p_star=plan.p_star, kl_curve=plan.kl_curve.copy())
     assert plan == plan and plan != same
 
@@ -212,7 +212,7 @@ def plan_inputs(seed, n=8, m=48, beta=8, t=20):
 def test_plan_constraints(target):
     for seed in range(20):
         w, x, sal = plan_inputs(seed)
-        plan = allocate_bits(w, x, sal, 8, target, KlConfig())
+        plan = allocate_bits(w, kl_reference(x, w), sal, 8, target)
         k = 6
         assert plan.bits.shape == (k,)
         assert set(np.unique(plan.bits)) <= {target - 1, target, target + 1}
@@ -226,7 +226,7 @@ def test_plan_constraints(target):
 def test_promotions_follow_salience_rank():
     for seed in range(10):
         w, x, sal = plan_inputs(seed, m=64, beta=8)
-        plan = allocate_bits(w, x, sal, 8, 2, KlConfig())
+        plan = allocate_bits(w, kl_reference(x, w), sal, 8, 2)
         gm = sal.group_mean
         lows = np.flatnonzero(plan.bits == 1)
         highs = np.flatnonzero(plan.bits == 3)
@@ -238,10 +238,9 @@ def test_promotions_follow_salience_rank():
 
 
 def test_matches_exhaustive_oracle():
-    cfg = KlConfig()
     for seed in range(12):
         w, x, sal = plan_inputs(seed + 60, n=6, m=48, beta=8, t=16)
-        plan = allocate_bits(w, x, sal, 8, 2, cfg)
+        plan = allocate_bits(w, kl_reference(x, w), sal, 8, 2)
         plans, curve, best = oracle_allocation(w, x, sal.group_mean, 8, 2)
         assert plan.p_star == best
         np.testing.assert_allclose(plan.kl_curve, curve, rtol=1e-10)
@@ -250,29 +249,31 @@ def test_matches_exhaustive_oracle():
 
 def test_uniform_candidate_is_plain_fakequant():
     w, x, sal = plan_inputs(99)
-    cfg = KlConfig()
-    plan = allocate_bits(w, x, sal, 8, 2, cfg)
+    ref = kl_reference(x, w)
+    plan = allocate_bits(w, ref, sal, 8, 2)
     w_hat = np.empty_like(w)
     for g in range(6):
         sl = slice(g * 8, (g + 1) * 8)
         w_hat[:, sl] = dequantize(quantize_uniform(w[:, sl], 2))
-    want = output_kl(kl_reference(x, w), w_hat)
+    want = output_kl(ref, w_hat)
     assert plan.kl_curve[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_reference_reuse_changes_no_bits(monkeypatch):
-    # a KlReference built once gives the same curve, to the bit, as the one
-    # allocate_bits builds for itself, and no score writes it
+    # one KlReference serves the search and the final score: it holds the
+    # rows strided at sba.MAX_TOKENS, gives the curve, to the bit, of a
+    # reference built on rows strided beforehand, and no score writes it
     for seed, max_tokens in ((70, 4096), (71, 7)):
-        monkeypatch.setattr(KlConfig, "max_tokens", max_tokens)
+        monkeypatch.setattr(sba, "MAX_TOKENS", max_tokens)
         w, x, sal = plan_inputs(seed, t=20)
-        ref = kl_reference(stride_subsample(x, max_tokens), w)
+        ref = kl_reference(x, w)
+        assert np.array_equal(ref.xs, stride_subsample(x, max_tokens))
         p_before = ref.p.copy()
-        own = allocate_bits(w, x, sal, 8, 2, KlConfig())
-        shared = allocate_bits(w, x, sal, 8, 2, KlConfig(), ref=ref)
-        assert own.kl_curve.tobytes() == shared.kl_curve.tobytes()
-        assert np.array_equal(own.bits, shared.bits)
-        output_kl(ref, fake_quantize(w, list(own.bits), 8))
+        plan = allocate_bits(w, ref, sal, 8, 2)
+        again = allocate_bits(w, kl_reference(stride_subsample(x, max_tokens), w), sal, 8, 2)
+        assert plan.kl_curve.tobytes() == again.kl_curve.tobytes()
+        assert np.array_equal(plan.bits, again.bits)
+        output_kl(ref, fake_quantize(w, list(plan.bits), 8))
         assert np.array_equal(ref.p, p_before)
 
 
@@ -282,8 +283,9 @@ def test_monotone_salience_relabel_keeps_plan():
         group_mean=np.exp(sal.group_mean / sal.group_mean.max()),
         channel_mean=sal.channel_mean,
     )
-    a = allocate_bits(w, x, sal, 8, 2, KlConfig())
-    b = allocate_bits(w, x, relabeled, 8, 2, KlConfig())
+    ref = kl_reference(x, w)
+    a = allocate_bits(w, ref, sal, 8, 2)
+    b = allocate_bits(w, ref, relabeled, 8, 2)
     assert np.array_equal(a.bits, b.bits)
     assert a.p_star == b.p_star
 
@@ -300,7 +302,7 @@ def test_duplicate_groups_tie_to_lower_index():
         group_mean=np.array([1.0, 1.0]),
         channel_mean=delta.mean(axis=0),
     )
-    plan = allocate_bits(w, x, sal, 8, 2, KlConfig())
+    plan = allocate_bits(w, kl_reference(x, w), sal, 8, 2)
     assert plan.evaluations == 2
     if plan.p_star == 1:
         assert plan.bits[0] == 1  # demotion takes the lower index on ties
@@ -311,7 +313,6 @@ def test_incremental_search_matches_full_recompute():
     # the search updates one running layer output from candidate to
     # candidate; rebuilding and multiplying every candidate from scratch
     # must give the same curve up to summation order, and the same plan
-    cfg = KlConfig()
     cases = [(*plan_inputs(seed, m=64), target)
              for seed, target in [(5, 2), (6, 2), (7, 3), (8, 3), (9, 2),
                                   (31, 2), (32, 2), (33, 2)]]
@@ -322,9 +323,9 @@ def test_incremental_search_matches_full_recompute():
                        channel_mean=sal.channel_mean)
     cases += [(w, x, tied, 2), (w, x, tied, 3)]
     for w, x, sal, target in cases:
-        plan = allocate_bits(w, x, sal, 8, target, cfg)
+        plan = allocate_bits(w, kl_reference(x, w), sal, 8, target)
         plans = oracle_plans(sal.group_mean, target)
-        ref = kl_reference(stride_subsample(x, KlConfig.max_tokens), w)
+        ref = kl_reference(stride_subsample(x, sba.MAX_TOKENS), w)
         curve = np.array([output_kl(ref, fake_quantize(w, bits, 8)) for bits in plans])
         np.testing.assert_allclose(plan.kl_curve, curve, rtol=1e-12, atol=0.0)
         assert plan.p_star == int(np.argmin(curve))
@@ -348,7 +349,7 @@ def full_array_distributions(y):
     q = y - y.max(axis=1, keepdims=True)
     np.exp(q, out=q)
     q /= q.sum(axis=1, keepdims=True)
-    np.maximum(q, KlConfig.epsilon, out=q)
+    np.maximum(q, sba.EPSILON, out=q)
     q /= q.sum(axis=1, keepdims=True)
     return q
 
@@ -363,7 +364,7 @@ def full_array_curve(w, x, group_mean, beta, target):
     over the whole (t, n) output, the layer output formed as the search
     forms it: the first candidate one group of columns at a time, then
     updated group by group."""
-    xs = stride_subsample(x, KlConfig.max_tokens).astype(np.float64)
+    xs = stride_subsample(x, sba.MAX_TOKENS).astype(np.float64)
     p = full_array_distributions(column_sum(xs, w))
     log_p = np.log(p)
 
@@ -402,7 +403,7 @@ def test_row_blocks_match_full_array_scoring(n, m, beta, t, scale):
     got = output_kl(kl_reference(x, w), w_hat)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
-    plan = allocate_bits(w, x, sal, beta, 2, KlConfig())
+    plan = allocate_bits(w, kl_reference(x, w), sal, beta, 2)
     want_curve = full_array_curve(w, x, sal.group_mean, beta, 2)
     assert plan.kl_curve.tobytes() == want_curve.tobytes()
 
@@ -414,9 +415,8 @@ def test_wide_groups_match_full_array_scoring_closely():
     n, m, beta, t = 256, 2048, 512, 300
     w = random_layer(rng, n, m)
     x = random_calib(rng, t, m)
-    cfg = KlConfig()
     sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
-    plan = allocate_bits(w, x, sal, beta, 2, cfg)
+    plan = allocate_bits(w, kl_reference(x, w), sal, beta, 2)
     want_curve = full_array_curve(w, x, sal.group_mean, beta, 2)
     np.testing.assert_allclose(plan.kl_curve, want_curve, rtol=1e-10, atol=0.0)
     assert plan.p_star == int(np.argmin(want_curve))
@@ -437,14 +437,13 @@ def test_two_token_blocks_match_full_array_scoring():
     # the search and a whole-layer score over two token blocks give the
     # bits of one pass over the full arrays
     w, x, sal, beta = two_token_block_layer(1032)
-    cfg = KlConfig()
     ref = kl_reference(x, w)
     assert [(r0, r1) for r0, r1, _ in _token_blocks(ref)] == [(0, 516), (516, 1032)]
     w_hat = fake_quantize(w, [2] * 4, beta)
     p = full_array_distributions(column_sum(x, w))
     want = full_array_kl(p, np.log(p), column_sum(x, w_hat))
     assert np.float64(output_kl(ref, w_hat)).tobytes() == np.float64(want).tobytes()
-    plan = allocate_bits(w, x, sal, beta, 2, cfg, ref=ref)
+    plan = allocate_bits(w, ref, sal, beta, 2)
     want_curve = full_array_curve(w, x, sal.group_mean, beta, 2)
     assert plan.kl_curve.tobytes() == want_curve.tobytes()
 
@@ -455,12 +454,11 @@ def test_search_and_score_hold_one_token_block_of_outputs():
     # output array of all the rows and no float64 copy of the weights
     w, x, sal, beta = two_token_block_layer(2 * _TOKEN_OUTPUTS // 4096)
     t, n = x.shape[0], w.shape[0]
-    cfg = KlConfig()
     ref = kl_reference(x, w)
     assert len(list(_token_blocks(ref))) == 2
     w_hat = fake_quantize(w, [2] * 4, beta)
     calls = {
-        "allocate_bits": lambda: allocate_bits(w, x, sal, beta, 2, cfg, ref=ref),
+        "allocate_bits": lambda: allocate_bits(w, ref, sal, beta, 2),
         "output_kl": lambda: output_kl(ref, w_hat),
     }
     for name, call in calls.items():
@@ -548,7 +546,7 @@ def test_products_make_no_float64_copy_of_the_rows():
         "kl_reference": (lambda: kl_reference(x, w), outputs),
         "output_kl": (lambda: output_kl(ref, w_hat), outputs),
         "allocate_bits": (
-            lambda: allocate_bits(w, x, sal, 128, 2, KlConfig(), ref=ref), outputs + decodes
+            lambda: allocate_bits(w, ref, sal, 128, 2), outputs + decodes
         ),
     }
     for name, (call, held) in calls.items():
@@ -567,7 +565,7 @@ def test_evaluation_count_matches_group_count():
     x = random_calib(rng, 16, 4096)
     hs = hessian_state(CalibrationSet([x]))
     sal = salience_map(w, hs, 128)
-    plan = allocate_bits(w, x, sal, 128, 2, KlConfig())
+    plan = allocate_bits(w, kl_reference(x, w), sal, 128, 2)
     assert plan.evaluations == 17
     assert len(plan.kl_curve) == 17
 
@@ -587,12 +585,11 @@ def affine_one_bit(block):
 
 
 def test_one_bit_candidates_are_sign_magnitude():
-    cfg = KlConfig()
     for seed in (31, 32, 33):
         w, x, sal = plan_inputs(seed)
-        plan = allocate_bits(w, x, sal, 8, 2, cfg)
-        plans = oracle_plans(sal.group_mean, 2)
         ref = kl_reference(x, w)
+        plan = allocate_bits(w, ref, sal, 8, 2)
+        plans = oracle_plans(sal.group_mean, 2)
         signed = [output_kl(ref, fake_quantize(w, b, 8, sign_one_bit)) for b in plans]
         affine = [output_kl(ref, fake_quantize(w, b, 8, affine_one_bit)) for b in plans]
         np.testing.assert_allclose(plan.kl_curve, signed, rtol=1e-12, atol=0.0)
@@ -603,21 +600,25 @@ def test_one_bit_candidates_are_sign_magnitude():
 def test_allocation_input_validation():
     w, x, sal = plan_inputs(1)
     with pytest.raises(ValueError):
-        allocate_bits(w, x, sal, 8, 4, KlConfig())
+        allocate_bits(w, kl_reference(x, w), sal, 8, 4)
     with pytest.raises(BadGroupSize):
-        allocate_bits(w, x, sal, 7, 2, KlConfig())
+        allocate_bits(w, kl_reference(x, w), sal, 7, 2)
     with pytest.raises(ShapeMismatch):
-        allocate_bits(w[:, :40], x[:, :40], sal, 8, 2, KlConfig())
+        allocate_bits(w[:, :40], kl_reference(x[:, :40], w[:, :40]), sal, 8, 2)
     # a reference of another layer's weights
     with pytest.raises(ShapeMismatch):
-        allocate_bits(w[:4], x, sal, 8, 2, KlConfig(), ref=kl_reference(x, w))
+        allocate_bits(w[:4], kl_reference(x, w), sal, 8, 2)
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_allocation_rejects_malformed_divergence_inputs(case):
-    # allocate_bits builds its reference through kl_reference's checks
+    # malformed inputs make no reference, and malformed weights do not
+    # match the reference of the layer's own
     w, x, sal = plan_inputs(1)
     malform, error = MALFORMED[case]
-    w, x = malform(w, x)
+    bad_w, bad_x = malform(w, x)
     with pytest.raises(error):
-        allocate_bits(w, x, sal, 8, 2, KlConfig())
+        allocate_bits(bad_w, kl_reference(bad_x, bad_w), sal, 8, 2)
+    if bad_w is not w:
+        with pytest.raises(error):
+            allocate_bits(bad_w, kl_reference(x, w), sal, 8, 2)

@@ -1,10 +1,11 @@
 """The package's settable values are the ones pinned here.
 
 PipelineConfig's five fields choose what a run does; damp_and_invert's
-percdamp stays a parameter because acceptance check 8 sets it. KlConfig
-and SqcConfig are records of fixed values: they take no arguments. Every
-dataclass of the package whose name ends in Config is checked, so a new
-one fails too. A setting added without a measured effect goes against ROADMAP
+percdamp stays a parameter because acceptance check 8 sets it. The
+divergence's and range calibration's fixed values are module constants
+(sba.EPSILON and MAX_TOKENS, sqc.STEP, COARSE and FINE), not records.
+Every dataclass of the package whose name ends in Config is checked, so a
+new one fails too. A setting added without a measured effect goes against ROADMAP
 aim 2 ("delete any knob that has no measured effect"); one that earns its
 place is pinned here with that measurement.
 """
@@ -22,8 +23,6 @@ ADVICE = "ROADMAP aim 2: delete any knob that has no measured effect"
 # class name -> the parameters its constructor takes
 CONFIGS = {
     "PipelineConfig": ["beta", "bits", "sba_enabled", "sqc_enabled", "compensation_enabled"],
-    "KlConfig": [],
-    "SqcConfig": [],
 }
 
 

@@ -5,7 +5,10 @@ quantize_uniform derives a block's params itself, params_from_range gives
 the unscaled (gamma = 1) params, and pack is told the average width target
 that the file's header records: range calibration, the only caller that
 scales a range, calls affine_params, and every caller of pack knows its
-target. A group's params are its width, scales and zero-points, and the
+target. The width search takes the divergence reference its caller built
+(allocate_bits has no second way to build one), range calibration takes
+no settings, and pack_fields has one form, the array to_bytes joins. A
+group's params are its width, scales and zero-points, and the
 width alone picks the rule encode and decode apply (sign/magnitude at
 1 bit, affine above). A parameter that only tests pass goes against
 ROADMAP aim 2 ("delete any knob that has no measured effect"), and a
@@ -17,7 +20,7 @@ import inspect
 
 import pytest
 
-from slimquant.packfmt import pack
+from slimquant.packfmt import pack, pack_fields
 from slimquant.quant_core import (
     GroupQuantParams,
     decode,
@@ -25,6 +28,8 @@ from slimquant.quant_core import (
     params_from_range,
     quantize_uniform,
 )
+from slimquant.sba import allocate_bits, kl_reference
+from slimquant.sqc import calibrate_group
 
 ADVICE = "ROADMAP aim 2: delete any knob that has no measured effect"
 
@@ -33,7 +38,15 @@ SIGNATURES = {
     quantize_uniform: ["block", "bit_width"],
     params_from_range: ["lo", "hi", "bit_width"],
     pack: ["blocks", "n", "m", "beta", "target_bits"],
+    pack_fields: ["values", "width"],
+    allocate_bits: ["w", "ref", "sal", "beta", "target_bits"],
+    kl_reference: ["x", "w"],
+    calibrate_group: ["block", "bit_width", "u"],
 }
+
+# the only defaults: u = None is the identity factor, the walk without
+# compensation
+DEFAULTS = {(calibrate_group, "u"): None}
 
 # the one quantizer rule: function -> the parameters it takes
 RULE = {
@@ -50,7 +63,8 @@ def test_takes_only_the_pinned_parameters(fn):
 def test_every_parameter_is_required():
     for fn in SIGNATURES:
         for p in inspect.signature(fn).parameters.values():
-            assert p.default is inspect.Parameter.empty, f"{fn.__name__}.{p.name}"
+            want = DEFAULTS.get((fn, p.name), inspect.Parameter.empty)
+            assert p.default is want, f"{fn.__name__}.{p.name}"
 
 
 @pytest.mark.parametrize("fn", RULE, ids=lambda fn: fn.__name__)

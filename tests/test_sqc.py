@@ -19,7 +19,7 @@ from slimquant.quant_core import (
     params_from_range,
     quantize_uniform,
 )
-from slimquant.sqc import SqcConfig, calibrate_group, walk_group
+from slimquant.sqc import calibrate_group, walk_group
 from slimquant.tensor_store import CalibrationSet
 
 
@@ -67,11 +67,11 @@ def reference_calibrate(block, bits, u):
     """Per row: the coarse winner by (loss, closeness to 1, value), then the
     best of it and its fine neighbours, each factor's loss from its own
     walk of the whole block. Returns the codes, scales and factors, in
-    multiples of 1 / SqcConfig.step."""
-    step = SqcConfig.step
+    multiples of 1 / sqc.STEP."""
+    step = sqc.STEP
     lo, hi = _row_range(block)
     walks = {}
-    for k in range(min(SqcConfig.coarse) - 1, max(SqcConfig.coarse) + 2):
+    for k in range(min(sqc.COARSE) - 1, max(sqc.COARSE) + 2):
         params = GroupQuantParams(bits, *affine_params(lo, hi, bits, k / step))
         codes, err = walk_reference(block, params, u)
         walks[k] = codes, row_losses(err)
@@ -81,8 +81,8 @@ def reference_calibrate(block, bits, u):
 
     chosen = []
     for r in range(len(block)):
-        winner = best(SqcConfig.coarse, r)
-        chosen.append(best([winner] + [winner + d for d in SqcConfig.fine], r))
+        winner = best(sqc.COARSE, r)
+        chosen.append(best([winner] + [winner + d for d in sqc.FINE], r))
     codes = np.stack([walks[k][0][r] for r, k in enumerate(chosen)])
     chosen = np.array(chosen)
     return codes, affine_params(lo, hi, bits, chosen / step)[0], chosen
@@ -105,7 +105,7 @@ def test_on_grid_block_wins_with_unity():
         codes[:, 1] = maxq  # pin each row's range to [0, maxq * step]
         step = np.exp2(rng.integers(-3, 3, size=(n, 1))).astype(np.float64)
         block = codes * step
-        qb, gamma = calibrate_group(block, bits, SqcConfig())
+        qb, gamma = calibrate_group(block, bits)
         assert gamma == 1.0
         assert np.array_equal(dequantize(qb).astype(np.float64), block)
 
@@ -117,7 +117,7 @@ def test_never_worse_than_plain_minmax():
         block = (rng.standard_normal((16, 32)) * rng.uniform(0.1, 3.0)).astype(
             np.float32)
         plain = block_mse(block, dequantize(quantize_uniform(block, 2)))
-        qb, gamma = calibrate_group(block, 2, SqcConfig())
+        qb, gamma = calibrate_group(block, 2)
         tuned = block_mse(block, dequantize(qb))
         assert tuned <= plain
         if tuned < plain:
@@ -127,7 +127,7 @@ def test_never_worse_than_plain_minmax():
 
 def test_constant_block_ties_resolve_to_unity():
     block = np.full((3, 8), 4.0)
-    qb, gamma = calibrate_group(block, 2, SqcConfig())
+    qb, gamma = calibrate_group(block, 2)
     assert gamma == 1.0
     assert np.array_equal(dequantize(qb), np.full((3, 8), np.float32(4.0)))
 
@@ -135,19 +135,19 @@ def test_constant_block_ties_resolve_to_unity():
 def test_scaling_block_by_two_keeps_winner():
     rng = np.random.default_rng(4)
     block = rng.standard_normal((8, 16)).astype(np.float32)
-    qb1, g1 = calibrate_group(block, 2, SqcConfig())
-    qb2, g2 = calibrate_group(2.0 * block.astype(np.float64), 2, SqcConfig())
+    qb1, g1 = calibrate_group(block, 2)
+    qb2, g2 = calibrate_group(2.0 * block.astype(np.float64), 2)
     assert g1 == g2
     assert np.array_equal(qb1.codes, qb2.codes)
     assert np.array_equal(qb2.params.scale, 2.0 * qb1.params.scale)
 
 
 def test_codes_stay_in_range_for_grown_gamma(monkeypatch):
-    monkeypatch.setattr(SqcConfig, "coarse", (20, 30, 38))  # up to 1.95
+    monkeypatch.setattr(sqc, "COARSE", (20, 30, 38))  # up to 1.95
     rng = np.random.default_rng(5)
     for bits in (2, 3, 4):
         block = (rng.standard_normal((4, 12)) * 5.0).astype(np.float32)
-        qb, _ = calibrate_group(block, bits, SqcConfig())
+        qb, _ = calibrate_group(block, bits)
         assert qb.codes.max() <= (1 << bits) - 1
         assert qb.params.zero.max() <= (1 << bits) - 1
 
@@ -161,7 +161,7 @@ def test_dominance_holds_in_deployed_float32():
         for _ in range(30):
             block = (rng.standard_normal((8, 16)) * rng.uniform(0.1, 4.0)).astype(
                 np.float32)
-            qb, _ = calibrate_group(block, bits, SqcConfig())
+            qb, _ = calibrate_group(block, bits)
             tuned = block_mse(block, dequantize(qb))
             plain = block_mse(block, dequantize(quantize_uniform(block, bits)))
             assert tuned <= plain
@@ -171,7 +171,7 @@ def test_dominance_holds_in_deployed_float32():
 def test_widths_below_two_rejected(bits):
     # 1-bit groups take the sign/magnitude form, which has no range to scale
     with pytest.raises(InvalidConfig):
-        calibrate_group(np.ones((2, 8)), bits, SqcConfig())
+        calibrate_group(np.ones((2, 8)), bits)
 
 
 def assert_matches_reference(compensated):
@@ -188,11 +188,11 @@ def assert_matches_reference(compensated):
             block[rng.random(block.shape) < 0.5] = 0.0
         block *= 10.0 ** rng.uniform(-6, 6)
         u = inverse_factor(rng, beta) if compensated else np.eye(beta)
-        qb, gamma = calibrate_group(block, bits, SqcConfig(), u if compensated else None)
+        qb, gamma = calibrate_group(block, bits, u if compensated else None)
         codes, scale, factors = reference_calibrate(block, bits, u)
         assert np.array_equal(qb.codes, codes)
         assert np.array_equal(qb.params.scale, scale)
-        assert gamma == factors.mean() / SqcConfig.step
+        assert gamma == factors.mean() / sqc.STEP
         assert np.all((factors >= 13) & (factors <= 21))  # 0.65 to 1.05
 
 
@@ -212,7 +212,7 @@ def test_each_row_is_no_worse_than_at_factor_one(compensated):
     for bits in (2, 3, 4):
         block = rng.standard_normal((64, 128)) * rng.uniform(0.1, 3.0)
         u = inverse_factor(rng, 128) if compensated else None
-        qb, _ = calibrate_group(block, bits, SqcConfig(), u)
+        qb, _ = calibrate_group(block, bits, u)
         plain = params_from_range(*_row_range(block), bits)
         chosen = sqc._walk(block, qb.params.scale[None], qb.params.zero, bits, u)
         at_one = sqc._walk(block, plain.scale[None], plain.zero, bits, u)
@@ -225,8 +225,8 @@ def test_identity_factor_is_no_factor():
     rng = np.random.default_rng(31)
     for bits in (2, 3, 4):
         block = rng.standard_normal((40, 32))
-        a, gamma_a = calibrate_group(block, bits, SqcConfig(), np.eye(32))
-        b, gamma_b = calibrate_group(block, bits, SqcConfig())
+        a, gamma_a = calibrate_group(block, bits, np.eye(32))
+        b, gamma_b = calibrate_group(block, bits)
         assert_same_block(a, b)
         assert gamma_a == gamma_b
     for bits in (1, 2, 3):
@@ -238,18 +238,18 @@ def test_walk_is_the_same_at_every_slice_size(monkeypatch, pairs):
     # each row is walked on its own, so the 100 rows around the boundary of
     # the coarse pass's two default slices come out the same when they are
     # walked alone in slices of 1 or 7 (candidate, row) pairs
-    boundary = sqc._SLICE // len(SqcConfig.coarse)
+    boundary = sqc._SLICE // len(sqc.COARSE)
     rng = np.random.default_rng(32)
     block = rng.standard_normal((boundary + 100, 128))
     block[boundary + 10] = 0.0
     u = inverse_factor(rng, 128)
     part = slice(boundary - 50, boundary + 50)
-    whole = {bits: calibrate_group(block, bits, SqcConfig(), u)[0] for bits in (2, 3)}
+    whole = {bits: calibrate_group(block, bits, u)[0] for bits in (2, 3)}
     walked = {bits: walk_group(block, bits, u) for bits in (2, 3)}
     monkeypatch.setattr(sqc, "_SLICE", pairs)
     for bits in (2, 3):
         for qb, again in (
-            (whole[bits], calibrate_group(block[part], bits, SqcConfig(), u)[0]),
+            (whole[bits], calibrate_group(block[part], bits, u)[0]),
             (walked[bits], walk_group(block[part], bits, u)),
         ):
             assert np.array_equal(again.codes, qb.codes[part])
@@ -270,20 +270,20 @@ def test_one_candidate_walk_matches_per_column_reference(bits):
         assert_same_block(qb, type(qb)(codes, params))
 
 
-@pytest.mark.parametrize("coarse", [SqcConfig.coarse, tuple(range(13, 21))])
+@pytest.mark.parametrize("coarse", [sqc.COARSE, tuple(range(13, 21))])
 def test_walk_memory_is_bounded_by_the_slice(monkeypatch, coarse):
     # the walk's float64 buffer over one slice's (candidate, row) pairs
     # takes 4 MiB at 128 columns; it also holds the block's transpose (4
     # MiB) and every candidate's codes in uint8. All 4096 rows stacked at
     # once would take 16 MiB for the buffer under 4 candidates, and twice
     # that under 8
-    monkeypatch.setattr(SqcConfig, "coarse", coarse)
+    monkeypatch.setattr(sqc, "COARSE", coarse)
     rng = np.random.default_rng(34)
     block = rng.standard_normal((4096, 128))
     u = inverse_factor(rng, 128)
     tracemalloc.start()
     try:
-        calibrate_group(block, 3, SqcConfig(), u)
+        calibrate_group(block, 3, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

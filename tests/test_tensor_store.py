@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import missed_raises
 from slimquant import tensor_store
 from slimquant.errors import (
     BadMagic,
@@ -308,3 +309,28 @@ def test_property_header_overwrite(raw, data):
     mutated = bytearray(raw)
     mutated[start : start + size] = data.draw(st.binary(min_size=size, max_size=size))
     assert_rejected_or_canonical(bytes(mutated))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([raw for raw in BASE_TENSORS if len(raw) > 8 + 8 * raw[6]]), st.data())
+def test_property_payload_non_finite(raw, data):
+    # a payload float overwritten with an infinity or a NaN (all exponent
+    # bits set, any sign and mantissa) is always rejected
+    start = 8 + 8 * raw[6]
+    at = start + 4 * data.draw(st.integers(0, (len(raw) - start) // 4 - 1))
+    pattern = 0x7F800000 | data.draw(st.integers(0, 1)) << 31 | data.draw(st.integers(0, 2**23 - 1))
+    mutated = bytearray(raw)
+    struct.pack_into("<I", mutated, at, pattern)
+    with pytest.raises(NonFiniteValue):
+        tensor_from_bytes(bytes(mutated))
+
+
+def test_properties_reach_every_rejection():
+    # the four properties' examples run every raise of the reader: a
+    # rejection no mutated file reaches is a rejection no property tests
+    def properties():
+        for prop in (test_property_truncation, test_property_bit_flip,
+                     test_property_header_overwrite, test_property_payload_non_finite):
+            prop()
+
+    assert not missed_raises((tensor_from_bytes,), properties)
