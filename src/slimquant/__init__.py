@@ -37,13 +37,12 @@ from .salience import (
 )
 from .sba import BitPlan, KlReference, allocate_bits, kl_reference, output_kl
 from .sqc import calibrate_group
-from .tensor_store import CalibrationSet, load_calibration, read_tensor, write_tensor
+from .tensor_store import load_calibration, read_tensor, write_tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BitPlan",
-    "CalibrationSet",
     "GroupQuantParams",
     "HessianState",
     "KlReference",

@@ -152,9 +152,9 @@ def cmd_quantize(args) -> int:
         {"--out": args.out, "--report": report_path},
     )
     w = read_tensor(args.weights)
-    calib = load_calibration(args.calib)
+    x = load_calibration(args.calib)
     cfg = _pipeline_config(args)
-    result = quantize_layer(w, calib, cfg)
+    result = quantize_layer(w, x, cfg)
     n, m = w.shape
     pack_start = time.perf_counter()
     pm = pack(result.blocks, n, m, cfg.beta, target_bits=cfg.bits)
@@ -210,12 +210,12 @@ def cmd_quantize(args) -> int:
 def cmd_eval(args) -> int:
     pm = read_packed(args.model)
     w = read_tensor(args.weights)
-    calib = load_calibration(args.calib)
+    x = load_calibration(args.calib)
     if w.shape != (pm.n, pm.m):
         raise ShapeMismatch(f"weights {w.shape} do not match packed model {(pm.n, pm.m)}")
-    check_layer(w, calib, pm.beta)
-    hs = damp_and_invert(accumulate_hessian(calib))
-    ref = kl_reference(calib.rows, w)
+    check_layer(w, x, pm.beta)
+    hs = damp_and_invert(accumulate_hessian(x))
+    ref = kl_reference(x, w)
     loss, mse, kl = score(w, reconstruct(pm.blocks), hs, ref)
     size = packed_size_report(pm)
     hist = Counter(int(b) for b in pm.widths)
@@ -242,9 +242,9 @@ def cmd_inspect(args) -> int:
         {"--out": args.out} if args.out else {},
     )
     w = read_tensor(args.weights)
-    calib = load_calibration(args.calib)
-    check_layer(w, calib, args.group_size)
-    delta = salience(w, damp_and_invert(accumulate_hessian(calib)))
+    x = load_calibration(args.calib)
+    check_layer(w, x, args.group_size)
+    delta = salience(w, damp_and_invert(accumulate_hessian(x)))
     sal = salience_means(delta, args.group_size)
     k = w.shape[1] // args.group_size
     lines = ["kind,index,value"]

@@ -27,6 +27,7 @@ import scipy.linalg.blas
 
 from .errors import (
     BadGroupSize,
+    EmptyCalibration,
     InvalidConfig,
     NonFiniteIntermediate,
     NonFiniteValue,
@@ -49,7 +50,6 @@ from .salience import (
 from .sba import BitPlan, KlReference, allocate_bits, kl_reference, output_kl
 from .sba import stride_subsample  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 from .sqc import calibrate_group, walk_group
-from .tensor_store import CalibrationSet
 
 # quantize_layer's stages, in order, as keys of QuantizationResult.stage_s.
 STAGES = (
@@ -149,10 +149,10 @@ def _group_errors(w_g: np.ndarray, qb: QuantizedBlock, u_g: np.ndarray) -> np.nd
     return scipy.linalg.blas.dtrsm(1.0, u_g, d.T, trans_a=1, overwrite_b=1).T
 
 
-def check_layer(w: np.ndarray, calib: CalibrationSet, beta: int) -> None:
-    """Reject a layer that groups of beta channels do not define; the
-    first failing check raises. quantize_layer, `slimquant eval` and
-    `slimquant inspect` all call it before any Gram matrix is formed."""
+def check_layer(w: np.ndarray, x: np.ndarray, beta: int) -> None:
+    """Reject weights w and (T, m) calibration rows x that groups of beta
+    channels do not define; the first failing check raises. quantize_layer,
+    `slimquant eval` and `slimquant inspect` call it before any Gram matrix."""
     w = np.asarray(w)
     if beta < 1:
         raise InvalidConfig(f"group size must be >= 1, got {beta}")
@@ -165,21 +165,27 @@ def check_layer(w: np.ndarray, calib: CalibrationSet, beta: int) -> None:
     m = w.shape[1]
     if m % beta != 0:
         raise BadGroupSize(f"group size {beta} does not divide {m} channels")
-    if calib.rows.shape[1] != m:
-        raise ShapeMismatch(f"calibration has {calib.rows.shape[1]} channels, weights {m}")
+    if not (isinstance(x, np.ndarray) and x.ndim == 2):
+        got = x.shape if isinstance(x, np.ndarray) else type(x).__name__
+        raise ShapeMismatch(f"calibration must be a 2-D array of token rows, got {got}")
+    if x.shape[1] != m:
+        raise ShapeMismatch(f"calibration has {x.shape[1]} channels, weights {m}")
+    if x.shape[0] == 0:
+        raise EmptyCalibration("need at least one token vector")
 
 
-def quantize_layer(
-    w: np.ndarray, calib: CalibrationSet, cfg: PipelineConfig
-) -> QuantizationResult:
+def quantize_layer(w: np.ndarray, x: np.ndarray, cfg: PipelineConfig) -> QuantizationResult:
+    """Quantize w against the (T, m) calibration rows x. Both are rounded
+    to float32 once; a float32 x is read as given, never copied or written."""
     w = np.asarray(w, dtype=np.float32)
-    check_layer(w, calib, cfg.beta)
+    check_layer(w, x, cfg.beta)
+    x = np.asarray(x, dtype=np.float32)
     beta = cfg.beta
     k = w.shape[1] // beta
 
     stage_s = dict.fromkeys(STAGES, 0.0)
     with _stage(stage_s, "gram"):
-        H = accumulate_hessian(calib)
+        H = accumulate_hessian(x)
     with _stage(stage_s, "damp_and_invert"):
         hs = damp_and_invert(H)
     # H's buffer now holds the inverse factor; no name but hs may keep it
@@ -188,7 +194,7 @@ def quantize_layer(
         sal = salience_map(w, hs, beta)
     with _stage(stage_s, "width_search"):
         # the exact outputs every divergence is taken against
-        ref = kl_reference(calib.rows, w)
+        ref = kl_reference(x, w)
         if cfg.sba_enabled:
             plan = allocate_bits(w, ref, sal, beta, cfg.bits)
         else:

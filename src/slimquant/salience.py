@@ -38,7 +38,6 @@ from .errors import (
     NotPositiveDefinite,
     ShapeMismatch,
 )
-from .tensor_store import CalibrationSet
 
 DAMPING_FLOOR = 1e-8
 
@@ -71,11 +70,11 @@ class SalienceMap:
     channel_mean: np.ndarray  # (m,) float64
 
 
-def accumulate_hessian(calib: CalibrationSet) -> np.ndarray:
-    """Mean outer product of all token vectors, (1/T) * sum_t x_t x_tT,
-    as a C-ordered m x m float64 array that holds H's lower triangle and
-    diagonal; its strict upper triangle is zero (damp_and_invert reads only
-    the lower one).
+def accumulate_hessian(x: np.ndarray) -> np.ndarray:
+    """Mean outer product of the (T, m) calibration rows x, (1/T) * sum_t
+    x_t x_tT, as a C-ordered m x m float64 array that holds H's lower
+    triangle and diagonal; its strict upper triangle is zero
+    (damp_and_invert reads only the lower one).
 
     The rows are taken in fixed blocks of at most _GRAM_BLOCK elements, so
     H depends on the rows alone and the block widened to float64 is the
@@ -85,7 +84,9 @@ def accumulate_hessian(calib: CalibrationSet) -> np.ndarray:
     not accumulated by dsyrk itself: accumulating moves the low bits once
     a block has more rows than the BLAS library's K block (384 on scipy's
     OpenBLAS 0.3.30)."""
-    x = calib.rows
+    if not (isinstance(x, np.ndarray) and x.ndim == 2):
+        got = x.shape if isinstance(x, np.ndarray) else type(x).__name__
+        raise ShapeMismatch(f"calibration must be a 2-D array of token rows, got {got}")
     t, m = x.shape
     if t == 0:
         raise EmptyCalibration("need at least one token vector")

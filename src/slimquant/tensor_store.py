@@ -18,7 +18,7 @@ file next to the target, renamed over it once complete.
 
 An activation file (calibration or matmul input) is read by read_rows
 alone: a 2-D tensor of token rows, or a 3-D tensor of samples whose rows
-are taken in order. A CalibrationSet holds those rows as one matrix.
+are taken in order. Calibration is those rows, one (T, m) float32 array.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     BadMagic,
-    EmptyCalibration,
     IoFailure,
     NonFiniteValue,
     ShapeMismatch,
@@ -126,32 +125,6 @@ def tensor_from_bytes(raw: bytes, name: str = "<bytes>") -> np.ndarray:
     return arr
 
 
-class CalibrationSet:
-    """Calibration activations for one layer, held as rows: one (T, m)
-    float32 matrix of token rows, which every stage reads.
-
-    samples is a sequence of 2-D arrays of token rows over the same
-    channels. One float32 sample is held as given, not copied, so callers
-    must not write to it; several are stacked once, in order. Other dtypes
-    are rounded to float32 once, so every stage reads the same values."""
-
-    def __init__(self, samples) -> None:
-        samples = list(samples)
-        if not samples:
-            raise EmptyCalibration("calibration set has no samples")
-        for s in samples:
-            if not (isinstance(s, np.ndarray) and s.ndim == 2):
-                got = s.shape if isinstance(s, np.ndarray) else type(s).__name__
-                raise ShapeMismatch(f"calibration sample must be a 2-D array, got {got}")
-        widths = {s.shape[1] for s in samples}
-        if len(widths) > 1:
-            raise ShapeMismatch(f"calibration samples disagree on channel count: {sorted(widths)}")
-        if len(samples) == 1:
-            self.rows = np.asarray(samples[0], dtype=np.float32)
-        else:
-            self.rows = np.concatenate(samples, axis=0, dtype=np.float32)
-
-
 def read_rows(path: str) -> np.ndarray:
     """The token rows of an activation file, (T, m) float32: a 2-D tensor
     is its rows, and a 3-D tensor of s samples of t rows is reshaped to
@@ -164,6 +137,8 @@ def read_rows(path: str) -> np.ndarray:
     return arr
 
 
-def load_calibration(path: str) -> CalibrationSet:
-    """The calibration set of an activation file's rows (read_rows)."""
-    return CalibrationSet([read_rows(path)])
+def load_calibration(path: str) -> np.ndarray:
+    """read_rows(path), kept as the CLI's calibration reader because
+    perfbench/spans.py wraps cli.load_calibration; ROADMAP item 3 can fold
+    it into read_rows once the tracer reads the report instead."""
+    return read_rows(path)

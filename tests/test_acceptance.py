@@ -29,7 +29,7 @@ from slimquant.quant_core import (
 from slimquant.salience import accumulate_hessian, damp_and_invert, salience_map
 from slimquant.sba import EPSILON, allocate_bits, kl_reference, output_kl
 from slimquant.sqc import calibrate_group
-from slimquant.tensor_store import CalibrationSet, write_tensor
+from slimquant.tensor_store import write_tensor
 
 STRICT_SQC_WINS = 500  # frozen: measured strict-improvement count, criterion 4
 
@@ -97,7 +97,7 @@ def test_acceptance_2_bit_budget_conservation(capsys):
         n, m, t = 8, k * beta, 16
         w = random_layer(rng, n, m)
         x = random_calib(rng, t, m)
-        hs = damp_and_invert(accumulate_hessian(CalibrationSet([x])))
+        hs = damp_and_invert(accumulate_hessian(x))
         sal = salience_map(w, hs, beta)
         plan = allocate_bits(w, kl_reference(x, w), sal, beta, target)
         assert plan.bits.sum() == target * k
@@ -134,7 +134,7 @@ def test_acceptance_3_allocation_matches_exhaustive_search(capsys):
         m = k * beta
         w = random_layer(rng, n, m)
         x = random_calib(rng, t, m)
-        hs = damp_and_invert(accumulate_hessian(CalibrationSet([x])))
+        hs = damp_and_invert(accumulate_hessian(x))
         sal = salience_map(w, hs, beta)
         plan = allocate_bits(w, kl_reference(x, w), sal, beta, 2)
 
@@ -192,7 +192,7 @@ def test_acceptance_5_pipeline_ordering(capsys):
     chain = 0
     for seed in range(20):
         w, x = clustered_layer(seed)
-        calib = CalibrationSet([x])
+        calib = x
         rtn = quantize_layer(
             w, calib,
             PipelineConfig(beta=128, bits=2, sba_enabled=False,
@@ -224,7 +224,7 @@ def test_acceptance_6_outlier_channel_salience(capsys):
         target = int(rng.integers(0, m))
         x[:, target] *= 100.0
         w = random_layer(rng, 8, m)
-        hs = damp_and_invert(accumulate_hessian(CalibrationSet([x])))
+        hs = damp_and_invert(accumulate_hessian(x))
         sal = salience_map(w, hs, 8)
         hits += int(np.argmax(sal.channel_mean)) == target
     elapsed = time.perf_counter() - start
@@ -240,7 +240,7 @@ def test_acceptance_7_search_cost(capsys):
     m, beta = 4096, 128
     w = random_layer(rng, 4, m)
     x = random_calib(rng, 16, m)
-    hs = damp_and_invert(accumulate_hessian(CalibrationSet([x])))
+    hs = damp_and_invert(accumulate_hessian(x))
     sal = salience_map(w, hs, beta)
     plan = allocate_bits(w, kl_reference(x, w), sal, beta, 2)
     verdict(
@@ -257,7 +257,7 @@ def test_acceptance_8_quadratic_form_identity(capsys):
         n, m, t = 6, 24, 96
         w = random_layer(rng, n, m)
         x = random_calib(rng, t, m)
-        hs = damp_and_invert(accumulate_hessian(CalibrationSet([x])), percdamp=1e-12)
+        hs = damp_and_invert(accumulate_hessian(x), percdamp=1e-12)
         w_hat = w + rng.normal(0, 0.05, w.shape).astype(np.float32)
         d = w.astype(np.float64) - w_hat.astype(np.float64)
         direct = float(np.sum((x.astype(np.float64) @ d.T) ** 2)) / t

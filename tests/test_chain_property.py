@@ -19,12 +19,12 @@ from slimquant.packfmt import from_bytes, pack, packed_size_report
 from slimquant.pipeline import PipelineConfig, quantize_layer, reconstruct, score
 from slimquant.salience import accumulate_hessian, damp_and_invert
 from slimquant.sba import kl_reference
-from slimquant.tensor_store import CalibrationSet
 
 
 @st.composite
 def layers(draw):
-    """(w, calib, cfg): a tiny layer, its calibration and its switches."""
+    """(w, x, cfg): a tiny layer, its calibration rows (its 1-2 samples
+    joined) and its switches."""
     n = draw(st.integers(1, 8))
     beta = draw(st.integers(1, 16))
     m = beta * draw(st.integers(1, 6))
@@ -54,7 +54,7 @@ def layers(draw):
         sqc_enabled=draw(st.booleans()),
         compensation_enabled=draw(st.booleans()),
     )
-    return w.astype(np.float32), CalibrationSet(samples), cfg
+    return w.astype(np.float32), np.concatenate(samples), cfg
 
 
 def bits_of(values):
@@ -64,17 +64,16 @@ def bits_of(values):
 @settings(max_examples=300)
 @given(layers())
 def test_quantize_pack_read_eval_and_serve(layer):
-    w, calib, cfg = layer
+    w, x, cfg = layer
     n, m = w.shape
     try:
-        result = quantize_layer(w, calib, cfg)
+        result = quantize_layer(w, x, cfg)
         raw = pack(result.blocks, n, m, cfg.beta, target_bits=cfg.bits).to_bytes()
         pm = from_bytes(raw)
         # what slimquant eval computes from the read model
-        hs = damp_and_invert(accumulate_hessian(calib))
-        ref = kl_reference(calib.rows, w)
+        hs = damp_and_invert(accumulate_hessian(x))
+        ref = kl_reference(x, w)
         scored = score(w, reconstruct(pm.blocks), hs, ref)
-        x = calib.rows
         served, dense = packed_matmul(pm, x), dense_reference(pm, x)
         tolerance = matmul_tolerance(pm, x)
     except SlimQuantError as exc:  # a rejected input; any other error fails

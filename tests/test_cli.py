@@ -27,7 +27,7 @@ from slimquant.pipeline import STAGES, PipelineConfig, quantize_layer, reconstru
 from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize, quantize_uniform
 from slimquant.salience import salience
 from slimquant.sba import kl_reference, output_kl, stride_subsample
-from slimquant.tensor_store import CalibrationSet, read_tensor, write_tensor
+from slimquant.tensor_store import read_tensor, write_tensor
 
 
 def run(capsys, *argv):
@@ -168,7 +168,7 @@ def test_quantize_writes_model_and_report(layer_files, tmp_path, capsys):
     assert report["plan"]["bits"] == [int(b) for b in pm.widths]
     assert len(report["plan"]["kl_curve"]) == report["plan"]["evaluations"] == 3
     # the curve is the width search's own, to the bit
-    res = quantize_layer(w, CalibrationSet([x]), PipelineConfig(beta=16, bits=2))
+    res = quantize_layer(w, x, PipelineConfig(beta=16, bits=2))
     assert report["plan"]["kl_curve"] == res.plan.kl_curve.tolist()
     assert report["metrics"]["proxy_loss"] > 0.0
     assert report["metrics"]["file_bytes"] == out.stat().st_size

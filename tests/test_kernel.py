@@ -13,7 +13,6 @@ from slimquant.kernel import dense_reference, matmul_tolerance, packed_matmul
 from slimquant.packfmt import pack
 from slimquant.pipeline import PipelineConfig, quantize_layer, reconstruct
 from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize, int_levels
-from slimquant.tensor_store import CalibrationSet
 
 
 def test_identity_probe_returns_weight_columns():
@@ -224,7 +223,7 @@ def test_pipeline_output_flows_through_kernel():
     rng = np.random.default_rng(7)
     w = random_layer(rng, 16, 128)
     x = random_calib(rng, 256, 128)
-    res = quantize_layer(w, CalibrationSet([x]), PipelineConfig(beta=32, bits=2))
+    res = quantize_layer(w, x, PipelineConfig(beta=32, bits=2))
     pm = pack(res.blocks, 16, 128, 32, target_bits=2)
     probe = random_calib(rng, 8, 128)
     got = packed_matmul(pm, probe)

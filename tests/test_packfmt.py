@@ -40,7 +40,6 @@ from slimquant.packfmt import (
 )
 from slimquant.pipeline import PipelineConfig, quantize_layer, reconstruct
 from slimquant.quant_core import GroupQuantParams, QuantizedBlock, dequantize
-from slimquant.tensor_store import CalibrationSet
 
 GOLDEN_SHA256 = "0287f475ce796cfe6601fa691df4691bdff3b02a21d8d0bff7beeccf93b5701d"
 # the same model in version 2, which differs in the version, the flags and
@@ -172,7 +171,7 @@ def test_round_trip_random_models():
 def test_round_trip_preserves_decode():
     rng = np.random.default_rng(2)
     w = random_layer(rng, 16, 128)
-    calib = CalibrationSet([random_calib(rng, 256, 128)])
+    calib = random_calib(rng, 256, 128)
     res = quantize_layer(w, calib, PipelineConfig(beta=32, bits=2))
     pm = pack(res.blocks, 16, 128, 32, target_bits=2)
     back = from_bytes(pm.to_bytes())
@@ -602,13 +601,20 @@ def test_size_report_accounts_for_every_bit():
 def base_files():
     """Small valid files: widths 1-4 mixed, two 1-bit groups, n not a
     multiple of 32 (with rows spanning two words), shared groups at
-    widths 1 and 3, k = 0, and one row, where a group's shared bit changes
-    no section's size."""
+    widths 1 and 3, k = 0, one row, where a group's shared bit changes
+    no section's size, and an unshared 2-row group with equal zero-points
+    whose scales differ only in the lowest mantissa bit, one scale away
+    from a group whose rows share both values."""
     rng = np.random.default_rng(99)
     mixed, _ = random_blocks(rng, 5, 16, 4, widths=[1, 2, 3, 4])
     one_bit, _ = random_blocks(rng, 3, 12, 4, widths=[1, 2, 1])
     long_rows, _ = random_blocks(rng, 33, 8, 4, widths=[4, 1])
     one_row, _ = random_blocks(rng, 1, 4, 1, widths=[3, 1, 2, 4])
+    near_shared, _ = random_blocks(rng, 2, 8, 4, widths=[3, 2], shared=(0,))
+    scale = near_shared[0].params.scale.copy()
+    scale.view(np.uint32)[1] ^= 1
+    near_shared[0] = QuantizedBlock(near_shared[0].codes,
+                                    GroupQuantParams(3, scale, near_shared[0].params.zero))
     return [
         pack(mixed, 5, 16, 4, target_bits=2).to_bytes(),
         pack(one_bit, 3, 12, 4, target_bits=2).to_bytes(),
@@ -616,6 +622,7 @@ def base_files():
         shared_model().to_bytes(),
         pack([], 4, 0, 16, target_bits=2).to_bytes(),
         pack(one_row, 1, 4, 1, target_bits=2).to_bytes(),
+        pack(near_shared, 2, 8, 4, target_bits=2).to_bytes(),
     ]
 
 
@@ -661,12 +668,49 @@ def test_property_header_overwrite(raw, data):
     assert_rejected_or_canonical(bytes(mutated))
 
 
+# Every stored field the structured property overwrites, as (file, kind,
+# index): the 3-bit code of group index, or the float32 scale at index in
+# the scales section.
+FIELD_SITES = [
+    (raw, kind, i)
+    for raw in BASE_FILES
+    for kind, count in (("code", from_bytes(raw).k), ("scale", sections_of(raw)[1][1] // 4))
+    for i in range(count)
+]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(FIELD_SITES), st.data())
+def test_property_field_overwrite(site, data):
+    # one group code set to a drawn value, or one scale set to drawn bits:
+    # random, an inf or NaN pattern, or the neighbouring scale's
+    raw, kind, i = site
+    mutated = bytearray(raw)
+    if kind == "code":
+        start, size = sections_of(raw)[0]
+        row = int.from_bytes(raw[start : start + size], "little") & ~(7 << 3 * i)
+        row |= data.draw(st.integers(0, 7)) << 3 * i
+        mutated[start : start + size] = row.to_bytes(size, "little")
+    else:
+        start, size = sections_of(raw)[1]
+        scales = np.frombuffer(raw, dtype="<u4", count=size // 4, offset=start)
+        neighbour = int(scales[i - 1 if i else min(1, len(scales) - 1)])
+        bits = data.draw(st.one_of(
+            st.integers(0, 2**32 - 1),
+            # sign and mantissa drawn, exponent all ones
+            st.integers(0, 2**24 - 1).map(lambda v: 0x7F800000 | (v >> 23) << 31 | v & 0x7FFFFF),
+            st.just(neighbour),
+        ))
+        struct.pack_into("<I", mutated, start + 4 * i, bits)
+    assert_rejected_or_canonical(bytes(mutated))
+
+
 def test_properties_reach_every_rejection():
-    # the three properties' examples run every raise of the reader: a
+    # the four properties' examples run every raise of the reader: a
     # rejection no mutated file reaches is a rejection no property tests
     def properties():
         for prop in (test_property_truncation, test_property_bit_flip,
-                     test_property_header_overwrite):
+                     test_property_header_overwrite, test_property_field_overwrite):
             prop()
 
     assert not missed_raises((from_bytes, unpack_fields), properties)

@@ -15,6 +15,7 @@ from fixtures import (
 from slimquant import pipeline, sba
 from slimquant.errors import (
     BadGroupSize,
+    EmptyCalibration,
     InvalidConfig,
     NonFiniteIntermediate,
     NonFiniteValue,
@@ -40,7 +41,6 @@ from slimquant.salience import HessianState, accumulate_hessian, damp_and_invert
 from slimquant.sba import kl_reference, output_kl, stride_subsample
 from slimquant.sqc import calibrate_group
 from slimquant.sqc import _walk as sqc_walk
-from slimquant.tensor_store import CalibrationSet
 
 
 def blocks_equal(a, b):
@@ -61,7 +61,7 @@ def blocks_equal(a, b):
 def test_ablation_floor_is_plain_rtn():
     rng = np.random.default_rng(1)
     w = random_layer(rng, 8, 64)
-    calib = CalibrationSet([random_calib(rng, 32, 64)])
+    calib = random_calib(rng, 32, 64)
     cfg = PipelineConfig(beta=16, bits=2, sba_enabled=False, sqc_enabled=False,
                          compensation_enabled=False)
     res = quantize_layer(w, calib, cfg)
@@ -79,7 +79,7 @@ def test_ablation_floor_is_plain_rtn():
 def test_identity_gram_makes_compensation_a_noop():
     rng = np.random.default_rng(2)
     w = random_layer(rng, 8, 32)
-    calib = CalibrationSet([identity_calib(32)])
+    calib = identity_calib(32)
     on = quantize_layer(w, calib, PipelineConfig(
         beta=8, bits=2, sba_enabled=False, compensation_enabled=True))
     off = quantize_layer(w, calib, PipelineConfig(
@@ -92,7 +92,7 @@ def test_identity_gram_makes_compensation_a_noop():
 def test_reconstruct_concatenates_groups():
     rng = np.random.default_rng(3)
     w = random_layer(rng, 4, 32)
-    calib = CalibrationSet([random_calib(rng, 16, 32)])
+    calib = random_calib(rng, 16, 32)
     res = quantize_layer(w, calib, PipelineConfig(beta=8, bits=2,
                                                   sba_enabled=False))
     recon = reconstruct(res.blocks)
@@ -105,7 +105,7 @@ def test_reconstruct_concatenates_groups():
 def test_metrics_reference_original_weights():
     rng = np.random.default_rng(4)
     w = random_layer(rng, 8, 64)
-    calib = CalibrationSet([random_calib(rng, 128, 64)])
+    calib = random_calib(rng, 128, 64)
     res = quantize_layer(w, calib, PipelineConfig(beta=16, bits=2,
                                                   sba_enabled=False))
     recon = reconstruct(res.blocks)
@@ -117,11 +117,11 @@ def test_metrics_reference_original_weights():
 def test_proxy_loss_rejects_mismatched_shapes():
     rng = np.random.default_rng(5)
     w = random_layer(rng, 4, 8)
-    hs = hessian_state(CalibrationSet([random_calib(rng, 16, 8)]))
+    hs = hessian_state(random_calib(rng, 16, 8))
     with pytest.raises(ShapeMismatch, match="weight shapes differ"):
         proxy_loss(w, w[:3], hs)
     # weights whose channels, or whose rank, do not fit the factor
-    narrow = hessian_state(CalibrationSet([random_calib(rng, 16, 6)]))
+    narrow = hessian_state(random_calib(rng, 16, 6))
     with pytest.raises(ShapeMismatch, match="Gram matrix of 6 channels"):
         proxy_loss(w, w.copy(), narrow)
     with pytest.raises(ShapeMismatch, match="Gram matrix of 8 channels"):
@@ -131,7 +131,7 @@ def test_proxy_loss_rejects_mismatched_shapes():
 def test_proxy_loss_zero_for_exact_reconstruction():
     rng = np.random.default_rng(5)
     w = random_layer(rng, 4, 8)
-    hs = hessian_state(CalibrationSet([random_calib(rng, 16, 8)]))
+    hs = hessian_state(random_calib(rng, 16, 8))
     assert proxy_loss(w, w.copy(), hs) == 0.0
 
 
@@ -157,7 +157,7 @@ def test_proxy_loss_matches_damped_gram_form():
     rng = np.random.default_rng(12)
     cases.append((random_layer(rng, 64, 512), random_calib(rng, 1024, 512)))
     for w, x in cases:
-        H = accumulate_hessian(CalibrationSet([x]))
+        H = accumulate_hessian(x)
         H = np.tril(H) + np.tril(H, -1).T  # the symmetric matrix H stands for
         hs = damp_and_invert(H.copy())
         w_hat = reconstruct([quantize_uniform(w[:, lo:lo + 128], 2)
@@ -174,7 +174,7 @@ def test_proxy_loss_equals_output_error_mean():
         rng = np.random.default_rng(700 + seed)
         w = random_layer(rng, 6, 24)
         x = random_calib(rng, 96, 24)
-        hs = hessian_state(CalibrationSet([x]), percdamp=1e-12)
+        hs = hessian_state(x, percdamp=1e-12)
         w_hat = w + rng.normal(0, 0.05, w.shape).astype(np.float32)
         x64 = x.astype(np.float64)
         direct = float(np.sum((x64 @ (w - w_hat).astype(np.float64).T) ** 2))
@@ -187,7 +187,7 @@ def test_compensation_usually_improves_proxy_loss():
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
         w = random_layer(rng, 8, 64)
-        calib = CalibrationSet([random_calib(rng, 128, 64)])
+        calib = random_calib(rng, 128, 64)
         base = PipelineConfig(beta=16, bits=2, sba_enabled=False,
                               sqc_enabled=False, compensation_enabled=False)
         comp = PipelineConfig(beta=16, bits=2, sba_enabled=False,
@@ -205,27 +205,25 @@ def test_cluster_fixture_ordering():
     # suite gates the full < compensation-only < plain chain on twenty
     for seed in range(3):
         w, x = clustered_layer(seed)
-        calib = CalibrationSet([x])
-        rtn = quantize_layer(w, calib, PipelineConfig(
+        rtn = quantize_layer(w, x, PipelineConfig(
             beta=128, bits=2, sba_enabled=False, sqc_enabled=False,
             compensation_enabled=False))
         comp_cfg = PipelineConfig(beta=128, bits=2, sba_enabled=False,
                                   sqc_enabled=False)
-        comp = quantize_layer(w, calib, comp_cfg)
+        comp = quantize_layer(w, x, comp_cfg)
         full_cfg = PipelineConfig(beta=128, bits=2)
-        full = quantize_layer(w, calib, full_cfg)
+        full = quantize_layer(w, x, full_cfg)
         assert comp.proxy_loss < rtn.proxy_loss
         assert full.proxy_loss < rtn.proxy_loss
-        assert comp.proxy_loss < group_at_once_loss(w, calib, comp_cfg, comp.plan.bits)
-        assert full.proxy_loss < group_at_once_loss(w, calib, full_cfg, full.plan.bits)
+        assert comp.proxy_loss < group_at_once_loss(w, x, comp_cfg, comp.plan.bits)
+        assert full.proxy_loss < group_at_once_loss(w, x, full_cfg, full.plan.bits)
 
 
 def test_run_is_deterministic():
     w, x = clustered_layer(7, n=16, m=256, t=512)
-    calib = CalibrationSet([x])
     cfg = PipelineConfig(beta=64, bits=2)
-    a = quantize_layer(w, calib, cfg)
-    b = quantize_layer(w, calib, cfg)
+    a = quantize_layer(w, x, cfg)
+    b = quantize_layer(w, x, cfg)
     assert blocks_equal(a.blocks, b.blocks)
     assert a.proxy_loss == b.proxy_loss
     assert a.recon_mse == b.recon_mse
@@ -240,10 +238,10 @@ def test_recon_kl_is_output_kl_of_the_strided_rows(monkeypatch, sba_enabled):
     # search built; it must be the score against a reference built afresh
     # from the strided rows of both samples, and not that of every row
     w, x = clustered_layer(3, n=16, m=256, t=4200)
-    calib = CalibrationSet([x[:2100], x[2100:]])
+    calib = np.concatenate([x[:2100], x[2100:]])
     res = quantize_layer(w, calib, PipelineConfig(beta=64, bits=2, sba_enabled=sba_enabled))
     recon = reconstruct(res.blocks)
-    xs = stride_subsample(calib.rows, sba.MAX_TOKENS)
+    xs = stride_subsample(calib, sba.MAX_TOKENS)
     assert len(xs) < len(x)
     assert res.recon_kl == output_kl(kl_reference(xs, w), recon)
     monkeypatch.setattr(sba, "MAX_TOKENS", len(x))
@@ -256,7 +254,7 @@ def test_stage_times_cover_every_step():
     for compensation in (True, False):
         cfg = PipelineConfig(beta=64, bits=2, compensation_enabled=compensation)
         start = time.perf_counter()
-        res = quantize_layer(w, CalibrationSet([x]), cfg)
+        res = quantize_layer(w, x, cfg)
         wall = time.perf_counter() - start
         assert tuple(res.stage_s) == STAGES
         assert all(isinstance(v, float) and v >= 0.0 for v in res.stage_s.values())
@@ -270,7 +268,7 @@ def test_stage_times_cover_every_step():
 def test_gammas_cover_groups_and_default_to_unity():
     rng = np.random.default_rng(8)
     w = random_layer(rng, 8, 64)
-    calib = CalibrationSet([random_calib(rng, 64, 64)])
+    calib = random_calib(rng, 64, 64)
     tuned = quantize_layer(w, calib, PipelineConfig(beta=16, bits=2,
                                                     sba_enabled=False))
     assert tuned.gammas.shape == (4,)
@@ -285,8 +283,7 @@ def test_gammas_cover_groups_and_default_to_unity():
 ])
 def test_one_bit_groups_take_sign_form(sqc, compensation):
     w, x = clustered_layer(0)
-    calib = CalibrationSet([x])
-    res = quantize_layer(w, calib, PipelineConfig(
+    res = quantize_layer(w, x, PipelineConfig(
         beta=128, bits=2, sqc_enabled=sqc, compensation_enabled=compensation))
     assert res.plan.p_star >= 1  # fixture reliably demotes at least one group
     for g, (qb, bits) in enumerate(zip(res.blocks, res.plan.bits)):
@@ -302,9 +299,8 @@ def test_one_bit_groups_take_sign_form(sqc, compensation):
 
 def test_full_pipeline_runs_and_beats_rtn():
     w, x = clustered_layer(1)
-    calib = CalibrationSet([x])
-    full = quantize_layer(w, calib, PipelineConfig(beta=128, bits=2))
-    rtn = quantize_layer(w, calib, PipelineConfig(
+    full = quantize_layer(w, x, PipelineConfig(beta=128, bits=2))
+    rtn = quantize_layer(w, x, PipelineConfig(
         beta=128, bits=2, sba_enabled=False, sqc_enabled=False,
         compensation_enabled=False))
     assert full.proxy_loss < rtn.proxy_loss
@@ -319,7 +315,7 @@ def test_identity_gram_columnwise_matches_blockwise():
     # group's parameters gives the blocks of rounding the group at once
     rng = np.random.default_rng(11)
     w = random_layer(rng, 8, 64)
-    calib = CalibrationSet([identity_calib(64)])
+    calib = identity_calib(64)
     blockwise, columnwise = [
         quantize_layer(w, calib, PipelineConfig(beta=16, bits=2, compensation_enabled=enabled))
         for enabled in (False, True)
@@ -387,12 +383,11 @@ def group_at_once_loss(w, calib, cfg, plan_bits):
 def test_columnwise_matches_per_column_reference():
     for seed in range(3):
         w, x = clustered_layer(seed, n=32, m=256, t=512)
-        calib = CalibrationSet([x])
         for sqc in (True, False):
             cfg = PipelineConfig(beta=64, bits=2, sqc_enabled=sqc)
-            res = quantize_layer(w, calib, cfg)
+            res = quantize_layer(w, x, cfg)
             assert res.plan.p_star >= 1  # some group runs at 1 bit
-            ref, hs, _ = columnwise_reference(w, calib, cfg, res.blocks)
+            ref, hs, _ = columnwise_reference(w, x, cfg, res.blocks)
             assert blocks_equal(res.blocks, ref)
             assert res.proxy_loss == proxy_loss(w, reconstruct(ref), hs)
 
@@ -402,10 +397,9 @@ def test_solved_errors_are_the_walks():
     # must be the E the walk formed column by column, and its rows' squares
     # the losses the walk scored
     w, x = clustered_layer(5, n=32, m=256, t=512)
-    calib = CalibrationSet([x])
     cfg = PipelineConfig(beta=64, bits=2)
-    res = quantize_layer(w, calib, cfg)
-    ref, hs, walked = columnwise_reference(w, calib, cfg, res.blocks)
+    res = quantize_layer(w, x, cfg)
+    ref, hs, walked = columnwise_reference(w, x, cfg, res.blocks)
     for g, (qb, (found, err)) in enumerate(zip(ref, walked)):
         u = hs.chol_inv[g * 64:(g + 1) * 64, g * 64:(g + 1) * 64]
         solved = pipeline._group_errors(found, qb, u)
@@ -420,7 +414,7 @@ def test_non_finite_factor_raises(monkeypatch, row, col):
     # (0, 5) spreads inside group 0, (3, 20) from group 0 into group 1
     rng = np.random.default_rng(13)
     w = random_layer(rng, 8, 64)
-    calib = CalibrationSet([random_calib(rng, 128, 64)])
+    calib = random_calib(rng, 128, 64)
 
     def with_inf(H):
         hs = damp_and_invert(H)
@@ -432,21 +426,40 @@ def test_non_finite_factor_raises(monkeypatch, row, col):
         quantize_layer(w, calib, PipelineConfig(beta=16, bits=2, sba_enabled=False))
 
 
-def test_one_sample_calibration_is_not_copied_or_written():
+def test_one_sample_calibration_is_not_copied_or_written(monkeypatch):
+    # float32 rows reach the Gram matrix and the divergence reference as given
     rng = np.random.default_rng(14)
     w = random_layer(rng, 8, 64)
     x = random_calib(rng, 128, 64)
     before = x.copy()
-    calib = CalibrationSet([x])
-    assert calib.rows is x
-    quantize_layer(w, calib, PipelineConfig(beta=16, bits=2))
+    seen = []
+
+    def recording(fn):
+        return lambda rows, *rest: seen.append(rows) or fn(rows, *rest)
+
+    monkeypatch.setattr(pipeline, "accumulate_hessian", recording(accumulate_hessian))
+    monkeypatch.setattr(pipeline, "kl_reference", recording(kl_reference))
+    quantize_layer(w, x, PipelineConfig(beta=16, bits=2))
+    assert len(seen) == 2 and all(rows is x for rows in seen)
     assert x.tobytes() == before.tobytes()
+
+
+def test_float64_calibration_gives_the_results_of_its_float32_rounding():
+    rng = np.random.default_rng(15)
+    w = random_layer(rng, 8, 64)
+    x = rng.standard_normal((128, 64))
+    a = quantize_layer(w, x, PipelineConfig(beta=16, bits=2))
+    b = quantize_layer(w, x.astype(np.float32), PipelineConfig(beta=16, bits=2))
+    assert blocks_equal(a.blocks, b.blocks)
+    assert np.array_equal(a.plan.bits, b.plan.bits)
+    assert np.array_equal(a.plan.kl_curve, b.plan.kl_curve)
+    assert np.array_equal(a.gammas, b.gammas)
+    assert (a.proxy_loss, a.recon_mse, a.recon_kl) == (b.proxy_loss, b.recon_mse, b.recon_kl)
 
 
 def test_plan_widths_match_blocks():
     w, x = clustered_layer(2, n=16, m=256, t=512)
-    calib = CalibrationSet([x])
-    res = quantize_layer(w, calib, PipelineConfig(beta=64, bits=3))
+    res = quantize_layer(w, x, PipelineConfig(beta=64, bits=3))
     assert len(res.blocks) == 4
     for qb, bits in zip(res.blocks, res.plan.bits):
         assert qb.params.bit_width == int(bits)
@@ -456,11 +469,11 @@ def test_plan_widths_match_blocks():
 def test_input_validation():
     rng = np.random.default_rng(9)
     w = random_layer(rng, 4, 32)
-    calib = CalibrationSet([random_calib(rng, 8, 32)])
+    calib = random_calib(rng, 8, 32)
     with pytest.raises(BadGroupSize):
         quantize_layer(w, calib, PipelineConfig(beta=7, bits=2))
     with pytest.raises(ShapeMismatch):
-        quantize_layer(w, CalibrationSet([random_calib(rng, 8, 16)]),
+        quantize_layer(w, random_calib(rng, 8, 16),
                        PipelineConfig(beta=8, bits=2))
     bad = w.copy()
     bad[0, 0] = np.nan
@@ -477,7 +490,7 @@ def test_check_layer_raises_the_first_failing_check():
     w = random_layer(rng, 4, 32)
     nan = w.copy()
     nan[0, 0] = np.nan
-    wide = CalibrationSet([random_calib(rng, 8, 48)])
+    wide = random_calib(rng, 8, 48)
     cases = [
         (w[0], wide, 0, InvalidConfig, "group size must be >= 1"),
         (w[0], wide, 7, ShapeMismatch, "must be 2-D"),
@@ -489,13 +502,43 @@ def test_check_layer_raises_the_first_failing_check():
     for weights, calib, beta, error, message in cases:
         with pytest.raises(error, match=message):
             check_layer(weights, calib, beta)
-    check_layer(w, CalibrationSet([random_calib(rng, 8, 32)]), 8)
+    check_layer(w, random_calib(rng, 8, 32), 8)
+
+
+# calibration rows a layer of 32 channels refuses, and the error each raises
+MALFORMED_CALIBRATION = [
+    ([[1.0] * 32], ShapeMismatch),
+    (np.float32(1.0), ShapeMismatch),
+    (np.ones(32, dtype=np.float32), ShapeMismatch),
+    (np.ones((2, 4, 32), dtype=np.float32), ShapeMismatch),
+    (np.ones((0, 32), dtype=np.float32), EmptyCalibration),
+]
+
+
+@pytest.mark.parametrize("stage", ["quantize_layer", "check_layer", "accumulate_hessian"])
+def test_malformed_calibration_raises_typed_errors(stage):
+    # calibration is a (T, m) float32 array; anything else is refused with
+    # the error its shape calls for, never a stray AttributeError or ValueError
+    rng = np.random.default_rng(16)
+    w = random_layer(rng, 4, 32)
+    run = {
+        "quantize_layer": lambda x: quantize_layer(w, x, PipelineConfig(beta=8, bits=2)),
+        "check_layer": lambda x: check_layer(w, x, 8),
+        "accumulate_hessian": accumulate_hessian,
+    }[stage]
+    run(random_calib(rng, 8, 32))
+    cases = list(MALFORMED_CALIBRATION)
+    if stage != "accumulate_hessian":  # the Gram matrix alone has no weights to match
+        cases.append((np.ones((8, 16), dtype=np.float32), ShapeMismatch))
+    for x, error in cases:
+        with pytest.raises(error):
+            run(x)
 
 
 @pytest.mark.parametrize("rows, channels", [(0, 8), (8, 0)])
 def test_empty_layer_rejected(rows, channels):
     # the calibration matches the layer's width, so only the empty shape is wrong
-    calib = CalibrationSet([np.ones((4, channels), dtype=np.float32)])
+    calib = np.ones((4, channels), dtype=np.float32)
     with pytest.raises(ShapeMismatch):
         quantize_layer(np.ones((rows, channels), dtype=np.float32), calib,
                        PipelineConfig(beta=8, bits=2))
@@ -521,7 +564,7 @@ def test_bad_group_size_and_damping_rejected(name, value):
 def test_result_shapes_and_finiteness():
     rng = np.random.default_rng(10)
     w = random_layer(rng, 8, 128)
-    calib = CalibrationSet([random_calib(rng, 256, 128)])
+    calib = random_calib(rng, 256, 128)
     res = quantize_layer(w, calib, PipelineConfig(beta=32, bits=2))
     assert isinstance(res, QuantizationResult)
     assert res.proxy_loss >= 0.0 and np.isfinite(res.proxy_loss)

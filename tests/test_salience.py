@@ -27,7 +27,7 @@ from slimquant.salience import (
     salience_map,
     salient_mask_3sigma,
 )
-from slimquant.tensor_store import CalibrationSet
+from slimquant.tensor_store import read_rows, write_tensor
 
 
 def row_blocks(x, rows_per_block):
@@ -67,20 +67,20 @@ def unit_state(m):
 def test_one_hot_token_gram():
     x = np.zeros((1, 3), dtype=np.float32)
     x[0, 0] = 1.0
-    H = accumulate_hessian(CalibrationSet([x]))
+    H = accumulate_hessian(x)
     assert np.array_equal(H, np.diag([1.0, 0.0, 0.0]))
 
 
 def test_orthogonal_tokens_average():
     x = np.eye(2, dtype=np.float32)
-    H = accumulate_hessian(CalibrationSet([x]))
+    H = accumulate_hessian(x)
     assert np.array_equal(H, 0.5 * np.eye(2))
 
 
 def test_gram_matches_outer_product_loop():
     rng = np.random.default_rng(2)
     x = random_calib(rng, 64, 12)
-    H = accumulate_hessian(CalibrationSet([x]))
+    H = accumulate_hessian(x)
     ref = np.zeros((12, 12))
     for t in range(64):
         v = x[t].astype(np.float64)
@@ -90,13 +90,16 @@ def test_gram_matches_outer_product_loop():
     assert not np.triu(H, 1).any()
 
 
-def test_gram_splits_across_samples():
-    # the same rows passed as 1, 2, 4 or 8 samples give the same bits
+def test_gram_splits_across_samples(tmp_path):
+    # the same rows written as 1, 2, 4 or 8 samples of a 3-D file give the
+    # bits of the 2-D file
     rng = np.random.default_rng(8)
     x = random_calib(rng, 1000, 300)
-    whole = accumulate_hessian(CalibrationSet([x]))
+    write_tensor(tmp_path / "x.slmt", x)
+    whole = accumulate_hessian(read_rows(tmp_path / "x.slmt"))
     for parts in (2, 4, 8):
-        split = accumulate_hessian(CalibrationSet(np.array_split(x, parts)))
+        write_tensor(tmp_path / "s.slmt", x.reshape(parts, 1000 // parts, 300))
+        split = accumulate_hessian(read_rows(tmp_path / "s.slmt"))
         assert split.tobytes() == whole.tobytes()
 
 
@@ -111,7 +114,7 @@ def test_gram_bit_identical_to_sum_from_zero(monkeypatch):
         for b in row_blocks(x, rows_per_block):
             ref += b.astype(np.float64).T @ b.astype(np.float64)
         ref = ref / 40.0
-        assert_lower_gram(accumulate_hessian(CalibrationSet([x])), ref)
+        assert_lower_gram(accumulate_hessian(x), ref)
 
 
 @pytest.mark.parametrize("m", [1, 7, 1024])
@@ -120,16 +123,17 @@ def test_gram_bit_identical_to_sum_from_zero(monkeypatch):
 def test_gram_is_exactly_symmetric(monkeypatch, m, dtype, n_blocks):
     # the matrix the Gram stands for is numpy's exactly symmetric x.T @ x
     # sum over the same row blocks: its lower triangle, to the bit, is what
-    # damp_and_invert reads; float64 rows are rounded to float32 first
+    # damp_and_invert reads; float64 rows are rounded to float32 first, as
+    # quantize_layer does
     monkeypatch.setattr(salience_module, "_GRAM_BLOCK", 24 * m)
     rng = np.random.default_rng(m + n_blocks)
     x = rng.standard_normal((24 * n_blocks, m)).astype(dtype)
-    assert_lower_gram(accumulate_hessian(CalibrationSet([x])), numpy_gram(row_blocks(x, 24)))
+    assert_lower_gram(accumulate_hessian(x.astype(np.float32)), numpy_gram(row_blocks(x, 24)))
     # a non-contiguous view: every third token row of every other channel
-    wide = rng.standard_normal((72 * n_blocks, 2 * m)).astype(dtype)
+    wide = rng.standard_normal((72 * n_blocks, 2 * m)).astype(dtype).astype(np.float32)
     view = wide[::3, ::2]
     assert not view.flags.c_contiguous
-    assert_lower_gram(accumulate_hessian(CalibrationSet([view])),
+    assert_lower_gram(accumulate_hessian(view),
                       numpy_gram(row_blocks(view, 24)))
 
 
@@ -139,7 +143,7 @@ def test_gram_adds_each_block_product(monkeypatch):
     # once a block has more rows than OpenBLAS's K block (384)
     monkeypatch.setattr(salience_module, "_GRAM_BLOCK", 1024 * 512)
     x = random_calib(np.random.default_rng(29), 3072, 512)
-    assert_lower_gram(accumulate_hessian(CalibrationSet([x])), numpy_gram(row_blocks(x, 1024)))
+    assert_lower_gram(accumulate_hessian(x), numpy_gram(row_blocks(x, 1024)))
 
 
 def test_gram_blocks_are_the_stage_transient(monkeypatch):
@@ -148,7 +152,7 @@ def test_gram_blocks_are_the_stage_transient(monkeypatch):
     # objects), however many rows there are: a tenth of the rows widened
     t, m, rows_per_block = 4096, 64, 16
     monkeypatch.setattr(salience_module, "_GRAM_BLOCK", rows_per_block * m)
-    calib = CalibrationSet([random_calib(np.random.default_rng(33), t, m)])
+    calib = random_calib(np.random.default_rng(33), t, m)
     _, peak = traced_peak(accumulate_hessian, calib)
     assert peak < 2 * m * m * 8 + rows_per_block * m * 8 + 4096
     assert t * m * 8 > 10 * peak
@@ -156,9 +160,7 @@ def test_gram_blocks_are_the_stage_transient(monkeypatch):
 
 def test_empty_calibration_rejected():
     with pytest.raises(EmptyCalibration):
-        accumulate_hessian(CalibrationSet([]))
-    with pytest.raises(EmptyCalibration):
-        accumulate_hessian(CalibrationSet([np.zeros((0, 4), dtype=np.float32)]))
+        accumulate_hessian(np.zeros((0, 4), dtype=np.float32))
 
 
 @pytest.mark.filterwarnings("error")  # numpy's warnings on empty means fail the test
@@ -166,7 +168,7 @@ def test_zero_channel_gram_is_rejected_before_blas(capfd):
     # capfd, not capsys: BLAS and LAPACK write their argument errors to the
     # process's stderr, which capsys does not see
     with pytest.raises(ShapeMismatch):
-        accumulate_hessian(CalibrationSet([np.zeros((4, 0), dtype=np.float32)]))
+        accumulate_hessian(np.zeros((4, 0), dtype=np.float32))
     with pytest.raises(ShapeMismatch):
         damp_and_invert(np.zeros((0, 0)))
     assert capfd.readouterr() == ("", "")
@@ -310,7 +312,7 @@ def test_damp_and_invert_factors_in_place():
     # array is allocated
     m = 1024
     rng = np.random.default_rng(31)
-    H = accumulate_hessian(CalibrationSet([random_calib(rng, 2 * m, m)]))
+    H = accumulate_hessian(random_calib(rng, 2 * m, m))
     ref = damp_and_invert(H.copy())
     hs, peak = traced_peak(damp_and_invert, H)
     assert np.shares_memory(hs.chol_inv, H)
@@ -322,7 +324,7 @@ def test_gram_and_factor_peak_at_one_matrix():
     # the Gram matrix, the float64 widening of one sample and the check's
     # transients: no second m x m array at any point
     t, m = 2048, 1024
-    calib = CalibrationSet([random_calib(np.random.default_rng(32), t, m)])
+    calib = random_calib(np.random.default_rng(32), t, m)
     _, peak = traced_peak(lambda: damp_and_invert(accumulate_hessian(calib)))
     assert peak < m * m * 8 + t * m * 8 + 0.25 * m * m * 8
 
@@ -427,7 +429,7 @@ def test_group_ranking_invariant_to_row_permutation():
     rng = np.random.default_rng(15)
     w = rng.standard_normal((16, 32)).astype(np.float32)
     x = random_calib(rng, 64, 32)
-    hs = damp_and_invert(accumulate_hessian(CalibrationSet([x])))
+    hs = damp_and_invert(accumulate_hessian(x))
     base = salience_map(w, hs, beta=8)
     perm = salience_map(w[rng.permutation(16)], hs, beta=8)
     assert np.array_equal(np.argsort(base.group_mean), np.argsort(perm.group_mean))
@@ -451,7 +453,7 @@ def test_outlier_channel_dominates_channel_mean():
         target = int(rng.integers(0, m))
         x[:, target] *= 100.0
         w = rng.standard_normal((8, m)).astype(np.float32)
-        hs = damp_and_invert(accumulate_hessian(CalibrationSet([x])))
+        hs = damp_and_invert(accumulate_hessian(x))
         sal = salience_map(w, hs, beta=8)
         assert int(np.argmax(sal.channel_mean)) == target
 

@@ -34,7 +34,6 @@ from slimquant.sba import (
     output_kl,
     stride_subsample,
 )
-from slimquant.tensor_store import CalibrationSet
 
 
 def oracle_kl(x, w, w_hat):
@@ -203,7 +202,7 @@ def plan_inputs(seed, n=8, m=48, beta=8, t=20):
     rng = np.random.default_rng(seed)
     w = random_layer(rng, n, m)
     x = random_calib(rng, t, m)
-    hs = hessian_state(CalibrationSet([x]))
+    hs = hessian_state(x)
     sal = salience_map(w, hs, beta)
     return w, x, sal
 
@@ -295,7 +294,7 @@ def test_duplicate_groups_tie_to_lower_index():
     half = random_layer(rng, 4, 8)
     w = np.concatenate([half, half], axis=1)  # two identical groups
     x = random_calib(rng, 10, 16)
-    hs = hessian_state(CalibrationSet([x]))
+    hs = hessian_state(x)
     # force exactly equal group salience with a hand-built map
     delta = np.tile((half.astype(np.float64) ** 2), (1, 2))
     sal = SalienceMap(
@@ -402,7 +401,7 @@ def test_row_blocks_match_full_array_scoring(n, m, beta, t, scale):
     want = full_array_kl(p, np.log(p), column_sum(x, w_hat))
     got = output_kl(kl_reference(x, w), w_hat)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
-    sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
+    sal = salience_map(w, hessian_state(x), beta)
     plan = allocate_bits(w, kl_reference(x, w), sal, beta, 2)
     want_curve = full_array_curve(w, x, sal.group_mean, beta, 2)
     assert plan.kl_curve.tobytes() == want_curve.tobytes()
@@ -415,7 +414,7 @@ def test_wide_groups_match_full_array_scoring_closely():
     n, m, beta, t = 256, 2048, 512, 300
     w = random_layer(rng, n, m)
     x = random_calib(rng, t, m)
-    sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
+    sal = salience_map(w, hessian_state(x), beta)
     plan = allocate_bits(w, kl_reference(x, w), sal, beta, 2)
     want_curve = full_array_curve(w, x, sal.group_mean, beta, 2)
     np.testing.assert_allclose(plan.kl_curve, want_curve, rtol=1e-10, atol=0.0)
@@ -429,7 +428,7 @@ def two_token_block_layer(t_rows):
     n, m, beta = 4096, 32, 8
     w = random_layer(rng, n, m)
     x = random_calib(rng, t_rows, m)
-    sal = salience_map(w, hessian_state(CalibrationSet([x])), beta)
+    sal = salience_map(w, hessian_state(x), beta)
     return w, x, sal, beta
 
 
@@ -540,7 +539,7 @@ def test_products_make_no_float64_copy_of_the_rows():
     x = random_calib(rng, t, m)
     w_hat = fake_quantize(w, [2] * 8, 128)
     ref = kl_reference(x, w)
-    sal = salience_map(w, hessian_state(CalibrationSet([x])), 128)
+    sal = salience_map(w, hessian_state(x), 128)
     outputs, decodes = t * n * 8, 2 * n * m * 4
     calls = {
         "kl_reference": (lambda: kl_reference(x, w), outputs),
@@ -563,7 +562,7 @@ def test_evaluation_count_matches_group_count():
     rng = np.random.default_rng(6)
     w = random_layer(rng, 4, 4096)
     x = random_calib(rng, 16, 4096)
-    hs = hessian_state(CalibrationSet([x]))
+    hs = hessian_state(x)
     sal = salience_map(w, hs, 128)
     plan = allocate_bits(w, kl_reference(x, w), sal, 128, 2)
     assert plan.evaluations == 17

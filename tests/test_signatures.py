@@ -7,7 +7,9 @@ that the file's header records: range calibration, the only caller that
 scales a range, calls affine_params, and every caller of pack knows its
 target. The width search takes the divergence reference its caller built
 (allocate_bits has no second way to build one), range calibration takes
-no settings, and pack_fields has one form, the array to_bytes joins. A
+no settings, and pack_fields has one form, the array to_bytes joins.
+The Gram matrix, the layer check and the quantizer take calibration as
+one (T, m) array of token rows x, which load_calibration reads. A
 group's params are its width, scales and zero-points, and the
 width alone picks the rule encode and decode apply (sign/magnitude at
 1 bit, affine above). A parameter that only tests pass goes against
@@ -21,6 +23,7 @@ import inspect
 import pytest
 
 from slimquant.packfmt import pack, pack_fields
+from slimquant.pipeline import check_layer, quantize_layer
 from slimquant.quant_core import (
     GroupQuantParams,
     decode,
@@ -28,8 +31,10 @@ from slimquant.quant_core import (
     params_from_range,
     quantize_uniform,
 )
+from slimquant.salience import accumulate_hessian
 from slimquant.sba import allocate_bits, kl_reference
 from slimquant.sqc import calibrate_group
+from slimquant.tensor_store import load_calibration
 
 ADVICE = "ROADMAP aim 2: delete any knob that has no measured effect"
 
@@ -42,6 +47,10 @@ SIGNATURES = {
     allocate_bits: ["w", "ref", "sal", "beta", "target_bits"],
     kl_reference: ["x", "w"],
     calibrate_group: ["block", "bit_width", "u"],
+    accumulate_hessian: ["x"],
+    check_layer: ["w", "x", "beta"],
+    quantize_layer: ["w", "x", "cfg"],
+    load_calibration: ["path"],
 }
 
 # the only defaults: u = None is the identity factor, the walk without

@@ -20,7 +20,6 @@ from slimquant.quant_core import (
     quantize_uniform,
 )
 from slimquant.sqc import calibrate_group, walk_group
-from slimquant.tensor_store import CalibrationSet
 
 
 def inverse_factor(rng, beta, outliers=2):
@@ -28,7 +27,7 @@ def inverse_factor(rng, beta, outliers=2):
     as the pipeline hands a group's diagonal block of it to the walk."""
     x = random_calib(rng, 4 * beta, beta)
     x[:, rng.choice(beta, outliers, replace=False)] *= 8.0
-    return hessian_state(CalibrationSet([x])).chol_inv
+    return hessian_state(x).chol_inv
 
 
 def walk_reference(block, params, u):

@@ -20,8 +20,8 @@ from slimquant.errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
+from slimquant.pipeline import check_layer
 from slimquant.tensor_store import (
-    CalibrationSet,
     atomic_write,
     load_calibration,
     read_rows,
@@ -201,9 +201,9 @@ def test_load_calibration_2d(tmp_path):
     x = rng.standard_normal((8, 5)).astype(np.float32)
     path = tmp_path / "c.slmt"
     write_tensor(path, x)
-    cs = load_calibration(path)
-    assert cs.rows.shape == (8, 5) and cs.rows.dtype == np.float32
-    assert np.array_equal(cs.rows, x)
+    rows = load_calibration(path)
+    assert rows.shape == (8, 5) and rows.dtype == np.float32
+    assert np.array_equal(rows, x)
 
 
 def test_load_calibration_3d(tmp_path):
@@ -212,10 +212,10 @@ def test_load_calibration_3d(tmp_path):
     x = rng.standard_normal((3, 8, 5)).astype(np.float32)
     path = tmp_path / "c3.slmt"
     write_tensor(path, x)
-    cs = load_calibration(path)
-    assert np.array_equal(cs.rows, x.reshape(24, 5))
-    assert cs.rows.base is not None and cs.rows.base.shape == (3, 8, 5)
-    assert np.array_equal(read_rows(path), cs.rows)
+    rows = load_calibration(path)
+    assert np.array_equal(rows, x.reshape(24, 5))
+    assert rows.base is not None and rows.base.shape == (3, 8, 5)
+    assert np.array_equal(read_rows(path), rows)
 
 
 def test_load_calibration_rejects_1d(tmp_path):
@@ -225,40 +225,29 @@ def test_load_calibration_rejects_1d(tmp_path):
         load_calibration(path)
 
 
-def test_calibration_set_stacks_samples_once_and_rounds_other_dtypes():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((2, 4)).astype(np.float32)
-    rows = CalibrationSet([a, b]).rows
-    assert rows.dtype == np.float32 and rows.flags.c_contiguous
-    assert np.array_equal(rows, np.vstack([a.astype(np.float32), b]))
-    one = CalibrationSet([a]).rows
-    assert one.dtype == np.float32
-    assert np.array_equal(one, a.astype(np.float32))
-
-
 def test_calibration_set_validates_channels():
-    a = np.ones((2, 4), dtype=np.float32)
-    b = np.ones((2, 5), dtype=np.float32)
-    with pytest.raises(ShapeMismatch):
-        CalibrationSet(samples=[a, b])
+    w = np.ones((2, 4), dtype=np.float32)
+    x = np.ones((2, 5), dtype=np.float32)
+    with pytest.raises(ShapeMismatch, match="calibration has 5 channels, weights 4"):
+        check_layer(w, x, 2)
 
 
-@pytest.mark.parametrize("samples, error", [
-    pytest.param([[[1.0, 2.0]]], ShapeMismatch, id="nested-list"),
-    pytest.param([[[1.0], [1.0, 2.0]]], ShapeMismatch, id="ragged-list"),
-    pytest.param([np.float32(1.0)], ShapeMismatch, id="scalar"),
-    pytest.param([np.ones((), dtype=np.float32)], ShapeMismatch, id="0-d"),
-    pytest.param([np.ones(3, dtype=np.float32)], ShapeMismatch, id="1-d"),
-    pytest.param([np.ones((2, 3, 4), dtype=np.float32)], ShapeMismatch, id="3-d"),
-    pytest.param([np.ones((2, 3), dtype=np.float32), np.ones(3, dtype=np.float32)],
+@pytest.mark.parametrize("rows, error", [
+    pytest.param([[1.0, 2.0]], ShapeMismatch, id="nested-list"),
+    pytest.param([[1.0], [1.0, 2.0]], ShapeMismatch, id="ragged-list"),
+    pytest.param(np.float32(1.0), ShapeMismatch, id="scalar"),
+    pytest.param(np.ones((), dtype=np.float32), ShapeMismatch, id="0-d"),
+    pytest.param(np.ones(2, dtype=np.float32), ShapeMismatch, id="1-d"),
+    pytest.param(np.ones((2, 3, 2), dtype=np.float32), ShapeMismatch, id="3-d"),
+    pytest.param([np.ones((2, 2), dtype=np.float32), np.ones(2, dtype=np.float32)],
                  ShapeMismatch, id="second-1-d"),
-    pytest.param([], EmptyCalibration, id="empty"),
+    pytest.param(np.ones((0, 2), dtype=np.float32), EmptyCalibration, id="empty"),
 ])
-def test_malformed_calibration_set_is_a_slimquant_error(samples, error):
-    # disagreeing channel counts: test_calibration_set_validates_channels
+def test_malformed_calibration_set_is_a_slimquant_error(rows, error):
+    # calibration is one (T, m) array of token rows; a list of samples, or
+    # rows of another rank, is refused by the layer check
     with pytest.raises(error):
-        CalibrationSet(samples)
+        check_layer(np.ones((2, 2), dtype=np.float32), rows, 2)
 
 
 # Property: every valid file has exactly one in-memory reading, so a
