@@ -1,4 +1,5 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the one dtype check
+that every entry point taking arrays shares.
 
 Every error that the library can signal deliberately derives from
 SlimQuantError, so callers can catch one base class at the CLI boundary.
@@ -59,3 +60,12 @@ class InconsistentPlan(SlimQuantError):
 
 class CodeOutOfRange(SlimQuantError):
     """Packed stream carries a field value outside its representable range."""
+
+
+def require_real(a, what: str) -> None:
+    """InvalidConfig unless the array a holds real numbers (numpy kinds b,
+    i, u and f): a complex, object, string or bytes array would be cast
+    with its imaginary part dropped, parsed, or fail with a stray error.
+    Reads a.dtype alone, so a large array is never copied."""
+    if a.dtype.kind not in "biuf":
+        raise InvalidConfig(f"{what} must hold real numbers, got dtype {a.dtype}")

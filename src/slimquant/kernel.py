@@ -17,9 +17,13 @@ OpenBLAS) a call takes 1.1 ms in the scale-after form against 2.8 ms in
 the decode form at 1 token and 2.9 against 3.5 ms at 8; the forms tie at
 about 32 tokens (4.5 against 4.1 ms), and at beta = 128 tokens the decode
 form is about 1.4x faster (6.8 against 9.3 ms) and at 256 about 1.6x
-(10.0 against 16.2 ms). One row's output can therefore differ in
-its low bits between a batch below beta tokens and one at or above it;
-both stay within matmul_tolerance of the oracle. dense_reference is the
+(10.0 against 16.2 ms). One row's output falls into three bit classes
+by the batch's token count t: t = 1, 2 <= t < beta and t >= beta (row 0
+of a 1024 x 4096 layer in groups of 128, widths 1/2/3/2, over t = 1 to
+256; within a class its bits are equal). The t = 1 class is likely the
+BLAS taking a one-row product through its matrix-vector routine, which
+sums in another order; that is not proven. Every class stays within
+matmul_tolerance of the oracle. dense_reference is the
 deliberately boring oracle: dequantize everything, one dense multiply.
 Every path accepts mixed and uniform bit widths identically.
 """
@@ -30,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, require_real
 from .packfmt import PackedModel
 from .quant_core import decode, dequantize, int_levels
 
@@ -42,6 +46,10 @@ _CHUNK_ELEMENTS = 1 << 20
 
 
 def _check_input(pm: PackedModel, x: np.ndarray) -> np.ndarray:
+    """x as float32, refused unless it holds real numbers in rows of the
+    model's m channels."""
+    x = np.asarray(x)
+    require_real(x, "input")
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 2 or x.shape[1] != pm.m:
         raise ShapeMismatch(f"input {x.shape} does not match {pm.m} channels")

@@ -238,8 +238,8 @@ def pack(blocks: list, n: int, m: int, beta: int, target_bits: int) -> PackedMod
     k = m // beta
     if len(blocks) != k:
         raise InconsistentPlan(f"{len(blocks)} blocks for {k} groups")
-    if not 0 <= target_bits <= 255:
-        raise InconsistentPlan(f"target width {target_bits} does not fit the header's u8")
+    if not isinstance(target_bits, (int, np.integer)) or not 0 <= target_bits <= 255:
+        raise InconsistentPlan(f"target width {target_bits!r} is not an integer the u8 holds")
 
     checked = []
     for g, b in enumerate(blocks):

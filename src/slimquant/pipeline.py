@@ -32,6 +32,7 @@ from .errors import (
     NonFiniteIntermediate,
     NonFiniteValue,
     ShapeMismatch,
+    require_real,
 )
 from .quant_core import (
     QuantizedBlock,
@@ -77,6 +78,10 @@ class PipelineConfig:
     compensation_enabled: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("beta", "bits"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.bits not in (2, 3):
             raise InvalidConfig(f"bits must be 2 or 3, got {self.bits}")
         if self.beta < 1:
@@ -152,7 +157,9 @@ def _group_errors(w_g: np.ndarray, qb: QuantizedBlock, u_g: np.ndarray) -> np.nd
 def check_layer(w: np.ndarray, x: np.ndarray, beta: int) -> None:
     """Reject weights w and (T, m) calibration rows x that groups of beta
     channels do not define; the first failing check raises. quantize_layer,
-    `slimquant eval` and `slimquant inspect` call it before any Gram matrix."""
+    `slimquant eval` and `slimquant inspect` call it before any Gram matrix.
+    Both must hold real numbers (errors.require_real), and w must be finite
+    once rounded to float32, the precision the layer is quantized in."""
     w = np.asarray(w)
     if beta < 1:
         raise InvalidConfig(f"group size must be >= 1, got {beta}")
@@ -160,7 +167,8 @@ def check_layer(w: np.ndarray, x: np.ndarray, beta: int) -> None:
         raise ShapeMismatch(f"weights must be 2-D, got shape {w.shape}")
     if w.size == 0:
         raise ShapeMismatch(f"weights need at least one row and one channel, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    require_real(w, "weights")
+    if not np.all(np.isfinite(w.astype(np.float32, copy=False))):
         raise NonFiniteValue("weight matrix contains NaN or infinity")
     m = w.shape[1]
     if m % beta != 0:
@@ -168,6 +176,7 @@ def check_layer(w: np.ndarray, x: np.ndarray, beta: int) -> None:
     if not (isinstance(x, np.ndarray) and x.ndim == 2):
         got = x.shape if isinstance(x, np.ndarray) else type(x).__name__
         raise ShapeMismatch(f"calibration must be a 2-D array of token rows, got {got}")
+    require_real(x, "calibration")
     if x.shape[1] != m:
         raise ShapeMismatch(f"calibration has {x.shape[1]} channels, weights {m}")
     if x.shape[0] == 0:
@@ -176,9 +185,10 @@ def check_layer(w: np.ndarray, x: np.ndarray, beta: int) -> None:
 
 def quantize_layer(w: np.ndarray, x: np.ndarray, cfg: PipelineConfig) -> QuantizationResult:
     """Quantize w against the (T, m) calibration rows x. Both are rounded
-    to float32 once; a float32 x is read as given, never copied or written."""
-    w = np.asarray(w, dtype=np.float32)
+    to float32 once, after check_layer; a float32 x is read as given, never
+    copied or written."""
     check_layer(w, x, cfg.beta)
+    w = np.asarray(w, dtype=np.float32)
     x = np.asarray(x, dtype=np.float32)
     beta = cfg.beta
     k = w.shape[1] // beta

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.blas import dgemm, dgemv
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, ShapeMismatch
 from .quant_core import (
     GroupQuantParams,
     QuantizedBlock,
@@ -62,8 +62,9 @@ def calibrate_group(
     the factor of least loss ||E_row||^2, with its codes and float32 scale.
 
     Returns the block and the mean of its rows' factors. u is the group's
-    diagonal block of the inverse factor U, None for the identity. Ties go
-    to the factor closest to 1, then to the smaller one."""
+    diagonal block of the inverse factor U, None for the identity; a u that
+    is not beta x beta is ShapeMismatch. Ties go to the factor closest to
+    1, then to the smaller one."""
     if bit_width < 2:
         raise InvalidConfig(f"range calibration needs a width of 2 to 4 bits, got {bit_width}")
     block = as_block(block)
@@ -138,6 +139,9 @@ def _walk(
     are BLAS calls that accumulate into the buffer in place."""
     n, beta = block.shape
     count = len(scale)
+    if u is not None and np.shape(u) != (beta, beta):
+        raise ShapeMismatch(f"u has shape {np.shape(u)}, a group of {beta} columns needs "
+                            f"{(beta, beta)}")
     u = np.eye(beta) if u is None else np.asfortranarray(u)
     diag = u.diagonal()
     block = np.ascontiguousarray(block.T)

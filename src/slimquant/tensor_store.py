@@ -37,6 +37,7 @@ from .errors import (
     ShapeMismatch,
     TruncatedPayload,
     UnsupportedVersion,
+    require_real,
 )
 
 MAGIC = b"SLMT"
@@ -45,8 +46,11 @@ _HEADER = struct.Struct("<4sHBB")
 
 
 def tensor_to_bytes(values: np.ndarray, name: str = "<bytes>") -> bytes:
-    """Serialize a tensor to the container format, casting to float32."""
-    arr = np.asarray(values, dtype=np.float32, order="C")  # keeps a 0-d tensor 0-d
+    """Serialize a tensor of real numbers to the container format, casting
+    to float32; any other dtype is InvalidConfig."""
+    arr = np.asarray(values)  # keeps a 0-d tensor 0-d
+    require_real(arr, f"{name}: a tensor")
+    arr = np.asarray(arr, dtype=np.float32, order="C")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue(f"refusing to serialize non-finite values for {name}")
     header = _HEADER.pack(MAGIC, VERSION, arr.ndim, 0)
@@ -75,7 +79,8 @@ def atomic_write(path: str, payload: bytes | str) -> None:
 
 
 def write_tensor(path: str, values: np.ndarray) -> None:
-    """Write a float32 tensor. Non-float32 input is cast before writing."""
+    """Write a float32 tensor. Real input of another dtype is cast before
+    writing."""
     atomic_write(path, tensor_to_bytes(values, name=str(path)))
 
 

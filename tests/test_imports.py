@@ -1,4 +1,5 @@
-"""No module of the package imports a name it does not use.
+"""No module of the package imports a name it does not use, and the
+package exports only its entry points.
 
 Each src/slimquant/*.py is parsed with ast. A name an import binds counts
 as used if the module reads it anywhere, lists it in __all__, or is one of
@@ -45,3 +46,26 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     kept = {name for module, _, name in (d.partition(".") for d in DEAD) if module == path.stem}
     assert sorted(imported_names(tree) - used_names(tree) - kept) == []
+
+
+# quantize a layer, store it packed, multiply through it: every other name
+# is imported from its module
+ENTRY_POINTS = [
+    "PipelineConfig",
+    "QuantizationResult",
+    "SlimQuantError",
+    "dense_reference",
+    "pack",
+    "packed_matmul",
+    "quantize_layer",
+    "read_packed",
+    "read_tensor",
+    "write_packed",
+    "write_tensor",
+]
+
+
+def test_package_exports_only_its_entry_points():
+    assert sorted(slimquant.__all__) == sorted([*ENTRY_POINTS, "__version__"])
+    init = Path(slimquant.__file__)
+    assert imported_names(ast.parse(init.read_text(), filename=str(init))) == set(ENTRY_POINTS)

@@ -296,6 +296,19 @@ def test_bad_magic_and_version():
         from_bytes(bytes(tampered))
 
 
+@pytest.mark.parametrize("target_bits", [2.0, 2.5, None, "2", -1, 256])
+def test_target_width_that_is_not_a_u8_integer_rejected(target_bits):
+    pm = golden_model()
+    with pytest.raises(InconsistentPlan, match="target width"):
+        pack(pm.blocks, pm.n, pm.m, pm.beta, target_bits)
+
+
+def test_numpy_integer_target_width_accepted():
+    pm = golden_model()
+    again = pack(pm.blocks, pm.n, pm.m, pm.beta, np.int64(2))
+    assert again.to_bytes() == pm.to_bytes()
+
+
 def test_nonzero_reserved_header_bytes_rejected():
     raw = golden_model().to_bytes()
     for pos in (21, 22, 23):

@@ -495,8 +495,11 @@ def test_check_layer_raises_the_first_failing_check():
         (w[0], wide, 0, InvalidConfig, "group size must be >= 1"),
         (w[0], wide, 7, ShapeMismatch, "must be 2-D"),
         (w[:0], wide, 7, ShapeMismatch, "at least one row"),
+        (nan.astype(np.complex64), wide, 7, InvalidConfig, "real numbers"),
         (nan, wide, 7, NonFiniteValue, "NaN"),
         (w, wide, 7, BadGroupSize, "does not divide"),
+        (w, wide.astype(str)[0], 8, ShapeMismatch, "2-D array"),
+        (w, wide.astype(str), 8, InvalidConfig, "real numbers"),
         (w, wide, 8, ShapeMismatch, "calibration has 48 channels"),
     ]
     for weights, calib, beta, error, message in cases:
@@ -559,6 +562,28 @@ def test_bad_group_size_and_damping_rejected(name, value):
     # the damping is fixed; test_salience covers damp_and_invert's own check
     with pytest.raises(InvalidConfig):
         PipelineConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["beta", "bits"])
+@pytest.mark.parametrize("value", [None, 2.0, 2.5, "2"])
+def test_group_size_and_width_that_are_not_integers_rejected(name, value):
+    with pytest.raises(InvalidConfig, match=f"{name} must be an integer"):
+        PipelineConfig(**{name: value})
+
+
+def test_numpy_integer_settings_accepted():
+    cfg = PipelineConfig(beta=np.int64(8), bits=np.int32(3))
+    assert (cfg.beta, cfg.bits) == (8, 3)
+
+
+def test_weights_past_float32_range_are_non_finite():
+    # finite in float64, infinite once rounded to the float32 the layer is
+    # quantized in
+    rng = np.random.default_rng(9)
+    w = random_layer(rng, 4, 16).astype(np.float64)
+    w[1, 2] = 1e39
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteValue):
+        quantize_layer(w, random_calib(rng, 8, 16), PipelineConfig(beta=8, bits=2))
 
 
 def test_result_shapes_and_finiteness():

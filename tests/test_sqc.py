@@ -8,7 +8,7 @@ import pytest
 
 import slimquant.sqc as sqc
 from fixtures import hessian_state, random_calib
-from slimquant.errors import InvalidConfig
+from slimquant.errors import InvalidConfig, ShapeMismatch
 from slimquant.quant_core import (
     GroupQuantParams,
     _row_range,
@@ -164,6 +164,20 @@ def test_dominance_holds_in_deployed_float32():
             tuned = block_mse(block, dequantize(qb))
             plain = block_mse(block, dequantize(quantize_uniform(block, bits)))
             assert tuned <= plain
+
+
+@pytest.mark.parametrize("walk", [
+    lambda block, u: calibrate_group(block, 2, u),
+    lambda block, u: walk_group(block, 2, u),
+    lambda block, u: walk_group(block, 1, u),
+], ids=["calibrate_group", "walk_group", "walk_group_1bit"])
+@pytest.mark.parametrize("shape", [(4, 4), (16, 16), (8, 4), (8,)])
+def test_u_that_is_not_the_groups_square_rejected(walk, shape):
+    # a smaller u ran off its end, a larger one was read in the wrong place
+    block = np.random.default_rng(5).standard_normal((3, 8))
+    with pytest.raises(ShapeMismatch, match="a group of 8 columns"):
+        walk(block, np.ones(shape))
+    walk(block, np.eye(8))
 
 
 @pytest.mark.parametrize("bits", [0, 1])
