@@ -7,11 +7,12 @@ range calibration picks each row's range factor by its compensated loss
 while the walk spreads each column's rounding error onto the group's later
 columns (calibrate_group; walk_group for 1-bit groups and with calibration
 off). Error compensation then spreads the group's error onto the later
-groups through the inverse factor, taking the walk's E from one triangular
-solve. The two per-group stages are timed as sums over the groups.
+groups through the inverse factor in place, taking the walk's E from one
+triangular solve. The two per-group stages are timed as sums over groups.
 
-The error spreading mutates only a working copy; every reported metric
-compares against the caller's original matrix. The exact layer's output
+The error spreading mutates only a column-major working copy, whose groups
+and later columns are contiguous blocks; every reported metric compares
+against the caller's original matrix. The exact layer's output
 distributions are built once, in the width search, and serve both the
 search and the final divergence score.
 """
@@ -143,15 +144,18 @@ def _stage(stage_s: dict[str, float], name: str):
     stage_s[name] += time.perf_counter() - start
 
 
-def _group_errors(w_g: np.ndarray, qb: QuantizedBlock, u_g: np.ndarray) -> np.ndarray:
-    """The walk's E for one group, (W_g - W_hat_g) U_gg^-1, from one
-    triangular solve: the walk's recurrence is W_g - W_hat_g = E U_gg,
-    with W_g the group's columns as the walk found them and U_gg the
-    group's diagonal block of the inverse factor."""
-    d = np.subtract(w_g, dequantize(qb))
-    # E U_gg = D is U_gg^T E^T = D^T; D^T of a C-ordered D is
-    # Fortran-ordered, so dtrsm solves it in place
-    return scipy.linalg.blas.dtrsm(1.0, u_g, d.T, trans_a=1, overwrite_b=1).T
+def _spread(work: np.ndarray, qb: QuantizedBlock, U: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """GPTQ's update of work, the Fortran-ordered working copy, in place:
+    work[:, hi:] -= E U[lo:hi, hi:]. E, returned, is the walk's, from one
+    triangular solve of its recurrence work[:, lo:hi] - W_hat = E U[lo:hi, lo:hi]."""
+    d = np.subtract(work[:, lo:hi], dequantize(qb), order="C")
+    # as U[lo:hi, lo:hi]^T E^T = D^T, in D^T's own Fortran-ordered buffer
+    err = scipy.linalg.blas.dtrsm(1.0, U[lo:hi, lo:hi], d.T, trans_a=1, overwrite_b=1).T
+    if not np.all(np.isfinite(err)):
+        raise NonFiniteIntermediate(f"spreading columns {lo}:{hi} produced non-finite errors")
+    if hi < work.shape[1]:
+        scipy.linalg.blas.dgemm(-1.0, err, U[lo:hi, hi:], beta=1.0, c=work[:, hi:], overwrite_c=1)
+    return err
 
 
 def check_layer(w: np.ndarray, x: np.ndarray, beta: int) -> None:
@@ -211,7 +215,7 @@ def quantize_layer(w: np.ndarray, x: np.ndarray, cfg: PipelineConfig) -> Quantiz
             plan = BitPlan(
                 bits=np.full(k, cfg.bits, dtype=np.int64), p_star=0, kl_curve=np.empty(0)
             )
-    work = w.astype(np.float64)
+    work = np.asfortranarray(w, dtype=np.float64)
     blocks: list[QuantizedBlock] = []
     gammas = np.ones(k, dtype=np.float64)
     for g in range(k):
@@ -230,18 +234,7 @@ def quantize_layer(w: np.ndarray, x: np.ndarray, cfg: PipelineConfig) -> Quantiz
                 qb = walk_group(work[:, lo:hi], bits, u)
         if cfg.compensation_enabled:
             with _stage(stage_s, "compensation"):
-                err = _group_errors(work[:, lo:hi], qb, u)
-                if not np.all(np.isfinite(err)):
-                    raise NonFiniteIntermediate(
-                        f"error spreading produced non-finite values at group {g}"
-                    )
-                # GPTQ's update of the later columns, on scipy's BLAS like
-                # every product of the walk: numpy's BLAS has its own worker
-                # thread, and alternating the two libraries' workers stalled
-                # the walk's products on two cores
-                work[:, hi:] -= scipy.linalg.blas.dgemm(
-                    1.0, hs.chol_inv[lo:hi, hi:], err.T, trans_a=1
-                ).T
+                _spread(work, qb, hs.chol_inv, lo, hi)
         blocks.append(qb)
     # scoring's temporaries reuse work's memory (kept through scoring, work
     # raised quantize-wide's peak RSS by 31 MB and quantize-tall's by 28 MB)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, ShapeMismatch
+from .errors import InvalidConfig, NonFiniteValue, ShapeMismatch
 
 # Smallest usable row range. Rows whose extended range collapses to zero
 # (all-zero rows) get this floor so the affine map stays well defined.
@@ -80,11 +80,13 @@ def _row_range(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Extending the range to cover 0 keeps the derived zero-point inside
     [0, 2^N - 1] (required for packing) and makes constant rows exactly
-    representable at a grid endpoint.
+    representable at a grid endpoint. NonFiniteValue if a row is not finite.
     """
     b = np.asarray(block, dtype=np.float64)
     lo = np.minimum(b.min(axis=1), 0.0)
     hi = np.maximum(b.max(axis=1), 0.0)
+    if not np.isfinite([lo, hi]).all():
+        raise NonFiniteValue("block holds NaN or infinity")
     return lo, hi
 
 
@@ -118,11 +120,15 @@ def affine_params(
 def derive_params(block: np.ndarray, bit_width: int) -> GroupQuantParams:
     """Per-row min/max params; at 1 bit sign/magnitude params, because the
     zero-inclusive affine grid's two levels are 0 and the whole row range
-    on one side of it: [-1, 0.1, 0.2, 2] would decode to [0, 0, 0, 3]."""
+    on one side of it: [-1, 0.1, 0.2, 2] would decode to [0, 0, 0, 3].
+    NonFiniteValue if the block is not finite."""
     block = as_block(block)
     if bit_width == 1:
-        n, alpha = block.shape[0], np.float32(np.abs(block).mean())
-        return GroupQuantParams(1, np.full(n, alpha), np.zeros(n, dtype=np.uint8))
+        # summed in C order, so alpha's bits do not depend on the layout
+        n, alpha = block.shape[0], np.abs(block, order="C").mean()
+        if not np.isfinite(alpha):
+            raise NonFiniteValue("block holds NaN or infinity")
+        return GroupQuantParams(1, np.full(n, np.float32(alpha)), np.zeros(n, dtype=np.uint8))
     lo, hi = _row_range(block)
     return params_from_range(lo, hi, bit_width)
 

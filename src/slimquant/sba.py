@@ -119,7 +119,8 @@ def kl_reference(x: np.ndarray, w: np.ndarray) -> KlReference:
         raise EmptyCalibration("no token rows to compare outputs on")
     xs = stride_subsample(x, MAX_TOKENS)
     p = _outputs(xs, w)
-    _row_distributions(p)
+    for a, b in _spans(len(p), max(1, _BLOCK_ELEMENTS // p.shape[1])):  # as _row_kl
+        _row_distributions(p[a:b])
     return KlReference(xs=xs, p=p)
 
 
@@ -187,17 +188,16 @@ def _row_kl(ref: KlReference, r0: int, y: np.ndarray, out: np.ndarray) -> None:
     """Write KL(ref.p[r0 + i] || softmax of y[i]) into out[i] for every
     row i of y; y is not written.
 
-    The rows are taken in blocks of about _BLOCK_ELEMENTS elements through
-    two reused buffers, one for the block of y's distributions and one for
-    the log of ref.p's block. Every max and sum still runs over one whole
-    contiguous row, and the log is elementwise, so each row's divergence is
-    the same to the bit however the rows are blocked."""
+    The rows are taken as kl_reference normalizes ref.p, in blocks of at
+    most _BLOCK_ELEMENTS elements or one row, through two reused buffers:
+    y's distributions and the log of ref.p's block. Every max and sum still
+    runs over one whole contiguous row, and the rest is elementwise, so no
+    row's divergence or distribution depends on the blocking."""
     t, n = y.shape
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    buf = np.empty((min(rows, t), n))
+    spans = _spans(t, max(1, _BLOCK_ELEMENTS // n))
+    buf = np.empty((max(b - a for a, b in spans), n))
     log_buf = np.empty_like(buf)
-    for a in range(0, t, rows):
-        b = min(a + rows, t)
+    for a, b in spans:
         q, log_p, p = buf[: b - a], log_buf[: b - a], ref.p[r0 + a : r0 + b]
         _row_distributions(y[a:b], out=q)
         np.log(q, out=q)

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 
 from fixtures import (
     clustered_layer,
@@ -402,11 +403,36 @@ def test_solved_errors_are_the_walks():
     ref, hs, walked = columnwise_reference(w, x, cfg, res.blocks)
     for g, (qb, (found, err)) in enumerate(zip(ref, walked)):
         u = hs.chol_inv[g * 64:(g + 1) * 64, g * 64:(g + 1) * 64]
-        solved = pipeline._group_errors(found, qb, u)
+        # a copy of the working columns, the group its last one
+        solved = pipeline._spread(np.asfortranarray(found), qb, u, 0, 64)
         assert np.linalg.norm(solved - err) <= 1e-12 * np.linalg.norm(err)
         p = qb.params
         _, loss = sqc_walk(found, p.scale[None], p.zero, p.bit_width, u)
         np.testing.assert_allclose(loss[0], (solved ** 2).sum(axis=1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 100, 300])
+@pytest.mark.parametrize("beta", [16, 64, 128])
+def test_spread_is_the_update_and_its_subtraction(n, beta):
+    # the in-place accumulating update against the product of E and the
+    # later rows of U, formed on its own and then subtracted; the two sum
+    # in different orders, so the low bits may differ
+    rng = np.random.default_rng(n * beta)
+    m = 4 * beta
+    U = hessian_state(random_calib(rng, 2 * m, m)).chol_inv
+    w = rng.standard_normal((n, m))
+    for g in range(4):
+        lo, hi = g * beta, (g + 1) * beta
+        qb = quantize_uniform(w[:, lo:hi], 2)
+        work = np.array(w, order="F")
+        err = pipeline._spread(work, qb, U, lo, hi)
+        if hi == m:
+            assert np.array_equal(work, w)
+            continue
+        product = scipy.linalg.blas.dgemm(1.0, U[lo:hi, hi:], err.T, trans_a=1).T
+        want = w.copy()
+        want[:, hi:] -= product
+        assert np.abs(work - want).max() <= 1e-13 * np.abs(product).max()
 
 
 @pytest.mark.parametrize("row, col", [(0, 5), (3, 20)])

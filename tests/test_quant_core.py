@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fixtures import encode_block
-from slimquant.errors import InvalidConfig, ShapeMismatch
+from slimquant.errors import InvalidConfig, NonFiniteValue, ShapeMismatch
 from slimquant.quant_core import (
     RANGE_FLOOR,
     GroupQuantParams,
@@ -29,7 +29,7 @@ from slimquant.quant_core import (
     params_from_range,
     quantize_uniform,
 )
-from slimquant.sqc import STEP, calibrate_group
+from slimquant.sqc import STEP, calibrate_group, walk_group
 
 
 def scalar_reference(block, bits):
@@ -493,3 +493,15 @@ def test_quantize_uniform_peaks_near_one_float64_block():
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * block.size * 8
+
+
+@pytest.mark.filterwarnings("error")  # a non-finite block fails typed, before any arithmetic warns
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_non_finite_block_raises(value, bits):
+    block = np.random.default_rng(bits).standard_normal((4, 8))
+    block[2, 5] = value
+    quantizers = [quantize_uniform, walk_group] + ([calibrate_group] if bits > 1 else [])
+    for quantize in quantizers:
+        with pytest.raises(NonFiniteValue):
+            quantize(block, bits)

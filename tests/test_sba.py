@@ -188,6 +188,17 @@ def test_kl_reference_strides_its_rows(monkeypatch, t, max_tokens):
     assert output_kl(ref, w * 0.5) == want
 
 
+@pytest.mark.parametrize("t, n, m", [(200, 1000, 8), (3, 70000, 4), (5, 16, 8)])
+def test_reference_distributions_are_the_whole_arrays(t, n, m):
+    # kl_reference normalizes in row blocks (one row a block once n passes
+    # _BLOCK_ELEMENTS); every row must come out as the whole array's does
+    rng = np.random.default_rng(t + n)
+    w, x = random_layer(rng, n, m), random_calib(rng, t, m)
+    want = _outputs(x, w)
+    sba._row_distributions(want)
+    assert np.array_equal(kl_reference(x, w).p, want)
+
+
 def test_references_and_plans_compare_by_identity():
     # == on dataclasses of arrays would raise numpy's ambiguous truth value
     w, x, sal = plan_inputs(3)
