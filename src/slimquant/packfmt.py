@@ -30,11 +30,12 @@ codes then fix every other section's size, so a file is exactly as long as
 they imply (_layout). The codec works on whole bytes, never on one byte
 per bit: at 2 and 4 bits no field straddles a byte and at 3 bits 8 fields
 fill 3 bytes, so shifts and masks place each such run one field per byte
-of a word (_SPREAD). Padding bits, reserved bytes and flag bits are always
-zero and nonzero ones are rejected on read, as is a shared bit that
-disagrees with the rows it stands for (one on a group of fewer than 2 rows,
-or none on a group whose rows share both values), which keeps the encoding
-injective.
+of a word (_SPREAD). A row's last run is filled with zero fields, which
+are its padding, and packed like any other. Padding bits, reserved bytes
+and flag bits are always zero and nonzero ones are rejected on read, as
+is a shared bit that disagrees with the rows it stands for (one on a group
+of fewer than 2 rows, or none on a group whose rows share both values),
+which keeps the encoding injective.
 
 A group's width fixes its decode rule: 2 to 4 bits are affine, 1 bit is
 sign/magnitude (quant_core). A 1-bit group's zero-points are stored like
@@ -80,14 +81,6 @@ _SPREAD = {
 }
 
 
-def _tail_fields(count: int, width: int, start: int):
-    """(field, byte, shift) of the fields from start on, each field's
-    lowest bit at bit `shift` of byte `byte` of its row; a field with
-    shift + width > 8 runs on into the next byte."""
-    for j in range(start, count):
-        yield (j, *divmod(j * width, 8))
-
-
 def pack_fields(values: np.ndarray, width: int) -> np.ndarray:
     """Rows of `width`-bit fields, LSB-first, each row zero-padded to a
     32-bit word, as a (rows, 4 * words) uint8 array. values is (rows,
@@ -99,23 +92,24 @@ def pack_fields(values: np.ndarray, width: int) -> np.ndarray:
         out[:, : -(-count // 8)] = np.packbits(v, axis=1, bitorder="little")
         return out
     word, per_run, run_bytes, steps = _SPREAD[width]
-    runs = count // per_run
-    if runs:
-        fields = v[:, : runs * per_run].view(word)
-        acc = fields | fields >> steps[-1][0]
-        for shift, mask in reversed(steps[:-1]):
-            acc &= mask
-            acc |= acc >> shift
-        # the packed run is the low run_bytes bytes of each word
-        packed = out[:, : runs * run_bytes].reshape(rows, runs, run_bytes)
-        for byte in range(run_bytes):
-            np.copyto(packed[:, :, byte], acc, casting="unsafe")
-            if byte + 1 < run_bytes:
-                acc >>= 8
-    for j, byte, shift in _tail_fields(count, width, runs * per_run):
-        out[:, byte] |= v[:, j] << shift
-        if shift + width > 8:
-            out[:, byte + 1] |= v[:, j] >> (8 - shift)
+    runs = -(-count // per_run)
+    # the last run's missing fields are zero, as the padding bits they become
+    fields = np.zeros((rows, runs * per_run), dtype=np.uint8)
+    fields[:, :count] = v
+    fields = fields.view(word)
+    acc = fields >> steps[-1][0]
+    acc |= fields
+    del v, fields  # before the steps' temporaries: the peak stays under 3x the fields
+    for shift, mask in reversed(steps[:-1]):
+        acc &= mask
+        acc |= acc >> shift
+    # the packed run is the low run_bytes bytes of each word; bytes past
+    # the row's last word (8 fields of 3 bits can reach there) are padding
+    for byte in range(run_bytes):
+        column = out[:, byte : runs * run_bytes : run_bytes]
+        np.copyto(column, acc[:, : column.shape[1]], casting="unsafe")
+        if byte + 1 < run_bytes:
+            acc >>= 8
     return out
 
 
@@ -129,26 +123,21 @@ def unpack_fields(raw, rows: int, count: int, width: int, what: str) -> np.ndarr
         raise CodeOutOfRange(f"nonzero padding bits in {what}")
     if width == 1:
         return np.unpackbits(b, axis=1, count=count, bitorder="little")
-    values = np.empty((rows, count), dtype=np.uint8)
     word, per_run, run_bytes, steps = _SPREAD[width]
-    runs = count // per_run
-    if runs:
-        fields = values[:, : runs * per_run].view(word)
-        # each run's packed bytes into the low bytes of its word
-        packed = b[:, : runs * run_bytes].reshape(rows, runs, run_bytes)
-        np.copyto(fields, packed[:, :, -1])
-        for byte in range(run_bytes - 2, -1, -1):
-            fields <<= 8
-            fields |= packed[:, :, byte]
-        for shift, mask in steps:
-            fields |= fields << shift
-            fields &= mask
-    for j, byte, shift in _tail_fields(count, width, runs * per_run):
-        field = b[:, byte] >> shift
-        if shift + width > 8:
-            field |= b[:, byte + 1] << (8 - shift)
-        values[:, j] = field & ((1 << width) - 1)
-    return values
+    runs = -(-count // per_run)
+    # each run's packed bytes into the low bytes of its word, the row
+    # zero-extended to whole runs
+    values = np.zeros((rows, runs * per_run), dtype=np.uint8)
+    fields = values.view(word)
+    *lower, top = (b[:, byte : runs * run_bytes : run_bytes] for byte in range(run_bytes))
+    np.copyto(fields[:, : top.shape[1]], top)
+    for column in reversed(lower):
+        fields <<= 8
+        fields[:, : column.shape[1]] |= column
+    for shift, mask in steps:
+        fields |= fields << shift
+        fields &= mask
+    return values[:, :count].copy()
 
 
 def _layout(n: int, beta: int, widths, shared) -> tuple[list[int], list[int], tuple[int, ...]]:
@@ -331,10 +320,6 @@ class SizeReport:
     padding_bits: int
     metadata_bits: int  # header, group codes, scales, zeros
     bits_per_weight: float
-
-    @property
-    def total_bits(self) -> int:
-        return self.payload_bits + self.padding_bits + self.metadata_bits
 
 
 def packed_size_report(pm: PackedModel) -> SizeReport:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteValue, ShapeMismatch
+from .errors import InconsistentPlan, InvalidConfig, NonFiniteValue, ShapeMismatch
 
 # Smallest usable row range. Rows whose extended range collapses to zero
 # (all-zero rows) get this floor so the affine map stays well defined.
@@ -200,8 +200,14 @@ def int_levels(qb: QuantizedBlock) -> np.ndarray:
 
 
 def dequantize(qb: QuantizedBlock) -> np.ndarray:
-    """Decode a block back to float32 (decode), one scale per row."""
+    """Decode a block back to float32 (decode), one scale per row.
+    InconsistentPlan, as pack gives, if a code or zero-point is outside
+    [0, 2^N - 1]: decode would wrap it to a wrong level."""
     p = qb.params
+    maxq = _max_code(p.bit_width)
+    for values in (qb.codes, p.zero):
+        if values.min(initial=0) < 0 or values.max(initial=0) > maxq:
+            raise InconsistentPlan(f"codes or zero-points outside [0, {maxq}] at {p.bit_width} bits")
     return decode(qb.codes, p.scale.astype(np.float32)[:, None], p.zero[:, None], p.bit_width)
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from fixtures import encode_block
-from slimquant.errors import InvalidConfig, NonFiniteValue, ShapeMismatch
+from slimquant.errors import InconsistentPlan, InvalidConfig, NonFiniteValue, ShapeMismatch
+from slimquant.packfmt import pack
 from slimquant.quant_core import (
     RANGE_FLOOR,
     GroupQuantParams,
@@ -505,3 +506,23 @@ def test_non_finite_block_raises(value, bits):
     for quantize in quantizers:
         with pytest.raises(NonFiniteValue):
             quantize(block, bits)
+
+
+@pytest.mark.parametrize("bits, codes, zero", [
+    (2, [[0, 200]], [0]),  # decoded to -57 before it was refused
+    (2, [[0, 3]], [9]),  # a zero-point of 9 gave level -9
+    (1, [[2, 3]], [0]),  # 1-bit codes 2 and 3 gave 3 and 5
+    (3, np.array([[-1, 7]], dtype=np.int16), [0]),
+    (4, [[0, 15]], np.array([-1], dtype=np.int16)),
+])
+def test_dequantize_refuses_out_of_range_codes(bits, codes, zero):
+    # dequantize refuses the blocks pack refuses, with the same error; the
+    # width's largest code and zero-point still decode
+    def block(codes, zero):
+        return QuantizedBlock(np.asarray(codes), GroupQuantParams(bits, np.ones(1, np.float32), np.asarray(zero)))
+
+    for refuse in (dequantize, lambda qb: pack([qb], 1, 2, 2, target_bits=bits)):
+        with pytest.raises(InconsistentPlan):
+            refuse(block(codes, zero))
+    maxq = (1 << bits) - 1
+    assert dequantize(block([[maxq, maxq]], [maxq])).tolist() == [[1.0 if bits == 1 else 0.0] * 2]
