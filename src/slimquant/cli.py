@@ -86,11 +86,7 @@ def _check_sizes(**sizes: int) -> None:
 
 def cmd_gen_weights(args) -> int:
     _check_sizes(rows=args.rows, cols=args.cols)
-    rng = np.random.default_rng(args.seed)
-    # values past float32's range become infinite without numpy's warning;
-    # write_tensor rejects them with one NonFiniteValue error
-    with np.errstate(over="ignore"):
-        w = (rng.standard_normal((args.rows, args.cols)) * args.amplitude).astype(np.float32)
+    w = np.random.default_rng(args.seed).standard_normal((args.rows, args.cols)).astype(np.float32)
     write_tensor(args.out, w)
     print(f"wrote {args.out} ({args.rows}x{args.cols})")
     return 0
@@ -115,7 +111,9 @@ def cmd_gen_calib(args) -> int:
     clusters = [_parse_cluster(item, args.channels) for item in args.cluster or []]
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.samples, args.tokens, args.channels))
-    with np.errstate(over="ignore"):  # as in cmd_gen_weights
+    # values past float32's range become infinite without numpy's warning;
+    # write_tensor rejects them with one NonFiniteValue error
+    with np.errstate(over="ignore"):
         for start, width, scale in clusters:
             x[..., start : start + width] *= scale
         x = x.astype(np.float32)
@@ -295,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     gw = gen_sub.add_parser("weights", help="random weight matrix")
     gw.add_argument("--rows", type=int, required=True)
     gw.add_argument("--cols", type=int, required=True)
-    gw.add_argument("--amplitude", type=float, default=1.0)
     gw.add_argument("--seed", type=int, default=0)
     gw.add_argument("--out", required=True)
     gw.set_defaults(func=cmd_gen_weights)

@@ -1,9 +1,11 @@
-"""Exception types raised across the package, and the one dtype check
-that every entry point taking arrays shares.
+"""Exception types raised across the package, and the one check of real
+arrays and the one of token rows that its entry points share.
 
 Every error that the library can signal deliberately derives from
 SlimQuantError, so callers can catch one base class at the CLI boundary.
 """
+
+import numpy as np
 
 
 class SlimQuantError(Exception):
@@ -69,3 +71,17 @@ def require_real(a, what: str) -> None:
     Reads a.dtype alone, so a large array is never copied."""
     if a.dtype.kind not in "biuf":
         raise InvalidConfig(f"{what} must hold real numbers, got dtype {a.dtype}")
+
+
+def require_rows(x, m: int | None = None) -> None:
+    """Refuse token rows x unless they are a 2-D np.ndarray (ShapeMismatch)
+    of real numbers (require_real) over m channels when m is given
+    (ShapeMismatch) with at least one row (EmptyCalibration), in order."""
+    if not (isinstance(x, np.ndarray) and x.ndim == 2):
+        got = x.shape if isinstance(x, np.ndarray) else type(x).__name__
+        raise ShapeMismatch(f"calibration must be a 2-D array of token rows, got {got}")
+    require_real(x, "calibration")
+    if m is not None and x.shape[1] != m:
+        raise ShapeMismatch(f"calibration has {x.shape[1]} channels, weights {m}")
+    if x.shape[0] == 0:
+        raise EmptyCalibration("need at least one token vector")

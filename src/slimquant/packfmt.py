@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadMagic, CodeOutOfRange, InconsistentPlan, TruncatedPayload, UnsupportedVersion
-from .quant_core import GroupQuantParams, QuantizedBlock
+from .quant_core import GroupQuantParams, QuantizedBlock, check_group
 from .tensor_store import atomic_write, read_file
 
 MAGIC = b"SLMQ"
@@ -220,8 +220,8 @@ class PackedModel:
 
 def pack(blocks: list, n: int, m: int, beta: int, target_bits: int) -> PackedModel:
     """Check a list of QuantizedBlock against an n x m layer in groups of
-    beta, and copy it once into a PackedModel whose header records the
-    average width target target_bits (a u8)."""
+    beta (each by check_group), and copy it once into a PackedModel whose
+    header records the average width target target_bits (a u8)."""
     if beta < 1 or m % beta != 0:
         raise InconsistentPlan(f"group size {beta} does not divide {m} channels")
     k = m // beta
@@ -232,23 +232,12 @@ def pack(blocks: list, n: int, m: int, beta: int, target_bits: int) -> PackedMod
 
     checked = []
     for g, b in enumerate(blocks):
-        width = b.params.bit_width
-        maxq = (1 << width) - 1
         if b.codes.shape != (n, beta):
             raise InconsistentPlan(f"group {g} codes have shape {b.codes.shape}")
-        if b.params.scale.shape != (n,) or b.params.zero.shape != (n,):
-            raise InconsistentPlan(f"group {g} params are not per-row of length {n}")
-        for values in (b.codes, b.params.zero):
-            if values.min(initial=0) < 0 or values.max(initial=0) > maxq:
-                raise InconsistentPlan(f"group {g} carries values outside [0, {maxq}]")
-            if values.dtype.kind not in "biu" and not np.all(values == np.rint(values)):
-                raise InconsistentPlan(f"group {g} carries non-integral codes or zero-points")
-        scale = np.array(b.params.scale, dtype=np.float32)
-        if not np.all(np.isfinite(scale)):
-            raise InconsistentPlan(f"group {g} has non-finite scales")
+        scale = check_group(b, f"group {g}")
         codes = np.array(b.codes, dtype=np.uint8, order="F")
         zero = np.array(b.params.zero, dtype=np.uint8)
-        checked.append(_frozen_block(codes, scale, zero, width))
+        checked.append(_frozen_block(codes, scale, zero, b.params.bit_width))
     return PackedModel(n=n, m=m, beta=beta, target_bits=target_bits, blocks=tuple(checked))
 
 

@@ -28,12 +28,12 @@ import scipy.linalg.blas
 
 from .errors import (
     BadGroupSize,
-    EmptyCalibration,
     InvalidConfig,
     NonFiniteIntermediate,
     NonFiniteValue,
     ShapeMismatch,
     require_real,
+    require_rows,
 )
 from .quant_core import (
     QuantizedBlock,
@@ -162,8 +162,9 @@ def check_layer(w: np.ndarray, x: np.ndarray, beta: int) -> None:
     """Reject weights w and (T, m) calibration rows x that groups of beta
     channels do not define; the first failing check raises. quantize_layer,
     `slimquant eval` and `slimquant inspect` call it before any Gram matrix.
-    Both must hold real numbers (errors.require_real), and w must be finite
-    once rounded to float32, the precision the layer is quantized in."""
+    w must hold real numbers (errors.require_real) and be finite once
+    rounded to float32, the precision the layer is quantized in; x must
+    pass errors.require_rows over w's channels."""
     w = np.asarray(w)
     if beta < 1:
         raise InvalidConfig(f"group size must be >= 1, got {beta}")
@@ -177,14 +178,7 @@ def check_layer(w: np.ndarray, x: np.ndarray, beta: int) -> None:
     m = w.shape[1]
     if m % beta != 0:
         raise BadGroupSize(f"group size {beta} does not divide {m} channels")
-    if not (isinstance(x, np.ndarray) and x.ndim == 2):
-        got = x.shape if isinstance(x, np.ndarray) else type(x).__name__
-        raise ShapeMismatch(f"calibration must be a 2-D array of token rows, got {got}")
-    require_real(x, "calibration")
-    if x.shape[1] != m:
-        raise ShapeMismatch(f"calibration has {x.shape[1]} channels, weights {m}")
-    if x.shape[0] == 0:
-        raise EmptyCalibration("need at least one token vector")
+    require_rows(x, m)
 
 
 def quantize_layer(w: np.ndarray, x: np.ndarray, cfg: PipelineConfig) -> QuantizationResult:

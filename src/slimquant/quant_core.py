@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentPlan, InvalidConfig, NonFiniteValue, ShapeMismatch
+from .errors import InconsistentPlan, InvalidConfig, NonFiniteValue, ShapeMismatch, require_real
 
 # Smallest usable row range. Rows whose extended range collapses to zero
 # (all-zero rows) get this floor so the affine map stays well defined.
@@ -66,10 +66,12 @@ class QuantizedBlock:
 
 
 def as_block(block: np.ndarray, dtype: type | None = np.float64) -> np.ndarray:
-    """block as float64 (or as dtype; None keeps its own), checked to be 2-D
-    and non-empty (ShapeMismatch): every quantizer, at every width, takes
-    its input through here."""
-    b = np.asarray(block, dtype=dtype)
+    """block, of real numbers (require_real), as float64 (or dtype; None
+    keeps its own), 2-D and non-empty (ShapeMismatch): every quantizer, at
+    every width, takes its input through here."""
+    b = np.asarray(block)
+    require_real(b, "block")
+    b = np.asarray(b, dtype=dtype)
     if b.ndim != 2 or b.size == 0:
         raise ShapeMismatch(f"block must be 2-D and non-empty, got shape {b.shape}")
     return b
@@ -199,16 +201,32 @@ def int_levels(qb: QuantizedBlock) -> np.ndarray:
     return _levels(qb.codes, qb.params.zero[:, None], qb.params.bit_width)
 
 
-def dequantize(qb: QuantizedBlock) -> np.ndarray:
-    """Decode a block back to float32 (decode), one scale per row.
-    InconsistentPlan, as pack gives, if a code or zero-point is outside
-    [0, 2^N - 1]: decode would wrap it to a wrong level."""
-    p = qb.params
+def check_group(qb: QuantizedBlock, what: str = "block") -> np.ndarray:
+    """The float32 scales of qb; InconsistentPlan unless it has 2-D codes,
+    a scale and zero-point per row, codes and zero-points integers in
+    [0, 2^N - 1], and scales finite once rounded to float32 (pack's rule)."""
+    codes, p = qb.codes, qb.params
     maxq = _max_code(p.bit_width)
-    for values in (qb.codes, p.zero):
+    if codes.ndim != 2:
+        raise InconsistentPlan(f"{what} codes have shape {codes.shape}")
+    if p.scale.shape != codes.shape[:1] or p.zero.shape != codes.shape[:1]:
+        raise InconsistentPlan(f"{what} params are not per-row of length {len(codes)}")
+    for values in (codes, p.zero):
         if values.min(initial=0) < 0 or values.max(initial=0) > maxq:
-            raise InconsistentPlan(f"codes or zero-points outside [0, {maxq}] at {p.bit_width} bits")
-    return decode(qb.codes, p.scale.astype(np.float32)[:, None], p.zero[:, None], p.bit_width)
+            raise InconsistentPlan(f"{what} carries values outside [0, {maxq}]")
+        if values.dtype.kind not in "biu" and not np.all(values == np.rint(values)):
+            raise InconsistentPlan(f"{what} carries non-integral codes or zero-points")
+    with np.errstate(over="ignore"):  # a scale past float32's range is inf, refused below
+        scale = np.array(p.scale, dtype=np.float32)
+    if not np.all(np.isfinite(scale)):
+        raise InconsistentPlan(f"{what} has non-finite scales")
+    return scale
+
+
+def dequantize(qb: QuantizedBlock) -> np.ndarray:
+    """Decode a block that check_group passes to float32 (decode)."""
+    scale = check_group(qb)
+    return decode(qb.codes, scale[:, None], qb.params.zero[:, None], qb.params.bit_width)
 
 
 def binarize_block(block: np.ndarray) -> QuantizedBlock:

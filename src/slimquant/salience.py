@@ -31,13 +31,7 @@ import numpy as np
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
-from .errors import (
-    BadGroupSize,
-    EmptyCalibration,
-    InvalidConfig,
-    NotPositiveDefinite,
-    ShapeMismatch,
-)
+from .errors import BadGroupSize, InvalidConfig, NotPositiveDefinite, ShapeMismatch, require_rows
 
 DAMPING_FLOOR = 1e-8
 
@@ -84,12 +78,8 @@ def accumulate_hessian(x: np.ndarray) -> np.ndarray:
     not accumulated by dsyrk itself: accumulating moves the low bits once
     a block has more rows than the BLAS library's K block (384 on scipy's
     OpenBLAS 0.3.30)."""
-    if not (isinstance(x, np.ndarray) and x.ndim == 2):
-        got = x.shape if isinstance(x, np.ndarray) else type(x).__name__
-        raise ShapeMismatch(f"calibration must be a 2-D array of token rows, got {got}")
+    require_rows(x)
     t, m = x.shape
-    if t == 0:
-        raise EmptyCalibration("need at least one token vector")
     if m == 0:
         # BLAS would reject the empty product with a line of its own on stderr
         raise ShapeMismatch("calibration has no channels")

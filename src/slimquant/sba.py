@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg.blas
 
-from .errors import BadGroupSize, EmptyCalibration, InvalidConfig, ShapeMismatch
+from .errors import BadGroupSize, InvalidConfig, ShapeMismatch, require_rows
 from .quant_core import QuantizedBlock, dequantize, quantize_uniform
 from .quant_core import binarize_block  # noqa: F401  (kept importable: the benchmark tracer wraps it here)
 from .salience import SalienceMap
@@ -105,18 +105,14 @@ class KlReference:
 def kl_reference(x: np.ndarray, w: np.ndarray) -> KlReference:
     """Distributions of the exact outputs xs @ wT, where xs is at most
     MAX_TOKENS of x's token rows at a uniform stride
-    (stride_subsample). The one check of a divergence's inputs: w must be
-    2-D with at least one row (ShapeMismatch), x 2-D over w's channels
-    (ShapeMismatch) with at least one row (EmptyCalibration). The
-    rows are not converted: unstrided rows are x itself, strided ones a
-    compact copy."""
-    x, w = np.asarray(x), np.asarray(w)
+    (stride_subsample). w must be 2-D with at least one row
+    (ShapeMismatch), and x must pass errors.require_rows over w's
+    channels. The rows are not converted: unstrided rows are x itself,
+    strided ones a compact copy."""
+    w = np.asarray(w)
     if w.ndim != 2 or w.shape[0] == 0:
         raise ShapeMismatch(f"weights must be 2-D with at least one row, got shape {w.shape}")
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeMismatch(f"activations {x.shape} do not match weights {w.shape}")
-    if x.shape[0] == 0:
-        raise EmptyCalibration("no token rows to compare outputs on")
+    require_rows(x, w.shape[1])
     xs = stride_subsample(x, MAX_TOKENS)
     p = _outputs(xs, w)
     for a, b in _spans(len(p), max(1, _BLOCK_ELEMENTS // p.shape[1])):  # as _row_kl

@@ -10,6 +10,7 @@ from fixtures import (
     clustered_layer,
     hessian_state,
     identity_calib,
+    missed_raises,
     random_calib,
     random_layer,
 )
@@ -21,6 +22,7 @@ from slimquant.errors import (
     NonFiniteIntermediate,
     NonFiniteValue,
     ShapeMismatch,
+    require_rows,
 )
 from slimquant.pipeline import (
     STAGES,
@@ -534,20 +536,24 @@ def test_check_layer_raises_the_first_failing_check():
     check_layer(w, random_calib(rng, 8, 32), 8)
 
 
-# calibration rows a layer of 32 channels refuses, and the error each raises
+# calibration rows a layer of 32 channels refuses, and the error each raises;
+# the Gram matrix used to read complex rows as their real part, cast object
+# rows and parse string rows
 MALFORMED_CALIBRATION = [
     ([[1.0] * 32], ShapeMismatch),
     (np.float32(1.0), ShapeMismatch),
     (np.ones(32, dtype=np.float32), ShapeMismatch),
     (np.ones((2, 4, 32), dtype=np.float32), ShapeMismatch),
     (np.ones((0, 32), dtype=np.float32), EmptyCalibration),
+    *[(np.ones((8, 32), dtype=dtype), InvalidConfig) for dtype in (np.complex128, object, np.str_)],
 ]
 
 
+@pytest.mark.filterwarnings("error")  # no ComplexWarning before the error
 @pytest.mark.parametrize("stage", ["quantize_layer", "check_layer", "accumulate_hessian"])
 def test_malformed_calibration_raises_typed_errors(stage):
-    # calibration is a (T, m) float32 array; anything else is refused with
-    # the error its shape calls for, never a stray AttributeError or ValueError
+    # calibration is a (T, m) real array; anything else is refused with the
+    # error it calls for, never a stray AttributeError or ValueError
     rng = np.random.default_rng(16)
     w = random_layer(rng, 4, 32)
     run = {
@@ -562,6 +568,16 @@ def test_malformed_calibration_raises_typed_errors(stage):
     for x, error in cases:
         with pytest.raises(error):
             run(x)
+
+
+def test_calibration_cases_reach_every_raise_of_the_row_check():
+    def run():
+        w = np.ones((4, 32), dtype=np.float32)
+        for x, error in [*MALFORMED_CALIBRATION, (np.ones((8, 16)), ShapeMismatch)]:
+            with pytest.raises(error):
+                check_layer(w, x, 8)
+
+    assert not missed_raises((require_rows,), run)
 
 
 @pytest.mark.parametrize("rows, channels", [(0, 8), (8, 0)])

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fixtures import encode_block
+from fixtures import encode_block, missed_raises
 from slimquant.errors import InconsistentPlan, InvalidConfig, NonFiniteValue, ShapeMismatch
 from slimquant.packfmt import pack
 from slimquant.quant_core import (
@@ -23,6 +23,7 @@ from slimquant.quant_core import (
     affine_params,
     binarize_block,
     block_mse,
+    check_group,
     decode,
     dequantize,
     derive_params,
@@ -526,3 +527,51 @@ def test_dequantize_refuses_out_of_range_codes(bits, codes, zero):
             refuse(block(codes, zero))
     maxq = (1 << bits) - 1
     assert dequantize(block([[maxq, maxq]], [maxq])).tolist() == [[1.0 if bits == 1 else 0.0] * 2]
+
+
+def two_bit_block(codes, scale=(1.0, 1.0)):
+    """A 2-bit block of codes under the given per-row scales, zero-points 0."""
+    scale = np.asarray(scale)
+    return QuantizedBlock(np.asarray(codes), GroupQuantParams(2, scale, np.zeros(scale.shape)))
+
+
+# 2-bit blocks that pack refuses, and that dequantize, apart from the last,
+# once decoded wrongly or failed untyped on
+MALFORMED_GROUPS = {
+    "fractional-code": two_bit_block([[0, 2.7], [1, 3]]),  # decoded as 2
+    "nan-code": two_bit_block([[0, np.nan], [1, 3]]),  # decoded as 0, with a warning
+    "infinite-scale": two_bit_block([[0, 1], [1, 3]], (1.0, np.inf)),  # a row of inf
+    "float32-overflowing-scale": two_bit_block([[0, 1], [1, 3]], (1.0, 1e39)),  # the same
+    "three-rows-under-two-scales": two_bit_block(np.ones((3, 2))),  # a bare ValueError
+    "1d-codes": two_bit_block(np.ones(4)),  # broadcast to a (2, 4) result
+    "code-out-of-range": two_bit_block([[0, 4], [1, 3]]),  # so the cases reach every raise
+}
+
+
+def refuse_as_pack_and_dequantize(qb):
+    for refuse in (dequantize, lambda qb: pack([qb], 2, 2, 2, target_bits=2)):
+        with pytest.raises(InconsistentPlan):
+            refuse(qb)
+
+
+@pytest.mark.filterwarnings("error")  # refused typed, before any arithmetic warns
+@pytest.mark.parametrize("case", MALFORMED_GROUPS)
+def test_dequantize_refuses_what_pack_refuses(case):
+    refuse_as_pack_and_dequantize(MALFORMED_GROUPS[case])
+
+
+def test_group_rule_cases_reach_every_raise():
+    def run():
+        for qb in MALFORMED_GROUPS.values():
+            refuse_as_pack_and_dequantize(qb)
+
+    assert not missed_raises((check_group,), run)
+
+
+@pytest.mark.filterwarnings("error")  # no ComplexWarning before the error
+@pytest.mark.parametrize("dtype", [np.complex128, object, np.str_])
+def test_non_real_blocks_are_invalid_config(dtype):
+    block = np.random.default_rng(4).standard_normal((4, 8)).astype(dtype)
+    for quantize in (quantize_uniform, walk_group, calibrate_group):
+        with pytest.raises(InvalidConfig, match="real numbers"):
+            quantize(block, 2)

@@ -14,7 +14,7 @@ import scipy.special
 
 from fixtures import hessian_state, random_calib, random_layer
 from slimquant import sba
-from slimquant.errors import BadGroupSize, EmptyCalibration, ShapeMismatch
+from slimquant.errors import BadGroupSize, EmptyCalibration, InvalidConfig, ShapeMismatch
 from slimquant.quant_core import (
     binarize_block,
     dequantize,
@@ -135,17 +135,22 @@ def test_epsilon_floor_keeps_logs_finite():
 
 
 # malformed divergence inputs made from a valid (w, x) pair, and the error
-# kl_reference, the one check of them, must raise
+# kl_reference must raise
 MALFORMED = {
     "0d-activations": (lambda w, x: (w, x[0, 0]), ShapeMismatch),
     "1d-activations": (lambda w, x: (w, x[:, 0]), ShapeMismatch),
     "wrong-channel-count": (lambda w, x: (w, x[:, :-1]), ShapeMismatch),
     "no-token-rows": (lambda w, x: (w, x[:0]), EmptyCalibration),
+    # once read as their real part, cast or parsed as numbers
+    "complex-activations": (lambda w, x: (w, x.astype(np.complex128)), InvalidConfig),
+    "object-activations": (lambda w, x: (w, x.astype(object)), InvalidConfig),
+    "string-activations": (lambda w, x: (w, x.astype(np.str_)), InvalidConfig),
     "1d-weights": (lambda w, x: (w[0], x), ShapeMismatch),
     "no-weight-rows": (lambda w, x: (w[:0], x), ShapeMismatch),
 }
 
 
+@pytest.mark.filterwarnings("error")  # no ComplexWarning before the error
 @pytest.mark.parametrize("case", MALFORMED)
 def test_kl_reference_rejects_malformed_inputs(case):
     rng = np.random.default_rng(5)
